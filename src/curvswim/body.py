@@ -1,9 +1,10 @@
-"""Point-mass bodies: scalar product, moments, balancing, principal axes."""
+"""Point-mass bodies: the momentum-map kernel, moments, balancing, principal axes."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .fields import VectorField
 from .geometry import (
     Isometry,
     Surface,
+    killing_fields,
     rotation_about_origin,
     translation_to,
 )
@@ -93,17 +95,55 @@ def moments(body: Body) -> Moments:
     return Moments(q1=q1, q2=q2, q3=q3, total_mass=body.total_mass)
 
 
+def _weights(body: Body, surface: Surface, x=None) -> np.ndarray:
+    """m_n / (1 + R|x_n|^2)^2 at the points x (default: the body's positions)."""
+    x = surface.require_inside(body.positions if x is None else x)
+    return body.masses / surface.conformal(x) ** 2
+
+
+def _pair(w: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """sum_n w_n U_n . V_n for stacks U, V of shape (..., N, 2), broadcast.
+
+    Each particle's product is formed first, as x-products plus y-products,
+    and the particles are then summed with np.sum (not a BLAS dot), so
+    mirror-symmetric bodies keep their exact zeros.
+    """
+    return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
+
+
+def metric_pairing(body: Body, surface: Surface, U, V, x=None) -> np.ndarray:
+    """sum_n m_n g(x_n)(U_n, V_n) for stacks U, V of shape (..., N, 2), not mass-normalized."""
+    return _pair(_weights(body, surface, x), U, V)
+
+
+def momentum_map(
+    body: Body, surface: Surface, velocities, x=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Killing frame at the particles and its mass-weighted pairings.
+
+    Evaluates the three Killing fields once, as a frame of shape (3, N, 2),
+    and pairs it with itself and with each velocity array of the stack
+    velocities, shape (k, N, 2).  Returns (gram, mom, frame) with
+
+        gram[a, b] = sum_n m_n g(xi_a, xi_b),   mom[k, a] = sum_n m_n g(xi_a, V_k),
+
+    not mass-normalized.  These are the ingredients of the local connection:
+    the Gram matrix and the momentum map of the velocities.
+    """
+    x = body.positions if x is None else x
+    w = _weights(body, surface, x)
+    frame = np.stack([xi(x) for xi in killing_fields(surface)])
+    stack = np.concatenate([frame, np.asarray(velocities, dtype=float)])
+    # One Killing field at a time keeps every temporary at (3 + k, N): larger
+    # fresh arrays cost more in page faults than the arithmetic they hold.
+    pairs = np.array([_pair(w, xi, stack) for xi in frame])
+    return pairs[:, :3], pairs[:, 3:].T, frame
+
+
 def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:
     """Mass-weighted metric pairing (1/M) sum_n m_n g_ij u^i v^j at the particles."""
     x = surface.require_inside(body.positions)
-    w = surface.conformal(x) ** 2
-    uu = u(x)
-    vv = v(x)
-    return float(np.sum(body.masses * np.sum(uu * vv, axis=-1) / w) / body.total_mass)
-
-
-def field_norm(body: Body, surface: Surface, u: VectorField) -> float:
-    return float(np.sqrt(max(scalar_product(body, surface, u, u), 0.0)))
+    return float(metric_pairing(body, surface, u(x), v(x), x) / body.total_mass)
 
 
 def balance(body: Body, surface: Surface, tol: float = 1e-12, max_iter: int = 50) -> Body:
@@ -147,8 +187,7 @@ def principal_axes(body: Body, tol: float = 1e-14) -> Body:
     if abs(qxy) <= tol * scale:
         if qxx >= qyy:
             return body
-        g = rotation_about_origin(Surface(0.0), np.pi / 2.0)
-        return _rotate_exact(body, g)
+        return body.transformed(rotation_about_origin(Surface(0.0), np.pi / 2.0))
     # eigen-rotation of the symmetric 2x2 block
     theta = 0.5 * np.arctan2(2.0 * qxy, qxx - qyy)
     c, s = np.cos(theta), np.sin(theta)
@@ -157,10 +196,4 @@ def principal_axes(body: Body, tol: float = 1e-14) -> Body:
     angle = -theta
     if lam1 < lam2:
         angle += np.pi / 2.0
-    g = rotation_about_origin(Surface(0.0), float(angle))
-    return _rotate_exact(body, g)
-
-
-def _rotate_exact(body: Body, g: Isometry) -> Body:
-    rotated = body.transformed(Isometry(g.alpha, 0.0j, 0.0))
-    return rotated
+    return body.transformed(rotation_about_origin(Surface(0.0), float(angle)))

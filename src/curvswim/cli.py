@@ -80,7 +80,6 @@ class RunConfig:
     ring: Optional[RingSpec] = None
     mode: str = "composed"
     gauge: str = "project"
-    transport: bool = False
     do_balance: bool = False
     do_principal_axes: bool = False
     out_format: Optional[str] = None
@@ -191,7 +190,7 @@ def parse_config(raw: Any) -> RunConfig:
     if "options" in top:
         sec = _require_keys(
             top["options"],
-            ("mode", "gauge", "transport", "balance", "principal_axes"),
+            ("mode", "gauge", "balance", "principal_axes"),
             (),
             "options",
         )
@@ -203,11 +202,10 @@ def parse_config(raw: Any) -> RunConfig:
             if sec["gauge"] not in ("project", "assume"):
                 raise ConfigError("options.gauge must be 'project' or 'assume'")
             cfg.gauge = sec["gauge"]
-        for key in ("transport", "balance", "principal_axes"):
+        for key in ("balance", "principal_axes"):
             if key in sec:
                 if not isinstance(sec[key], bool):
                     raise ConfigError(f"options.{key} must be a boolean")
-        cfg.transport = bool(sec.get("transport", False))
         cfg.do_balance = bool(sec.get("balance", False))
         cfg.do_principal_axes = bool(sec.get("principal_axes", False))
 
@@ -296,9 +294,7 @@ def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, An
     body = _prepared_body(cfg)
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    rec = integrate_stroke(
-        body, surface, raw, stroke, mode=cfg.mode, transport=cfg.transport
-    )
+    rec = integrate_stroke(body, surface, raw, stroke, mode=cfg.mode)
     fields = _gauge_fields(cfg, body, surface, raw)
     hol = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
     dx_f, dx_i = float(hol.delta_tau[0]), float(rec.delta_tau[0])
@@ -332,21 +328,17 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
                 "amplitudes": [side, math.copysign(side, value)],
                 "steps": (cfg.stroke_cfg or {}).get("steps", DEFAULT_STEPS),
             }})
-            hol = cmd_holonomy(local, steps_override)
-            rec = cmd_integrate(local, steps_override)
-            dx_f, dx_i = hol["delta_tau"][0], rec["dx_integrated"]
-        elif variable == "m":
+        elif variable == "R":
+            local = RunConfig(**{**cfg.__dict__, "surface": Surface(float(value))})
+        else:  # variable == "m"
             tri = _need(cfg, "triangle", "body.scenario.triangle")
             spec = TriangleSpec(M=tri.M, m=float(value), h=tri.h, b=tri.b)
             local = RunConfig(**{**cfg.__dict__, "triangle": spec, "body": triangle_body(spec)})
+        rec = cmd_integrate(local, steps_override)
+        dx_f, dx_i = rec["dx_formula"], rec["dx_integrated"]
+        if variable == "m":
             stroke = _build_stroke(local, steps_override)
             dx_f = surface.R * triangle_swim_coefficient(spec) * stroke.signed_area
-            dx_i = cmd_integrate(local, steps_override)["dx_integrated"]
-        else:  # variable == "R"
-            local = RunConfig(**{**cfg.__dict__, "surface": Surface(float(value))})
-            hol = cmd_holonomy(local, steps_override)
-            dx_f = hol["delta_tau"][0]
-            dx_i = cmd_integrate(local, steps_override)["dx_integrated"]
         rows.append({"variable": variable, "value": float(value), "dx_formula": dx_f,
                      "dx_integrated": dx_i, "ratio": oracle_ratio(dx_i, dx_f)})
     return rows

@@ -12,13 +12,14 @@ this factor.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from .body import Body, field_norm, scalar_product
+from .body import Body, metric_pairing, moments, momentum_map
 from .errors import DegenerateMomentsError, SingularGramError
 from .fields import VectorField, combine, linear_field
-from .geometry import KillingSet, Surface, killing_fields, sym_covariant_gradient
-from . import body as _body
+from .geometry import Surface, killing_fields, sym_covariant_gradient
 
 _LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
 
@@ -42,50 +43,51 @@ def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
     return sym_covariant_gradient(surface, f, p)
 
 
-def gauge_residuals(body: Body, surface: Surface, f: VectorField, killing: KillingSet | None = None) -> np.ndarray:
+def gauge_pairings(
+    body: Body, surface: Surface, values
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram matrix, momenta and gauge residuals of fields sampled at the particles.
+
+    values stacks k fields evaluated at the body's positions, shape
+    (k, N, 2).  Returns, mass-normalized and from one kernel call,
+
+        G[a, b] = <xi_a|xi_b>,  mom[k, a] = <xi_a|f_k>,
+        res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
+    """
+    M = body.total_mass
+    G, mom, _ = momentum_map(body, surface, values)
+    G, mom = G / M, mom / M
+    fn = np.sqrt(np.maximum(metric_pairing(body, surface, values, values) / M, 0.0))
+    xin = np.sqrt(np.maximum(np.diag(G), 0.0))
+    return G, mom, np.abs(mom) / np.maximum(xin * fn[:, None], 1e-300)
+
+
+def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
     """Normalized pairings |<xi_a|f>| / (|xi_a| |f|) against the Killing set."""
-    ks = killing if killing is not None else killing_fields(surface)
-    fn = field_norm(body, surface, f)
-    out = np.empty(ks.k)
-    for i, xi in enumerate(ks):
-        xin = field_norm(body, surface, xi)
-        denom = max(xin * fn, 1e-300)
-        out[i] = abs(scalar_product(body, surface, xi, f)) / denom
-    return out
+    return gauge_pairings(body, surface, f(body.positions)[None])[2][0]
 
 
-def killing_gram(body: Body, surface: Surface, killing: KillingSet | None = None) -> np.ndarray:
-    ks = killing if killing is not None else killing_fields(surface)
-    G = np.empty((ks.k, ks.k))
-    for i in range(ks.k):
-        for j in range(i, ks.k):
-            G[i, j] = G[j, i] = scalar_product(body, surface, ks[i], ks[j])
-    return G
-
-
-def project_gauge(body: Body, surface: Surface, f: VectorField, killing: KillingSet | None = None) -> VectorField:
+def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     """Remove the rigid content of f: subtract xi_a (G^-1)^ab <xi_b|f>.
 
     The result pairs to zero with every Killing field and carries exactly
     the strain of f.  Raises SingularGramError when the body cannot see all
     rigid directions (for example a single particle).
     """
-    ks = killing if killing is not None else killing_fields(surface)
-    G = killing_gram(body, surface, ks)
-    rhs = np.array([scalar_product(body, surface, xi, f) for xi in ks])
+    G, mom, _ = gauge_pairings(body, surface, f(body.positions)[None])
     eigvals = np.linalg.eigvalsh(G)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
         rank = int(np.sum(eigvals > 1e-12 * eigvals[-1]))
         raise SingularGramError(
-            f"Killing Gram matrix is singular (rank {rank} of {ks.k}); "
+            f"Killing Gram matrix is singular (rank {rank} of {G.shape[0]}); "
             "gauge projection undefined for this body",
             rank=rank,
             eigenvalues=eigvals,
         )
-    coeffs = np.linalg.solve(G, rhs)
+    coeffs = np.linalg.solve(G, mom[0])
     if not np.any(np.abs(coeffs) > 0.0):
         return f
-    parts = [f] + list(ks)
+    parts = [f] + list(killing_fields(surface))
     weights = [1.0] + list(-coeffs)
     return combine(parts, weights, tag=f"gauge({f.tag})")
 
@@ -103,8 +105,8 @@ def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
     """
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
-    q2 = _body.moments(body).q2
-    q1 = _body.moments(body).q1
+    q = moments(body)
+    q1, q2 = q.q1, q.q2
     scale = max(float(np.max(np.abs(q2))), 1e-300)
     if np.max(np.abs(q1)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
         raise ValueError("body must be balanced (vanishing first moments) first")

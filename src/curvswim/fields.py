@@ -8,7 +8,7 @@ them by linear combination all share this one representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -72,9 +72,6 @@ class VectorField:
             dp[..., j] = h
             out[..., j, :] = (self(pts + dp) - self(pts - dp)) / (2.0 * h)
         return out
-
-    def renamed(self, tag: str) -> "VectorField":
-        return replace(self, tag=tag)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return combine([self, other], [1.0, 1.0], tag=f"({self.tag}+{other.tag})")

@@ -35,7 +35,6 @@ __all__ = [
     "KillingSet",
     "CurvatureTensor",
     "metric_at",
-    "metric_derivative_at",
     "christoffel_at",
     "gaussian_curvature",
     "geodesic_distance",
@@ -58,6 +57,11 @@ __all__ = [
 _DOMAIN_MARGIN = 1e-9
 
 
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|z|^2 per point; a reduction over the size-2 axis is several times slower."""
+    return a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1]
+
+
 @dataclass(frozen=True)
 class Surface:
     """Constant-curvature surface, identified by its metric parameter R."""
@@ -66,15 +70,13 @@ class Surface:
 
     def conformal(self, p) -> np.ndarray:
         """u(z) = 1 + R |z|^2, the reciprocal square root of the metric factor."""
-        a = as_points(p)
-        return 1.0 + self.R * np.sum(a * a, axis=-1)
+        return 1.0 + self.R * _abs2(as_points(p))
 
     def contains(self, p) -> np.ndarray:
         a = as_points(p)
         if self.R >= 0.0:
             return np.ones(a.shape[:-1], dtype=bool)
-        r2 = np.sum(a * a, axis=-1)
-        return r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
+        return _abs2(a) < (1.0 - _DOMAIN_MARGIN) / (-self.R)
 
     def require_inside(self, p) -> np.ndarray:
         a = as_points(p)
@@ -96,18 +98,6 @@ def metric_at(surface: Surface, p) -> np.ndarray:
     g[..., 0, 0] = 1.0 / u**2
     g[..., 1, 1] = 1.0 / u**2
     return g
-
-
-def metric_derivative_at(surface: Surface, p) -> np.ndarray:
-    """Partials dg[j, k, l] = d g_kl / d x^j of the conformal metric."""
-    a = surface.require_inside(p)
-    u = surface.conformal(a)
-    coef = -4.0 * surface.R / u**3  # d(u^-2)/dx^j = -2 u^-3 * 2R x_j
-    dg = np.zeros(a.shape[:-1] + (2, 2, 2))
-    for j in range(2):
-        dg[..., j, 0, 0] = coef * a[..., j]
-        dg[..., j, 1, 1] = coef * a[..., j]
-    return dg
 
 
 def christoffel_at(surface: Surface, p) -> np.ndarray:

@@ -27,16 +27,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .body import Body, moments
-from .deformation import gauge_fixed_linear_deformation, gauge_residuals, killing_gram
+from .deformation import gauge_fixed_linear_deformation, gauge_pairings
 from .errors import GaugeConditionError, SingularGramError
 from .fields import VectorField
-from .geometry import (
-    CurvatureTensor,
-    KillingSet,
-    Surface,
-    killing_fields,
-    killing_two_form,
-)
+from .geometry import CurvatureTensor, Surface, killing_two_form
 
 GAUGE_TOLERANCE = 1e-8
 RANK_CUTOFF = 1e-10
@@ -72,10 +66,15 @@ class HolonomyResult:
         return float(self.delta_tau[2])
 
 
-def gram_matrix(body: Body, surface: Surface, killing: KillingSet | None = None) -> np.ndarray:
+def gram_matrix(body: Body, surface: Surface) -> np.ndarray:
     """Killing Gram matrix G_ba = <xi_b | xi_a>; symmetric PSD."""
-    ks = killing if killing is not None else killing_fields(surface)
-    return killing_gram(body, surface, ks)
+    return gauge_pairings(body, surface, np.empty((0, body.n, 2)))[0]
+
+
+def _wedge_sum(body: Body, c: np.ndarray, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """(1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1) for two-form coefficients c (..., N)."""
+    wedge = uu[:, 0] * vv[:, 1] - uu[:, 1] * vv[:, 0]
+    return np.sum(body.masses * c * wedge, axis=-1) / body.total_mass
 
 
 def two_form_bracket(
@@ -90,11 +89,7 @@ def two_form_bracket(
     two-form with the oriented field pair at every particle.
     """
     x = body.positions
-    c = np.asarray(two_form(x), dtype=float)
-    uu = u(x)
-    vv = v(x)
-    wedge = uu[:, 0] * vv[:, 1] - uu[:, 1] * vv[:, 0]
-    return float(np.sum(body.masses * c * wedge) / body.total_mass)
+    return float(_wedge_sum(body, np.asarray(two_form(x), dtype=float), u(x), v(x)))
 
 
 def holonomy_general(
@@ -103,7 +98,6 @@ def holonomy_general(
     u: VectorField,
     v: VectorField,
     area: float,
-    killing: KillingSet | None = None,
     gauge_tol: float = GAUGE_TOLERANCE,
     rank_cutoff: float = RANK_CUTOFF,
 ) -> HolonomyResult:
@@ -113,24 +107,17 @@ def holonomy_general(
     set (project first if unsure); a residual above gauge_tol is an error,
     not a warning, because the leading-order derivation relies on it.
     """
-    ks = killing if killing is not None else killing_fields(surface)
-    res = np.stack([
-        gauge_residuals(body, surface, u, ks),
-        gauge_residuals(body, surface, v, ks),
-    ])
+    x = body.positions
+    uv = np.stack([u(x), v(x)])
+    G, _, res = gauge_pairings(body, surface, uv)
     if np.max(res) > gauge_tol:
         raise GaugeConditionError(
             f"deformation fields violate the gauge condition "
             f"(max residual {np.max(res):.3e} > {gauge_tol:.1e}); "
             "apply project_gauge first"
         )
-    G = gram_matrix(body, surface, ks)
-    rhs = -area * np.array(
-        [
-            two_form_bracket(body, lambda p, i=i: killing_two_form(surface, i, p), u, v)
-            for i in (1, 2, 3)
-        ]
-    )
+    c = np.stack([killing_two_form(surface, i, x) for i in (1, 2, 3)])
+    rhs = -area * _wedge_sum(body, c, uv[0], uv[1])
     return _solve_on_range(G, rhs, area, res, rank_cutoff)
 
 

@@ -20,8 +20,7 @@ Two shape-evolution models are provided:
       fields with a linear matrix.
 
   mode="direct"               deformation velocities are evaluated at the
-      current particle positions (optionally transported by the
-      accumulated rigid motion).  Simpler, works for any field, but for
+      current particle positions.  Simpler, works for any field, but for
       non-commuting field pairs the shape loop fails to close at the same
       order as the holonomy itself, which shows up as a leading-order
       offset in the rotation component.  Kept for comparison studies.
@@ -36,10 +35,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.linalg import expm_frechet
 
-from .body import Body
+from .body import Body, metric_pairing, momentum_map
 from .errors import SingularGramError, StrokeError
 from .fields import VectorField, from_complex, to_complex
-from .geometry import Isometry, KillingSet, Surface, killing_fields, rigid_generator
+from .geometry import Isometry, Surface, rigid_generator
 from .holonomy import holonomy_general
 
 __all__ = [
@@ -189,8 +188,7 @@ def momentum(body: Body, surface: Surface, xi: VectorField, velocities) -> float
     v = np.asarray(velocities, dtype=float)
     if v.shape != x.shape:
         raise ValueError(f"need one velocity per particle, got {v.shape} for {x.shape}")
-    w = surface.conformal(x) ** 2
-    return float(np.sum(body.masses * np.sum(v * xi(x), axis=-1) / w))
+    return float(metric_pairing(body, surface, v, xi(x), x))
 
 
 @dataclass(frozen=True)
@@ -230,24 +228,16 @@ class TrajectoryRecord:
 class _ConstraintSolver:
     """Shared per-stage work: solve the 3x3 momentum system for tau-dot."""
 
-    def __init__(self, body: Body, surface: Surface, killing: KillingSet):
+    def __init__(self, body: Body, surface: Surface):
         self.body = body
         self.surface = surface
-        self.killing = killing
-        self.m = body.masses
         self.max_residual = 0.0
         self.max_speed = 0.0
 
-    def solve(self, x: np.ndarray, v_def: np.ndarray, collect: bool) -> np.ndarray:
-        w = self.surface.conformal(x) ** 2
-        xi = [k(x) for k in self.killing]
-        A = np.empty((3, 3))
-        r = np.empty(3)
-        for b in range(3):
-            pb = self.m * np.sum(xi[b] * v_def, axis=-1) / w
-            r[b] = np.sum(pb)
-            for a in range(b, 3):
-                A[b, a] = A[a, b] = np.sum(self.m * np.sum(xi[b] * xi[a], axis=-1) / w)
+    def solve(self, x: np.ndarray, v_def: np.ndarray, collect: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """tau-dot that cancels the momentum of v_def, and the Killing frame at x."""
+        A, mom, frame = momentum_map(self.body, self.surface, v_def[None], x)
+        r = mom[0]
         try:
             tau_dot = np.linalg.solve(A, -r)
         except np.linalg.LinAlgError as exc:
@@ -255,10 +245,10 @@ class _ConstraintSolver:
                 "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(A)
             ) from exc
         if collect:
-            xdot = v_def + sum(tau_dot[a] * xi[a] for a in range(3))
+            xdot = v_def + sum(t * xi for t, xi in zip(tau_dot, frame))
             self.max_speed = max(self.max_speed, float(np.max(np.abs(xdot))))
             self.max_residual = max(self.max_residual, float(np.max(np.abs(A @ tau_dot + r))))
-        return tau_dot
+        return tau_dot, frame
 
 
 def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
@@ -277,9 +267,7 @@ def integrate_stroke(
     fields: Sequence[VectorField],
     stroke: Stroke,
     mode: str = "composed",
-    transport: bool = False,
     record: bool = False,
-    killing: KillingSet | None = None,
 ) -> TrajectoryRecord:
     """Carry the body around one closed control loop.
 
@@ -292,8 +280,7 @@ def integrate_stroke(
         raise ValueError("exactly two control fields are required")
     if mode not in ("composed", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-    ks = killing if killing is not None else killing_fields(surface)
-    solver = _ConstraintSolver(body, surface, ks)
+    solver = _ConstraintSolver(body, surface)
     X0 = surface.require_inside(body.positions)
     steps = stroke.steps
     dt = 1.0 / steps
@@ -324,7 +311,7 @@ def integrate_stroke(
             surface.require_inside(X)
             vz = g.derivative_complex(yz) * to_complex(Vy)
             v_def = from_complex(vz)
-            tau_dot = solver.solve(X, v_def, collect)
+            tau_dot, _ = solver.solve(X, v_def, collect)
             if collect and record:
                 rec_times.append(t)
                 rec_pos.append(X)
@@ -342,26 +329,18 @@ def integrate_stroke(
         E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
         E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
         closure = float(np.max(np.abs(E1 - E0)))
-        final_positions = None
 
     else:
         def deriv(t: float, state: Tuple[np.ndarray, np.ndarray], collect: bool, sigd):
             X, Gm = state
             surface.require_inside(X)
             sd = sigd(t)
-            if transport:
-                g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R).normalized()
-                ginv = g.inverse()
-                Y = ginv(X)
-                vel = sd[0] * fields[0](Y) + sd[1] * fields[1](Y)
-                v_def = from_complex(g.derivative_complex(to_complex(Y)) * to_complex(vel))
-            else:
-                v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-            tau_dot = solver.solve(X, v_def, collect)
-            xi_part = sum(tau_dot[a] * ks[a](X) for a in range(3))
+            v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
+            tau_dot, frame = solver.solve(X, v_def, collect)
             if collect and record:
                 rec_times.append(t)
                 rec_pos.append(X.copy())
+            xi_part = sum(t * xi for t, xi in zip(tau_dot, frame))
             return v_def + xi_part, rigid_generator(surface, tau_dot) @ Gm
 
         X = X0.copy()
@@ -374,11 +353,10 @@ def integrate_stroke(
             kx4, kg4 = deriv(t + dt, (X + dt * kx3, G + dt * kg3), False, sigd)
             X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
             G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
-        delta_tau_probe, g_probe = _extract_delta_tau(G, surface.R)
-        closure = float(np.max(np.abs(X - g_probe(X0))))
-        final_positions = X
 
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
+    if mode == "direct":
+        closure = float(np.max(np.abs(X - g_final(X0))))
     bound = 1e-12 * body.total_mass * max(solver.max_speed, 1e-300)
     return TrajectoryRecord(
         delta_tau=delta_tau,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvswim.body import Body, balance, moments, principal_axes, scalar_product
+from curvswim.body import Body, balance, momentum_map, moments, principal_axes, scalar_product
 from curvswim.fields import constant_field, linear_field
 from curvswim.geometry import Surface, killing_fields
 
@@ -18,6 +18,63 @@ def test_from_particles():
     b = Body.from_particles([[1.0, 0.0, 0.0], [2.0, 0.5, -0.5]])
     assert b.total_mass == 3.0
     assert b.n == 2
+
+
+# ----------------------------------------------------- momentum-map kernel
+
+
+def _per_particle_reference(body, s, velocities):
+    """Gram matrix and momenta of the Killing fields by an explicit particle loop."""
+    ks = killing_fields(s)
+    G = np.zeros((3, 3))
+    mom = np.zeros((len(velocities), 3))
+    for n, (m, x) in enumerate(zip(body.masses, body.positions)):
+        w = m / (1.0 + s.R * (x[0] ** 2 + x[1] ** 2)) ** 2
+        xi = [k(x) for k in ks]
+        for a in range(3):
+            for c in range(3):
+                G[a, c] += w * (xi[a][0] * xi[c][0] + xi[a][1] * xi[c][1])
+            for k, V in enumerate(velocities):
+                mom[k, a] += w * (xi[a][0] * V[n][0] + xi[a][1] * V[n][1])
+    return G, mom
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_momentum_map_matches_particle_loop(R, seed):
+    rng = np.random.default_rng(seed)
+    n = 17
+    b = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-0.5, 0.5, (n, 2)))
+    s = Surface(R)
+    V = rng.normal(size=(2, n, 2))
+    G, mom, frame = momentum_map(b, s, V)
+    G_ref, mom_ref = _per_particle_reference(b, s, V)
+    assert np.array_equal(G, G.T)
+    assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
+    assert np.max(np.abs(mom - mom_ref)) <= 1e-14 * np.max(np.abs(mom_ref))
+    assert np.array_equal(frame, np.stack([xi(b.positions) for xi in killing_fields(s)]))
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_momentum_map_mirror_body_exact_zeros(R):
+    # Eight particles above the axis, their mirror images in the same order,
+    # then one particle on the axis.  A BLAS dot product over the particles
+    # does not cancel the mirror images exactly in this order; np.sum does.
+    rng = np.random.default_rng(11)
+    upper = rng.uniform(0.05, 0.4, size=(8, 2))
+    m = rng.uniform(0.5, 1.5, 8)
+    b = Body(
+        masses=np.concatenate([m, m, [2.0]]),
+        positions=np.vstack([upper, upper * [1.0, -1.0], [[0.3, 0.0]]]),
+    )
+    s = Surface(R)
+    diagonal = ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])
+    even = np.stack([linear_field(B)(b.positions) for B in diagonal])
+    G, mom, _ = momentum_map(b, s, even)
+    # xi_1 is even under y -> -y, xi_2 and xi_3 are odd.
+    assert G[0, 1] == G[1, 0] == G[0, 2] == G[2, 0] == 0.0
+    assert np.all(mom[:, 1:] == 0.0)
+    assert np.all(np.abs(mom[:, 0]) > 0.0) and G[1, 2] != 0.0
 
 
 # ---------------------------------------------------------- scalar product

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import curvswim
 from curvswim.cli import main
 
 BASE_CONFIG = {
@@ -52,6 +55,12 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     code = main(["holonomy", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 2
     assert not out.exists()
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_transport_option_is_unknown(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, options={"mode": "direct", "transport": True})
+    assert main(["integrate", "--config", write_config(tmp_path, cfg)]) == 2
     assert "unknown key" in capsys.readouterr().err
 
 
@@ -203,10 +212,14 @@ def test_check_fault_injection_fails():
 
 def test_console_entrypoint_smoke(tmp_path):
     cfg_path = write_config(tmp_path, {"schema": 1, "ring": {"length": 1.0, "m1": 2.0, "m2": 2.0}})
+    # The child imports the same curvswim as the tests, installed or not.
+    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-m", "curvswim", "ring", "--config", cfg_path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["displacement"] == pytest.approx(0.5)
