@@ -95,10 +95,9 @@ def moments(body: Body) -> Moments:
     return Moments(q1=q1, q2=q2, q3=q3, total_mass=body.total_mass)
 
 
-def _weights(body: Body, surface: Surface, x=None) -> np.ndarray:
-    """m_n / (1 + R|x_n|^2)^2 at the points x (default: the body's positions)."""
-    x = surface.require_inside(body.positions if x is None else x)
-    return body.masses / surface.conformal(x) ** 2
+def _weights(body: Body, surface: Surface, x) -> np.ndarray:
+    """m_n / (1 + R|x_n|^2)^2 at the points x, one per particle."""
+    return body.masses / surface.conformal(surface.require_inside(x)) ** 2
 
 
 def _pair(w: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -111,39 +110,43 @@ def _pair(w: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
 
 
-def metric_pairing(body: Body, surface: Surface, U, V, x=None) -> np.ndarray:
+def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
     """sum_n m_n g(x_n)(U_n, V_n) for stacks U, V of shape (..., N, 2), not mass-normalized."""
-    return _pair(_weights(body, surface, x), U, V)
+    return _pair(_weights(body, surface, body.positions), U, V)
 
 
 def momentum_map(
     body: Body, surface: Surface, velocities, x=None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Killing frame at the particles and its mass-weighted pairings.
 
-    Evaluates the three Killing fields once, as a frame of shape (3, N, 2),
-    and pairs it with itself and with each velocity array of the stack
-    velocities, shape (k, N, 2).  Returns (gram, mom, frame) with
+    Evaluates the three Killing fields once at the points x (default: the
+    body's positions), as a frame of shape (3, N, 2), and pairs it with
+    itself and with each velocity array of the stack velocities, shape
+    (k, N, 2), and each velocity array with itself.  Returns
+    (gram, mom, vv, frame) with
 
         gram[a, b] = sum_n m_n g(xi_a, xi_b),   mom[k, a] = sum_n m_n g(xi_a, V_k),
+        vv[k] = sum_n m_n g(V_k, V_k),
 
-    not mass-normalized.  These are the ingredients of the local connection:
-    the Gram matrix and the momentum map of the velocities.
+    not mass-normalized.  gram and mom are the ingredients of the local
+    connection: the Gram matrix and the momentum map of the velocities.
     """
     x = body.positions if x is None else x
     w = _weights(body, surface, x)
     frame = np.stack([xi(x) for xi in killing_fields(surface)])
-    stack = np.concatenate([frame, np.asarray(velocities, dtype=float)])
+    V = np.asarray(velocities, dtype=float)
+    stack = np.concatenate([frame, V])
     # One Killing field at a time keeps every temporary at (3 + k, N): larger
     # fresh arrays cost more in page faults than the arithmetic they hold.
     pairs = np.array([_pair(w, xi, stack) for xi in frame])
-    return pairs[:, :3], pairs[:, 3:].T, frame
+    return pairs[:, :3], pairs[:, 3:].T, _pair(w, V, V), frame
 
 
 def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:
     """Mass-weighted metric pairing (1/M) sum_n m_n g_ij u^i v^j at the particles."""
-    x = surface.require_inside(body.positions)
-    return float(metric_pairing(body, surface, u(x), v(x), x) / body.total_mass)
+    x = body.positions
+    return float(metric_pairing(body, surface, u(x), v(x)) / body.total_mass)
 
 
 def balance(body: Body, surface: Surface, tol: float = 1e-12, max_iter: int = 50) -> Body:

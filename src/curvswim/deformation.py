@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .body import Body, metric_pairing, moments, momentum_map
+from .body import Body, moments, momentum_map
 from .errors import DegenerateMomentsError, SingularGramError
 from .fields import VectorField, combine, linear_field
 from .geometry import Surface, killing_fields, sym_covariant_gradient
@@ -43,28 +43,25 @@ def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
     return sym_covariant_gradient(surface, f, p)
 
 
-def gauge_pairings(
-    body: Body, surface: Surface, values
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram matrix, momenta and gauge residuals of fields sampled at the particles.
+def gauge_pairings(body: Body, surface: Surface, values) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and gauge residuals of fields sampled at the particles.
 
     values stacks k fields evaluated at the body's positions, shape
     (k, N, 2).  Returns, mass-normalized and from one kernel call,
 
-        G[a, b] = <xi_a|xi_b>,  mom[k, a] = <xi_a|f_k>,
-        res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
+        G[a, b] = <xi_a|xi_b>,  res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
     """
     M = body.total_mass
-    G, mom, _ = momentum_map(body, surface, values)
+    G, mom, ff, _ = momentum_map(body, surface, values)
     G, mom = G / M, mom / M
-    fn = np.sqrt(np.maximum(metric_pairing(body, surface, values, values) / M, 0.0))
+    fn = np.sqrt(np.maximum(ff / M, 0.0))
     xin = np.sqrt(np.maximum(np.diag(G), 0.0))
-    return G, mom, np.abs(mom) / np.maximum(xin * fn[:, None], 1e-300)
+    return G, np.abs(mom) / np.maximum(xin * fn[:, None], 1e-300)
 
 
 def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
     """Normalized pairings |<xi_a|f>| / (|xi_a| |f|) against the Killing set."""
-    return gauge_pairings(body, surface, f(body.positions)[None])[2][0]
+    return gauge_pairings(body, surface, f(body.positions)[None])[1][0]
 
 
 def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
@@ -74,7 +71,8 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     the strain of f.  Raises SingularGramError when the body cannot see all
     rigid directions (for example a single particle).
     """
-    G, mom, _ = gauge_pairings(body, surface, f(body.positions)[None])
+    G, mom, _, _ = momentum_map(body, surface, f(body.positions)[None])
+    G, mom = G / body.total_mass, mom / body.total_mass
     eigvals = np.linalg.eigvalsh(G)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
         rank = int(np.sum(eigvals > 1e-12 * eigvals[-1]))

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .body import Body, moments
+from .body import Body, moments, momentum_map
 from .deformation import gauge_fixed_linear_deformation, gauge_pairings
 from .errors import GaugeConditionError, SingularGramError
 from .fields import VectorField
@@ -68,7 +68,7 @@ class HolonomyResult:
 
 def gram_matrix(body: Body, surface: Surface) -> np.ndarray:
     """Killing Gram matrix G_ba = <xi_b | xi_a>; symmetric PSD."""
-    return gauge_pairings(body, surface, np.empty((0, body.n, 2)))[0]
+    return momentum_map(body, surface, np.empty((0, body.n, 2)))[0] / body.total_mass
 
 
 def _wedge_sum(body: Body, c: np.ndarray, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
@@ -109,7 +109,7 @@ def holonomy_general(
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
-    G, _, res = gauge_pairings(body, surface, uv)
+    G, res = gauge_pairings(body, surface, uv)
     if np.max(res) > gauge_tol:
         raise GaugeConditionError(
             f"deformation fields violate the gauge condition "

@@ -184,11 +184,11 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
 
 def momentum(body: Body, surface: Surface, xi: VectorField, velocities) -> float:
     """Conserved pairing sum_n m_n g(x_n) v_n . xi(x_n) (not mass-normalized)."""
-    x = surface.require_inside(body.positions)
+    x = body.positions
     v = np.asarray(velocities, dtype=float)
     if v.shape != x.shape:
         raise ValueError(f"need one velocity per particle, got {v.shape} for {x.shape}")
-    return float(metric_pairing(body, surface, v, xi(x), x))
+    return float(metric_pairing(body, surface, v, xi(x)))
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ class _ConstraintSolver:
 
     def solve(self, x: np.ndarray, v_def: np.ndarray, collect: bool) -> Tuple[np.ndarray, np.ndarray]:
         """tau-dot that cancels the momentum of v_def, and the Killing frame at x."""
-        A, mom, frame = momentum_map(self.body, self.surface, v_def[None], x)
+        A, mom, _, frame = momentum_map(self.body, self.surface, v_def[None], x)
         r = mom[0]
         try:
             tau_dot = np.linalg.solve(A, -r)
@@ -245,7 +245,7 @@ class _ConstraintSolver:
                 "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(A)
             ) from exc
         if collect:
-            xdot = v_def + sum(t * xi for t, xi in zip(tau_dot, frame))
+            xdot = v_def + sum(c * xi for c, xi in zip(tau_dot, frame))
             self.max_speed = max(self.max_speed, float(np.max(np.abs(xdot))))
             self.max_residual = max(self.max_residual, float(np.max(np.abs(A @ tau_dot + r))))
         return tau_dot, frame
@@ -308,7 +308,6 @@ def integrate_stroke(
             yz = to_complex(Y)
             xz = g.apply_complex(yz)
             X = from_complex(xz)
-            surface.require_inside(X)
             vz = g.derivative_complex(yz) * to_complex(Vy)
             v_def = from_complex(vz)
             tau_dot, _ = solver.solve(X, v_def, collect)
@@ -333,14 +332,13 @@ def integrate_stroke(
     else:
         def deriv(t: float, state: Tuple[np.ndarray, np.ndarray], collect: bool, sigd):
             X, Gm = state
-            surface.require_inside(X)
             sd = sigd(t)
             v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
             tau_dot, frame = solver.solve(X, v_def, collect)
             if collect and record:
                 rec_times.append(t)
                 rec_pos.append(X.copy())
-            xi_part = sum(t * xi for t, xi in zip(tau_dot, frame))
+            xi_part = sum(c * xi for c, xi in zip(tau_dot, frame))
             return v_def + xi_part, rigid_generator(surface, tau_dot) @ Gm
 
         X = X0.copy()

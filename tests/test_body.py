@@ -24,10 +24,11 @@ def test_from_particles():
 
 
 def _per_particle_reference(body, s, velocities):
-    """Gram matrix and momenta of the Killing fields by an explicit particle loop."""
+    """Gram matrix, momenta and velocity norms by an explicit particle loop."""
     ks = killing_fields(s)
     G = np.zeros((3, 3))
     mom = np.zeros((len(velocities), 3))
+    vv = np.zeros(len(velocities))
     for n, (m, x) in enumerate(zip(body.masses, body.positions)):
         w = m / (1.0 + s.R * (x[0] ** 2 + x[1] ** 2)) ** 2
         xi = [k(x) for k in ks]
@@ -36,7 +37,9 @@ def _per_particle_reference(body, s, velocities):
                 G[a, c] += w * (xi[a][0] * xi[c][0] + xi[a][1] * xi[c][1])
             for k, V in enumerate(velocities):
                 mom[k, a] += w * (xi[a][0] * V[n][0] + xi[a][1] * V[n][1])
-    return G, mom
+        for k, V in enumerate(velocities):
+            vv[k] += w * (V[n][0] ** 2 + V[n][1] ** 2)
+    return G, mom, vv
 
 
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
@@ -47,11 +50,12 @@ def test_momentum_map_matches_particle_loop(R, seed):
     b = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-0.5, 0.5, (n, 2)))
     s = Surface(R)
     V = rng.normal(size=(2, n, 2))
-    G, mom, frame = momentum_map(b, s, V)
-    G_ref, mom_ref = _per_particle_reference(b, s, V)
+    G, mom, vv, frame = momentum_map(b, s, V)
+    G_ref, mom_ref, vv_ref = _per_particle_reference(b, s, V)
     assert np.array_equal(G, G.T)
     assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
     assert np.max(np.abs(mom - mom_ref)) <= 1e-14 * np.max(np.abs(mom_ref))
+    assert np.max(np.abs(vv - vv_ref)) <= 1e-14 * np.max(np.abs(vv_ref))
     assert np.array_equal(frame, np.stack([xi(b.positions) for xi in killing_fields(s)]))
 
 
@@ -70,7 +74,7 @@ def test_momentum_map_mirror_body_exact_zeros(R):
     s = Surface(R)
     diagonal = ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])
     even = np.stack([linear_field(B)(b.positions) for B in diagonal])
-    G, mom, _ = momentum_map(b, s, even)
+    G, mom, _, _ = momentum_map(b, s, even)
     # xi_1 is even under y -> -y, xi_2 and xi_3 are odd.
     assert G[0, 1] == G[1, 0] == G[0, 2] == G[2, 0] == 0.0
     assert np.all(mom[:, 1:] == 0.0)
