@@ -121,26 +121,29 @@ def momentum_map(
     """The Killing frame at the particles and its mass-weighted pairings.
 
     Evaluates the three Killing fields once at the points x (default: the
-    body's positions), as a frame of shape (3, N, 2), and pairs it with
-    itself and with each velocity array of the stack velocities, shape
-    (k, N, 2), and each velocity array with itself.  Returns
-    (gram, mom, vv, frame) with
+    body's positions), shape (..., N, 2), as a frame of shape (..., 3, N, 2),
+    and pairs it with itself and with each velocity array of the stack
+    velocities, shape (..., k, N, 2), and each velocity array with itself.
+    Leading axes are batch axes: each configuration along them is paired
+    on its own.  Returns (gram, mom, vv, frame) with
 
-        gram[a, b] = sum_n m_n g(xi_a, xi_b),   mom[k, a] = sum_n m_n g(xi_a, V_k),
-        vv[k] = sum_n m_n g(V_k, V_k),
+        gram[..., a, b] = sum_n m_n g(xi_a, xi_b),   mom[..., k, a] = sum_n m_n g(xi_a, V_k),
+        vv[..., k] = sum_n m_n g(V_k, V_k),
 
     not mass-normalized.  gram and mom are the ingredients of the local
     connection: the Gram matrix and the momentum map of the velocities.
     """
     x = body.positions if x is None else x
-    w = _weights(body, surface, x)
-    frame = np.stack([xi(x) for xi in killing_fields(surface)])
+    w = _weights(body, surface, x)[..., None, :]
+    frame = np.stack([xi(x) for xi in killing_fields(surface)], axis=-3)
     V = np.asarray(velocities, dtype=float)
-    stack = np.concatenate([frame, V])
-    # One Killing field at a time keeps every temporary at (3 + k, N): larger
-    # fresh arrays cost more in page faults than the arithmetic they hold.
-    pairs = np.array([_pair(w, xi, stack) for xi in frame])
-    return pairs[:, :3], pairs[:, 3:].T, _pair(w, V, V), frame
+    stack = np.concatenate([frame, V], axis=-3)
+    # One Killing field at a time keeps every temporary at (..., 3 + k, N):
+    # larger fresh arrays cost more in page faults than the arithmetic they hold.
+    pairs = np.empty(stack.shape[:-3] + (3, stack.shape[-3]))
+    for a in range(3):
+        pairs[..., a, :] = _pair(w, frame[..., a, None, :, :], stack)
+    return pairs[..., :3], pairs[..., 3:].swapaxes(-1, -2), _pair(w, V, V), frame
 
 
 def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:

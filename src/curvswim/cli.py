@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -289,12 +290,18 @@ def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any
     }
 
 
-def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
+def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
+    """The integrator half of integrate: (body, raw fields, stroke, trajectory record)."""
     surface = _need(cfg, "surface", "surface")
     body = _prepared_body(cfg)
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    rec = integrate_stroke(body, surface, raw, stroke, mode=cfg.mode)
+    return body, raw, stroke, integrate_stroke(body, surface, raw, stroke, mode=cfg.mode)
+
+
+def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
+    surface = _need(cfg, "surface", "surface")
+    body, raw, stroke, rec = _run_oracle(cfg, steps_override)
     fields = _gauge_fields(cfg, body, surface, raw)
     hol = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
     dx_f, dx_i = float(hol.delta_tau[0]), float(rec.delta_tau[0])
@@ -334,11 +341,13 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
             tri = _need(cfg, "triangle", "body.scenario.triangle")
             spec = TriangleSpec(M=tri.M, m=float(value), h=tri.h, b=tri.b)
             local = RunConfig(**{**cfg.__dict__, "triangle": spec, "body": triangle_body(spec)})
-        rec = cmd_integrate(local, steps_override)
-        dx_f, dx_i = rec["dx_formula"], rec["dx_integrated"]
-        if variable == "m":
-            stroke = _build_stroke(local, steps_override)
+        if variable == "m":  # the formula is the triangle's closed form: run only the oracle
+            _, _, stroke, rec = _run_oracle(local, steps_override)
             dx_f = surface.R * triangle_swim_coefficient(spec) * stroke.signed_area
+            dx_i = float(rec.delta_tau[0])
+        else:
+            payload = cmd_integrate(local, steps_override)
+            dx_f, dx_i = payload["dx_formula"], payload["dx_integrated"]
         rows.append({"variable": variable, "value": float(value), "dx_formula": dx_f,
                      "dx_integrated": dx_i, "ratio": oracle_ratio(dx_i, dx_f)})
     return rows
@@ -408,7 +417,9 @@ def _emit(payload: Any, fmt: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="curvswim",
         description="Swimming of point-mass bodies on constant-curvature surfaces.",

@@ -230,13 +230,20 @@ def compose(g: Isometry, h: Isometry) -> Isometry:
 
 
 def rigid_generator(surface: Surface, tau) -> np.ndarray:
-    """2x2 representation matrix of the Killing combination tau . xi."""
+    """2x2 representation matrix of the Killing combination tau . xi.
+
+    tau has shape (..., 3); the result has shape (..., 2, 2), one generator
+    per coefficient triple.
+    """
     t = np.asarray(tau, dtype=float)
-    q = t[0] + 1j * t[1]
-    th = 0.5 * t[2]
-    return np.array(
-        [[1j * th, q], [-surface.R * np.conj(q), -1j * th]], dtype=complex
-    )
+    q = t[..., 0] + 1j * t[..., 1]
+    th = 0.5 * t[..., 2]
+    A = np.empty(t.shape[:-1] + (2, 2), dtype=complex)
+    A[..., 0, 0] = 1j * th
+    A[..., 0, 1] = q
+    A[..., 1, 0] = -surface.R * np.conj(q)
+    A[..., 1, 1] = -1j * th
+    return A
 
 
 def exp_rigid(surface: Surface, tau) -> Isometry:

@@ -6,9 +6,9 @@ part tau-dot . xi determined at every instant by the conserved momenta
 
     sum_n m_n g(x_n) xi_beta(x_n) . (tau-dot . xi(x_n) + v_def(x_n)) = 0.
 
-The rigid element is accumulated multiplicatively: the 2x2 group matrix G
-obeys dG/dt = A(tau-dot) G and is advanced by fixed-step RK4, so the three
-Killing flows never get summed commutatively.
+The rigid element is accumulated multiplicatively as a 2x2 group matrix G,
+advanced by fixed-step RK4 (stage times t, t + dt/2, t + dt of each step),
+so the three Killing flows never get summed commutatively.
 
 Two shape-evolution models are provided:
 
@@ -17,12 +17,22 @@ Two shape-evolution models are provided:
       shape.  For linear deformation fields this is an exact matrix
       exponential, the control loop closes in shape space identically, and
       the measured holonomy matches the leading-order formulas.  Requires
-      fields with a linear matrix.
+      fields with a linear matrix.  The momentum constraint is equivariant
+      under isometries, so the rigid velocity read in the body frame, A,
+      depends on the shape alone (the local connection), and G obeys the
+      reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
+      equation: the shapes, shape velocities and generators of a block of
+      steps come from one batched matrix exponential, one momentum-map call
+      and one stacked 3x3 solve, and only the 2x2 update of G is stepped.
+      The isometry matrices form a real-linear space closed under
+      products, so every RK4 stage agrees with the space-frame stage
+      dG/dt = A_space G up to round-off.
 
   mode="direct"               deformation velocities are evaluated at the
-      current particle positions.  Simpler, works for any field, but for
-      non-commuting field pairs the shape loop fails to close at the same
-      order as the holonomy itself, which shows up as a leading-order
+      current particle positions and the particles are integrated with G,
+      dG/dt = A_space G, stage by stage.  Simpler, works for any field, but
+      for non-commuting field pairs the shape loop fails to close at the
+      same order as the holonomy itself, which shows up as a leading-order
       offset in the rotation component.  Kept for comparison studies.
 """
 
@@ -33,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm_frechet
+from scipy.linalg import expm, expm_frechet
 
 from .body import Body, metric_pairing, momentum_map
 from .errors import SingularGramError, StrokeError
@@ -225,30 +235,14 @@ class TrajectoryRecord:
         return "\n".join(lines) + "\n"
 
 
-class _ConstraintSolver:
-    """Shared per-stage work: solve the 3x3 momentum system for tau-dot."""
-
-    def __init__(self, body: Body, surface: Surface):
-        self.body = body
-        self.surface = surface
-        self.max_residual = 0.0
-        self.max_speed = 0.0
-
-    def solve(self, x: np.ndarray, v_def: np.ndarray, collect: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """tau-dot that cancels the momentum of v_def, and the Killing frame at x."""
-        A, mom, _, frame = momentum_map(self.body, self.surface, v_def[None], x)
-        r = mom[0]
-        try:
-            tau_dot = np.linalg.solve(A, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SingularGramError(
-                "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(A)
-            ) from exc
-        if collect:
-            xdot = v_def + sum(c * xi for c, xi in zip(tau_dot, frame))
-            self.max_speed = max(self.max_speed, float(np.max(np.abs(xdot))))
-            self.max_residual = max(self.max_residual, float(np.max(np.abs(A @ tau_dot + r))))
-        return tau_dot, frame
+def _connection(gram: np.ndarray, mom: np.ndarray) -> np.ndarray:
+    """tau-dot with gram . tau-dot = -mom, for stacks gram (..., 3, 3) and mom (..., 3)."""
+    try:
+        return np.linalg.solve(gram, -mom[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularGramError(
+            "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(gram)
+        ) from exc
 
 
 def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
@@ -259,6 +253,128 @@ def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
     w = g.beta / np.conj(g.alpha)
     rot = 2.0 * math.atan2(g.alpha.imag, g.alpha.real)
     return np.array([w.real, w.imag, rot]), g
+
+
+# Particle-stages (particles times RK4 stage times) per block of steps in
+# composed mode: enough steps per block at small N to share the per-call
+# overhead, one step per block at large N so memory stays O(N).
+_BLOCK_PARTICLE_STAGES = 4096
+
+
+def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray]:
+    """sigma and sigma-dot at the stage times (t, t + dt/2, t + dt) of every step.
+
+    Each step's stages come from the smooth piece the step belongs to.
+    Returns two arrays of shape (steps, 3, 2).
+    """
+    dt = 1.0 / stroke.steps
+    sig = np.empty((stroke.steps, 3, 2))
+    sigd = np.empty((stroke.steps, 3, 2))
+    for n in range(stroke.steps):
+        t = n * dt
+        s, sd = stroke.evaluators(t + 0.5 * dt)
+        for i, ts in enumerate((t, t + 0.5 * dt, t + dt)):
+            sig[n, i] = s(ts)
+            sigd[n, i] = sd(ts)
+    return sig, sigd
+
+
+def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(C) and its derivative along C-dot, for C = sigma . B, in one batched expm.
+
+    exp([[C, C-dot], [0, C]]) = [[exp(C), L], [0, exp(C)]], where L is the
+    Frechet derivative of the exponential at C in the direction C-dot.
+    """
+    C = sig[..., 0, None, None] * B[0] + sig[..., 1, None, None] * B[1]
+    Cd = sigd[..., 0, None, None] * B[0] + sigd[..., 1, None, None] * B[1]
+    M = np.zeros(C.shape[:-2] + (4, 4))
+    M[..., :2, :2] = C
+    M[..., 2:, 2:] = C
+    M[..., :2, 2:] = Cd
+    F = expm(M)
+    return F[..., :2, :2], F[..., :2, 2:]
+
+
+def _integrate_composed(body, surface, B, stroke, record):
+    """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
+
+    Returns (G, max momentum residual, max space-frame speed, recorded
+    positions at each step's first stage).
+    """
+    X0 = body.positions
+    steps, R = stroke.steps, surface.R
+    dt = 1.0 / steps
+    E, Ed = _shape_flow(B, *_stage_controls(stroke))
+    per_block = max(1, _BLOCK_PARTICLE_STAGES // (3 * body.n))
+    G = np.eye(2, dtype=complex)
+    max_residual = max_speed = 0.0
+    rec_pos: List[np.ndarray] = []
+    for n0 in range(0, steps, per_block):
+        blk = slice(n0, min(n0 + per_block, steps))
+        Y = X0 @ np.swapaxes(E[blk], -1, -2)             # (steps, 3 stages, N, 2)
+        Vy = X0 @ np.swapaxes(Ed[blk], -1, -2)
+        gram, mom, _, frame = momentum_map(body, surface, Vy[..., None, :, :], Y)
+        tau = _connection(gram, mom[..., 0, :])           # (steps, 3 stages, 3)
+        A = rigid_generator(surface, tau)
+        G_first = np.empty((len(tau), 2, 2), dtype=complex)
+        for j, (A1, A2, A3) in enumerate(A):
+            G_first[j] = G
+            k1 = G @ A1
+            k2 = (G + 0.5 * dt * k1) @ A2
+            k3 = (G + 0.5 * dt * k2) @ A2
+            k4 = (G + dt * k3) @ A3
+            G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Diagnostics at each step's first stage.  The speed is read in the
+        # space frame: x-dot = g'(Y) (Y-dot + tau . xi(Y)) with g = G there.
+        tau1 = tau[:, 0]
+        residual = (gram[:, 0] @ tau1[..., None])[..., 0] + mom[:, 0, 0]
+        max_residual = max(max_residual, float(np.max(np.abs(residual))))
+        yz = to_complex(Y[:, 0])
+        wz = to_complex(Vy[:, 0] + np.einsum("sa,sanj->snj", tau1, frame[:, 0]))
+        a, b = G_first[:, 0, 0, None], G_first[:, 0, 1, None]
+        den = -R * np.conj(b) * yz + np.conj(a)
+        det = np.abs(a) ** 2 + R * np.abs(b) ** 2
+        max_speed = max(max_speed, float(np.max(np.abs(from_complex(det / den**2 * wz)))))
+        if record:
+            rec_pos.extend(from_complex((a * yz + b) / den))
+    return G, max_residual, max_speed, rec_pos
+
+
+def _integrate_direct(body, surface, fields, stroke, record):
+    """RK4 on particles and group together, velocities evaluated in place.
+
+    Returns (final positions, G, max momentum residual, max speed, recorded
+    positions at each step's first stage).
+    """
+    dt = 1.0 / stroke.steps
+    max_residual = max_speed = 0.0
+    rec_pos: List[np.ndarray] = []
+
+    def deriv(t: float, X: np.ndarray, Gm: np.ndarray, sigd):
+        sd = sigd(t)
+        v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
+        gram, mom, _, frame = momentum_map(body, surface, v_def[None], X)
+        tau_dot = _connection(gram, mom[0])
+        xdot = v_def + sum(c * xi for c, xi in zip(tau_dot, frame))
+        residual = float(np.max(np.abs(gram @ tau_dot + mom[0])))
+        return xdot, rigid_generator(surface, tau_dot) @ Gm, residual
+
+    X = body.positions.copy()
+    G = np.eye(2, dtype=complex)
+    for n in range(stroke.steps):
+        t = n * dt
+        _, sigd = stroke.evaluators(t + 0.5 * dt)
+        kx1, kg1, residual = deriv(t, X, G, sigd)
+        max_residual = max(max_residual, residual)
+        max_speed = max(max_speed, float(np.max(np.abs(kx1))))
+        if record:
+            rec_pos.append(X.copy())
+        kx2, kg2, _ = deriv(t + 0.5 * dt, X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sigd)
+        kx3, kg3, _ = deriv(t + 0.5 * dt, X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sigd)
+        kx4, kg4, _ = deriv(t + dt, X + dt * kx3, G + dt * kg3, sigd)
+        X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+        G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
+    return X, G, max_residual, max_speed, rec_pos
 
 
 def integrate_stroke(
@@ -280,13 +396,7 @@ def integrate_stroke(
         raise ValueError("exactly two control fields are required")
     if mode not in ("composed", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-    solver = _ConstraintSolver(body, surface)
     X0 = surface.require_inside(body.positions)
-    steps = stroke.steps
-    dt = 1.0 / steps
-    G = np.eye(2, dtype=complex)
-    rec_times: List[float] = []
-    rec_pos: List[np.ndarray] = []
 
     if mode == "composed":
         if any(f.linear_matrix is None for f in fields):
@@ -295,77 +405,29 @@ def integrate_stroke(
                 "for general field evaluators"
             )
         B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-
-        def deriv(t: float, Gm: np.ndarray, collect: bool, sig, sigd) -> np.ndarray:
-            s = sig(t)
-            sd = sigd(t)
-            C = s[0] * B[0] + s[1] * B[1]
-            Cd = sd[0] * B[0] + sd[1] * B[1]
-            E, Ed = expm_frechet(C, Cd)
-            Y = X0 @ E.T
-            Vy = X0 @ Ed.T
-            g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R)
-            yz = to_complex(Y)
-            xz = g.apply_complex(yz)
-            X = from_complex(xz)
-            vz = g.derivative_complex(yz) * to_complex(Vy)
-            v_def = from_complex(vz)
-            tau_dot, _ = solver.solve(X, v_def, collect)
-            if collect and record:
-                rec_times.append(t)
-                rec_pos.append(X)
-            return rigid_generator(surface, tau_dot) @ Gm
-
-        for n in range(steps):
-            t = n * dt
-            sig, sigd = stroke.evaluators(t + 0.5 * dt)
-            k1 = deriv(t, G, True, sig, sigd)
-            k2 = deriv(t + 0.5 * dt, G + 0.5 * dt * k1, False, sig, sigd)
-            k3 = deriv(t + 0.5 * dt, G + 0.5 * dt * k2, False, sig, sigd)
-            k4 = deriv(t + dt, G + dt * k3, False, sig, sigd)
-            G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        G, max_residual, max_speed, rec_pos = _integrate_composed(body, surface, B, stroke, record)
         s0, s1 = stroke.sigma(0.0), stroke.sigma(1.0)
         E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
         E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
         closure = float(np.max(np.abs(E1 - E0)))
-
     else:
-        def deriv(t: float, state: Tuple[np.ndarray, np.ndarray], collect: bool, sigd):
-            X, Gm = state
-            sd = sigd(t)
-            v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-            tau_dot, frame = solver.solve(X, v_def, collect)
-            if collect and record:
-                rec_times.append(t)
-                rec_pos.append(X.copy())
-            xi_part = sum(c * xi for c, xi in zip(tau_dot, frame))
-            return v_def + xi_part, rigid_generator(surface, tau_dot) @ Gm
-
-        X = X0.copy()
-        for n in range(steps):
-            t = n * dt
-            _, sigd = stroke.evaluators(t + 0.5 * dt)
-            kx1, kg1 = deriv(t, (X, G), True, sigd)
-            kx2, kg2 = deriv(t + 0.5 * dt, (X + 0.5 * dt * kx1, G + 0.5 * dt * kg1), False, sigd)
-            kx3, kg3 = deriv(t + 0.5 * dt, (X + 0.5 * dt * kx2, G + 0.5 * dt * kg2), False, sigd)
-            kx4, kg4 = deriv(t + dt, (X + dt * kx3, G + dt * kg3), False, sigd)
-            X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-            G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
+        X, G, max_residual, max_speed, rec_pos = _integrate_direct(body, surface, fields, stroke, record)
 
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
     if mode == "direct":
         closure = float(np.max(np.abs(X - g_final(X0))))
-    bound = 1e-12 * body.total_mass * max(solver.max_speed, 1e-300)
+
+    bound = 1e-12 * body.total_mass * max(max_speed, 1e-300)
     return TrajectoryRecord(
         delta_tau=delta_tau,
         g_final=g_final,
         area=stroke.signed_area,
-        steps=steps,
+        steps=stroke.steps,
         mode=mode,
-        max_momentum_residual=solver.max_residual,
+        max_momentum_residual=max_residual,
         residual_bound=bound,
         shape_closure_defect=closure,
-        times=np.asarray(rec_times) if record else None,
+        times=np.arange(stroke.steps) * (1.0 / stroke.steps) if record else None,
         positions=np.asarray(rec_pos) if record and rec_pos else None,
     )
 

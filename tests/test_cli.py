@@ -109,6 +109,14 @@ def test_integrate_steps_override(tmp_path):
     assert abs(r1["dx_integrated"] - r2["dx_integrated"]) < 1e-10
 
 
+def test_steps_override_does_not_leak_into_next_call(tmp_path):
+    # the parser is built once per process; each call must parse afresh
+    short = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "8"))
+    default = run_json(tmp_path, "integrate", BASE_CONFIG)
+    assert short["steps"] == 8
+    assert default["steps"] == 256
+
+
 def test_integrate_direct_mode(tmp_path):
     cfg = dict(BASE_CONFIG, options={"mode": "direct"})
     rec = run_json(tmp_path, "integrate", cfg)
@@ -153,6 +161,31 @@ def test_sweep_over_m_peaks_at_quarter(tmp_path):
     rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
     best = max(rows, key=lambda r: float(r[2]))
     assert float(best[1]) == 0.25
+
+
+def test_sweep_over_m_runs_no_formula(tmp_path, monkeypatch):
+    # m rows take dx_formula from the triangle's closed form, so the general
+    # formula (and the gauge projection feeding it) must not run
+    import curvswim.cli as cli
+
+    calls = {"holonomy_general": 0, "project_gauge": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = dict(
+        BASE_CONFIG,
+        stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 16},
+        sweep={"variable": "m", "values": [0.2, 0.25, 0.3]},
+    )
+    out = tmp_path / "m.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().strip().split("\n")) == 4
+    assert calls == {"holonomy_general": 0, "project_gauge": 0}
 
 
 def test_sweep_over_R_negates(tmp_path):

@@ -62,6 +62,7 @@ CASES = {
     "sweep_area": ("sweep", dict(TRIANGLE, sweep={"variable": "area", "values": [1e-3, 1e-4]}), "csv"),
     "sweep_R": ("sweep", dict(RANDOM_BODY, sweep={"variable": "R", "values": [-1.0, -0.5, 0.5, 1.0]}),
                 "csv"),
+    "sweep_m": ("sweep", dict(TRIANGLE, sweep={"variable": "m", "values": [0.1, 0.25, 0.4]}), "csv"),
 }
 
 

@@ -1,14 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
-from curvswim.body import Body, balance, principal_axes
+from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, StrokeError
-from curvswim.fields import linear_field
-from curvswim.geometry import Surface, killing_fields
+from curvswim.fields import from_complex, linear_field, to_complex
+from curvswim.geometry import Isometry, Surface, killing_fields, rigid_generator
 from curvswim.holonomy import holonomy_general
 from curvswim.integrator import (
     Stroke,
+    _extract_delta_tau,
     convergence_study,
     integrate_stroke,
     momentum,
@@ -217,6 +221,155 @@ def test_flat_convergence_study_zeros():
     assert rows[0].dx_formula == 0.0
     assert abs(rows[0].dx_integrated) < 1e-14
     assert rows[0].ratio == 0.0
+
+
+# ------------------------------------------- body-frame reconstruction
+
+
+def reference_composed(body, surface, fields, stroke, record=False):
+    """Composed mode evaluated stage by stage in the space frame.
+
+    Every RK4 stage maps the shape into the space frame through the current
+    group element and solves the 3x3 momentum system there; the integrator
+    instead runs RK4 on dG/dt = G A(shape) in the body frame.  Returns
+    (delta_tau, residual_bound, shape_closure_defect, times, positions).
+    """
+    X0 = surface.require_inside(body.positions)
+    steps = stroke.steps
+    dt = 1.0 / steps
+    G = np.eye(2, dtype=complex)
+    rec_times, rec_pos = [], []
+    max_speed = 0.0
+    B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
+
+    def solve(x, v_def, collect):
+        nonlocal max_speed
+        A, mom, _, frame = momentum_map(body, surface, v_def[None], x)
+        tau_dot = np.linalg.solve(A, -mom[0])
+        if collect:
+            xdot = v_def + sum(c * xi for c, xi in zip(tau_dot, frame))
+            max_speed = max(max_speed, float(np.max(np.abs(xdot))))
+        return tau_dot, frame
+
+    def deriv(t, Gm, collect, sig, sigd):
+        s = sig(t)
+        sd = sigd(t)
+        C = s[0] * B[0] + s[1] * B[1]
+        Cd = sd[0] * B[0] + sd[1] * B[1]
+        E, Ed = expm_frechet(C, Cd)
+        Y = X0 @ E.T
+        Vy = X0 @ Ed.T
+        g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R)
+        yz = to_complex(Y)
+        xz = g.apply_complex(yz)
+        X = from_complex(xz)
+        vz = g.derivative_complex(yz) * to_complex(Vy)
+        v_def = from_complex(vz)
+        tau_dot, _ = solve(X, v_def, collect)
+        if collect and record:
+            rec_times.append(t)
+            rec_pos.append(X)
+        return rigid_generator(surface, tau_dot) @ Gm
+
+    for n in range(steps):
+        t = n * dt
+        sig, sigd = stroke.evaluators(t + 0.5 * dt)
+        k1 = deriv(t, G, True, sig, sigd)
+        k2 = deriv(t + 0.5 * dt, G + 0.5 * dt * k1, False, sig, sigd)
+        k3 = deriv(t + 0.5 * dt, G + 0.5 * dt * k2, False, sig, sigd)
+        k4 = deriv(t + dt, G + dt * k3, False, sig, sigd)
+        G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    s0, s1 = stroke.sigma(0.0), stroke.sigma(1.0)
+    E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
+    E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
+    closure = float(np.max(np.abs(E1 - E0)))
+    delta_tau, _ = _extract_delta_tau(G, surface.R)
+    bound = 1e-12 * body.total_mass * max(max_speed, 1e-300)
+    return delta_tau, bound, closure, np.asarray(rec_times), np.asarray(rec_pos)
+
+
+def _random_body(seed=11, n=7, radius=0.3):
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(0, 1, n))
+    phi = rng.uniform(0, 2 * np.pi, n)
+    body = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
+    return body, [linear_field(rng.uniform(-1, 1, (2, 2))) for _ in range(2)]
+
+
+REFERENCE_STROKES = {
+    "rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps),
+    "rectangle-smooth": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps, profile="smooth"),
+    "sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps),
+    "reversed-rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps).reversed(),
+    "reversed-sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps).reversed(),
+}
+
+
+@pytest.mark.parametrize("steps", [4, 16, 64])
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_STROKES))
+def test_body_frame_matches_space_frame_reference(kind, R, steps):
+    body, fields = _random_body()
+    s = Surface(R)
+    stroke = REFERENCE_STROKES[kind](steps)
+    dtau, bound, closure, times, positions = reference_composed(body, s, fields, stroke, record=True)
+    rec = integrate_stroke(body, s, fields, stroke, mode="composed", record=True)
+    assert np.max(np.abs(rec.delta_tau - dtau)) <= 1e-12 * np.max(np.abs(dtau))
+    assert rec.residual_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+    assert rec.max_momentum_residual <= rec.residual_bound
+    assert rec.shape_closure_defect == closure
+    assert np.array_equal(rec.times, times)
+    assert rec.positions.shape == positions.shape
+    assert np.max(np.abs(rec.positions - positions)) <= 1e-12
+
+
+def test_body_frame_keeps_mirror_zeros():
+    # the README triangle is mirror-symmetric, so its y-translation and
+    # rotation vanish exactly in the stage-by-stage reference
+    s = Surface(1.0)
+    stroke = rectangle_stroke(0.1, 0.1, steps=64)
+    dtau, bound, _, _, _ = reference_composed(TRIANGLE, s, [HEIGHT, BASE], stroke)
+    rec = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="composed")
+    assert dtau[0] != 0.0 and dtau[1] == 0.0 and dtau[2] == 0.0
+    assert rec.delta_tau[1] == 0.0 and rec.delta_tau[2] == 0.0
+    assert rec.delta_tau[0] == pytest.approx(dtau[0], rel=1e-12, abs=0.0)
+    assert rec.residual_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("R", [-1.0, 1.0])
+def test_composed_equivariant_under_rotation(R):
+    # rotating the body about the origin (an isometry for every R) and
+    # conjugating the linear controls by the same rotation turns the
+    # translation by that angle and keeps the rotation
+    body, fields = _random_body()
+    c, s = np.cos(0.7), np.sin(0.7)
+    Q = np.array([[c, -s], [s, c]])
+    turned = Body(masses=body.masses, positions=body.positions @ Q.T)
+    turned_fields = [linear_field(Q @ f.linear_matrix @ Q.T) for f in fields]
+    stroke = sinusoid_stroke(0.2, 0.15, steps=16)
+    a = integrate_stroke(body, Surface(R), fields, stroke)
+    b = integrate_stroke(turned, Surface(R), turned_fields, stroke)
+    expected = np.append(Q @ a.translation, a.rotation)
+    assert np.max(np.abs(b.delta_tau - expected)) <= 1e-12 * np.max(np.abs(a.delta_tau))
+
+
+def test_composed_memory_stays_linear_in_particles():
+    # stages are processed in bounded blocks, so the peak does not grow with
+    # the number of steps (all 768 stages in one block peak near 500 MB)
+    rng = np.random.default_rng(5)
+    n = 3000
+    r = 0.25 * np.sqrt(rng.uniform(0, 1, n))
+    phi = rng.uniform(0, 2 * np.pi, n)
+    body = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
+    fields = [linear_field(rng.uniform(-1, 1, (2, 2))) for _ in range(2)]
+    stroke = sinusoid_stroke(0.1, 0.08, steps=256)
+    tracemalloc.start()
+    try:
+        integrate_stroke(body, Surface(-1.0), fields, stroke, mode="composed")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ----------------------------------------------------------------- errors
