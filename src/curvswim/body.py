@@ -13,7 +13,7 @@ from .fields import VectorField
 from .geometry import (
     Isometry,
     Surface,
-    killing_fields,
+    killing_components,
     rotation_about_origin,
     translation_to,
 )
@@ -95,24 +95,20 @@ def moments(body: Body) -> Moments:
     return Moments(q1=q1, q2=q2, q3=q3, total_mass=body.total_mass)
 
 
-def _weights(body: Body, surface: Surface, x) -> np.ndarray:
-    """m_n / (1 + R|x_n|^2)^2 at the points x, one per particle."""
-    return body.masses / surface.conformal(surface.require_inside(x)) ** 2
+def _weights(body: Body, surface: Surface, x):
+    """Contiguous x, y and r2 = |x|^2 of the points x, shape (..., N, 2), and
+    the weights m_n / (1 + R r2_n)^2, each of shape (..., N).
 
-
-def _pair(w: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """sum_n w_n U_n . V_n for stacks U, V of shape (..., N, 2), broadcast.
-
-    Each particle's product is formed first, as x-products plus y-products,
-    and the particles are then summed with np.sum (not a BLAS dot), so
-    mirror-symmetric bodies keep their exact zeros.
+    r2 is formed once, for the chart-domain check and the weight.
     """
-    return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
+    x, y, r2 = surface.chart(x)
+    return x, y, r2, body.masses / (1.0 + surface.R * r2) ** 2
 
 
 def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
     """sum_n m_n g(x_n)(U_n, V_n) for stacks U, V of shape (..., N, 2), not mass-normalized."""
-    return _pair(_weights(body, surface, body.positions), U, V)
+    w = _weights(body, surface, body.positions)[3]
+    return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
 
 
 def momentum_map(
@@ -132,18 +128,43 @@ def momentum_map(
 
     not mass-normalized.  gram and mom are the ingredients of the local
     connection: the Gram matrix and the momentum map of the velocities.
+
+    The fields are quadratic in the chart (xi1 = 1 + R z^2, xi2 =
+    i (1 - R z^2), xi3 = i z), so with r^2 = x^2 + y^2 the Euclidean
+    products of distinct fields have short closed forms:
+
+        xi1.xi2 = 4Rxy,   xi1.xi3 = -y (1 - R r^2),   xi2.xi3 = x (1 - R r^2),
+        xi3.xi3 = r^2;
+
+    xi1.xi1 and xi2.xi2 come from the squared components.  Only the six
+    unique Gram sums are formed and then mirrored, so gram is exactly
+    symmetric.  Every sum forms each particle's product first and adds the
+    particles with np.sum (never a BLAS dot), so mirror-symmetric bodies
+    keep their exact zeros, and every temporary is at most (..., k, N).
     """
-    x = body.positions if x is None else x
-    w = _weights(body, surface, x)[..., None, :]
-    frame = np.stack([xi(x) for xi in killing_fields(surface)], axis=-3)
+    x, y, r2, w = _weights(body, surface, body.positions if x is None else x)
+    k = killing_components(surface, x, y)
+    (a1x, a1y), (a2x, a2y), (a3x, a3y) = k
+    ws = w * (1.0 - surface.R * r2)
+    gram = np.empty(w.shape[:-1] + (3, 3))
+    gram[..., 0, 0] = np.sum(w * (a1x * a1x + a1y * a1y), axis=-1)
+    gram[..., 1, 1] = np.sum(w * (a2x * a2x + a2y * a2y), axis=-1)
+    gram[..., 2, 2] = np.sum(w * r2, axis=-1)
+    # a1y = 2Rxy; doubling the sum is exact
+    gram[..., 0, 1] = gram[..., 1, 0] = 2.0 * np.sum(w * a1y, axis=-1)
+    gram[..., 0, 2] = gram[..., 2, 0] = np.sum(ws * a3x, axis=-1)
+    gram[..., 1, 2] = gram[..., 2, 1] = np.sum(ws * a3y, axis=-1)
+
     V = np.asarray(velocities, dtype=float)
-    stack = np.concatenate([frame, V], axis=-3)
-    # One Killing field at a time keeps every temporary at (..., 3 + k, N):
-    # larger fresh arrays cost more in page faults than the arithmetic they hold.
-    pairs = np.empty(stack.shape[:-3] + (3, stack.shape[-3]))
-    for a in range(3):
-        pairs[..., a, :] = _pair(w, frame[..., a, None, :, :], stack)
-    return pairs[..., :3], pairs[..., 3:].swapaxes(-1, -2), _pair(w, V, V), frame
+    vx, vy = V[..., 0].copy(), V[..., 1].copy()
+    wvx = w[..., None, :] * vx
+    wvy = w[..., None, :] * vy
+    mom = np.empty(vx.shape[:-1] + (3,))
+    mom[..., 0] = np.sum(a1x[..., None, :] * wvx + a1y[..., None, :] * wvy, axis=-1)
+    mom[..., 1] = np.sum(a2x[..., None, :] * wvx + a2y[..., None, :] * wvy, axis=-1)
+    mom[..., 2] = np.sum(a3x[..., None, :] * wvx + a3y[..., None, :] * wvy, axis=-1)
+    vv = np.sum(wvx * vx + wvy * vy, axis=-1)
+    return gram, mom, vv, np.moveaxis(k, (0, 1), (-3, -1))
 
 
 def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:

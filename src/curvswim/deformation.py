@@ -18,8 +18,8 @@ import numpy as np
 
 from .body import Body, moments, momentum_map
 from .errors import DegenerateMomentsError, SingularGramError
-from .fields import VectorField, combine, linear_field
-from .geometry import Surface, killing_fields, sym_covariant_gradient
+from .fields import VectorField, linear_field
+from .geometry import Surface, killing_fields, killing_frame, sym_covariant_gradient
 
 _LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
 
@@ -68,7 +68,8 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     """Remove the rigid content of f: subtract xi_a (G^-1)^ab <xi_b|f>.
 
     The result pairs to zero with every Killing field and carries exactly
-    the strain of f.  Raises SingularGramError when the body cannot see all
+    the strain of f.  Each evaluation of the result evaluates f and one
+    Killing frame.  Raises SingularGramError when the body cannot see all
     rigid directions (for example a single particle).
     """
     G, mom, _, _ = momentum_map(body, surface, f(body.positions)[None])
@@ -85,9 +86,21 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     coeffs = np.linalg.solve(G, mom[0])
     if not np.any(np.abs(coeffs) > 0.0):
         return f
-    parts = [f] + list(killing_fields(surface))
-    weights = [1.0] + list(-coeffs)
-    return combine(parts, weights, tag=f"gauge({f.tag})")
+    c1, c2, c3 = (float(c) for c in coeffs)
+
+    def func(p):
+        xi = killing_frame(surface, p)
+        return f(p) - c1 * xi[0] - c2 * xi[1] - c3 * xi[2]
+
+    grad = None
+    if f.grad is not None:
+        ks = killing_fields(surface)
+
+        def grad(p):
+            g1, g2, g3 = (xi.gradient(p) for xi in ks)
+            return f.gradient(p) - c1 * g1 - c2 * g2 - c3 * g3
+
+    return VectorField(func=func, grad=grad, tag=f"gauge({f.tag})")
 
 
 def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:

@@ -38,9 +38,12 @@ __all__ = [
     "christoffel_at",
     "gaussian_curvature",
     "geodesic_distance",
+    "killing_components",
     "killing_fields",
+    "killing_frame",
     "killing_one_form",
     "killing_two_form",
+    "killing_two_forms",
     "killing_two_form_field",
     "numeric_exterior_derivative",
     "sym_covariant_gradient",
@@ -76,18 +79,39 @@ class Surface:
         a = as_points(p)
         if self.R >= 0.0:
             return np.ones(a.shape[:-1], dtype=bool)
-        return _abs2(a) < (1.0 - _DOMAIN_MARGIN) / (-self.R)
+        return self._inside(_abs2(a))
 
-    def require_inside(self, p) -> np.ndarray:
-        a = as_points(p)
-        ok = self.contains(a)
+    def _inside(self, r2: np.ndarray) -> np.ndarray:
+        return r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
+
+    def _require(self, a: np.ndarray, r2: np.ndarray) -> None:
+        """Raise ChartDomainError unless every point of a (with |z|^2 = r2) is inside."""
+        if self.R >= 0.0:
+            return
+        ok = self._inside(r2)
         if not np.all(ok):
-            bad = a[~np.asarray(ok, dtype=bool)]
+            bad = a[~ok]
             raise ChartDomainError(
                 f"point(s) outside the chart domain |z|^2 < {1.0 / (-self.R):g} "
                 f"for R={self.R:g}: {bad[:3]!r}"
             )
+
+    def require_inside(self, p) -> np.ndarray:
+        a = as_points(p)
+        self._require(a, _abs2(a))
         return a
+
+    def chart(self, p) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Contiguous components x, y and r2 = |z|^2 of chart points p, shape (..., 2).
+
+        |z|^2 is formed once and serves both the chart-domain check (which
+        raises ChartDomainError like require_inside) and the caller.
+        """
+        a = as_points(p)
+        x, y = a[..., 0].copy(), a[..., 1].copy()
+        r2 = x * x + y * y
+        self._require(a, r2)
+        return x, y, r2
 
 
 def metric_at(surface: Surface, p) -> np.ndarray:
@@ -309,13 +333,41 @@ class KillingSet:
         return self.fields[i]
 
 
+def killing_components(surface: Surface, x, y) -> np.ndarray:
+    """Chart components of the three Killing fields at the points (x, y).
+
+    Returns k of shape (3, 2) + shape(x), k[a, i] the i-th component of
+    xi_(a+1), so each component is one contiguous block:
+
+        xi1 = (1 + R (x^2 - y^2), 2Rxy),  xi2 = (2Rxy, 1 - R (x^2 - y^2)),  xi3 = (-y, x).
+
+    2Rxy and R (x^2 - y^2) are formed once and shared by xi1 and xi2.  This
+    is the one definition of the fields' values: killing_fields,
+    killing_frame and the momentum-map kernel all read them from here.
+    """
+    R = surface.R
+    k = np.empty((3, 2) + np.shape(x))
+    np.multiply(2.0 * R * x, y, out=k[0, 1, ...])
+    k[1, 0] = k[0, 1]
+    d = R * (x * x - y * y)
+    np.add(1.0, d, out=k[0, 0, ...])
+    np.subtract(1.0, d, out=k[1, 1, ...])
+    np.negative(y, out=k[2, 0, ...])
+    k[2, 1] = x
+    return k
+
+
+def killing_frame(surface: Surface, p) -> np.ndarray:
+    """The three Killing fields at chart points p, shape (..., 2), stacked as (3, ..., 2)."""
+    a = as_points(p)
+    return np.moveaxis(killing_components(surface, a[..., 0], a[..., 1]), 1, -1)
+
+
 def killing_fields(surface: Surface) -> KillingSet:
     R = surface.R
 
     def f1(p):
-        a = as_points(p)
-        x, y = a[..., 0], a[..., 1]
-        return np.stack([1.0 + R * (x * x - y * y), 2.0 * R * x * y], axis=-1)
+        return killing_frame(surface, p)[0]
 
     def g1(p):
         a = as_points(p)
@@ -328,9 +380,7 @@ def killing_fields(surface: Surface) -> KillingSet:
         return out
 
     def f2(p):
-        a = as_points(p)
-        x, y = a[..., 0], a[..., 1]
-        return np.stack([2.0 * R * x * y, 1.0 + R * (y * y - x * x)], axis=-1)
+        return killing_frame(surface, p)[1]
 
     def g2(p):
         a = as_points(p)
@@ -346,8 +396,7 @@ def killing_fields(surface: Surface) -> KillingSet:
     xi2 = VectorField(func=f2, grad=g2, tag="killing-2")
 
     def f3(p):
-        a = as_points(p)
-        return np.stack([-a[..., 1], a[..., 0]], axis=-1)
+        return killing_frame(surface, p)[2]
 
     def g3(p):
         a = as_points(p)
@@ -373,10 +422,11 @@ def killing_one_form(surface: Surface, index: int, p) -> np.ndarray:
     return v / u[..., None] ** 2
 
 
-def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
-    """Coefficient of dx ^ dy in the exterior derivative of the lowered field.
+def killing_two_forms(surface: Surface, p) -> np.ndarray:
+    """Coefficients of dx ^ dy in the exterior derivatives of the lowered fields.
 
-    Closed forms over u = 1 + R|z|^2:
+    Shape (3,) + p.shape[:-1], one row per Killing field.  Closed forms
+    over u = 1 + R|z|^2, from one |z|^2 and one u^3:
 
         index 1:  8 R y / u^3
         index 2: -8 R x / u^3
@@ -385,18 +435,21 @@ def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
     At R = 0 the translation forms vanish identically and the rotation form
     is the constant 2.
     """
+    x, y, r2 = surface.chart(p)
+    R = surface.R
+    u3 = (1.0 + R * r2) ** 3
+    c = np.empty((3,) + r2.shape)
+    c[0] = 8.0 * R * y / u3
+    c[1] = -8.0 * R * x / u3
+    c[2] = 2.0 * (1.0 - R * r2) / u3
+    return c
+
+
+def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
+    """Row index (1, 2 or 3) of killing_two_forms: the two-form of one Killing field."""
     if index not in (1, 2, 3):
         raise ValueError(f"Killing index must be 1, 2 or 3, got {index}")
-    a = surface.require_inside(p)
-    R = surface.R
-    u = surface.conformal(a)
-    x, y = a[..., 0], a[..., 1]
-    if index == 1:
-        return 8.0 * R * y / u**3
-    if index == 2:
-        return -8.0 * R * x / u**3
-    r2 = x * x + y * y
-    return 2.0 * (1.0 - R * r2) / u**3
+    return killing_two_forms(surface, p)[index - 1]
 
 
 def killing_two_form_field(surface: Surface, index: int) -> Callable[[np.ndarray], np.ndarray]:

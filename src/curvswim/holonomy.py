@@ -30,7 +30,7 @@ from .body import Body, moments, momentum_map
 from .deformation import gauge_fixed_linear_deformation, gauge_pairings
 from .errors import GaugeConditionError, SingularGramError
 from .fields import VectorField
-from .geometry import CurvatureTensor, Surface, killing_two_form
+from .geometry import CurvatureTensor, Surface, killing_two_forms
 
 GAUGE_TOLERANCE = 1e-8
 RANK_CUTOFF = 1e-10
@@ -116,7 +116,7 @@ def holonomy_general(
             f"(max residual {np.max(res):.3e} > {gauge_tol:.1e}); "
             "apply project_gauge first"
         )
-    c = np.stack([killing_two_form(surface, i, x) for i in (1, 2, 3)])
+    c = killing_two_forms(surface, x)
     rhs = -area * _wedge_sum(body, c, uv[0], uv[1])
     return _solve_on_range(G, rhs, area, res, rank_cutoff)
 

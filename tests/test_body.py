@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvswim.body import Body, balance, momentum_map, moments, principal_axes, scalar_product
+from curvswim.errors import ChartDomainError
 from curvswim.fields import constant_field, linear_field
 from curvswim.geometry import Surface, killing_fields
 
@@ -59,18 +62,22 @@ def test_momentum_map_matches_particle_loop(R, seed):
     assert np.array_equal(frame, np.stack([xi(b.positions) for xi in killing_fields(s)]))
 
 
-@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
-def test_momentum_map_mirror_body_exact_zeros(R):
+def _mirror_body():
     # Eight particles above the axis, their mirror images in the same order,
     # then one particle on the axis.  A BLAS dot product over the particles
     # does not cancel the mirror images exactly in this order; np.sum does.
     rng = np.random.default_rng(11)
     upper = rng.uniform(0.05, 0.4, size=(8, 2))
     m = rng.uniform(0.5, 1.5, 8)
-    b = Body(
+    return Body(
         masses=np.concatenate([m, m, [2.0]]),
         positions=np.vstack([upper, upper * [1.0, -1.0], [[0.3, 0.0]]]),
     )
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_momentum_map_mirror_body_exact_zeros(R):
+    b = _mirror_body()
     s = Surface(R)
     diagonal = ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])
     even = np.stack([linear_field(B)(b.positions) for B in diagonal])
@@ -79,6 +86,78 @@ def test_momentum_map_mirror_body_exact_zeros(R):
     assert G[0, 1] == G[1, 0] == G[0, 2] == G[2, 0] == 0.0
     assert np.all(mom[:, 1:] == 0.0)
     assert np.all(np.abs(mom[:, 0]) > 0.0) and G[1, 2] != 0.0
+
+
+def _stage_batch(rng, n, batch, k=1, extent=0.4):
+    """A body and, per batch index, other points and k velocity arrays for it."""
+    b = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-extent, extent, (n, 2)))
+    x = rng.uniform(-extent, extent, batch + (n, 2))
+    return b, x, rng.normal(size=batch + (k, n, 2))
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_momentum_map_batched_equals_unbatched(R):
+    b, x, V = _stage_batch(np.random.default_rng(3), 23, (2, 3), k=2)
+    s = Surface(R)
+    G, mom, vv, frame = momentum_map(b, s, V, x)
+    assert G.shape == (2, 3, 3, 3) and mom.shape == (2, 3, 2, 3)
+    assert vv.shape == (2, 3, 2) and frame.shape == (2, 3, 3, 23, 2)
+    for i in range(2):
+        for j in range(3):
+            one = momentum_map(b, s, V[i, j], x[i, j])
+            for batched, single in zip((G, mom, vv, frame), one):
+                assert np.array_equal(batched[i, j], single)
+
+
+def test_momentum_map_matches_particle_loop_at_4000_particles():
+    # The size of one composed-mode block at N = 4000: three RK4 stages.
+    b, x, V = _stage_batch(np.random.default_rng(5), 4000, (1, 3))
+    s = Surface(-1.0)
+    G, mom, vv, _ = momentum_map(b, s, V, x)
+    assert np.array_equal(G, np.swapaxes(G, -1, -2))
+    for j in range(3):
+        stage = Body(masses=b.masses, positions=x[0, j])
+        G_ref, mom_ref, vv_ref = _per_particle_reference(stage, s, V[0, j])
+        assert np.max(np.abs(G[0, j] - G_ref)) <= 1e-13 * np.max(np.abs(G_ref))
+        assert np.max(np.abs(mom[0, j] - mom_ref)) <= 1e-13 * np.max(np.abs(mom_ref))
+        assert np.max(np.abs(vv[0, j] - vv_ref)) <= 1e-13 * np.max(np.abs(vv_ref))
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_momentum_map_mirror_zeros_batched(R):
+    b = _mirror_body()
+    s = Surface(R)
+    # Scaled copies of a y-mirror body are y-mirror bodies.
+    x = np.array([0.5, 1.0, 1.5, 0.75, 1.25, 2.0]).reshape(2, 3, 1, 1) * b.positions
+    diagonal = np.array([[1.0, 0.0], [0.0, -2.0]])
+    V = (x @ diagonal.T)[:, :, None]
+    G, mom, _, _ = momentum_map(b, s, V, x)
+    assert np.all(G[..., 0, 1] == 0.0) and np.all(G[..., 1, 0] == 0.0)
+    assert np.all(G[..., 0, 2] == 0.0) and np.all(G[..., 2, 0] == 0.0)
+    assert np.all(mom[..., 1:] == 0.0)
+    assert np.all(np.abs(mom[..., 0]) > 0.0) and np.all(G[..., 1, 2] != 0.0)
+
+
+def test_momentum_map_batched_point_outside_chart_raises():
+    b, x, V = _stage_batch(np.random.default_rng(8), 9, (2, 3))
+    x[1, 2, 5] = [0.9, 0.9]
+    with pytest.raises(ChartDomainError, match=r"outside the chart domain \|z\|\^2 < 1 for R=-1"):
+        momentum_map(b, Surface(-1.0), V, x)
+
+
+def test_momentum_map_memory_stays_within_a_few_stage_arrays():
+    # One composed-mode block at N = 4000 (three stages): the outputs and
+    # temporaries of (..., k, N) size, no (3 + k) * N temporaries.
+    b, x, V = _stage_batch(np.random.default_rng(2), 4000, (1, 3))
+    s = Surface(-1.0)
+    momentum_map(b, s, V, x)
+    tracemalloc.start()
+    try:
+        momentum_map(b, s, V, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 # ---------------------------------------------------------- scalar product

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from curvswim.body import Body, balance, principal_axes
+import curvswim.geometry
+from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import (
     gauge_fixed_linear_deformation,
     gauge_residuals,
@@ -11,7 +12,7 @@ from curvswim.deformation import (
     strain_of,
 )
 from curvswim.errors import DegenerateMomentsError, SingularGramError
-from curvswim.fields import linear_field
+from curvswim.fields import combine, linear_field
 from curvswim.geometry import Surface, killing_fields
 
 
@@ -71,6 +72,34 @@ def test_project_noop_when_already_orthogonal():
     pf = project_gauge(body, s, f)
     pts = body.positions
     assert np.allclose(pf(pts), f(pts), atol=1e-14)
+
+
+def test_projection_equals_combination_with_killing_fields(monkeypatch):
+    # f minus the coefficients times one Killing frame, added in the order of
+    # the linear combination f - c1 xi1 - c2 xi2 - c3 xi3: equal bit for bit.
+    rng = np.random.default_rng(6)
+    for R in (-1.0, 0.0, 1.0):
+        s = Surface(R)
+        body = random_balanced(rng)
+        f = linear_field(rng.uniform(-1, 1, (2, 2)), tag="f")
+        pf = project_gauge(body, s, f)
+        G, mom, _, _ = momentum_map(body, s, f(body.positions)[None])
+        coeffs = np.linalg.solve(G / body.total_mass, mom[0] / body.total_mass)
+        ref = combine([f] + list(killing_fields(s)), [1.0] + list(-coeffs))
+        for p in (rng.uniform(-0.4, 0.4, (2, 7, 2)), body.positions[0]):
+            assert np.array_equal(pf(p), ref(p))
+            assert np.array_equal(pf.gradient(p), ref.gradient(p))
+        assert pf.tag == "gauge(f)" and pf.linear_matrix is None
+    calls = []
+    original = curvswim.geometry.killing_components
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curvswim.geometry, "killing_components", counted)
+    pf(body.positions)
+    assert len(calls) == 1
 
 
 def test_projection_kills_residuals_and_is_idempotent():

@@ -15,9 +15,11 @@ from curvswim.geometry import (
     gaussian_curvature,
     geodesic_distance,
     killing_fields,
+    killing_frame,
     killing_one_form,
     killing_residual,
     killing_two_form,
+    killing_two_forms,
     metric_at,
     numeric_exterior_derivative,
     translation_killing_approx,
@@ -228,6 +230,22 @@ def test_killing_field_values():
     assert np.allclose(sphere[0]((0.2, 0.1)), [1.03, 0.04])
 
 
+@pytest.mark.parametrize("R", R_VALUES)
+def test_killing_frame_matches_closed_forms(R):
+    s = Surface(R)
+    pts = np.random.default_rng(4).uniform(-0.45, 0.45, (3, 5, 2))
+    x, y = pts[..., 0], pts[..., 1]
+    expected = np.stack([
+        np.stack([1.0 + R * (x * x - y * y), 2.0 * R * x * y], axis=-1),
+        np.stack([2.0 * R * x * y, 1.0 + R * (y * y - x * x)], axis=-1),
+        np.stack([-y, x], axis=-1),
+    ])
+    assert np.array_equal(killing_frame(s, pts), expected)
+    for a, xi in enumerate(killing_fields(s)):
+        assert np.array_equal(xi(pts), expected[a])
+        assert np.array_equal(xi(pts[1, 2]), expected[a, 1, 2])
+
+
 def test_killing_residual_grid():
     grid = [(x, y) for x in np.linspace(-0.5, 0.5, 5) for y in np.linspace(-0.5, 0.5, 5)]
     for R in R_VALUES:
@@ -282,6 +300,26 @@ def test_two_forms_flat():
     assert np.all(killing_two_form(s, 1, pts) == 0.0)
     assert np.all(killing_two_form(s, 2, pts) == 0.0)
     assert np.all(killing_two_form(s, 3, pts) == 2.0)
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_two_forms_in_one_pass_match_closed_forms(R):
+    s = Surface(R)
+    pts = np.random.default_rng(7).uniform(-0.45, 0.45, (4, 6, 2))
+    x, y = pts[..., 0], pts[..., 1]
+    u = 1.0 + R * (x * x + y * y)
+    c = killing_two_forms(s, pts)
+    assert np.array_equal(c[0], 8.0 * R * y / u**3)
+    assert np.array_equal(c[1], -8.0 * R * x / u**3)
+    assert np.array_equal(c[2], 2.0 * (1.0 - R * (x * x + y * y)) / u**3)
+    for idx in (1, 2, 3):
+        assert np.array_equal(killing_two_form(s, idx, pts), c[idx - 1])
+        assert killing_two_form(s, idx, pts[0, 0]) == c[idx - 1, 0, 0]
+
+
+def test_two_forms_outside_hyperbolic_domain_raise():
+    with pytest.raises(ChartDomainError):
+        killing_two_forms(Surface(-1.0), np.array([[0.1, 0.2], [0.8, 0.8]]))
 
 
 def test_two_form_sphere_value():
