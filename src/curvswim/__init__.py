@@ -13,7 +13,6 @@ from .deformation import (
     linear_deformation,
     parse_field_spec,
     project_gauge,
-    strain_of,
 )
 from .errors import (
     BalanceConvergenceError,
@@ -25,13 +24,12 @@ from .errors import (
     SingularGramError,
     StrokeError,
 )
-from .fields import VectorField, constant_field, linear_field
+from .fields import VectorField, linear_field
 from .geometry import (
     CurvatureTensor,
     Isometry,
     KillingSet,
     Surface,
-    apply_isometry,
     christoffel_at,
     compose,
     exp_rigid,
@@ -43,6 +41,7 @@ from .geometry import (
     killing_two_form,
     metric_at,
     numeric_exterior_derivative,
+    strain_of,
     translation_killing_approx,
 )
 from .holonomy import (
@@ -51,12 +50,10 @@ from .holonomy import (
     holonomy_general,
     holonomy_linear,
     holonomy_small_swimmer,
-    two_form_bracket,
 )
 from .integrator import (
     Stroke,
     TrajectoryRecord,
-    convergence_study,
     integrate_stroke,
     momentum,
     rectangle_stroke,

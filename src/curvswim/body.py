@@ -70,12 +70,6 @@ class Body:
     def scaled(self, factor: float) -> "Body":
         return Body(masses=self.masses, positions=factor * self.positions)
 
-    def merged(self, other: "Body") -> "Body":
-        return Body(
-            masses=np.concatenate([self.masses, other.masses]),
-            positions=np.concatenate([self.positions, other.positions]),
-        )
-
 
 @dataclass(frozen=True)
 class Moments:

@@ -15,13 +15,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .body import Body, balance, principal_axes
-from .checks import run_checks
+from .checks import Record, run_checks
 from .deformation import parse_field_spec, project_gauge, gauge_residuals
 from .errors import ConfigError, CurvswimError
 from .fields import VectorField
@@ -387,6 +387,15 @@ def cmd_ring(cfg: RunConfig) -> Dict[str, Any]:
     }
 
 
+def cmd_check(records: List[Record], seed: int) -> Dict[str, Any]:
+    return {
+        "command": "check",
+        "seed": seed,
+        "ok": all(r.ok for r in records),
+        "records": [{**asdict(r), "value": r.value if math.isfinite(r.value) else None} for r in records],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Wiring
 
@@ -426,21 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
+    def add(name, help, config=True, steps=False, formats=("json", "csv")):
+        p = sub.add_parser(name, help=help)
+        if config:
             p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="write the result to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), help="output format override")
-        p.add_argument("--steps", type=int, help="time-step override for the integrator")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+        p.add_argument("--format", choices=formats, help="output format override")
+        if steps:
+            p.add_argument("--steps", type=int, help="time-step override for the integrator")
+        return p
 
-    add_common(sub.add_parser("holonomy", help="leading-order rigid increment of one stroke"))
-    add_common(sub.add_parser("integrate", help="finite-stroke momentum-constrained integration"))
-    add_common(sub.add_parser("sweep", help="formula vs oracle table over area, m or R"))
-    add_common(sub.add_parser("triangle", help="triangle coefficient and optimal mass split"))
-    add_common(sub.add_parser("ring", help="ring swimmer displacement"))
-    check_p = sub.add_parser("check", help="run the invariant suite")
-    add_common(check_p, needs_config=False)
+    add("holonomy", "leading-order rigid increment of one stroke", steps=True)
+    add("integrate", "finite-stroke momentum-constrained integration", steps=True)
+    add("sweep", "formula vs oracle table over area, m or R", steps=True)
+    add("triangle", "triangle coefficient and optimal mass split")
+    add("ring", "ring swimmer displacement")
+    check_p = add("check", "run the invariant registry", config=False, formats=("json",))
+    check_p.add_argument("--seed", type=int, default=0, help="seed for the randomized records")
     check_p.add_argument(
         "--inject-killing-fault",
         action="store_true",
@@ -454,8 +465,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "check":
-            ok = run_checks(seed=args.seed, inject_killing_fault=args.inject_killing_fault)
-            return 0 if ok else 3
+            records = run_checks(seed=args.seed, inject_killing_fault=args.inject_killing_fault)
+            _emit(cmd_check(records, args.seed) if args.format == "json"
+                  else "".join(r.line() + "\n" for r in records), args.format, args.out)
+            return 0 if all(r.ok for r in records) else 3
         cfg = load_config(args.config)
         fmt = args.format or cfg.out_format or ("csv" if args.command == "sweep" else "json")
         path = args.out or cfg.out_path

@@ -1,13 +1,9 @@
-"""Deformation fields: the linear family, strain, and gauge projection.
+"""Deformation fields: the linear family and gauge projection.
 
-A deformation field is any vector field with nonzero strain.  The swimmer's
-controls multiply such fields, and the gauge condition <xi_a | eta> = 0
-against all Killing fields splits deformations cleanly from rigid motions.
-
-Strain convention: strain_of returns (nabla_j eta_k + nabla_k eta_j) / 2,
-so the diagonal linear field x d/dx carries unit xx-strain.  Holonomy
-results only involve antisymmetrized field pairs and are independent of
-this factor.
+A deformation field is any vector field with nonzero strain
+(geometry.strain_of).  The swimmer's controls multiply such fields, and the
+gauge condition <xi_a | eta> = 0 against all Killing fields splits
+deformations cleanly from rigid motions.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import numpy as np
 from .body import Body, moments, momentum_map
 from .errors import DegenerateMomentsError, SingularGramError
 from .fields import VectorField, linear_field
-from .geometry import Surface, killing_fields, killing_frame, sym_covariant_gradient
+from .geometry import Surface, killing_fields, killing_frame
 
 _LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
 
@@ -36,11 +32,6 @@ def linear_deformation(j: int, k: int) -> VectorField:
     B[j - 1, k - 1] += 0.5
     tag = _LINEAR_TAGS.get((min(j, k), max(j, k)), f"linear-{j}{k}")
     return linear_field(B, tag=tag)
-
-
-def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
-    """Symmetrized covariant derivative of the lowered field at p."""
-    return sym_covariant_gradient(surface, f, p)
 
 
 def gauge_pairings(body: Body, surface: Surface, values) -> Tuple[np.ndarray, np.ndarray]:

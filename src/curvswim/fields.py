@@ -76,12 +76,6 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         return combine([self, other], [1.0, 1.0], tag=f"({self.tag}+{other.tag})")
 
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return combine([self, other], [1.0, -1.0], tag=f"({self.tag}-{other.tag})")
-
-    def __neg__(self) -> "VectorField":
-        return combine([self], [-1.0], tag=f"(-{self.tag})")
-
     def __rmul__(self, c: float) -> "VectorField":
         return combine([self], [float(c)], tag=f"({c}*{self.tag})")
 
@@ -131,17 +125,3 @@ def linear_field(matrix, tag: str = "linear") -> VectorField:
         return np.broadcast_to(Bt, pts.shape[:-1] + (2, 2)).copy()
 
     return VectorField(func=func, grad=grad, tag=tag, linear_matrix=B)
-
-
-def constant_field(vx: float, vy: float, tag: str = "constant") -> VectorField:
-    v = np.array([float(vx), float(vy)])
-
-    def func(p):
-        pts = as_points(p)
-        return np.broadcast_to(v, pts.shape).copy()
-
-    def grad(p):
-        pts = as_points(p)
-        return np.zeros(pts.shape[:-1] + (2, 2))
-
-    return VectorField(func=func, grad=grad, tag=tag)

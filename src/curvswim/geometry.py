@@ -44,11 +44,9 @@ __all__ = [
     "killing_one_form",
     "killing_two_form",
     "killing_two_forms",
-    "killing_two_form_field",
     "numeric_exterior_derivative",
-    "sym_covariant_gradient",
+    "strain_of",
     "killing_residual",
-    "apply_isometry",
     "compose",
     "exp_rigid",
     "translation_to",
@@ -74,12 +72,6 @@ class Surface:
     def conformal(self, p) -> np.ndarray:
         """u(z) = 1 + R |z|^2, the reciprocal square root of the metric factor."""
         return 1.0 + self.R * _abs2(as_points(p))
-
-    def contains(self, p) -> np.ndarray:
-        a = as_points(p)
-        if self.R >= 0.0:
-            return np.ones(a.shape[:-1], dtype=bool)
-        return self._inside(_abs2(a))
 
     def _inside(self, r2: np.ndarray) -> np.ndarray:
         return r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
@@ -193,10 +185,6 @@ class Isometry:
     beta: complex
     R: float
 
-    @classmethod
-    def identity(cls, surface: Surface) -> "Isometry":
-        return cls(alpha=1.0 + 0.0j, beta=0.0j, R=surface.R)
-
     @property
     def det(self) -> float:
         return float(abs(self.alpha) ** 2 + self.R * abs(self.beta) ** 2)
@@ -223,24 +211,8 @@ class Isometry:
         den = -R * np.conj(b) * z + np.conj(a)
         return self.det / den**2
 
-    def push_forward(self, p, v) -> np.ndarray:
-        """Tangent vector at p mapped to a tangent vector at self(p)."""
-        z = to_complex(p)
-        w = to_complex(as_points(v))
-        return from_complex(self.derivative_complex(z) * w)
-
     def inverse(self) -> "Isometry":
         return Isometry(np.conj(self.alpha), -self.beta, self.R)
-
-    def __matmul__(self, other: "Isometry") -> "Isometry":
-        return compose(self, other)
-
-    def is_identity(self, tol: float = 1e-12) -> bool:
-        return abs(self.alpha - 1.0) < tol and abs(self.beta) < tol
-
-
-def apply_isometry(g: Isometry, p) -> np.ndarray:
-    return g(p)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
@@ -321,10 +293,6 @@ class KillingSet:
 
     fields: Tuple[VectorField, VectorField, VectorField]
     surface: Surface
-
-    @property
-    def k(self) -> int:
-        return len(self.fields)
 
     def __iter__(self):
         return iter(self.fields)
@@ -452,11 +420,6 @@ def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
     return killing_two_forms(surface, p)[index - 1]
 
 
-def killing_two_form_field(surface: Surface, index: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The two-form coefficient as a reusable callable."""
-    return lambda p: killing_two_form(surface, index, p)
-
-
 def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p, h: float = 1e-4) -> float:
     """Central-difference curl d_x f_y - d_y f_x of a one-form field."""
     if h <= 0.0:
@@ -485,15 +448,20 @@ def lowered_covariant_gradient(surface: Surface, f: VectorField, p) -> np.ndarra
     return dw - correction
 
 
-def sym_covariant_gradient(surface: Surface, f: VectorField, p) -> np.ndarray:
-    """Symmetrized covariant gradient (nabla_j w_k + nabla_k w_j) / 2."""
+def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
+    """Strain of f: the symmetrized covariant gradient (nabla_j w_k + nabla_k w_j) / 2 of w = g . f.
+
+    With the 1/2 factor the diagonal linear field x d/dx carries unit
+    xx-strain.  Holonomy results only involve antisymmetrized field pairs
+    and are independent of this factor.
+    """
     nw = lowered_covariant_gradient(surface, f, p)
     return 0.5 * (nw + np.swapaxes(nw, -1, -2))
 
 
 def killing_residual(surface: Surface, f: VectorField, p) -> float:
     """Max-norm of the strain tensor; vanishes exactly on Killing fields."""
-    return float(np.max(np.abs(sym_covariant_gradient(surface, f, p))))
+    return float(np.max(np.abs(strain_of(surface, f, p))))
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +491,6 @@ class CurvatureTensor:
         return self.components.shape[0]
 
     @classmethod
-    def zero(cls, dim: int = 2) -> "CurvatureTensor":
-        return cls(np.zeros((dim,) * 4))
-
-    @classmethod
     def constant_curvature(cls, K: float, dim: int = 2) -> "CurvatureTensor":
         delta = np.eye(dim)
         comps = K * (
@@ -538,17 +502,6 @@ class CurvatureTensor:
     @classmethod
     def from_surface(cls, surface: Surface) -> "CurvatureTensor":
         return cls.constant_curvature(gaussian_curvature(surface), dim=2)
-
-    def symmetry_defect(self) -> float:
-        """Largest violation of the index symmetries; zero for valid tensors."""
-        c = self.components
-        d = max(
-            float(np.max(np.abs(c + np.einsum("jlik->ljik", c)))),
-            float(np.max(np.abs(c + np.einsum("jlik->jlki", c)))),
-            float(np.max(np.abs(c - np.einsum("jlik->ikjl", c)))),
-            float(np.max(np.abs(c + np.einsum("jlik->jikl", c) + np.einsum("jlik->jkli", c)))),
-        )
-        return d
 
 
 def translation_killing_approx(curv: CurvatureTensor, k: int) -> VectorField:

@@ -22,7 +22,7 @@ relative order |R| L^2, which is the observable small-body error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,21 +75,6 @@ def _wedge_sum(body: Body, c: np.ndarray, uu: np.ndarray, vv: np.ndarray) -> np.
     """(1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1) for two-form coefficients c (..., N)."""
     wedge = uu[:, 0] * vv[:, 1] - uu[:, 1] * vv[:, 0]
     return np.sum(body.masses * c * wedge, axis=-1) / body.total_mass
-
-
-def two_form_bracket(
-    body: Body,
-    two_form: Callable[[np.ndarray], np.ndarray],
-    u: VectorField,
-    v: VectorField,
-) -> float:
-    """(1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), c the dx^dy coefficient.
-
-    Antisymmetric under exchanging u and v; this is the pairing of the
-    two-form with the oriented field pair at every particle.
-    """
-    x = body.positions
-    return float(_wedge_sum(body, np.asarray(two_form(x), dtype=float), u(x), v(x)))
 
 
 def holonomy_general(

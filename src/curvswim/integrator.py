@@ -39,7 +39,7 @@ Two shape-evolution models are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +49,6 @@ from .body import Body, metric_pairing, momentum_map
 from .errors import SingularGramError, StrokeError
 from .fields import VectorField, from_complex, to_complex
 from .geometry import Isometry, Surface, rigid_generator
-from .holonomy import holonomy_general
 
 __all__ = [
     "Stroke",
@@ -58,8 +57,6 @@ __all__ = [
     "TrajectoryRecord",
     "momentum",
     "integrate_stroke",
-    "convergence_study",
-    "ConvergenceRow",
 ]
 
 DEFAULT_STEPS = 1024
@@ -79,7 +76,6 @@ class Stroke:
     sigma_dot: Callable[[float], np.ndarray]
     steps: int
     signed_area: float
-    label: str = "custom"
     piece_of: Optional[Callable[[float], int]] = None
     piece_sigma: Optional[Callable[[int, float], np.ndarray]] = None
     piece_sigma_dot: Optional[Callable[[int, float], np.ndarray]] = None
@@ -102,32 +98,23 @@ class Stroke:
         )
 
     def reversed(self) -> "Stroke":
-        fwd_s, fwd_d = self.sigma, self.sigma_dot
-        rev = Stroke(
-            sigma=lambda t: fwd_s(1.0 - t),
-            sigma_dot=lambda t: -fwd_d(1.0 - t),
-            steps=self.steps,
-            signed_area=-self.signed_area,
-            label=f"reversed({self.label})",
-        )
+        pieces = {}
         if self.piece_of is not None:
-            rev = Stroke(
-                sigma=rev.sigma,
-                sigma_dot=rev.sigma_dot,
-                steps=self.steps,
-                signed_area=-self.signed_area,
-                label=rev.label,
+            pieces = dict(
                 piece_of=lambda t: self.piece_of(1.0 - t),
                 piece_sigma=lambda pc, t: self.piece_sigma(pc, 1.0 - t),
                 piece_sigma_dot=lambda pc, t: -self.piece_sigma_dot(pc, 1.0 - t),
             )
-        return rev
+        return Stroke(
+            sigma=lambda t: self.sigma(1.0 - t),
+            sigma_dot=lambda t: -self.sigma_dot(1.0 - t),
+            steps=self.steps,
+            signed_area=-self.signed_area,
+            **pieces,
+        )
 
     def with_steps(self, steps: int) -> "Stroke":
-        return Stroke(
-            self.sigma, self.sigma_dot, int(steps), self.signed_area, self.label,
-            self.piece_of, self.piece_sigma, self.piece_sigma_dot,
-        )
+        return replace(self, steps=int(steps))
 
 
 def _smoothstep(s: float) -> Tuple[float, float]:
@@ -171,7 +158,6 @@ def rectangle_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS, profile: 
         sigma_dot=lambda t: piece_sigma_dot(piece_of(t), t),
         steps=steps,
         signed_area=float(d1) * float(d2),
-        label=f"rectangle({d1:g},{d2:g},{profile})",
         piece_of=piece_of,
         piece_sigma=piece_sigma,
         piece_sigma_dot=piece_sigma_dot,
@@ -189,7 +175,7 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
     def sigma_dot(t: float) -> np.ndarray:
         return np.array([a * w * math.sin(w * t), -b * w * math.cos(w * t)])
 
-    return Stroke(sigma, sigma_dot, int(steps), math.pi * a * b, label=f"sinusoid({d1:g},{d2:g})")
+    return Stroke(sigma, sigma_dot, int(steps), math.pi * a * b)
 
 
 def momentum(body: Body, surface: Surface, xi: VectorField, velocities) -> float:
@@ -432,46 +418,8 @@ def integrate_stroke(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    area: float
-    dx_formula: float
-    dx_integrated: float
-    ratio: float
-
-
 def oracle_ratio(dx_integrated: float, dx_formula: float) -> float:
     """dx_integrated / dx_formula, with 0/0 reported as an exact-zero match (0.0)."""
     if dx_formula != 0.0:
         return dx_integrated / dx_formula
     return 0.0 if abs(dx_integrated) < 1e-20 else math.inf
-
-
-def convergence_study(
-    body: Body,
-    surface: Surface,
-    fields: Sequence[VectorField],
-    gauge_fields: Sequence[VectorField],
-    areas: Sequence[float],
-    steps: int = DEFAULT_STEPS,
-    mode: str = "composed",
-    component: int = 0,
-) -> List[ConvergenceRow]:
-    """Formula-versus-oracle table across stroke areas.
-
-    fields drive the integrator (raw linear fields are fine in composed
-    mode, where the result is invariant under adding rigid content);
-    gauge_fields feed the leading-order formula and must satisfy the gauge
-    condition.  component selects which delta_tau entry is compared.
-    """
-    rows = []
-    for area in areas:
-        side = math.sqrt(abs(area))
-        stroke = rectangle_stroke(side, math.copysign(side, area), steps=steps)
-        rec = integrate_stroke(body, surface, fields, stroke, mode=mode)
-        hol = holonomy_general(body, surface, gauge_fields[0], gauge_fields[1], stroke.signed_area)
-        dx_f = float(hol.delta_tau[component])
-        dx_i = float(rec.delta_tau[component])
-        rows.append(ConvergenceRow(area=float(area), dx_formula=dx_f, dx_integrated=dx_i,
-                                   ratio=oracle_ratio(dx_i, dx_f)))
-    return rows

@@ -18,7 +18,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .body import Body, balance, principal_axes
-from .deformation import gauge_fixed_linear_deformation, linear_deformation
+from .deformation import gauge_fixed_linear_deformation
+from .errors import DegenerateMomentsError
 from .fields import VectorField, linear_field
 from .geometry import Surface
 from .holonomy import holonomy_general
@@ -71,17 +72,6 @@ def triangle_optimal_mass(M: float) -> float:
     if M <= 0.0:
         raise ValueError("total mass must be positive")
     return 0.25 * M
-
-
-def triangle_optimum_margin(M: float, h: float, b: float, eps: float = 1e-3) -> float:
-    """Smallest drop of the coefficient when m moves off the optimum by eps."""
-    m_star = triangle_optimal_mass(M)
-    best = triangle_swim_coefficient(TriangleSpec(M, m_star, h, b))
-    near = max(
-        triangle_swim_coefficient(TriangleSpec(M, m_star + eps, h, b)),
-        triangle_swim_coefficient(TriangleSpec(M, m_star - eps, h, b)),
-    )
-    return best - near
 
 
 def rectangle_stroke_distance(spec: TriangleSpec, R: float, delta_b: float, delta_h: float) -> float:
@@ -149,14 +139,6 @@ class BaronCatReport:
     rotations: Dict[Tuple[Tuple[int, int], Tuple[int, int]], float]
     turning_pairs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
 
-    @property
-    def can_translate(self) -> bool:
-        return self.max_translation > 1e-10
-
-    @property
-    def can_turn(self) -> bool:
-        return bool(self.turning_pairs)
-
 
 def baron_cat_report(body: Body, area: float = 1.0, rotation_floor: float = 1e-9) -> BaronCatReport:
     """Check that a flat-space body can at best turn, never translate.
@@ -177,7 +159,7 @@ def baron_cat_report(body: Body, area: float = 1.0, rotation_floor: float = 1e-9
             try:
                 fb = gauge_fixed_linear_deformation(prepared, *pb)
                 fc = gauge_fixed_linear_deformation(prepared, *pc)
-            except Exception:
+            except DegenerateMomentsError:
                 continue
             res = holonomy_general(prepared, surface, fb, fc, area)
             max_tr = max(max_tr, float(np.max(np.abs(res.translation))))

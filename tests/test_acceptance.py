@@ -1,289 +1,104 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite: each criterion asserts its records of the invariant registry.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.  Everything here runs in seconds on a laptop.
+The invariants, their bounds and their samples are defined once, in
+`curvswim.checks`; `curvswim check` evaluates the same records.  Every
+criterion runs its records at seeds 0, 1 and 2.  Only the sweep
+byte-determinism criterion is checked here directly, because it is a
+property of the CLI rather than of the library.
+
+Run with `pytest tests/test_acceptance.py -v -s` to see one line per record.
 """
 
+import functools
 import json
 
-import numpy as np
-import pytest
-
-from curvswim.body import Body, balance, moments, principal_axes
+from curvswim.checks import run_checks
 from curvswim.cli import main
-from curvswim.deformation import (
-    gauge_fixed_linear_deformation,
-    project_gauge,
-)
-from curvswim.errors import DegenerateMomentsError
-from curvswim.fields import linear_field
-from curvswim.geometry import (
-    CurvatureTensor,
-    Surface,
-    gaussian_curvature,
-    killing_fields,
-    killing_one_form,
-    killing_residual,
-    killing_two_form,
-    numeric_exterior_derivative,
-    translation_killing_approx,
-)
-from curvswim.holonomy import (
-    holonomy_general,
-    holonomy_linear,
-    holonomy_small_swimmer,
-)
-from curvswim.integrator import integrate_stroke, rectangle_stroke
-from curvswim.scenarios import (
-    RingSpec,
-    TriangleSpec,
-    ring_displacement,
-    ring_simulate,
-    triangle_body,
-    triangle_control_fields,
-    triangle_swim_coefficient,
-)
 
-R_SET = (-1.0, -0.25, 0.25, 1.0)
+SEEDS = (0, 1, 2)
+
+CRITERIA = {
+    1: ("killing-residual-grid", "isometry-distance-invariance", "exp-rigid-expansion-order"),
+    2: ("two-form-closed-vs-fd", "flat-translation-two-forms-zero", "flat-rotation-two-form-two"),
+    3: ("gaussian-curvature-4R", "translation-approx-curl", "translation-approx-two-form-halving"),
+    4: ("baron-translations-vanish", "cat-rotation-nonzero",
+        "gauge-projection-residual", "gauge-projection-strain"),
+    5: ("triangle-optimum-value", "triangle-optimum-drop", "triangle-grid-argmax",
+        "triangle-coefficient-bound"),
+    6: ("integrator-vs-formula-area-1e-4", "integrator-vs-formula-area-1e-5",
+        "integrator-momentum-residual"),
+    7: ("r-flip-linear-exact", "r-flip-small-swimmer-exact", "r-flip-integrator"),
+    8: ("inversion-symmetric-cubic-moments", "inversion-symmetric-no-swim", "needle-no-swim",
+        "needle-22-degenerate", "two-particle-no-swim"),
+    9: ("cubic-scaling-exact",),
+    10: ("formula-paths-agree",),
+    11: ("ring-formula-vs-simulation", "ring-equal-masses"),
+}
 
 
-def report(n, text):
-    print(f"ACCEPTANCE {n}: PASS  {text}")
+@functools.lru_cache(maxsize=None)
+def records_at(seed):
+    return {r.name: r for r in run_checks(seed)}
 
 
-def random_prepared(rng, n=None, extent=0.3):
-    n = n if n is not None else int(rng.integers(3, 7))
-    body = Body(masses=rng.uniform(0.5, 2.0, n), positions=rng.uniform(-extent, extent, (n, 2)))
-    return principal_axes(balance(body, Surface(0.0)))
+def assert_records(criterion):
+    failed = []
+    for seed in SEEDS:
+        for name in CRITERIA[criterion]:
+            record = records_at(seed)[name]
+            print(f"ACCEPTANCE {criterion} seed {seed}: {record.line()}")
+            if not record.ok:
+                failed.append(f"seed {seed}: {record.line()}")
+    assert not failed, "\n".join(failed)
+
+
+def test_every_record_belongs_to_one_criterion():
+    listed = [name for names in CRITERIA.values() for name in names]
+    assert sorted(listed) == sorted(records_at(0))
 
 
 def test_criterion_1_killing_validity():
-    grid = [(x, y) for x in np.linspace(-0.5, 0.5, 5) for y in np.linspace(-0.5, 0.5, 5)]
-    worst = 0.0
-    for R in R_SET:
-        s = Surface(R)
-        for xi in killing_fields(s):
-            for p in grid:
-                worst = max(worst, killing_residual(s, xi, p))
-    assert worst < 1e-8
-    report(1, f"Killing residual < 1e-8 on 5x5 grid, all surfaces (max {worst:.2e})")
+    assert_records(1)
 
 
 def test_criterion_2_two_form_closed_form():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for R in (-1.0, 1.0):
-        s = Surface(R)
-        for _ in range(20):
-            p = rng.uniform(-0.4, 0.4, size=2)
-            for idx in (1, 2, 3):
-                fd = numeric_exterior_derivative(lambda q, i=idx: killing_one_form(s, i, q), p)
-                worst = max(worst, abs(fd - float(killing_two_form(s, idx, p))))
-    assert worst < 1e-6
-    flat = Surface(0.0)
-    pts = rng.uniform(-1.0, 1.0, size=(20, 2))
-    assert np.all(killing_two_form(flat, 1, pts) == 0.0)
-    assert np.all(killing_two_form(flat, 2, pts) == 0.0)
-    assert np.all(killing_two_form(flat, 3, pts) == 2.0)
-    report(2, f"d(one-form) matches closed two-form within 1e-6 (max {worst:.2e}); "
-              "flat translations identically 0, rotation identically 2")
+    assert_records(2)
 
 
 def test_criterion_3_curvature_consistency():
-    for R in R_SET:
-        s = Surface(R)
-        for p in [(0.0, 0.0), (0.25, -0.3), (0.45, 0.4)]:
-            assert gaussian_curvature(s, p) == pytest.approx(4.0 * R, rel=1e-10)
-    s = Surface(1.0)
-    approx = translation_killing_approx(CurvatureTensor.from_surface(s), 1)
-
-    def curl(p):
-        g = approx.gradient(p)
-        return g[0, 1] - g[1, 0]
-
-    p = np.array([0.12, 0.2])
-    assert curl(p) == pytest.approx(8.0 * p[1], abs=1e-13)
-    gap1 = abs(curl(p) / killing_two_form(s, 1, p) - 1.0)
-    gap2 = abs(curl(0.5 * p) / killing_two_form(s, 1, 0.5 * p) - 1.0)
-    assert gap2 < 0.3 * gap1
-    report(3, f"K = 4R to 1e-10 relative; curvature-path two-form ratio -> 1 "
-              f"under halving ({gap1:.2e} -> {gap2:.2e})")
+    assert_records(3)
 
 
 def test_criterion_4_baron_theorem_and_cat():
-    rng = np.random.default_rng(4)
-    s = Surface(0.0)
-    pairs = [(1, 1), (2, 2), (1, 2)]
-    worst = 0.0
-    for _ in range(100):
-        body = random_prepared(rng)
-        i = int(rng.integers(0, 3))
-        j = (i + 1 + int(rng.integers(0, 2))) % 3
-        u = gauge_fixed_linear_deformation(body, *pairs[i])
-        v = gauge_fixed_linear_deformation(body, *pairs[j])
-        res = holonomy_general(body, s, u, v, 1.0)
-        worst = max(worst, float(np.max(np.abs(res.translation))))
-    assert worst < 1e-12
-    cat = principal_axes(balance(
-        Body.from_particles([[1, 1, 0], [1, -0.2, 0.8], [2, -0.4, -0.4]]), s))
-    rot = holonomy_general(
-        cat, s,
-        gauge_fixed_linear_deformation(cat, 1, 1),
-        gauge_fixed_linear_deformation(cat, 1, 2),
-        1.0,
-    ).rotation
-    assert abs(rot) > 1e-6
-    report(4, f"translation holonomy < 1e-12 over 100 random flat bodies "
-              f"(max {worst:.2e}); cat rotation {rot:.3e}")
+    assert_records(4)
 
 
 def test_criterion_5_triangle_optimum():
-    M, h, b = 1.0, 1.0, 1.0
-    opt = triangle_swim_coefficient(TriangleSpec(M, 0.25, h, b))
-    assert opt == pytest.approx(0.5 * h * b * b, abs=1e-12)
-    for eps in (1e-3, 1e-2):
-        assert triangle_swim_coefficient(TriangleSpec(M, 0.25 + eps, h, b)) < opt
-        assert triangle_swim_coefficient(TriangleSpec(M, 0.25 - eps, h, b)) < opt
-    ms = np.round(np.arange(0.05, 0.50, 0.05), 10)
-    coefs = [triangle_swim_coefficient(TriangleSpec(M, m, h, b)) for m in ms]
-    assert ms[int(np.argmax(coefs))] == 0.25
-    report(5, "coefficient peaks at m = M/4 with value h b^2 / 2 (exact); "
-              "grid sweep maximum at m = 0.25")
+    assert_records(5)
 
 
 def test_criterion_6_formula_vs_oracle_convergence():
-    s = Surface(1.0)
-    tri = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
-    height, base = triangle_control_fields()
-    u = project_gauge(tri, s, height)
-    v = project_gauge(tri, s, base)
-    ratios = {}
-    for area, tol in [(1e-4, 0.05), (1e-5, 0.01)]:
-        side = np.sqrt(area)
-        stroke = rectangle_stroke(side, side, steps=1024)
-        rec = integrate_stroke(tri, s, [height, base], stroke, mode="composed")
-        hol = holonomy_general(tri, s, u, v, stroke.signed_area)
-        ratios[area] = rec.delta_tau[0] / hol.delta_tau[0]
-        assert abs(ratios[area] - 1.0) < tol
-        assert rec.max_momentum_residual < rec.residual_bound
-    report(6, f"oracle/formula = {ratios[1e-4]:.6f} at dA=1e-4 (<5%), "
-              f"{ratios[1e-5]:.7f} at dA=1e-5 (<1%); momentum residuals under "
-              "1e-12 * M * max|xdot|")
+    assert_records(6)
 
 
 def test_criterion_7_sign_flip():
-    rng = np.random.default_rng(7)
-    body = random_prepared(rng, extent=0.2)
-    plus = holonomy_linear(body, CurvatureTensor.constant_curvature(4.0), (2, 2), (1, 1), 1.0)
-    minus = holonomy_linear(body, CurvatureTensor.constant_curvature(-4.0), (2, 2), (1, 1), 1.0)
-    assert np.array_equal(plus, -minus)
-    u = gauge_fixed_linear_deformation(body, 2, 2)
-    v = gauge_fixed_linear_deformation(body, 1, 1)
-    sp = holonomy_small_swimmer(body, CurvatureTensor.constant_curvature(4.0), u, v, 1.0)
-    sm = holonomy_small_swimmer(body, CurvatureTensor.constant_curvature(-4.0), u, v, 1.0)
-    assert np.array_equal(sp, -sm)
-    # integrator: body small enough that the exact-surface asymmetry and the
-    # floating-point floor both sit below 1e-6 relative
-    tri = triangle_body(TriangleSpec(M=1.0, m=0.25, h=3e-4, b=3e-4))
-    height, base = triangle_control_fields()
-    stroke = rectangle_stroke(np.sqrt(1e-5), np.sqrt(1e-5), steps=1024)
-    dx = {}
-    for R in (1.0, -1.0):
-        dx[R] = integrate_stroke(tri, Surface(R), [height, base], stroke, mode="composed").delta_tau[0]
-    rel = abs(dx[1.0] + dx[-1.0]) / abs(dx[1.0])
-    assert rel < 1e-6
-    report(7, f"formula-path negation exact under R -> -R; integrator "
-              f"asymmetry {rel:.2e} < 1e-6 at dA = 1e-5")
+    assert_records(7)
 
 
 def test_criterion_8_null_results():
-    c = CurvatureTensor.constant_curvature(4.0)
-    inv = Body(
-        masses=np.array([1.0, 1.0, 2.0, 2.0, 0.5, 0.5]),
-        positions=np.array([[0.3, 0.1], [-0.3, -0.1], [0.1, -0.2], [-0.1, 0.2], [0.25, 0.25], [-0.25, -0.25]]),
-    )
-    inv = principal_axes(inv)
-    assert np.max(np.abs(moments(inv).q3)) < 1e-16
-    worst = 0.0
-    for pb, pc in [((1, 1), (2, 2)), ((1, 1), (1, 2)), ((2, 2), (1, 2))]:
-        worst = max(worst, float(np.max(np.abs(holonomy_linear(inv, c, pb, pc, 1.0)))))
-    assert worst < 1e-12
-    needle = balance(
-        Body.from_particles([[1, -0.2, 0], [2, 0.05, 0], [1, 0.3, 0]]), Surface(0.0))
-    f11 = gauge_fixed_linear_deformation(needle, 1, 1)
-    f12 = gauge_fixed_linear_deformation(needle, 1, 2)
-    with pytest.raises(DegenerateMomentsError):
-        gauge_fixed_linear_deformation(needle, 2, 2)
-    needle_dx = float(np.max(np.abs(holonomy_small_swimmer(needle, c, f11, f12, 1.0))))
-    assert needle_dx < 1e-12
-    rng = np.random.default_rng(8)
-    worst2 = 0.0
-    for _ in range(20):
-        two = principal_axes(balance(
-            Body(masses=rng.uniform(0.5, 2, 2), positions=rng.uniform(-0.3, 0.3, (2, 2))),
-            Surface(0.0)))
-        fields = {}
-        for pair in [(1, 1), (2, 2), (1, 2)]:
-            try:
-                fields[pair] = gauge_fixed_linear_deformation(two, *pair)
-            except DegenerateMomentsError:
-                continue
-        keys = list(fields)
-        for i, pb in enumerate(keys):
-            for pc in keys[i + 1:]:
-                worst2 = max(worst2, float(np.max(np.abs(
-                    holonomy_small_swimmer(two, c, fields[pb], fields[pc], 1.0)))))
-    assert worst2 < 1e-12
-    report(8, f"inversion-symmetric {worst:.1e}, needle {needle_dx:.1e}, "
-              f"two-particle {worst2:.1e}: all below 1e-12")
+    assert_records(8)
 
 
 def test_criterion_9_cubic_scaling():
-    rng = np.random.default_rng(9)
-    c = CurvatureTensor.constant_curvature(4.0)
-    body = random_prepared(rng, extent=0.2)
-    base = holonomy_linear(body, c, (2, 2), (1, 1), 1.0)
-    for lam in (0.5, 2.0):
-        scaled = holonomy_linear(body.scaled(lam), c, (2, 2), (1, 1), 1.0)
-        assert np.array_equal(scaled, lam**3 * base)
-    report(9, "position rescaling by 0.5 and 2 scales the formula path by "
-              "lambda^3 exactly (bitwise)")
+    assert_records(9)
 
 
 def test_criterion_10_formula_cross_agreement():
-    rng = np.random.default_rng(10)
-    c = CurvatureTensor.constant_curvature(4.0)
-    pairs = [(1, 1), (2, 2), (1, 2)]
-    worst = 0.0
-    for _ in range(50):
-        body = random_prepared(rng)
-        i = int(rng.integers(0, 3))
-        j = (i + 1 + int(rng.integers(0, 2))) % 3
-        u = gauge_fixed_linear_deformation(body, *pairs[i])
-        v = gauge_fixed_linear_deformation(body, *pairs[j])
-        direct = holonomy_small_swimmer(body, c, u, v, 1.0)
-        viaq = holonomy_linear(body, c, pairs[i], pairs[j], 1.0)
-        worst = max(worst, float(np.max(np.abs(direct - viaq))))
-    assert worst < 1e-10
-    report(10, f"moment-contraction path equals direct contraction within "
-               f"1e-10 on 50 random bodies (max gap {worst:.2e})")
+    assert_records(10)
 
 
 def test_criterion_11_ring_swimmer():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(20):
-        spec = RingSpec(
-            length=float(rng.uniform(0.2, 5.0)),
-            m1=float(rng.uniform(0.05, 10.0)),
-            m2=float(rng.uniform(0.05, 10.0)),
-        )
-        worst = max(worst, abs(ring_displacement(spec) - ring_simulate(spec)))
-    assert worst < 1e-10
-    spec = RingSpec(length=3.0, m1=1.3, m2=1.3)
-    assert ring_displacement(spec) == pytest.approx(1.5, rel=1e-15)
-    report(11, f"ring displacement matches the collision simulation within "
-               f"1e-10 (max {worst:.2e}); equal masses meet at l/2")
+    assert_records(11)
 
 
 def test_criterion_12_sweep_determinism(tmp_path):
@@ -303,4 +118,4 @@ def test_criterion_12_sweep_determinism(tmp_path):
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-    report(12, "repeated sweep runs produce byte-identical CSV")
+    print("ACCEPTANCE 12: PASS  repeated sweep runs produce byte-identical CSV")

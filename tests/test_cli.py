@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import curvswim
+from curvswim.checks import run_checks
 from curvswim.cli import main
 
 BASE_CONFIG = {
@@ -238,6 +239,30 @@ def test_check_passes():
 
 def test_check_fault_injection_fails():
     assert main(["check", "--inject-killing-fault"]) == 3
+
+
+def test_check_json_out_holds_every_record(tmp_path):
+    out = tmp_path / "check.json"
+    assert main(["check", "--format", "json", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert [r["name"] for r in records] == [r.name for r in run_checks()]
+    assert all(r["ok"] is True for r in records)
+
+
+def test_check_fault_injection_fails_only_the_killing_record(capsys):
+    assert main(["check", "--inject-killing-fault", "--format", "json"]) == 3
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["name"] for r in records if not r["ok"]] == ["killing-residual-grid"]
+
+
+@pytest.mark.parametrize("command, flag", [("triangle", "--seed"), ("ring", "--steps"), ("check", "--steps")])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
+    args = [command, flag, "1"]
+    if command != "check":
+        args += ["--config", write_config(tmp_path, BASE_CONFIG)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
 
 
 # -------------------------------------------------------------- entry point

@@ -3,22 +3,17 @@ import pytest
 
 import curvswim.geometry
 from curvswim.body import Body, balance, momentum_map, principal_axes
+from curvswim.checks import random_balanced_body
 from curvswim.deformation import (
     gauge_fixed_linear_deformation,
     gauge_residuals,
     linear_deformation,
     parse_field_spec,
     project_gauge,
-    strain_of,
 )
 from curvswim.errors import DegenerateMomentsError, SingularGramError
 from curvswim.fields import combine, linear_field
-from curvswim.geometry import Surface, killing_fields
-
-
-def random_balanced(rng, n=5, extent=0.4):
-    body = Body(masses=rng.uniform(0.5, 2, n), positions=rng.uniform(-extent, extent, (n, 2)))
-    return principal_axes(balance(body, Surface(0.0)))
+from curvswim.geometry import Surface, killing_fields, strain_of
 
 
 # ------------------------------------------------------------ linear family
@@ -80,7 +75,7 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
     rng = np.random.default_rng(6)
     for R in (-1.0, 0.0, 1.0):
         s = Surface(R)
-        body = random_balanced(rng)
+        body = random_balanced_body(rng)
         f = linear_field(rng.uniform(-1, 1, (2, 2)), tag="f")
         pf = project_gauge(body, s, f)
         G, mom, _, _ = momentum_map(body, s, f(body.positions)[None])
@@ -106,7 +101,7 @@ def test_projection_kills_residuals_and_is_idempotent():
     rng = np.random.default_rng(4)
     for R in (0.0, 1.0, -0.8):
         s = Surface(R)
-        body = random_balanced(rng)
+        body = random_balanced_body(rng)
         f = linear_field(rng.uniform(-1, 1, (2, 2)))
         pf = project_gauge(body, s, f)
         assert np.max(gauge_residuals(body, s, pf)) < 1e-12
@@ -117,7 +112,7 @@ def test_projection_kills_residuals_and_is_idempotent():
 def test_projection_preserves_strain():
     rng = np.random.default_rng(9)
     s = Surface(1.0)
-    body = random_balanced(rng)
+    body = random_balanced_body(rng)
     f = linear_field(rng.uniform(-1, 1, (2, 2)))
     pf = project_gauge(body, s, f)
     for p in body.positions:
@@ -147,7 +142,7 @@ def test_projection_single_particle_raises():
 
 def test_gauge_fixed_diagonal_is_axis_scaling():
     rng = np.random.default_rng(6)
-    body = random_balanced(rng)
+    body = random_balanced_body(rng)
     f = gauge_fixed_linear_deformation(body, 1, 1)
     assert np.allclose(f.linear_matrix, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -181,7 +176,7 @@ def test_closed_form_equals_projection_flat():
     rng = np.random.default_rng(8)
     s = Surface(0.0)
     for _ in range(5):
-        body = random_balanced(rng)
+        body = random_balanced_body(rng)
         for (j, k) in [(1, 1), (2, 2), (1, 2)]:
             closed = gauge_fixed_linear_deformation(body, j, k)
             projected = project_gauge(body, s, linear_deformation(j, k))

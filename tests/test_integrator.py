@@ -13,9 +13,9 @@ from curvswim.holonomy import holonomy_general
 from curvswim.integrator import (
     Stroke,
     _extract_delta_tau,
-    convergence_study,
     integrate_stroke,
     momentum,
+    oracle_ratio,
     rectangle_stroke,
     sinusoid_stroke,
 )
@@ -204,9 +204,12 @@ def test_convergence_study_rows():
     s = Surface(1.0)
     small = triangle_body(TriangleSpec(M=1.0, m=0.25, h=0.2, b=0.2))
     u, v = projected_pair(small, s)
-    rows = convergence_study(small, s, [HEIGHT, BASE], [u, v], [1e-3, 1e-4], steps=256)
-    assert [r.area for r in rows] == [1e-3, 1e-4]
-    gaps = [abs(r.ratio - 1.0) for r in rows]
+    gaps = []
+    for area in (1e-3, 1e-4):
+        stroke = rectangle_stroke(np.sqrt(area), np.sqrt(area), steps=256)
+        rec = integrate_stroke(small, s, [HEIGHT, BASE], stroke)
+        hol = holonomy_general(small, s, u, v, stroke.signed_area)
+        gaps.append(abs(oracle_ratio(rec.delta_tau[0], hol.delta_tau[0]) - 1.0))
     assert gaps[1] < gaps[0] < 0.05
 
 
@@ -217,10 +220,12 @@ def test_flat_convergence_study_zeros():
     body = principal_axes(balance(body, s))
     u = gauge_fixed_linear_deformation(body, 1, 1)
     v = gauge_fixed_linear_deformation(body, 2, 2)
-    rows = convergence_study(body, s, [u, v], [u, v], [1e-4], steps=64)
-    assert rows[0].dx_formula == 0.0
-    assert abs(rows[0].dx_integrated) < 1e-14
-    assert rows[0].ratio == 0.0
+    stroke = rectangle_stroke(1e-2, 1e-2, steps=64)
+    dx_i = integrate_stroke(body, s, [u, v], stroke).delta_tau[0]
+    dx_f = holonomy_general(body, s, u, v, stroke.signed_area).delta_tau[0]
+    assert dx_f == 0.0
+    assert abs(dx_i) < 1e-14
+    assert oracle_ratio(dx_i, dx_f) == 0.0
 
 
 # ------------------------------------------- body-frame reconstruction
