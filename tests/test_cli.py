@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import curvswim
-from curvswim.checks import run_checks
+import curvswim.checks as checks
 from curvswim.cli import main
 
 BASE_CONFIG = {
@@ -241,11 +241,17 @@ def test_check_fault_injection_fails():
     assert main(["check", "--inject-killing-fault"]) == 3
 
 
+def test_check_prints_one_pass_line_per_record(capsys):
+    assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS  {r.name}" for r in checks.run_checks()]
+
+
 def test_check_json_out_holds_every_record(tmp_path):
     out = tmp_path / "check.json"
     assert main(["check", "--format", "json", "--out", str(out)]) == 0
     records = json.loads(out.read_text())["records"]
-    assert [r["name"] for r in records] == [r.name for r in run_checks()]
+    assert [r["name"] for r in records] == [r.name for r in checks.run_checks()]
     assert all(r["ok"] is True for r in records)
 
 
@@ -255,9 +261,24 @@ def test_check_fault_injection_fails_only_the_killing_record(capsys):
     assert [r["name"] for r in records if not r["ok"]] == ["killing-residual-grid"]
 
 
-@pytest.mark.parametrize("command, flag", [("triangle", "--seed"), ("ring", "--steps"), ("check", "--steps")])
-def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag):
-    args = [command, flag, "1"]
+def test_check_counts_a_crash_as_failing_records(monkeypatch, capsys):
+    def crash(rng, inject_killing_fault):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(checks, "REGISTRY", [checks.Invariant((("a", "<", 1.0), ("b", "==", 0.0)), crash)])
+    assert main(["check", "--format", "json"]) == 3
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["name"], r["ok"], r["value"], r["error"]) for r in records] == [
+        ("a", False, None, "ZeroDivisionError: boom"),
+        ("b", False, None, "ZeroDivisionError: boom"),
+    ]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("triangle", "--seed", "1"), ("ring", "--steps", "1"), ("check", "--steps", "1"), ("check", "--format", "csv"),
+])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag, value):
+    args = [command, flag, value]
     if command != "check":
         args += ["--config", write_config(tmp_path, BASE_CONFIG)]
     with pytest.raises(SystemExit) as exc:
