@@ -21,9 +21,10 @@ Two shape-evolution models are provided:
       under isometries, so the rigid velocity read in the body frame, A,
       depends on the shape alone (the local connection), and G obeys the
       reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
-      equation: the shapes, shape velocities and generators of a block of
-      steps come from one batched matrix exponential, one momentum-map call
-      and one stacked 3x3 solve, and only the 2x2 update of G is stepped.
+      equation: the shapes and shape velocities of every stage come from
+      one batched closed-form 2x2 exponential and its Frechet derivative,
+      the generators of a block of steps from one momentum-map call and one
+      stacked 3x3 solve, and only the 2x2 update of G is stepped.
       The isometry matrices form a real-linear space closed under
       products, so every RK4 stage agrees with the space-frame stage
       dG/dt = A_space G up to round-off.
@@ -43,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .body import Body, metric_pairing, momentum_map
 from .errors import SingularGramError, StrokeError
@@ -169,10 +169,14 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
     a, b = 0.5 * float(d1), 0.5 * float(d2)
     w = 2.0 * math.pi
 
+    # The phase is wrapped so that sigma(1) == sigma(0) bitwise: sin(2 pi)
+    # is about -2.4e-16, not 0.
     def sigma(t: float) -> np.ndarray:
+        t %= 1.0
         return np.array([-a * math.cos(w * t), -b * math.sin(w * t)])
 
     def sigma_dot(t: float) -> np.ndarray:
+        t %= 1.0
         return np.array([a * w * math.sin(w * t), -b * w * math.cos(w * t)])
 
     return Stroke(sigma, sigma_dot, int(steps), math.pi * a * b)
@@ -265,20 +269,62 @@ def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray]:
     return sig, sigd
 
 
-def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(C) and its derivative along C-dot, for C = sigma . B, in one batched expm.
+# Below |q| = 1, _expm2 sums the Taylor series of c(q), S(q) and S'(q) to
+# q^9 (first omitted term under 1e-18 there) instead of the closed forms:
+# S' = (c - S) / 2q cancels as q -> 0, and N can be large while q is small.
+_SERIES_Q = 1.0
+_POWERS = np.arange(10.0)
+_SERIES = np.array([
+    [1.0 / math.factorial(2 * k) for k in range(10)],                # c
+    [1.0 / math.factorial(2 * k + 1) for k in range(10)],            # S
+    [(k + 1.0) / math.factorial(2 * k + 3) for k in range(10)],      # dS/dq
+])
 
-    exp([[C, C-dot], [0, C]]) = [[exp(C), L], [0, exp(C)]], where L is the
-    Frechet derivative of the exponential at C in the direction C-dot.
+
+def _expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(C) and its Frechet derivative at C along D, for stacks (..., 2, 2).
+
+    With C = m I + N and N traceless, N^2 = q I where q = -det N, so
+    exp(C) = e^m (c(q) I + S(q) N) with c = cosh(sqrt q) and
+    S = sinh(sqrt q) / sqrt q (cos and sin of sqrt(-q) when q < 0).  The
+    derivative along D = dm I + dN follows by the chain rule, with
+    dq = tr(N dN), dc/dq = S / 2 and dS/dq = (c - S) / 2q.  Every matrix of
+    the stack goes through the same elementwise steps, so equal matrices
+    give bitwise-equal results.
+    """
+    m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
+    dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
+    N = C - m[..., None, None] * np.eye(2)
+    dN = D - dm[..., None, None] * np.eye(2)
+    q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
+    dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
+    series = (q[..., None, None] ** _POWERS * _SERIES).sum(axis=-1)
+    small = np.abs(q) < _SERIES_Q
+    qc = np.where(small, 1.0, q)            # keeps the closed forms off q = 0
+    r = np.sqrt(np.abs(qc))
+    c = np.where(qc > 0.0, np.cosh(r), np.cos(r))
+    S = np.where(qc > 0.0, np.sinh(r), np.sin(r)) / r
+    dS = (c - S) / (2.0 * qc)
+    c, S, dS = (np.where(small, series[..., k], f) for k, f in enumerate((c, S, dS)))
+    em = np.exp(m)
+    E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
+    L = (
+        (em * (dm * c + 0.5 * S * dq))[..., None, None] * np.eye(2)
+        + (em * (dm * S + dS * dq))[..., None, None] * N
+        + (em * S)[..., None, None] * dN
+    )
+    return E, L
+
+
+def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(C) and its derivative along C-dot, for C = sigma . B, in closed form.
+
+    The control matrices are 2x2, so one batched _expm2 gives every shape
+    matrix and its Frechet derivative at once.
     """
     C = sig[..., 0, None, None] * B[0] + sig[..., 1, None, None] * B[1]
     Cd = sigd[..., 0, None, None] * B[0] + sigd[..., 1, None, None] * B[1]
-    M = np.zeros(C.shape[:-2] + (4, 4))
-    M[..., :2, :2] = C
-    M[..., 2:, 2:] = C
-    M[..., :2, 2:] = Cd
-    F = expm(M)
-    return F[..., :2, :2], F[..., :2, 2:]
+    return _expm2(C, Cd)
 
 
 def _integrate_composed(body, surface, B, stroke, record):
@@ -392,9 +438,8 @@ def integrate_stroke(
             )
         B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
         G, max_residual, max_speed, rec_pos = _integrate_composed(body, surface, B, stroke, record)
-        s0, s1 = stroke.sigma(0.0), stroke.sigma(1.0)
-        E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
-        E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
+        ends = np.stack([stroke.sigma(0.0), stroke.sigma(1.0)])
+        E0, E1 = _shape_flow(B, ends, np.zeros_like(ends))[0]
         closure = float(np.max(np.abs(E1 - E0)))
     else:
         X, G, max_residual, max_speed, rec_pos = _integrate_direct(body, surface, fields, stroke, record)

@@ -302,3 +302,33 @@ def test_console_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["displacement"] == pytest.approx(0.5)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: no command of the CLI may import it
+    cfgs = {
+        "composed": dict(BASE_CONFIG, stroke={"type": "sinusoid", "amplitudes": [0.1, 0.1], "steps": 8}),
+        "direct": dict(BASE_CONFIG, stroke={"type": "rectangle", "amplitudes": [0.1, 0.1], "steps": 8},
+                       options={"mode": "direct"}),
+        "sweep": dict(SWEEP_CONFIG, stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 8}),
+    }
+    paths = {name: write_config(tmp_path, cfg, f"{name}.json") for name, cfg in cfgs.items()}
+    runs = [
+        ["integrate", "--config", paths["composed"]],
+        ["integrate", "--config", paths["direct"]],
+        ["holonomy", "--config", paths["composed"]],
+        ["sweep", "--config", paths["sweep"], "--format", "csv"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import curvswim\n"
+        "from curvswim.cli import main\n"
+        f"codes = [main(args + ['--out', {str(tmp_path)!r} + f'/out{{i}}']) for i, args in enumerate({runs!r})]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+    )
+    paths_env = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths_env if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": []}

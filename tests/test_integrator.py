@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm_frechet
 
 from curvswim.body import Body, balance, momentum_map, principal_axes
@@ -11,7 +12,9 @@ from curvswim.fields import from_complex, linear_field, to_complex
 from curvswim.geometry import Isometry, Surface, killing_fields, rigid_generator
 from curvswim.holonomy import holonomy_general
 from curvswim.integrator import (
+    _SERIES_Q,
     Stroke,
+    _expm2,
     _extract_delta_tau,
     integrate_stroke,
     momentum,
@@ -89,6 +92,93 @@ def test_builtin_stroke_areas():
 
 def test_rectangle_steps_rounded_to_multiple_of_four():
     assert rectangle_stroke(0.1, 0.1, steps=10).steps == 12
+
+
+LOOPS = {
+    "sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps),
+    "rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps),
+    "rectangle-smooth": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps, profile="smooth"),
+}
+
+
+@pytest.mark.parametrize("steps", [4, 16, 64])
+@pytest.mark.parametrize("kind", sorted(LOOPS))
+def test_builtin_loops_close_bitwise(kind, steps):
+    stroke = LOOPS[kind](steps)
+    assert np.array_equal(stroke.sigma(1.0), stroke.sigma(0.0))
+    body, fields = _random_body()
+    rec = integrate_stroke(body, Surface(-1.0), fields, stroke, mode="composed")
+    assert rec.shape_closure_defect == 0.0
+
+
+# ------------------------------------------------------ closed-form exponential
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _assert_matches_expm_frechet(C, D, rtol=1e-13):
+    E, L = _expm2(C, D)
+    E_ref, L_ref = expm_frechet(C, D)
+    assert _rel(E, E_ref) <= rtol
+    assert _rel(L, L_ref) <= rtol
+
+
+entries = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-8.0, np.log10(2.0)), entries, entries)
+def test_expm2_matches_expm_frechet(log_norm, c, d):
+    C, D = np.reshape(c, (2, 2)), np.reshape(d, (2, 2))
+    assume(np.linalg.norm(C, 2) > 1e-3 and np.linalg.norm(D, 2) > 1e-3)
+    _assert_matches_expm_frechet(C * (10.0**log_norm / np.linalg.norm(C, 2)), D)
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-12, 1.0 + 1e-12])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_expm2_at_the_series_switch(side, sign):
+    # q = -det N lands just below or just above the switch, once with a
+    # diagonal N and once with a far-from-normal one
+    q = sign * side * _SERIES_Q
+    D = np.array([[0.3, -0.7], [0.9, 0.2]])
+    if sign > 0:
+        _assert_matches_expm_frechet(np.diag([np.sqrt(q), -np.sqrt(q)]) + 0.4 * np.eye(2), D)
+    _assert_matches_expm_frechet(np.array([[0.0, 1.6], [q / 1.6, 0.0]]) - 0.3 * np.eye(2), D)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.3, 1.0, 2.0])
+def test_expm2_rotation(theta):
+    C = np.array([[0.0, -theta], [theta, 0.0]])    # q = -theta^2 < 0
+    E, _ = _expm2(C, np.eye(2))
+    c, s = np.cos(theta), np.sin(theta)
+    assert _rel(E, np.array([[c, -s], [s, c]])) <= 1e-15
+    _assert_matches_expm_frechet(C, np.array([[0.5, 0.1], [-0.2, 0.8]]))
+
+
+def test_expm2_q_zero():
+    D = np.array([[0.5, 0.1], [-0.2, 0.8]])
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])        # N^2 = 0
+    E, L = _expm2(nil, D)
+    assert np.array_equal(E, np.eye(2) + nil)
+    assert _rel(L, D + 0.5 * (nil @ D + D @ nil) + nil @ D @ nil / 6.0) <= 1e-15
+    _assert_matches_expm_frechet(nil, D)
+    E, L = _expm2(0.7 * np.eye(2), D)                # N = 0
+    assert _rel(E, np.exp(0.7) * np.eye(2)) <= 1e-15
+    assert _rel(L, np.exp(0.7) * D) <= 1e-15
+
+
+def test_expm2_inverse_and_batching():
+    rng = np.random.default_rng(3)
+    C = rng.uniform(-1.0, 1.0, (5, 3, 2, 2))
+    D = rng.uniform(-1.0, 1.0, (5, 3, 2, 2))
+    E, L = _expm2(C, D)
+    E_neg, _ = _expm2(-C, D)
+    assert np.max(np.abs(E @ E_neg - np.eye(2))) <= 1e-14
+    for i, j in np.ndindex(5, 3):
+        E_ij, L_ij = _expm2(C[i, j], D[i, j])
+        assert _rel(E[i, j], E_ij) <= 1e-15 and _rel(L[i, j], L_ij) <= 1e-15
 
 
 # -------------------------------------------------------------- flat space
