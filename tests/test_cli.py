@@ -319,16 +319,16 @@ def test_cli_runs_without_scipy(tmp_path):
         ["holonomy", "--config", paths["composed"]],
         ["sweep", "--config", paths["sweep"], "--format", "csv"],
     ]
+    runs = [args + ["--out", str(tmp_path / f"out{i}")] for i, args in enumerate(runs)]
     script = (
         "import json, sys\n"
-        "import curvswim\n"
         "from curvswim.cli import main\n"
-        f"codes = [main(args + ['--out', {str(tmp_path)!r} + f'/out{{i}}']) for i, args in enumerate({runs!r})]\n"
+        "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
         "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )
     paths_env = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths_env if p))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "scipy": []}
