@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -89,14 +90,22 @@ def moments(body: Body) -> Moments:
     return Moments(q1=q1, q2=q2, q3=q3, total_mass=body.total_mass)
 
 
-def _weights(body: Body, surface: Surface, x):
+def _weights(body: Body, surface: Surface, x, out=None) -> np.ndarray:
     """Contiguous x, y and r2 = |x|^2 of the points x, shape (..., N, 2), and
-    the weights m_n / (1 + R r2_n)^2, each of shape (..., N).
+    the weights m_n / (1 + R r2_n)^2, stacked as one array of shape
+    (4, ..., N), which is out when given.
 
     r2 is formed once, for the chart-domain check and the weight.
     """
-    x, y, r2 = surface.chart(x)
-    return x, y, r2, body.masses / (1.0 + surface.R * r2) ** 2
+    a = np.asarray(x, dtype=float)
+    xyrw = np.empty((4,) + a.shape[:-1]) if out is None else out
+    surface.chart(a, out=xyrw[:3])
+    r2, w = xyrw[2], xyrw[3]
+    np.multiply(r2, surface.R, w)
+    np.add(1.0, w, w)
+    np.multiply(w, w, w)
+    np.divide(body.masses, w, w)
+    return xyrw
 
 
 def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
@@ -105,17 +114,33 @@ def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
     return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
 
 
+def _work_rows(k: int) -> int:
+    """Rows of N per configuration in momentum_map's workspace with k
+    velocity arrays: the six Killing components, x, y, r2, the weight and
+    the weight times (1 - R r2); per velocity its two components and their
+    weighted copies; two rows of products per velocity (at least two).
+    """
+    return 11 + 4 * k + 2 * max(k, 1)
+
+
+def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
+    """An uninitialized workspace for momentum_map(work=...) at points of
+    shape (..., N) with k velocity arrays per configuration."""
+    return np.empty(math.prod(points) * _work_rows(k))
+
+
 def momentum_map(
-    body: Body, surface: Surface, velocities, x=None
+    body: Body, surface: Surface, velocities, x=None, *, work=None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Killing frame at the particles and its mass-weighted pairings.
 
     Evaluates the three Killing fields once at the points x (default: the
     body's positions), shape (..., N, 2), as a frame of shape (..., 3, N, 2),
     and pairs it with itself and with each velocity array of the stack
-    velocities, shape (..., k, N, 2), and each velocity array with itself.
-    Leading axes are batch axes: each configuration along them is paired
-    on its own.  Returns (gram, mom, vv, frame) with
+    velocities, shape (..., k, N, 2) with the leading axes of x, and each
+    velocity array with itself.  Leading axes are batch axes: each
+    configuration along them is paired on its own.  Returns
+    (gram, mom, vv, frame) with
 
         gram[..., a, b] = sum_n m_n g(xi_a, xi_b),   mom[..., k, a] = sum_n m_n g(xi_a, V_k),
         vv[..., k] = sum_n m_n g(V_k, V_k),
@@ -133,32 +158,77 @@ def momentum_map(
     xi1.xi1 and xi2.xi2 come from the squared components.  Only the six
     unique Gram sums are formed and then mirrored, so gram is exactly
     symmetric.  Every sum forms each particle's product first and adds the
-    particles with np.sum (never a BLAS dot), so mirror-symmetric bodies
-    keep their exact zeros, and every temporary is at most (..., k, N).
-    """
-    x, y, r2, w = _weights(body, surface, body.positions if x is None else x)
-    k = killing_components(surface, x, y)
-    (a1x, a1y), (a2x, a2y), (a3x, a3y) = k
-    ws = w * (1.0 - surface.R * r2)
-    gram = np.empty(w.shape[:-1] + (3, 3))
-    gram[..., 0, 0] = np.sum(w * (a1x * a1x + a1y * a1y), axis=-1)
-    gram[..., 1, 1] = np.sum(w * (a2x * a2x + a2y * a2y), axis=-1)
-    gram[..., 2, 2] = np.sum(w * r2, axis=-1)
-    # a1y = 2Rxy; doubling the sum is exact
-    gram[..., 0, 1] = gram[..., 1, 0] = 2.0 * np.sum(w * a1y, axis=-1)
-    gram[..., 0, 2] = gram[..., 2, 0] = np.sum(ws * a3x, axis=-1)
-    gram[..., 1, 2] = gram[..., 2, 1] = np.sum(ws * a3y, axis=-1)
+    particles with np.add.reduce (never a BLAS dot), so mirror-symmetric
+    bodies keep their exact zeros.
 
+    Every per-particle array, of shape (..., N) or (..., k, N), is written
+    in place (as ufunc outputs) into one flat float array: work when given,
+    which must hold momentum_work(x.shape[:-1], k) elements (a longer one
+    serves, from its start), else one allocated here the same way.  A
+    caller that pairs many batches of one size can so reuse one workspace.
+    Each array is a C-contiguous view laid out as it would be on its own,
+    so the results do not depend on whether work was passed.  Only the
+    returned frame aliases work, and the next call into the same work
+    overwrites it; gram, mom and vv are fresh arrays.
+    """
+    x = body.positions if x is None else np.asarray(x, dtype=float)
     V = np.asarray(velocities, dtype=float)
-    vx, vy = V[..., 0].copy(), V[..., 1].copy()
-    wvx = w[..., None, :] * vx
-    wvy = w[..., None, :] * vy
+    points, nv = x.shape[:-1], V.shape[-3]
+    size = math.prod(points)
+    if work is None:
+        work = momentum_work(points, nv)
+    # Consecutive C-contiguous blocks of work, each laid out as the array
+    # would be on its own.
+    rows = work[: 11 * size].reshape((11,) + points)
+    vel = work[11 * size : (11 + 4 * nv) * size].reshape((4,) + points[:-1] + (nv,) + points[-1:])
+    P, Q = work[(11 + 4 * nv) * size : _work_rows(nv) * size].reshape(2, -1)
+    k = rows[:6].reshape((3, 2) + points)
+    x, y, r2, w = _weights(body, surface, x, out=rows[6:10])
+    killing_components(surface, x, y, out=k)
+    (a1x, a1y), (a2x, a2y), (a3x, a3y) = k
+    ws = rows[10]
+    np.multiply(r2, surface.R, ws)
+    np.subtract(1.0, ws, ws)
+    np.multiply(w, ws, ws)
+    t, u = P[:w.size].reshape(w.shape), Q[:w.size].reshape(w.shape)
+
+    def weighted_sum(weight, f):
+        np.multiply(weight, f, t)
+        return np.add.reduce(t, -1)
+
+    def weighted_norm(fx, fy):
+        np.multiply(fx, fx, t)
+        np.multiply(fy, fy, u)
+        np.add(t, u, t)
+        return weighted_sum(w, t)
+
+    gram = np.empty(w.shape[:-1] + (3, 3))
+    gram[..., 0, 0] = weighted_norm(a1x, a1y)
+    gram[..., 1, 1] = weighted_norm(a2x, a2y)
+    gram[..., 2, 2] = weighted_sum(w, r2)
+    # a1y = 2Rxy; doubling the sum is exact
+    gram[..., 0, 1] = gram[..., 1, 0] = 2.0 * weighted_sum(w, a1y)
+    gram[..., 0, 2] = gram[..., 2, 0] = weighted_sum(ws, a3x)
+    gram[..., 1, 2] = gram[..., 2, 1] = weighted_sum(ws, a3y)
+
+    vx, vy, wvx, wvy = vel
+    vx[...] = V[..., 0]
+    vy[...] = V[..., 1]
+    np.multiply(w[..., None, :], vx, wvx)
+    np.multiply(w[..., None, :], vy, wvy)
+    p, q = P[:vx.size].reshape(vx.shape), Q[:vx.size].reshape(vx.shape)
     mom = np.empty(vx.shape[:-1] + (3,))
-    mom[..., 0] = np.sum(a1x[..., None, :] * wvx + a1y[..., None, :] * wvy, axis=-1)
-    mom[..., 1] = np.sum(a2x[..., None, :] * wvx + a2y[..., None, :] * wvy, axis=-1)
-    mom[..., 2] = np.sum(a3x[..., None, :] * wvx + a3y[..., None, :] * wvy, axis=-1)
-    vv = np.sum(wvx * vx + wvy * vy, axis=-1)
-    return gram, mom, vv, np.moveaxis(k, (0, 1), (-3, -1))
+    for a, (ax, ay) in enumerate(k):
+        np.multiply(ax[..., None, :], wvx, p)
+        np.multiply(ay[..., None, :], wvy, q)
+        np.add(p, q, p)
+        mom[..., a] = np.add.reduce(p, -1)
+    np.multiply(wvx, vx, vx)
+    np.multiply(wvy, vy, vy)
+    np.add(vx, vy, vx)
+    vv = np.add.reduce(vx, -1)
+    # the frame (..., 3, N, 2): batch axes first, then field, particle, component
+    return gram, mom, vv, k.transpose(tuple(range(2, k.ndim - 1)) + (0, k.ndim - 1, 1))
 
 
 def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:

@@ -93,17 +93,25 @@ class Surface:
         self._require(a, _abs2(a))
         return a
 
-    def chart(self, p) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def chart(self, p, out=None) -> np.ndarray:
         """Contiguous components x, y and r2 = |z|^2 of chart points p, shape (..., 2).
 
-        |z|^2 is formed once and serves both the chart-domain check (which
-        raises ChartDomainError like require_inside) and the caller.
+        Returns them stacked as one array of shape (3,) + p.shape[:-1],
+        written into out when given.  |z|^2 is formed once and serves both
+        the chart-domain check (which raises ChartDomainError like
+        require_inside) and the caller.
         """
         a = as_points(p)
-        x, y = a[..., 0].copy(), a[..., 1].copy()
-        r2 = x * x + y * y
+        xyr = np.empty((3,) + a.shape[:-1]) if out is None else out
+        x, y, r2 = xyr[0, ...], xyr[1, ...], xyr[2, ...]
+        # r2 = x*x + y*y, with the x row as scratch before it takes x
+        np.multiply(a[..., 1], a[..., 1], r2)
+        np.multiply(a[..., 0], a[..., 0], x)
+        np.add(x, r2, r2)
+        x[...] = a[..., 0]
+        y[...] = a[..., 1]
         self._require(a, r2)
-        return x, y, r2
+        return xyr
 
 
 def metric_at(surface: Surface, p) -> np.ndarray:
@@ -301,7 +309,7 @@ class KillingSet:
         return self.fields[i]
 
 
-def killing_components(surface: Surface, x, y) -> np.ndarray:
+def killing_components(surface: Surface, x, y, out=None) -> np.ndarray:
     """Chart components of the three Killing fields at the points (x, y).
 
     Returns k of shape (3, 2) + shape(x), k[a, i] the i-th component of
@@ -309,19 +317,25 @@ def killing_components(surface: Surface, x, y) -> np.ndarray:
 
         xi1 = (1 + R (x^2 - y^2), 2Rxy),  xi2 = (2Rxy, 1 - R (x^2 - y^2)),  xi3 = (-y, x).
 
-    2Rxy and R (x^2 - y^2) are formed once and shared by xi1 and xi2.  This
+    2Rxy and R (x^2 - y^2) are formed once and shared by xi1 and xi2, in
+    place in k, which is out when given (x and y must not alias it).  This
     is the one definition of the fields' values: killing_fields,
     killing_frame and the momentum-map kernel all read them from here.
     """
     R = surface.R
-    k = np.empty((3, 2) + np.shape(x))
-    np.multiply(2.0 * R * x, y, out=k[0, 1, ...])
-    k[1, 0] = k[0, 1]
-    d = R * (x * x - y * y)
-    np.add(1.0, d, out=k[0, 0, ...])
-    np.subtract(1.0, d, out=k[1, 1, ...])
-    np.negative(y, out=k[2, 0, ...])
-    k[2, 1] = x
+    k = np.empty((3, 2) + np.shape(x)) if out is None else out
+    (a1x, a1y), (a2x, a2y), (a3x, a3y) = ((k[a, 0, ...], k[a, 1, ...]) for a in range(3))
+    np.multiply(x, 2.0 * R, a1y)
+    np.multiply(a1y, y, a1y)
+    a2x[...] = a1y
+    np.multiply(x, x, a1x)          # d = R (x^2 - y^2), built in a1x
+    np.multiply(y, y, a2y)
+    np.subtract(a1x, a2y, a1x)
+    np.multiply(a1x, R, a1x)
+    np.subtract(1.0, a1x, a2y)
+    np.add(1.0, a1x, a1x)
+    np.negative(y, a3x)
+    a3y[...] = x
     return k
 
 

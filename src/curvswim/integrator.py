@@ -21,10 +21,14 @@ Two shape-evolution models are provided:
       under isometries, so the rigid velocity read in the body frame, A,
       depends on the shape alone (the local connection), and G obeys the
       reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
-      equation: the shapes and shape velocities of every stage come from
-      one batched closed-form 2x2 exponential and its Frechet derivative,
-      the generators of a block of steps from one momentum-map call and one
-      stacked 3x3 solve, and only the 2x2 update of G is stepped.
+      equation.  A depends on time alone, so each distinct stage time
+      (node) is evaluated once: a step's end stage is the next step's
+      start stage when both lie in one smooth piece of the stroke.  The
+      shapes and shape velocities of every node come from one batched
+      closed-form 2x2 exponential and its Frechet derivative, the
+      generators of a block of nodes from one momentum-map call and one
+      stacked 3x3 solve into buffers allocated once per stroke, and only
+      the 2x2 update of G is stepped.
       The isometry matrices form a real-linear space closed under
       products, so every RK4 stage agrees with the space-frame stage
       dG/dt = A_space G up to round-off.
@@ -45,7 +49,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, metric_pairing, momentum_map
+from .body import Body, metric_pairing, momentum_map, momentum_work
 from .errors import SingularGramError, StrokeError
 from .fields import VectorField, from_complex, to_complex
 from .geometry import Isometry, Surface, rigid_generator
@@ -245,28 +249,37 @@ def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
     return np.array([w.real, w.imag, rot]), g
 
 
-# Particle-stages (particles times RK4 stage times) per block of steps in
-# composed mode: enough steps per block at small N to share the per-call
-# overhead, one step per block at large N so memory stays O(N).
-_BLOCK_PARTICLE_STAGES = 4096
+# Particle-nodes (particles times distinct stage times) per block of nodes
+# in composed mode: many nodes per block at small N to share the per-call
+# overhead, three at N = 4000 (as many as one RK4 step has) so memory stays
+# O(N).
+_BLOCK_PARTICLE_NODES = 12288
 
 
-def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray]:
-    """sigma and sigma-dot at the stage times (t, t + dt/2, t + dt) of every step.
+def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma and sigma-dot at the distinct RK4 stage times (nodes) of the stroke.
 
-    Each step's stages come from the smooth piece the step belongs to.
-    Returns two arrays of shape (steps, 3, 2).
+    Step n has stages at t, t + dt/2 and t + dt, each from the smooth piece
+    the step belongs to.  Steps n and n + 1 share a node (the end of one is
+    the start of the next) when they lie in the same piece, so a stroke
+    without pieces has 2 steps + 1 nodes.  Returns sig and sigd of shape
+    (nodes, 2) and stages of shape (steps, 3), the node of each stage.
     """
     dt = 1.0 / stroke.steps
-    sig = np.empty((stroke.steps, 3, 2))
-    sigd = np.empty((stroke.steps, 3, 2))
+    sig, sigd = [], []
+    stages = np.empty((stroke.steps, 3), dtype=np.intp)
+    last = None
     for n in range(stroke.steps):
         t = n * dt
+        piece = None if stroke.piece_of is None else stroke.piece_of(t + 0.5 * dt)
+        times = (t, t + 0.5 * dt, t + dt) if n == 0 or piece != last else (t + 0.5 * dt, t + dt)
         s, sd = stroke.evaluators(t + 0.5 * dt)
-        for i, ts in enumerate((t, t + 0.5 * dt, t + dt)):
-            sig[n, i] = s(ts)
-            sigd[n, i] = sd(ts)
-    return sig, sigd
+        for ts in times:
+            sig.append(s(ts))
+            sigd.append(sd(ts))
+        stages[n] = np.arange(len(sig) - 3, len(sig))
+        last = piece
+    return np.array(sig), np.array(sigd), stages
 
 
 # Below |q| = 1, _expm2 sums the Taylor series of c(q), S(q) and S'(q) to
@@ -327,49 +340,78 @@ def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> T
     return _expm2(C, Cd)
 
 
+def _rigid_velocity(v: np.ndarray, tau: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """v + tau . xi for velocities v (..., N, 2), Killing coefficients tau
+    (..., 3) and the Killing frame (..., 3, N, 2) at the same points."""
+    return v + np.einsum("...a,...anj->...nj", tau, frame)
+
+
 def _integrate_composed(body, surface, B, stroke, record):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
-    Returns (G, max momentum residual, max space-frame speed, recorded
-    positions at each step's first stage).
+    A depends on time alone, so each distinct stage time (node) is
+    evaluated once: the shapes of all nodes come from one closed-form shape
+    flow, the generators of a block of nodes from one momentum-map call and
+    one stacked 3x3 solve, and G is advanced over a step once its three
+    nodes are in.  Every per-particle array lives in buffers allocated once
+    per stroke.  Returns (G, max momentum residual, max space-frame speed,
+    recorded positions at each step's first stage, shape closure defect).
     """
     X0 = body.positions
     steps, R = stroke.steps, surface.R
     dt = 1.0 / steps
-    E, Ed = _shape_flow(B, *_stage_controls(stroke))
-    per_block = max(1, _BLOCK_PARTICLE_STAGES // (3 * body.n))
-    G = np.eye(2, dtype=complex)
+    sig, sigd, stages = _stage_controls(stroke)
+    nodes = len(sig)
+    # The loop's end points ride along in the same shape-flow call.
+    ends = np.stack([stroke.sigma(0.0), stroke.sigma(1.0)])
+    E, Ed = _shape_flow(B, np.concatenate([sig, ends]), np.concatenate([sigd, np.zeros_like(ends)]))
+    closure = float(np.max(np.abs(E[-1] - E[-2])))
+    per_block = min(nodes, max(1, _BLOCK_PARTICLE_NODES // body.n))
+    work = momentum_work((per_block, body.n), 1)
+    Y = np.empty((per_block, body.n, 2))
+    Vy = np.empty((per_block, body.n, 2))
+    A = np.empty((nodes, 2, 2), dtype=complex)
+    G = np.empty((steps + 1, 2, 2), dtype=complex)     # at each step's start, and the end
+    G[0] = np.eye(2)
+    starts = stages[:, 0]
+    n = 0
     max_residual = max_speed = 0.0
     rec_pos: List[np.ndarray] = []
-    for n0 in range(0, steps, per_block):
-        blk = slice(n0, min(n0 + per_block, steps))
-        Y = X0 @ np.swapaxes(E[blk], -1, -2)             # (steps, 3 stages, N, 2)
-        Vy = X0 @ np.swapaxes(Ed[blk], -1, -2)
-        gram, mom, _, frame = momentum_map(body, surface, Vy[..., None, :, :], Y)
-        tau = _connection(gram, mom[..., 0, :])           # (steps, 3 stages, 3)
-        A = rigid_generator(surface, tau)
-        G_first = np.empty((len(tau), 2, 2), dtype=complex)
-        for j, (A1, A2, A3) in enumerate(A):
-            G_first[j] = G
-            k1 = G @ A1
-            k2 = (G + 0.5 * dt * k1) @ A2
-            k3 = (G + 0.5 * dt * k2) @ A2
-            k4 = (G + dt * k3) @ A3
-            G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # Diagnostics at each step's first stage.  The speed is read in the
-        # space frame: x-dot = g'(Y) (Y-dot + tau . xi(Y)) with g = G there.
-        tau1 = tau[:, 0]
-        residual = (gram[:, 0] @ tau1[..., None])[..., 0] + mom[:, 0, 0]
+    for lo in range(0, nodes, per_block):
+        hi = min(lo + per_block, nodes)
+        y, vy = Y[: hi - lo], Vy[: hi - lo]
+        np.matmul(X0, np.swapaxes(E[lo:hi], -1, -2), out=y)
+        np.matmul(X0, np.swapaxes(Ed[lo:hi], -1, -2), out=vy)
+        gram, mom, _, frame = momentum_map(body, surface, vy[:, None], y, work=work)
+        tau = _connection(gram, mom[:, 0])                # (nodes of the block, 3)
+        A[lo:hi] = rigid_generator(surface, tau)
+        while n < steps and stages[n, 2] < hi:
+            A1, A2, A3 = A[stages[n]]
+            g = G[n]
+            k1 = g @ A1
+            k2 = (g + 0.5 * dt * k1) @ A2
+            k3 = (g + 0.5 * dt * k2) @ A2
+            k4 = (g + dt * k3) @ A3
+            G[n + 1] = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            n += 1
+        # Diagnostics at the first stage of the steps that start in this
+        # block, whose G is known by now.  The speed is read in the space
+        # frame: x-dot = g'(Y) (Y-dot + tau . xi(Y)) with g = G there.
+        first = slice(*np.searchsorted(starts, (lo, hi)))
+        i = starts[first] - lo
+        if len(i) == 0:
+            continue
+        residual = (gram[i] @ tau[i, :, None])[..., 0] + mom[i, 0]
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
-        yz = to_complex(Y[:, 0])
-        wz = to_complex(Vy[:, 0] + np.einsum("sa,sanj->snj", tau1, frame[:, 0]))
-        a, b = G_first[:, 0, 0, None], G_first[:, 0, 1, None]
+        yz = to_complex(y[i])
+        wz = to_complex(_rigid_velocity(vy[i], tau[i], frame[i]))
+        a, b = G[first, 0, 0, None], G[first, 0, 1, None]
         den = -R * np.conj(b) * yz + np.conj(a)
         det = np.abs(a) ** 2 + R * np.abs(b) ** 2
         max_speed = max(max_speed, float(np.max(np.abs(from_complex(det / den**2 * wz)))))
         if record:
             rec_pos.extend(from_complex((a * yz + b) / den))
-    return G, max_residual, max_speed, rec_pos
+    return G[steps], max_residual, max_speed, rec_pos, closure
 
 
 def _integrate_direct(body, surface, fields, stroke, record):
@@ -387,7 +429,7 @@ def _integrate_direct(body, surface, fields, stroke, record):
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
         gram, mom, _, frame = momentum_map(body, surface, v_def[None], X)
         tau_dot = _connection(gram, mom[0])
-        xdot = v_def + sum(c * xi for c, xi in zip(tau_dot, frame))
+        xdot = _rigid_velocity(v_def, tau_dot, frame)
         residual = float(np.max(np.abs(gram @ tau_dot + mom[0])))
         return xdot, rigid_generator(surface, tau_dot) @ Gm, residual
 
@@ -437,10 +479,7 @@ def integrate_stroke(
                 "for general field evaluators"
             )
         B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-        G, max_residual, max_speed, rec_pos = _integrate_composed(body, surface, B, stroke, record)
-        ends = np.stack([stroke.sigma(0.0), stroke.sigma(1.0)])
-        E0, E1 = _shape_flow(B, ends, np.zeros_like(ends))[0]
-        closure = float(np.max(np.abs(E1 - E0)))
+        G, max_residual, max_speed, rec_pos, closure = _integrate_composed(body, surface, B, stroke, record)
     else:
         X, G, max_residual, max_speed, rec_pos = _integrate_direct(body, surface, fields, stroke, record)
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvswim.body import Body, balance, momentum_map, moments, principal_axes, scalar_product
+from curvswim.body import (
+    Body,
+    balance,
+    momentum_map,
+    momentum_work,
+    moments,
+    principal_axes,
+    scalar_product,
+)
 from curvswim.errors import ChartDomainError
 from curvswim.fields import VectorField, linear_field
 from curvswim.geometry import Surface, killing_fields
@@ -158,6 +166,30 @@ def test_momentum_map_memory_stays_within_a_few_stage_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2.2e6
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
+    rng = np.random.default_rng(6)
+    s = Surface(R)
+    for n in (1, 7, 300):
+        b, x, V = _stage_batch(rng, n, batch, k=k)
+        fresh = momentum_map(b, s, V, x)
+        # a longer workspace serves from its start
+        W = momentum_work(batch + (n + 1,), k + 1)
+        first = momentum_map(b, s, V, x, work=W)
+        for got, expected in zip(first, fresh):
+            assert np.array_equal(got, expected)
+        # only the frame aliases the workspace: a second call into it
+        # leaves the first call's pairings alone
+        gram, mom, vv, frame = first
+        assert np.shares_memory(frame, W)
+        kept = [a.copy() for a in (gram, mom, vv)]
+        momentum_map(b, s, 0.5 * V, 0.5 * x, work=W)
+        for got, expected in zip((gram, mom, vv), kept):
+            assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------- scalar product

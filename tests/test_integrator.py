@@ -1,10 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm_frechet
 
+import curvswim
+import curvswim.integrator as integrator
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, StrokeError
@@ -465,6 +473,95 @@ def test_composed_memory_stays_linear_in_particles():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "kind, steps, nodes",
+    [
+        ("sinusoid", 4, 9),
+        ("sinusoid", 16, 33),
+        ("rectangle", 4, 12),
+        ("rectangle", 16, 4 * 9),
+        ("rectangle-smooth", 16, 4 * 9),
+    ],
+)
+def test_composed_evaluates_each_stage_time_once(monkeypatch, kind, steps, nodes):
+    # A depends on time alone, so a step's end stage is the next step's start
+    # stage inside one smooth piece: 2 steps + 1 nodes per piece, and every
+    # edge of the rectangle is its own piece.
+    body, fields = _random_body()
+    s = Surface(-1.0)
+    stroke = REFERENCE_STROKES[kind](steps)
+    evaluated = []
+
+    def counting(body, surface, velocities, x=None, **kwargs):
+        evaluated.append(math.prod(np.shape(x)[:-2]))
+        return momentum_map(body, surface, velocities, x, **kwargs)
+
+    monkeypatch.setattr(integrator, "momentum_map", counting)
+    rec = integrate_stroke(body, s, fields, stroke, mode="composed")
+    assert sum(evaluated) == nodes
+    dtau = reference_composed(body, s, fields, stroke)[0]
+    assert np.max(np.abs(rec.delta_tau - dtau)) <= 1e-12 * np.max(np.abs(dtau))
+
+
+@pytest.mark.parametrize("kind", ["sinusoid", "rectangle"])
+def test_composed_blocks_do_not_change_the_result(monkeypatch, kind):
+    # Every node is paired on its own, so how the nodes are cut into blocks
+    # (one node, a part of a step, several steps, all) leaves every output
+    # bitwise unchanged.
+    body, fields = _random_body()
+    s = Surface(1.0)
+    stroke = REFERENCE_STROKES[kind](16)
+    runs = []
+    for per_block in (1, 2, 3, 5, 10**6):
+        monkeypatch.setattr(integrator, "_BLOCK_PARTICLE_NODES", per_block * body.n)
+        runs.append(integrate_stroke(body, s, fields, stroke, mode="composed", record=True))
+    for rec in runs[1:]:
+        assert np.array_equal(rec.delta_tau, runs[0].delta_tau)
+        assert np.array_equal(rec.positions, runs[0].positions)
+        assert rec.max_momentum_residual == runs[0].max_momentum_residual
+        assert rec.residual_bound == runs[0].residual_bound
+        assert rec.shape_closure_defect == runs[0].shape_closure_defect
+
+
+_FAULT_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from curvswim.body import Body
+    from curvswim.fields import linear_field
+    from curvswim.geometry import Surface
+    from curvswim.integrator import integrate_stroke, sinusoid_stroke
+
+    rng = np.random.default_rng(5)
+    n = 4000
+    r = 0.25 * np.sqrt(rng.uniform(0, 1, n))
+    phi = rng.uniform(0, 2 * np.pi, n)
+    body = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
+    fields = [linear_field(rng.uniform(-1, 1, (2, 2))) for _ in range(2)]
+    stroke = sinusoid_stroke(0.05, 0.05, steps=4)
+    for _ in range(5):
+        integrate_stroke(body, Surface(-1.0), fields, stroke)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        integrate_stroke(body, Surface(-1.0), fields, stroke)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults with getrusage")
+def test_composed_strokes_reuse_their_memory():
+    # Every block's per-particle arrays live in buffers allocated once per
+    # stroke, so strokes at N = 4000 reuse heap pages instead of faulting
+    # fresh ones in on every block (about 600 faults per stroke when each
+    # block allocated and freed its own).  A fresh process gives a clean heap.
+    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[-1]) <= 50
 
 
 # ----------------------------------------------------------------- errors
