@@ -114,19 +114,14 @@ def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
     return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
 
 
-def _work_rows(k: int) -> int:
-    """Rows of N per configuration in momentum_map's workspace with k
-    velocity arrays: the six Killing components, x, y, r2, the weight and
-    the weight times (1 - R r2); per velocity its two components and their
-    weighted copies; two rows of products per velocity (at least two).
-    """
-    return 11 + 4 * k + 2 * max(k, 1)
-
-
 def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
     """An uninitialized workspace for momentum_map(work=...) at points of
-    shape (..., N) with k velocity arrays per configuration."""
-    return np.empty(math.prod(points) * _work_rows(k))
+    shape (..., N) with k velocity arrays per configuration: per point, the
+    six Killing components, x, y, r2, the weight and the weight times
+    (1 - R r2); per velocity its two components and their weighted copies;
+    and two product rows per velocity (at least two).
+    """
+    return np.empty(math.prod(points) * (11 + 4 * k + 2 * max(k, 1)))
 
 
 def momentum_map(
@@ -181,7 +176,7 @@ def momentum_map(
     # would be on its own.
     rows = work[: 11 * size].reshape((11,) + points)
     vel = work[11 * size : (11 + 4 * nv) * size].reshape((4,) + points[:-1] + (nv,) + points[-1:])
-    P, Q = work[(11 + 4 * nv) * size : _work_rows(nv) * size].reshape(2, -1)
+    P, Q = work[(11 + 4 * nv) * size : (11 + 4 * nv + 2 * max(nv, 1)) * size].reshape(2, -1)
     k = rows[:6].reshape((3, 2) + points)
     x, y, r2, w = _weights(body, surface, x, out=rows[6:10])
     killing_components(surface, x, y, out=k)

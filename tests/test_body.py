@@ -190,6 +190,7 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
         momentum_map(b, s, 0.5 * V, 0.5 * x, work=W)
         for got, expected in zip((gram, mom, vv), kept):
             assert np.array_equal(got, expected)
+        assert not np.array_equal(frame, fresh[3])
 
 
 # ---------------------------------------------------------- scalar product

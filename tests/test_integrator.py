@@ -555,7 +555,7 @@ _FAULT_SCRIPT = textwrap.dedent(
 def test_composed_strokes_reuse_their_memory():
     # Every block's per-particle arrays live in buffers allocated once per
     # stroke, so strokes at N = 4000 reuse heap pages instead of faulting
-    # fresh ones in on every block (about 600 faults per stroke when each
+    # fresh ones in on every block (about 900 faults per stroke when each
     # block allocated and freed its own).  A fresh process gives a clean heap.
     paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
