@@ -22,6 +22,9 @@ from .geometry import (
 # |R| L^2 above this is outside the small-body regime the balancing
 # convention is designed for; warn but proceed.
 CURVATURE_EXTENT_WARN = 0.1
+BALANCE_TOLERANCE = 1e-12   # balance: largest first moment / max(1, extent)
+BALANCE_MAX_ITER = 50
+AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
 
 @dataclass(frozen=True)
@@ -232,7 +235,7 @@ def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField)
     return float(metric_pairing(body, surface, u(x), v(x)) / body.total_mass)
 
 
-def balance(body: Body, surface: Surface, tol: float = 1e-12, max_iter: int = 50) -> Body:
+def balance(body: Body, surface: Surface) -> Body:
     """Translate the body (by exact isometries) until its first moments vanish.
 
     Isometries act nonlinearly on the chart for R != 0, so the flat shift by
@@ -248,19 +251,19 @@ def balance(body: Body, surface: Surface, tol: float = 1e-12, max_iter: int = 50
         )
     current = body
     scale = max(1.0, np.sqrt(extent2))
-    for _ in range(max_iter):
+    for _ in range(BALANCE_MAX_ITER):
         q1 = np.einsum("n,ni->i", current.masses, current.positions) / current.total_mass
-        if np.max(np.abs(q1)) <= tol * scale:
+        if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
             return current
         shift = translation_to(surface, -q1)
         current = current.transformed(shift)
     raise BalanceConvergenceError(
-        f"first-moment balancing did not converge in {max_iter} iterations "
+        f"first-moment balancing did not converge in {BALANCE_MAX_ITER} iterations "
         f"(R={surface.R:g}, extent={np.sqrt(extent2):g})"
     )
 
 
-def principal_axes(body: Body, tol: float = 1e-14) -> Body:
+def principal_axes(body: Body) -> Body:
     """Rotate about the origin so the second moments are diagonal.
 
     Deterministic convention: if Q is already diagonal the body is returned
@@ -270,7 +273,7 @@ def principal_axes(body: Body, tol: float = 1e-14) -> Body:
     q2 = moments(body).q2
     qxx, qyy, qxy = q2[0, 0], q2[1, 1], q2[0, 1]
     scale = max(qxx, qyy, 1e-300)
-    if abs(qxy) <= tol * scale:
+    if abs(qxy) <= AXES_TOLERANCE * scale:
         if qxx >= qyy:
             return body
         return body.transformed(rotation_about_origin(Surface(0.0), np.pi / 2.0))

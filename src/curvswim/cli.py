@@ -70,6 +70,12 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _steps(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 4:
+        raise ConfigError(f"{path} must be an integer >= 4")
+    return value
+
+
 @dataclass
 class RunConfig:
     surface: Optional[Surface] = None
@@ -160,8 +166,7 @@ def parse_config(raw: Any) -> RunConfig:
         for v in amp:
             _number(v, "stroke.amplitudes")
         if "steps" in sec:
-            if isinstance(sec["steps"], bool) or not isinstance(sec["steps"], int) or sec["steps"] < 4:
-                raise ConfigError("stroke.steps must be an integer >= 4")
+            _steps(sec["steps"], "stroke.steps")
         if "profile" in sec and sec["profile"] not in ("uniform", "smooth"):
             raise ConfigError("stroke.profile must be 'uniform' or 'smooth'")
         cfg.stroke_cfg = dict(sec)
@@ -243,7 +248,7 @@ def _prepared_body(cfg: RunConfig) -> Body:
 
 def _build_stroke(cfg: RunConfig, steps_override: Optional[int]) -> Stroke:
     sec = _need(cfg, "stroke_cfg", "stroke")
-    steps = steps_override or sec.get("steps", DEFAULT_STEPS)
+    steps = sec.get("steps", DEFAULT_STEPS) if steps_override is None else _steps(steps_override, "--steps")
     a1, a2 = float(sec["amplitudes"][0]), float(sec["amplitudes"][1])
     if sec["type"] == "rectangle":
         return rectangle_stroke(a1, a2, steps=steps, profile=sec.get("profile", "uniform"))

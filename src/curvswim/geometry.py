@@ -56,6 +56,7 @@ __all__ = [
 
 # Relative margin kept between points and the hyperbolic chart boundary.
 _DOMAIN_MARGIN = 1e-9
+FD_STEP = 1e-4              # step h of numeric_exterior_derivative
 
 
 def _abs2(a: np.ndarray) -> np.ndarray:
@@ -195,7 +196,7 @@ class Isometry:
 
     @property
     def det(self) -> float:
-        return float(abs(self.alpha) ** 2 + self.R * abs(self.beta) ** 2)
+        return abs(self.alpha) ** 2 + self.R * abs(self.beta) ** 2
 
     def normalized(self) -> "Isometry":
         d = self.det
@@ -434,14 +435,13 @@ def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
     return killing_two_forms(surface, p)[index - 1]
 
 
-def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p, h: float = 1e-4) -> float:
+def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p) -> float:
     """Curl d_x f_y - d_y f_x of a one-form field by finite differences.
 
     The central difference D(h) has an O(h^2) error; the Richardson
-    combination (4 D(h/2) - D(h)) / 3 cancels it, leaving O(h^4).
+    combination (4 D(h/2) - D(h)) / 3 at h = FD_STEP cancels it, leaving
+    O(h^4).
     """
-    if h <= 0.0:
-        raise ValueError("step must be positive")
     a = as_points(p)
 
     def central(step: float):
@@ -451,7 +451,7 @@ def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p,
         dfx = (one_form(a + ey)[..., 0] - one_form(a - ey)[..., 0]) / (2.0 * step)
         return dfy - dfx
 
-    return float((4.0 * central(0.5 * h) - central(h)) / 3.0)
+    return float((4.0 * central(0.5 * FD_STEP) - central(FD_STEP)) / 3.0)
 
 
 def lowered_covariant_gradient(surface: Surface, f: VectorField, p) -> np.ndarray:

@@ -34,6 +34,7 @@ from .geometry import CurvatureTensor, Surface, killing_two_forms
 
 GAUGE_TOLERANCE = 1e-8
 RANK_CUTOFF = 1e-10
+BALANCE_TOLERANCE = 1e-9    # holonomy_small_swimmer: |Q^j| / (M max(1, extent))
 
 
 @dataclass(frozen=True)
@@ -83,39 +84,27 @@ def holonomy_general(
     u: VectorField,
     v: VectorField,
     area: float,
-    gauge_tol: float = GAUGE_TOLERANCE,
-    rank_cutoff: float = RANK_CUTOFF,
 ) -> HolonomyResult:
     """Solve the swim equations with the exact two-forms of the surface.
 
     u and v must already satisfy the gauge condition against the Killing
-    set (project first if unsure); a residual above gauge_tol is an error,
-    not a warning, because the leading-order derivation relies on it.
+    set (project first if unsure); a residual above GAUGE_TOLERANCE is an
+    error, not a warning, because the leading-order derivation relies on it.
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
     G, res = gauge_pairings(body, surface, uv)
-    if np.max(res) > gauge_tol:
+    if np.max(res) > GAUGE_TOLERANCE:
         raise GaugeConditionError(
             f"deformation fields violate the gauge condition "
-            f"(max residual {np.max(res):.3e} > {gauge_tol:.1e}); "
+            f"(max residual {np.max(res):.3e} > {GAUGE_TOLERANCE:.1e}); "
             "apply project_gauge first"
         )
     c = killing_two_forms(surface, x)
     rhs = -area * _wedge_sum(body, c, uv[0], uv[1])
-    return _solve_on_range(G, rhs, area, res, rank_cutoff)
-
-
-def _solve_on_range(
-    G: np.ndarray,
-    rhs: np.ndarray,
-    area: float,
-    res: np.ndarray,
-    rank_cutoff: float,
-) -> HolonomyResult:
     eigvals, eigvecs = np.linalg.eigh(G)
     top = max(float(eigvals[-1]), 1e-300)
-    keep = eigvals > rank_cutoff * top
+    keep = eigvals > RANK_CUTOFF * top
     rank = int(np.sum(keep))
     if rank == 0:
         raise SingularGramError("Killing Gram matrix vanishes", rank=0, eigenvalues=eigvals)
@@ -140,7 +129,6 @@ def holonomy_small_swimmer(
     u: VectorField,
     v: VectorField,
     area: float,
-    balance_tol: float = 1e-9,
 ) -> np.ndarray:
     """Translation increment of a small balanced swimmer from the curvature.
 
@@ -153,7 +141,7 @@ def holonomy_small_swimmer(
     x = body.positions[:, :d]
     q1 = np.einsum("n,ni->i", body.masses, x)
     scale = max(1.0, float(np.max(np.abs(x)))) * body.total_mass
-    if np.max(np.abs(q1)) > balance_tol * scale:
+    if np.max(np.abs(q1)) > BALANCE_TOLERANCE * scale:
         raise ValueError(
             f"body is not balanced (|Q^j| = {np.max(np.abs(q1)):.3e}); balance it first"
         )

@@ -10,6 +10,12 @@ The rigid element is accumulated multiplicatively as a 2x2 group matrix G,
 advanced by fixed-step RK4 (stage times t, t + dt/2, t + dt of each step),
 so the three Killing flows never get summed commutatively.
 
+A Stroke is its smooth pieces: P (sigma, sigma_dot) pairs of the stroke
+time, piece p covering [p/P, (p+1)/P], with steps a multiple of P.  Both
+modes read sigma-dot (composed mode also sigma) from one table of the
+distinct stage times (nodes), each taken from the piece holding its step:
+a step's end stage is the next step's start stage inside one piece.
+
 Two shape-evolution models are provided:
 
   mode="composed" (default)   the shape at control value sigma is the
@@ -21,10 +27,8 @@ Two shape-evolution models are provided:
       under isometries, so the rigid velocity read in the body frame, A,
       depends on the shape alone (the local connection), and G obeys the
       reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
-      equation.  A depends on time alone, so each distinct stage time
-      (node) is evaluated once: a step's end stage is the next step's
-      start stage when both lie in one smooth piece of the stroke.  The
-      shapes and shape velocities of every node come from one batched
+      equation.  A depends on time alone, so each node is evaluated once.
+      The shapes and shape velocities of every node come from one batched
       closed-form 2x2 exponential and its Frechet derivative, the
       generators of a block of nodes from one momentum-map call and one
       stacked 3x3 solve into buffers allocated once per stroke, and only
@@ -64,58 +68,47 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 1024
+Piece = Tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]
 
 
 @dataclass(frozen=True)
 class Stroke:
     """Closed loop in the two-dimensional control (strain coefficient) space.
 
-    Piecewise-smooth loops (the built-in rectangle) additionally expose
-    per-piece closed forms so the integrator can keep every RK4 step inside
-    one smooth piece; stage times at a piece boundary are then evaluated by
-    the continuous extension of the piece the step belongs to.
+    pieces holds P smooth (sigma, sigma_dot) pairs of the stroke time t in
+    [0, 1], piece p covering [p/P, (p+1)/P].  steps is rounded up to a
+    multiple of P, so every RK4 step lies inside one piece.
     """
 
-    sigma: Callable[[float], np.ndarray]
-    sigma_dot: Callable[[float], np.ndarray]
+    pieces: Tuple[Piece, ...]
     steps: int
     signed_area: float
-    piece_of: Optional[Callable[[float], int]] = None
-    piece_sigma: Optional[Callable[[int, float], np.ndarray]] = None
-    piece_sigma_dot: Optional[Callable[[int, float], np.ndarray]] = None
 
     def __post_init__(self):
         if self.steps < 4:
             raise StrokeError("a stroke needs at least 4 time steps")
+        P = len(self.pieces)
+        object.__setattr__(self, "pieces", tuple(self.pieces))
+        object.__setattr__(self, "steps", P * math.ceil(self.steps / P))
         gap = float(np.max(np.abs(np.asarray(self.sigma(1.0)) - np.asarray(self.sigma(0.0)))))
         if gap > 1e-12:
             raise StrokeError(f"control loop does not close: |sigma(1)-sigma(0)| = {gap:.3e}")
 
-    def evaluators(self, t_hint: float) -> Tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]:
-        """Smooth (sigma, sigma_dot) pair valid around the time t_hint."""
-        if self.piece_of is None:
-            return self.sigma, self.sigma_dot
-        piece = self.piece_of(t_hint)
-        return (
-            lambda t: self.piece_sigma(piece, t),
-            lambda t: self.piece_sigma_dot(piece, t),
-        )
+    def piece(self, t: float) -> Piece:
+        """The (sigma, sigma_dot) pair of the piece holding the time t."""
+        P = len(self.pieces)
+        return self.pieces[min(max(int(t * P), 0), P - 1)]
+
+    def sigma(self, t: float) -> np.ndarray:
+        return self.piece(t)[0](t)
+
+    def sigma_dot(self, t: float) -> np.ndarray:
+        return self.piece(t)[1](t)
 
     def reversed(self) -> "Stroke":
-        pieces = {}
-        if self.piece_of is not None:
-            pieces = dict(
-                piece_of=lambda t: self.piece_of(1.0 - t),
-                piece_sigma=lambda pc, t: self.piece_sigma(pc, 1.0 - t),
-                piece_sigma_dot=lambda pc, t: -self.piece_sigma_dot(pc, 1.0 - t),
-            )
-        return Stroke(
-            sigma=lambda t: self.sigma(1.0 - t),
-            sigma_dot=lambda t: -self.sigma_dot(1.0 - t),
-            steps=self.steps,
-            signed_area=-self.signed_area,
-            **pieces,
-        )
+        """The loop run backwards: its piece p is piece P - 1 - p run backwards."""
+        pieces = tuple((lambda t, s=s: s(1.0 - t), lambda t, sd=sd: -sd(1.0 - t)) for s, sd in reversed(self.pieces))
+        return Stroke(pieces, self.steps, -self.signed_area)
 
     def with_steps(self, steps: int) -> "Stroke":
         return replace(self, steps=int(steps))
@@ -128,44 +121,23 @@ def _smoothstep(s: float) -> Tuple[float, float]:
 def rectangle_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS, profile: str = "uniform") -> Stroke:
     """Rectangle loop centered on the undeformed shape, traversed ccw.
 
-    Corners [+-d1/2] x [+-d2/2]; enclosed signed area d1 * d2.  steps is
-    rounded up to a multiple of 4 so corners land on step boundaries and
-    the integrator keeps its full order on each smooth edge.
+    Corners [+-d1/2] x [+-d2/2]; enclosed signed area d1 * d2.  Each edge
+    is one smooth piece, so steps is rounded up to a multiple of 4.
     """
     if profile not in ("uniform", "smooth"):
         raise StrokeError(f"unknown speed profile {profile!r}")
-    steps = int(math.ceil(steps / 4.0) * 4)
+    ease = _smoothstep if profile == "smooth" else (lambda s: (s, 1.0))
     a, b = 0.5 * float(d1), 0.5 * float(d2)
     corners = np.array([[-a, -b], [a, -b], [a, b], [-a, b], [-a, -b]])
 
-    def piece_of(t: float) -> int:
-        return min(int((t % 1.0) * 4.0), 3) if t < 1.0 else 3
+    def edge(k: int) -> Piece:
+        p0, p1 = corners[k], corners[k + 1]
+        return (
+            lambda t: p0 + ease(t * 4.0 - k)[0] * (p1 - p0),
+            lambda t: 4.0 * ease(t * 4.0 - k)[1] * (p1 - p0),
+        )
 
-    def piece_sigma(edge: int, t: float) -> np.ndarray:
-        s = t * 4.0 - edge
-        if profile == "smooth":
-            s, _ = _smoothstep(s)
-        p0, p1 = corners[edge], corners[edge + 1]
-        return p0 + s * (p1 - p0)
-
-    def piece_sigma_dot(edge: int, t: float) -> np.ndarray:
-        s = t * 4.0 - edge
-        rate = 4.0
-        if profile == "smooth":
-            _, ds = _smoothstep(s)
-            rate *= ds
-        p0, p1 = corners[edge], corners[edge + 1]
-        return rate * (p1 - p0)
-
-    return Stroke(
-        sigma=lambda t: piece_sigma(piece_of(t), t),
-        sigma_dot=lambda t: piece_sigma_dot(piece_of(t), t),
-        steps=steps,
-        signed_area=float(d1) * float(d2),
-        piece_of=piece_of,
-        piece_sigma=piece_sigma,
-        piece_sigma_dot=piece_sigma_dot,
-    )
+    return Stroke(tuple(edge(k) for k in range(4)), steps, float(d1) * float(d2))
 
 
 def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
@@ -183,7 +155,7 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
         t %= 1.0
         return np.array([a * w * math.sin(w * t), -b * w * math.cos(w * t)])
 
-    return Stroke(sigma, sigma_dot, int(steps), math.pi * a * b)
+    return Stroke(((sigma, sigma_dot),), int(steps), math.pi * a * b)
 
 
 def momentum(body: Body, surface: Surface, xi: VectorField, velocities) -> float:
@@ -259,26 +231,23 @@ _BLOCK_PARTICLE_NODES = 12288
 def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma and sigma-dot at the distinct RK4 stage times (nodes) of the stroke.
 
-    Step n has stages at t, t + dt/2 and t + dt, each from the smooth piece
-    the step belongs to.  Steps n and n + 1 share a node (the end of one is
-    the start of the next) when they lie in the same piece, so a stroke
-    without pieces has 2 steps + 1 nodes.  Returns sig and sigd of shape
-    (nodes, 2) and stages of shape (steps, 3), the node of each stage.
+    Step n has stages at t, t + dt/2 and t + dt from the piece holding it,
+    and its start is the end node of step n - 1 inside one piece (2 steps
+    + 1 nodes per piece).  Returns sig and sigd of shape (nodes, 2) and
+    stages of shape (steps, 3), the node of each stage.
     """
     dt = 1.0 / stroke.steps
+    per_piece = stroke.steps // len(stroke.pieces)
     sig, sigd = [], []
     stages = np.empty((stroke.steps, 3), dtype=np.intp)
-    last = None
     for n in range(stroke.steps):
         t = n * dt
-        piece = None if stroke.piece_of is None else stroke.piece_of(t + 0.5 * dt)
-        times = (t, t + 0.5 * dt, t + dt) if n == 0 or piece != last else (t + 0.5 * dt, t + dt)
-        s, sd = stroke.evaluators(t + 0.5 * dt)
+        s, sd = stroke.pieces[n // per_piece]
+        times = (t, t + 0.5 * dt, t + dt) if n % per_piece == 0 else (t + 0.5 * dt, t + dt)
         for ts in times:
             sig.append(s(ts))
             sigd.append(sd(ts))
         stages[n] = np.arange(len(sig) - 3, len(sig))
-        last = piece
     return np.array(sig), np.array(sigd), stages
 
 
@@ -403,14 +372,12 @@ def _integrate_composed(body, surface, B, stroke, record):
             continue
         residual = (gram[i] @ tau[i, :, None])[..., 0] + mom[i, 0]
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
+        g = Isometry(G[first, 0, 0, None], G[first, 0, 1, None], R)
         yz = to_complex(y[i])
         wz = to_complex(_rigid_velocity(vy[i], tau[i], frame[i]))
-        a, b = G[first, 0, 0, None], G[first, 0, 1, None]
-        den = -R * np.conj(b) * yz + np.conj(a)
-        det = np.abs(a) ** 2 + R * np.abs(b) ** 2
-        max_speed = max(max_speed, float(np.max(np.abs(from_complex(det / den**2 * wz)))))
+        max_speed = max(max_speed, float(np.max(np.abs(from_complex(g.derivative_complex(yz) * wz)))))
         if record:
-            rec_pos.extend(from_complex((a * yz + b) / den))
+            rec_pos.extend(from_complex(g.apply_complex(yz)))
     return G[steps], max_residual, max_speed, rec_pos, closure
 
 
@@ -421,11 +388,11 @@ def _integrate_direct(body, surface, fields, stroke, record):
     positions at each step's first stage).
     """
     dt = 1.0 / stroke.steps
+    _, sigd, stages = _stage_controls(stroke)
     max_residual = max_speed = 0.0
     rec_pos: List[np.ndarray] = []
 
-    def deriv(t: float, X: np.ndarray, Gm: np.ndarray, sigd):
-        sd = sigd(t)
+    def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
         gram, mom, _, frame = momentum_map(body, surface, v_def[None], X)
         tau_dot = _connection(gram, mom[0])
@@ -436,16 +403,15 @@ def _integrate_direct(body, surface, fields, stroke, record):
     X = body.positions.copy()
     G = np.eye(2, dtype=complex)
     for n in range(stroke.steps):
-        t = n * dt
-        _, sigd = stroke.evaluators(t + 0.5 * dt)
-        kx1, kg1, residual = deriv(t, X, G, sigd)
+        sd1, sd2, sd3 = sigd[stages[n]]
+        kx1, kg1, residual = deriv(X, G, sd1)
         max_residual = max(max_residual, residual)
         max_speed = max(max_speed, float(np.max(np.abs(kx1))))
         if record:
             rec_pos.append(X.copy())
-        kx2, kg2, _ = deriv(t + 0.5 * dt, X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sigd)
-        kx3, kg3, _ = deriv(t + 0.5 * dt, X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sigd)
-        kx4, kg4, _ = deriv(t + dt, X + dt * kx3, G + dt * kg3, sigd)
+        kx2, kg2, _ = deriv(X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sd2)
+        kx3, kg3, _ = deriv(X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sd2)
+        kx4, kg4, _ = deriv(X + dt * kx3, G + dt * kg3, sd3)
         X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
         G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
     return X, G, max_residual, max_speed, rec_pos

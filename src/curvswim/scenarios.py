@@ -24,6 +24,9 @@ from .fields import VectorField, linear_field
 from .geometry import Surface
 from .holonomy import holonomy_general
 
+RING_STEPS = 4096           # ring_simulate: fixed steps until the splinters meet
+ROTATION_FLOOR = 1e-9       # baron_cat_report: smallest rotation that counts as turning
+
 
 @dataclass(frozen=True)
 class TriangleSpec:
@@ -110,7 +113,7 @@ def ring_displacement(spec: RingSpec) -> float:
     return spec.length * spec.m2 / (spec.m1 + spec.m2)
 
 
-def ring_simulate(spec: RingSpec, steps: int = 4096) -> float:
+def ring_simulate(spec: RingSpec) -> float:
     """Direct 1D momentum-conserving split-and-fuse run on the ring.
 
     Marches both splinters with a fixed step and resolves the meeting time
@@ -119,7 +122,7 @@ def ring_simulate(spec: RingSpec, steps: int = 4096) -> float:
     """
     v1 = spec.m2 / (spec.m1 + spec.m2)
     v2 = spec.m1 / (spec.m1 + spec.m2)
-    dt = spec.length / ((v1 + v2) * steps) * 1.37  # incommensurate with the meeting time
+    dt = spec.length / ((v1 + v2) * RING_STEPS) * 1.37  # incommensurate with the meeting time
     t = 0.0
     gap_prev = spec.length
     while True:
@@ -140,7 +143,7 @@ class BaronCatReport:
     turning_pairs: List[Tuple[Tuple[int, int], Tuple[int, int]]]
 
 
-def baron_cat_report(body: Body, area: float = 1.0, rotation_floor: float = 1e-9) -> BaronCatReport:
+def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     """Check that a flat-space body can at best turn, never translate.
 
     The body is balanced and rotated to principal axes, every pair of
@@ -164,6 +167,6 @@ def baron_cat_report(body: Body, area: float = 1.0, rotation_floor: float = 1e-9
             res = holonomy_general(prepared, surface, fb, fc, area)
             max_tr = max(max_tr, float(np.max(np.abs(res.translation))))
             rotations[(pb, pc)] = res.rotation
-            if abs(res.rotation) > rotation_floor:
+            if abs(res.rotation) > ROTATION_FLOOR:
                 turning.append((pb, pc))
     return BaronCatReport(max_translation=max_tr, rotations=rotations, turning_pairs=turning)

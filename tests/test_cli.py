@@ -208,6 +208,19 @@ def test_sweep_requires_csv(tmp_path):
     assert main(["sweep", "--config", write_config(tmp_path, SWEEP_CONFIG), "--format", "json"]) == 2
 
 
+@pytest.mark.parametrize("steps", ["0", "2", "-3"])
+@pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep"])
+def test_steps_flag_follows_the_config_rule(tmp_path, capsys, command, steps):
+    # --steps, like stroke.steps, must be an integer >= 4: 0 is not a
+    # fallback to the config, 2 is not rounded up, -3 is no numerical failure
+    cfg = SWEEP_CONFIG if command == "sweep" else BASE_CONFIG
+    out = tmp_path / "never.out"
+    code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out), "--steps", steps])
+    assert code == 2
+    assert not out.exists()
+    assert "--steps must be an integer >= 4" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- triangle / ring
 
 
@@ -332,3 +345,15 @@ def test_cli_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+@pytest.mark.parametrize("script", ["convergence_table.py", "triangle_optimum.py"])
+def test_scripts_run(script):
+    # The scripts call the library directly, so an API change shows here.
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--steps", "16"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -73,8 +73,7 @@ def test_solver_residual_below_bound():
 def test_custom_stroke_must_close():
     with pytest.raises(StrokeError):
         Stroke(
-            sigma=lambda t: np.array([t, 0.0]),
-            sigma_dot=lambda t: np.array([1.0, 0.0]),
+            pieces=((lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0])),),
             steps=16,
             signed_area=0.0,
         )
@@ -100,6 +99,17 @@ def test_builtin_stroke_areas():
 
 def test_rectangle_steps_rounded_to_multiple_of_four():
     assert rectangle_stroke(0.1, 0.1, steps=10).steps == 12
+
+
+def test_with_steps_keeps_every_step_inside_one_edge():
+    # with_steps rounds like the constructor: 42 steps would put corners
+    # inside steps, so the stroke takes 44, bitwise the same as asking for 44
+    s = Surface(1.0)
+    stroke = rectangle_stroke(0.1, 0.1, steps=16).with_steps(42)
+    assert stroke.steps == 44
+    got = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke)
+    want = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], rectangle_stroke(0.1, 0.1, steps=44))
+    assert np.array_equal(got.delta_tau, want.delta_tau)
 
 
 LOOPS = {
@@ -376,7 +386,7 @@ def reference_composed(body, surface, fields, stroke, record=False):
 
     for n in range(steps):
         t = n * dt
-        sig, sigd = stroke.evaluators(t + 0.5 * dt)
+        sig, sigd = stroke.piece(t + 0.5 * dt)
         k1 = deriv(t, G, True, sig, sigd)
         k2 = deriv(t + 0.5 * dt, G + 0.5 * dt * k1, False, sig, sigd)
         k3 = deriv(t + 0.5 * dt, G + 0.5 * dt * k2, False, sig, sigd)
@@ -483,6 +493,8 @@ def test_composed_memory_stays_linear_in_particles():
         ("rectangle", 4, 12),
         ("rectangle", 16, 4 * 9),
         ("rectangle-smooth", 16, 4 * 9),
+        ("reversed-rectangle", 16, 4 * 9),
+        ("reversed-sinusoid", 16, 33),
     ],
 )
 def test_composed_evaluates_each_stage_time_once(monkeypatch, kind, steps, nodes):
