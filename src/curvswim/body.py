@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -29,6 +30,8 @@ AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
 @dataclass(frozen=True)
 class Body:
+    """Point masses in the chart; immutable, so its mass, extent and moments are cached."""
+
     masses: np.ndarray      # (N,), strictly positive
     positions: np.ndarray   # (N, 2) chart coordinates
 
@@ -41,6 +44,8 @@ class Body:
             raise ValueError(f"inconsistent body arrays: masses {m.shape}, positions {x.shape}")
         if m.shape[0] < 1:
             raise ValueError("a body needs at least one particle")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(x))):
+            raise ValueError("masses and positions must be finite")
         if np.any(m <= 0.0):
             raise ValueError("all masses must be positive")
         m.setflags(write=False)
@@ -60,13 +65,22 @@ class Body:
     def n(self) -> int:
         return self.masses.shape[0]
 
-    @property
+    @cached_property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
 
-    @property
+    @cached_property
     def extent(self) -> float:
         return float(np.max(np.linalg.norm(self.positions, axis=1)))
+
+    @cached_property
+    def _moments(self) -> "Moments":
+        m, x = self.masses, self.positions
+        q = (np.einsum("n,ni->i", m, x), np.einsum("n,ni,nj->ij", m, x, x),
+             np.einsum("n,ni,nj,nk->ijk", m, x, x, x))
+        for a in q:
+            a.setflags(write=False)
+        return Moments(*q, total_mass=self.total_mass)
 
     def transformed(self, g: Isometry) -> "Body":
         return Body(masses=self.masses, positions=g(self.positions))
@@ -86,11 +100,8 @@ class Moments:
 
 
 def moments(body: Body) -> Moments:
-    m, x = body.masses, body.positions
-    q1 = np.einsum("n,ni->i", m, x)
-    q2 = np.einsum("n,ni,nj->ij", m, x, x)
-    q3 = np.einsum("n,ni,nj,nk->ijk", m, x, x, x)
-    return Moments(q1=q1, q2=q2, q3=q3, total_mass=body.total_mass)
+    """The body's moments, formed on first use and cached: one read-only object per body."""
+    return body._moments
 
 
 def _weights(body: Body, surface: Surface, x, out=None) -> np.ndarray:
@@ -240,23 +251,24 @@ def balance(body: Body, surface: Surface) -> Body:
 
     Isometries act nonlinearly on the chart for R != 0, so the flat shift by
     the mean is iterated to a fixed point.  Convergence is geometric while
-    |R| L^2 stays well below one.
+    |R| L^2 stays well below one.  The iteration runs on the positions
+    array and builds one Body at the end; a body that is already balanced
+    is returned itself.
     """
-    extent2 = float(np.max(np.sum(body.positions**2, axis=1)))
+    x = body.positions
+    extent2 = float(np.max(np.sum(x**2, axis=1)))
     if abs(surface.R) * extent2 > CURVATURE_EXTENT_WARN:
         warnings.warn(
             f"body extent is large for this curvature (|R| L^2 = {abs(surface.R) * extent2:.3g}); "
             "chart-coordinate balancing degrades outside the small-body regime",
             stacklevel=2,
         )
-    current = body
     scale = max(1.0, np.sqrt(extent2))
     for _ in range(BALANCE_MAX_ITER):
-        q1 = np.einsum("n,ni->i", current.masses, current.positions) / current.total_mass
+        q1 = np.einsum("n,ni->i", body.masses, x) / body.total_mass
         if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
-            return current
-        shift = translation_to(surface, -q1)
-        current = current.transformed(shift)
+            return body if x is body.positions else Body(masses=body.masses, positions=x)
+        x = translation_to(surface, -q1)(x)
     raise BalanceConvergenceError(
         f"first-moment balancing did not converge in {BALANCE_MAX_ITER} iterations "
         f"(R={surface.R:g}, extent={np.sqrt(extent2):g})"

@@ -65,8 +65,8 @@ def _require_keys(section: Any, allowed: Sequence[str], required: Sequence[str],
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ChartDomainError
-from .fields import VectorField, as_points, from_complex, to_complex
+from .fields import VectorField, as_points, complex_view, to_complex
 
 __all__ = [
     "Surface",
@@ -69,6 +69,10 @@ class Surface:
     """Constant-curvature surface, identified by its metric parameter R."""
 
     R: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.R):
+            raise ValueError(f"surface parameter R must be finite, got {self.R!r}")
 
     def conformal(self, p) -> np.ndarray:
         """u(z) = 1 + R |z|^2, the reciprocal square root of the metric factor."""
@@ -211,7 +215,8 @@ class Isometry:
         return (a * z + b) / (-R * np.conj(b) * z + np.conj(a))
 
     def __call__(self, p) -> np.ndarray:
-        return from_complex(self.apply_complex(to_complex(p)))
+        """The image of chart points (..., 2), mapped through their complex view (no copy in)."""
+        return self.apply_complex(complex_view(p)).view(float)
 
     def derivative_complex(self, z):
         """Complex derivative of the chart action; rotates and scales tangents."""

@@ -147,7 +147,9 @@ def holonomy_small_swimmer(
         )
     uu = u(body.positions)[:, :d]
     vv = v(body.positions)[:, :d]
-    bracket = np.einsum("n,ni,nj,nl,jlik->k", body.masses, x, uu, vv, curv.components)
+    # the particle sums first, then the curvature: much cheaper than one five-operand einsum
+    moment = np.einsum("n,ni,nj,nl->ijl", body.masses, x, uu, vv)
+    bracket = np.einsum("ijl,jlik->k", moment, curv.components)
     return 2.0 * float(area) * bracket / body.total_mass
 
 

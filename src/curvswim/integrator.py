@@ -55,7 +55,7 @@ import numpy as np
 
 from .body import Body, metric_pairing, momentum_map, momentum_work
 from .errors import SingularGramError, StrokeError
-from .fields import VectorField, from_complex, to_complex
+from .fields import VectorField, complex_view
 from .geometry import Isometry, Surface, rigid_generator
 
 __all__ = [
@@ -309,10 +309,12 @@ def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> T
     return _expm2(C, Cd)
 
 
-def _rigid_velocity(v: np.ndarray, tau: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """v + tau . xi for velocities v (..., N, 2), Killing coefficients tau
-    (..., 3) and the Killing frame (..., 3, N, 2) at the same points."""
-    return v + np.einsum("...a,...anj->...nj", tau, frame)
+def _rigid_velocity(R: float, v: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Complex v + tau . xi(x), shape (..., N, 1), for v and x (..., N, 2) and tau (..., 3):
+    tau . xi is the Moebius field q + i tau3 z + R conj(q) z^2 with q = tau1 + i tau2."""
+    z = complex_view(x)
+    q = (tau[..., 0] + 1j * tau[..., 1])[..., None, None]
+    return complex_view(v) + (q + z * (1j * tau[..., 2, None, None] + R * np.conj(q) * z))
 
 
 def _integrate_composed(body, surface, B, stroke, record):
@@ -337,8 +339,9 @@ def _integrate_composed(body, surface, B, stroke, record):
     closure = float(np.max(np.abs(E[-1] - E[-2])))
     per_block = min(nodes, max(1, _BLOCK_PARTICLE_NODES // body.n))
     work = momentum_work((per_block, body.n), 1)
-    Y = np.empty((per_block, body.n, 2))
-    Vy = np.empty((per_block, body.n, 2))
+    # ET[:, s, n] is E[n]^T (s = 0) or Ed[n]^T (s = 1); YV holds a block's Y, then its Vy
+    ET = np.stack([E[:nodes], Ed[:nodes]]).transpose(3, 0, 1, 2)
+    YV = np.empty((body.n, 4 * per_block))
     A = np.empty((nodes, 2, 2), dtype=complex)
     G = np.empty((steps + 1, 2, 2), dtype=complex)     # at each step's start, and the end
     G[0] = np.eye(2)
@@ -348,10 +351,10 @@ def _integrate_composed(body, surface, B, stroke, record):
     rec_pos: List[np.ndarray] = []
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
-        y, vy = Y[: hi - lo], Vy[: hi - lo]
-        np.matmul(X0, np.swapaxes(E[lo:hi], -1, -2), out=y)
-        np.matmul(X0, np.swapaxes(Ed[lo:hi], -1, -2), out=vy)
-        gram, mom, _, frame = momentum_map(body, surface, vy[:, None], y, work=work)
+        k = hi - lo
+        np.matmul(X0, ET[:, :, lo:hi].reshape(2, 4 * k), out=YV[:, : 4 * k])
+        y, vy = YV[:, : 4 * k].reshape(body.n, 2, k, 2).transpose(1, 2, 0, 3)
+        gram, mom, _, _ = momentum_map(body, surface, vy[:, None], y, work=work)
         tau = _connection(gram, mom[:, 0])                # (nodes of the block, 3)
         A[lo:hi] = rigid_generator(surface, tau)
         while n < steps and stages[n, 2] < hi:
@@ -372,12 +375,12 @@ def _integrate_composed(body, surface, B, stroke, record):
             continue
         residual = (gram[i] @ tau[i, :, None])[..., 0] + mom[i, 0]
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
-        g = Isometry(G[first, 0, 0, None], G[first, 0, 1, None], R)
-        yz = to_complex(y[i])
-        wz = to_complex(_rigid_velocity(vy[i], tau[i], frame[i]))
-        max_speed = max(max_speed, float(np.max(np.abs(from_complex(g.derivative_complex(yz) * wz)))))
+        g = Isometry(G[first, 0, 0, None, None], G[first, 0, 1, None, None], R)
+        yz = complex_view(y[i])
+        wz = _rigid_velocity(R, vy[i], tau[i], y[i])
+        max_speed = max(max_speed, float(np.max(np.abs((g.derivative_complex(yz) * wz).view(float)))))
         if record:
-            rec_pos.extend(from_complex(g.apply_complex(yz)))
+            rec_pos.extend(g.apply_complex(yz).view(float))
     return G[steps], max_residual, max_speed, rec_pos, closure
 
 
@@ -393,19 +396,19 @@ def _integrate_direct(body, surface, fields, stroke, record):
     rec_pos: List[np.ndarray] = []
 
     def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
+        """x-dot, G-dot and the momentum system (gram, tau-dot, mom) at one stage."""
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-        gram, mom, _, frame = momentum_map(body, surface, v_def[None], X)
+        gram, mom, _, _ = momentum_map(body, surface, v_def[None], X)
         tau_dot = _connection(gram, mom[0])
-        xdot = _rigid_velocity(v_def, tau_dot, frame)
-        residual = float(np.max(np.abs(gram @ tau_dot + mom[0])))
-        return xdot, rigid_generator(surface, tau_dot) @ Gm, residual
+        xdot = _rigid_velocity(surface.R, v_def, tau_dot, X).view(float)
+        return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0])
 
     X = body.positions.copy()
     G = np.eye(2, dtype=complex)
     for n in range(stroke.steps):
         sd1, sd2, sd3 = sigd[stages[n]]
-        kx1, kg1, residual = deriv(X, G, sd1)
-        max_residual = max(max_residual, residual)
+        kx1, kg1, (gram, tau_dot, mom) = deriv(X, G, sd1)
+        max_residual = max(max_residual, float(np.max(np.abs(gram @ tau_dot + mom))))
         max_speed = max(max_speed, float(np.max(np.abs(kx1))))
         if record:
             rec_pos.append(X.copy())

@@ -12,6 +12,7 @@ validates the whole convention end to end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -153,20 +154,19 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     """
     surface = Surface(0.0)
     prepared = principal_axes(balance(body, surface))
-    pairs = [(1, 1), (2, 2), (1, 2)]
+    fields = {}
+    for p in [(1, 1), (2, 2), (1, 2)]:  # a degenerate member drops every pair it is in
+        try:
+            fields[p] = gauge_fixed_linear_deformation(prepared, *p)
+        except DegenerateMomentsError:
+            pass
     rotations: Dict[Tuple[Tuple[int, int], Tuple[int, int]], float] = {}
     turning = []
     max_tr = 0.0
-    for i, pb in enumerate(pairs):
-        for pc in pairs[i + 1:]:
-            try:
-                fb = gauge_fixed_linear_deformation(prepared, *pb)
-                fc = gauge_fixed_linear_deformation(prepared, *pc)
-            except DegenerateMomentsError:
-                continue
-            res = holonomy_general(prepared, surface, fb, fc, area)
-            max_tr = max(max_tr, float(np.max(np.abs(res.translation))))
-            rotations[(pb, pc)] = res.rotation
-            if abs(res.rotation) > ROTATION_FLOOR:
-                turning.append((pb, pc))
+    for pb, pc in itertools.combinations(fields, 2):
+        res = holonomy_general(prepared, surface, fields[pb], fields[pc], area)
+        max_tr = max(max_tr, float(np.max(np.abs(res.translation))))
+        rotations[(pb, pc)] = res.rotation
+        if abs(res.rotation) > ROTATION_FLOOR:
+            turning.append((pb, pc))
     return BaronCatReport(max_translation=max_tr, rotations=rotations, turning_pairs=turning)

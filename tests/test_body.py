@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import curvswim.body as body_mod
 from curvswim.body import (
+    BALANCE_MAX_ITER,
+    BALANCE_TOLERANCE,
     Body,
     balance,
     momentum_map,
@@ -14,8 +17,8 @@ from curvswim.body import (
     scalar_product,
 )
 from curvswim.errors import ChartDomainError
-from curvswim.fields import VectorField, linear_field
-from curvswim.geometry import Surface, killing_fields
+from curvswim.fields import VectorField, from_complex, linear_field, to_complex
+from curvswim.geometry import Surface, killing_fields, translation_to
 
 
 def test_body_validation():
@@ -23,6 +26,14 @@ def test_body_validation():
         Body(masses=np.array([1.0, -1.0]), positions=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         Body(masses=np.array([]), positions=np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_body_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Body(masses=np.array([1.0, bad]), positions=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        Body(masses=np.ones(2), positions=np.array([[0.0, 0.1], [bad, 0.0]]))
 
 
 def test_from_particles():
@@ -273,6 +284,19 @@ def test_inversion_symmetric_body_has_zero_cubics():
     assert np.all(moments(body).q3 == 0.0)
 
 
+def test_moments_are_formed_once_per_body():
+    rng = np.random.default_rng(11)
+    body = Body(masses=rng.uniform(0.5, 1.5, 7), positions=rng.uniform(-0.3, 0.3, (7, 2)))
+    q = moments(body)
+    assert moments(body) is q
+    for a in (q.q1, q.q2, q.q3):
+        assert not a.flags.writeable
+    m, x = body.masses, body.positions
+    assert np.array_equal(q.q3, np.einsum("n,ni,nj,nk->ijk", m, x, x, x))
+    assert body.total_mass == float(np.sum(m)) == q.total_mass
+    assert body.extent == float(np.max(np.linalg.norm(x, axis=1)))
+
+
 def test_moments_additive_under_merge():
     b1 = Body.from_particles([[1, 0.2, 0.3], [2, -0.1, 0.4]])
     b2 = Body.from_particles([[3, 0.5, -0.2]])
@@ -303,6 +327,37 @@ def test_balance_curved_reaches_tolerance():
         out = balance(body, Surface(R))
         q1 = moments(out).q1
         assert np.max(np.abs(q1)) < 1e-12
+
+
+def _balance_one_body_per_iteration(body, surface):
+    """balance as a loop that builds a new Body each iteration and applies each
+    shift through the copying complex conversions; returns (body, iterations)."""
+    current = body
+    scale = max(1.0, np.sqrt(float(np.max(np.sum(body.positions**2, axis=1)))))
+    for it in range(BALANCE_MAX_ITER):
+        q1 = np.einsum("n,ni->i", current.masses, current.positions) / current.total_mass
+        if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
+            return current, it
+        shift = translation_to(surface, -q1)
+        current = Body(masses=current.masses,
+                       positions=from_complex(shift.apply_complex(to_complex(current.positions))))
+    raise AssertionError("reference balancing did not converge")
+
+
+@pytest.mark.parametrize("R", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_balance_matches_the_per_iteration_body_loop(R, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    body = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-0.15, 0.15, (n, 2)) + [0.05, -0.03])
+    expected, iterations = _balance_one_body_per_iteration(body, Surface(R))
+    shifts = []
+    monkeypatch.setattr(body_mod, "translation_to", lambda s, w: shifts.append(w) or translation_to(s, w))
+    out = balance(body, Surface(R))
+    assert iterations >= 1 and len(shifts) == iterations
+    assert np.array_equal(out.positions, expected.positions)
+    assert np.array_equal(out.masses, body.masses)
+    assert balance(out, Surface(R)) is out
 
 
 def test_balance_warns_for_large_bodies():

@@ -364,6 +364,28 @@ def test_composition_and_inverse():
     assert np.allclose(g.inverse()(g(p)), p, atol=1e-14)
 
 
+@pytest.mark.parametrize("R", R_VALUES)
+def test_isometry_call_equals_the_copying_conversions(R):
+    rng = np.random.default_rng(3)
+    g = exp_rigid(Surface(R), (0.2, -0.1, 0.7))
+    big = rng.uniform(-0.4, 0.4, (6, 4, 2))
+    inputs = [big[0, 0], big[0], big, big[::2], big.transpose(1, 0, 2), np.asfortranarray(big[1]),
+              big[..., ::-1], big[0].tolist()]
+    for p in inputs:
+        a = np.asarray(p)
+        before = a.copy()
+        out = g(p)
+        assert np.array_equal(out, from_complex(g.apply_complex(to_complex(p))))
+        assert out.shape == a.shape and out.dtype == np.float64
+        assert np.array_equal(a, before) and not np.shares_memory(out, a)
+
+
+@pytest.mark.parametrize("R", [np.nan, np.inf, -np.inf])
+def test_surface_rejects_non_finite_R(R):
+    with pytest.raises(ValueError, match="finite"):
+        Surface(R)
+
+
 @settings(max_examples=30, deadline=None)
 @given(points, points, st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)))
 def test_isometry_preserves_distance(p, q, tau):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvswim.body import Body, balance
+from curvswim.body import Body, balance, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import GaugeConditionError
@@ -10,6 +10,7 @@ from curvswim.geometry import CurvatureTensor, Surface, killing_two_form
 from curvswim.holonomy import (
     gram_matrix,
     holonomy_general,
+    holonomy_linear,
     holonomy_small_swimmer,
 )
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
@@ -123,6 +124,46 @@ def test_swap_negates_small_swimmer():
         holonomy_small_swimmer(b, c, u, v, 1.0),
         -holonomy_small_swimmer(b, c, v, u, 1.0),
     )
+
+
+@pytest.mark.parametrize("n", [3, 30, 300])
+def test_small_swimmer_contraction_matches_the_five_operand_einsum(n):
+    rng = np.random.default_rng(n)
+    b = random_balanced_body(rng, n, extent=0.3)
+    u, v = (linear_field(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(2))
+    for R in (1.0, -0.5):
+        c = CurvatureTensor.from_surface(Surface(R))
+        got = holonomy_small_swimmer(b, c, u, v, 0.3)
+        x = b.positions
+        ref = 2.0 * 0.3 * np.einsum("n,ni,nj,nl,jlik->k", b.masses, x, u(x), v(x), c.components) / b.total_mass
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        flipped = holonomy_small_swimmer(b, CurvatureTensor.from_surface(Surface(-R)), u, v, 0.3)
+        assert np.array_equal(flipped, -got)
+
+
+def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
+    rng = np.random.default_rng(8)
+    body = Body(masses=rng.uniform(0.5, 1.5, 30), positions=rng.uniform(-0.2, 0.2, (30, 2)) + 0.02)
+    s = Surface(1.0)
+    curv = CurvatureTensor.from_surface(s)
+    fields = [linear_field(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(2)]
+    einsum, cubic = np.einsum, []
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        cubic.append(subscripts == "n,ni,nj,nk->ijk")
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    # one op of the benchmark's formula workload
+    prepared = principal_axes(balance(body, s))
+    u, v = (project_gauge(prepared, s, f) for f in fields)
+    holonomy_general(prepared, s, u, v, 1e-4)
+    fb = gauge_fixed_linear_deformation(prepared, 1, 1)
+    fc = gauge_fixed_linear_deformation(prepared, 2, 2)
+    holonomy_linear(prepared, curv, (1, 1), (2, 2), 1e-4)
+    holonomy_small_swimmer(prepared, curv, fb, fc, 1e-4)
+    # the balanced body (read by principal_axes) and the prepared one
+    assert sum(cubic) == 2
 
 
 def test_small_swimmer_requires_balance():

@@ -537,6 +537,21 @@ def test_composed_blocks_do_not_change_the_result(monkeypatch, kind):
         assert rec.shape_closure_defect == runs[0].shape_closure_defect
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.0, 0.5])
+def test_rigid_velocity_is_the_killing_combination(R):
+    # q + i tau3 z + R conj(q) z^2 against v + sum_a tau_a xi_a from the frame
+    rng = np.random.default_rng(4)
+    x, v = rng.uniform(-0.4, 0.4, (2, 3, 50, 2))
+    tau = rng.uniform(-1.0, 1.0, (3, 3))
+    frame = momentum_map(Body(masses=np.ones(50), positions=x[0]), Surface(R), v[:, None], x)[3]
+    expected = v + np.einsum("...a,...anj->...nj", tau, frame)
+    got = integrator._rigid_velocity(R, v, tau, x)
+    assert got.shape == (3, 50, 1)
+    assert np.max(np.abs(got.view(float) - expected)) <= 4e-16 * np.max(np.abs(expected))
+    one = integrator._rigid_velocity(R, v[1], tau[1], x[1])
+    assert np.array_equal(one, got[1])
+
+
 _FAULT_SCRIPT = textwrap.dedent(
     """
     import resource

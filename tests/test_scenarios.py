@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import curvswim.scenarios as scenarios
-from curvswim.body import Body, moments
+from curvswim.body import Body, balance, moments, principal_axes
+from curvswim.deformation import gauge_fixed_linear_deformation
+from curvswim.errors import DegenerateMomentsError
+from curvswim.holonomy import holonomy_general
 from curvswim.geometry import Surface
 from curvswim.integrator import integrate_stroke, rectangle_stroke
 from curvswim.scenarios import (
@@ -186,6 +189,47 @@ def test_baron_cat_report_propagates_untyped_errors(monkeypatch):
     monkeypatch.setattr(scenarios, "gauge_fixed_linear_deformation", broken)
     with pytest.raises(ValueError):
         baron_cat_report(triangle_body(TriangleSpec(1.0, 0.25, 1.0, 1.0)))
+
+
+def _baron_cat_pair_by_pair(body, area):
+    """baron_cat_report as a loop that builds both fields of every pair anew."""
+    surface = Surface(0.0)
+    prepared = principal_axes(balance(body, surface))
+    pairs = [(1, 1), (2, 2), (1, 2)]
+    rotations, turning, max_tr = {}, [], 0.0
+    for i, pb in enumerate(pairs):
+        for pc in pairs[i + 1:]:
+            try:
+                fb = gauge_fixed_linear_deformation(prepared, *pb)
+                fc = gauge_fixed_linear_deformation(prepared, *pc)
+            except DegenerateMomentsError:
+                continue
+            res = holonomy_general(prepared, surface, fb, fc, area)
+            max_tr = max(max_tr, float(np.max(np.abs(res.translation))))
+            rotations[(pb, pc)] = res.rotation
+            if abs(res.rotation) > scenarios.ROTATION_FLOOR:
+                turning.append((pb, pc))
+    return max_tr, rotations, turning
+
+
+@pytest.mark.parametrize("particles", [
+    [[1, 1, 0], [1, -0.2, 0.8], [2, -0.4, -0.4]],
+    [[1, 0.3, 0.2], [1, 0.3, -0.2], [2, -0.3, 0.0]],
+    [[1, -0.2, 0], [2, 0.05, 0], [1, 0.3, 0]],     # a needle: (2,2) is degenerate
+])
+def test_baron_cat_report_builds_each_field_once(particles, monkeypatch):
+    body = Body.from_particles(particles)
+    expected = _baron_cat_pair_by_pair(body, 0.7)
+    builds = []
+
+    def counting(prepared, j, k):
+        builds.append((j, k))
+        return gauge_fixed_linear_deformation(prepared, j, k)
+
+    monkeypatch.setattr(scenarios, "gauge_fixed_linear_deformation", counting)
+    report = baron_cat_report(body, 0.7)
+    assert builds == [(1, 1), (2, 2), (1, 2)]
+    assert (report.max_translation, report.rotations, report.turning_pairs) == expected
 
 
 def test_baron_cat_report_skips_degenerate_pairs():
