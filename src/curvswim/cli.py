@@ -65,7 +65,9 @@ def _require_keys(section: Any, allowed: Sequence[str], required: Sequence[str],
 
 
 def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # the chained comparison is exact for ints of any size and false for NaN
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 

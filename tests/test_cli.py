@@ -226,11 +226,13 @@ PARTICLES = [[1.0, 0.1, 0.0], [1.0, -0.1, 0.05], [2.0, 0.0, -0.1]]
 
 @pytest.mark.parametrize("bad, where", [
     ("nan-mass", "body.particles[0]"), ("inf-coordinate", "body.particles[1]"), ("nan-R", "surface.R"),
+    ("huge-int-R", "surface.R"),
 ])
 @pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep"])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, where):
     # JSON parses NaN and Infinity; they used to escape as a LinAlgError
-    # traceback (exit 1) or a "numerical failure" (exit 3)
+    # traceback (exit 1) or a "numerical failure" (exit 3), and an integer
+    # beyond the float range as an OverflowError traceback
     particles = [list(p) for p in PARTICLES]
     cfg = dict(BASE_CONFIG, body={"particles": particles}, surface={"R": 1.0},
                sweep={"variable": "area", "values": [1e-4]})
@@ -239,7 +241,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
     elif bad == "inf-coordinate":
         particles[1][1] = float("inf")
     else:
-        cfg["surface"] = {"R": float("nan")}
+        cfg["surface"] = {"R": float("nan") if bad == "nan-R" else 10**400}
     out = tmp_path / "never.out"
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert not out.exists()
