@@ -6,7 +6,7 @@ from an independent finite-stroke integrator that enforces zero momentum
 at every instant.
 """
 
-from .body import Body, Moments, balance, moments, principal_axes, scalar_product
+from .body import Body, Moments, balance, moments, principal_axes
 from .deformation import (
     gauge_fixed_linear_deformation,
     gauge_residuals,
@@ -31,14 +31,12 @@ from .geometry import (
     KillingSet,
     Surface,
     christoffel_at,
-    compose,
     exp_rigid,
     gaussian_curvature,
     geodesic_distance,
     killing_fields,
     killing_one_form,
     killing_residual,
-    killing_two_form,
     metric_at,
     numeric_exterior_derivative,
     strain_of,
@@ -46,7 +44,6 @@ from .geometry import (
 )
 from .holonomy import (
     HolonomyResult,
-    gram_matrix,
     holonomy_general,
     holonomy_linear,
     holonomy_small_swimmer,
@@ -55,7 +52,6 @@ from .integrator import (
     Stroke,
     TrajectoryRecord,
     integrate_stroke,
-    momentum,
     rectangle_stroke,
     sinusoid_stroke,
 )
@@ -64,7 +60,6 @@ from .scenarios import (
     RingSpec,
     TriangleSpec,
     baron_cat_report,
-    rectangle_stroke_distance,
     ring_displacement,
     ring_simulate,
     triangle_body,

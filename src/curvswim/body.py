@@ -11,7 +11,6 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BalanceConvergenceError
-from .fields import VectorField
 from .geometry import (
     Isometry,
     Surface,
@@ -120,12 +119,6 @@ def _weights(body: Body, surface: Surface, x, out=None) -> np.ndarray:
     np.multiply(w, w, w)
     np.divide(body.masses, w, w)
     return xyrw
-
-
-def metric_pairing(body: Body, surface: Surface, U, V) -> np.ndarray:
-    """sum_n m_n g(x_n)(U_n, V_n) for stacks U, V of shape (..., N, 2), not mass-normalized."""
-    w = _weights(body, surface, body.positions)[3]
-    return np.sum(w * (U[..., 0] * V[..., 0] + U[..., 1] * V[..., 1]), axis=-1)
 
 
 def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
@@ -238,12 +231,6 @@ def momentum_map(
     vv = np.add.reduce(vx, -1)
     # the frame (..., 3, N, 2): batch axes first, then field, particle, component
     return gram, mom, vv, k.transpose(tuple(range(2, k.ndim - 1)) + (0, k.ndim - 1, 1))
-
-
-def scalar_product(body: Body, surface: Surface, u: VectorField, v: VectorField) -> float:
-    """Mass-weighted metric pairing (1/M) sum_n m_n g_ij u^i v^j at the particles."""
-    x = body.positions
-    return float(metric_pairing(body, surface, u(x), v(x)) / body.total_mass)
 
 
 def balance(body: Body, surface: Surface) -> Body:

@@ -154,6 +154,12 @@ def parse_config(raw: Any) -> RunConfig:
         specs = top["fields"]
         if not isinstance(specs, list) or len(specs) != 2:
             raise ConfigError("fields must list exactly two deformation field specs")
+        for i, spec in enumerate(specs):
+            if isinstance(spec, dict):
+                rows = spec.get("matrix", [])
+                numbers = [v for row in rows if isinstance(row, list) for v in row] if isinstance(rows, list) else []
+                for v in numbers + [spec[k] for k in ("y_dy", "x_dx") if k in spec]:
+                    _number(v, f"fields[{i}]")
         cfg.field_specs = specs
 
     if "stroke" in top:

@@ -94,17 +94,8 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     return VectorField(func=func, grad=grad, tag=f"gauge({f.tag})")
 
 
-def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
-    """Closed-form gauge-orthogonal linear deformation for a balanced body.
-
-    For a body with vanishing first moments and diagonal second moments the
-    tweaked field
-
-        (Q^kk + Q^jj) eta_(jk) = x^j Q^kk d_k + x^k Q^jj d_j
-
-    meets the gauge condition exactly in the flat case and up to curvature
-    corrections otherwise.  The diagonal members reduce to x^j d_j.
-    """
+def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
+    """The matrix B of gauge_fixed_linear_deformation(body, j, k), whose field is v = B x."""
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
     q = moments(body)
@@ -124,7 +115,21 @@ def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
     B = np.zeros((2, 2))
     B[k - 1, j - 1] += qkk / denom
     B[j - 1, k - 1] += qjj / denom
-    return linear_field(B, tag=f"linear-ort-{j}{k}")
+    return B
+
+
+def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
+    """Closed-form gauge-orthogonal linear deformation for a balanced body.
+
+    For a body with vanishing first moments and diagonal second moments the
+    tweaked field
+
+        (Q^kk + Q^jj) eta_(jk) = x^j Q^kk d_k + x^k Q^jj d_j
+
+    meets the gauge condition exactly in the flat case and up to curvature
+    corrections otherwise.  The diagonal members reduce to x^j d_j.
+    """
+    return linear_field(gauge_fixed_linear_matrix(body, j, k), tag=f"linear-ort-{j}{k}")
 
 
 def parse_field_spec(spec, body: Body | None = None) -> VectorField:

@@ -42,12 +42,10 @@ __all__ = [
     "killing_fields",
     "killing_frame",
     "killing_one_form",
-    "killing_two_form",
     "killing_two_forms",
     "numeric_exterior_derivative",
     "strain_of",
     "killing_residual",
-    "compose",
     "exp_rigid",
     "translation_to",
     "rotation_about_origin",
@@ -225,19 +223,6 @@ class Isometry:
         den = -R * np.conj(b) * z + np.conj(a)
         return self.det / den**2
 
-    def inverse(self) -> "Isometry":
-        return Isometry(np.conj(self.alpha), -self.beta, self.R)
-
-
-def compose(g: Isometry, h: Isometry) -> Isometry:
-    """Composition g after h (matrix product of the representations)."""
-    if g.R != h.R:
-        raise ValueError("cannot compose isometries of different surfaces")
-    R = g.R
-    alpha = g.alpha * h.alpha - R * g.beta * np.conj(h.beta)
-    beta = g.alpha * h.beta + g.beta * np.conj(h.alpha)
-    return Isometry(complex(alpha), complex(beta), R)
-
 
 def rigid_generator(surface: Surface, tau) -> np.ndarray:
     """2x2 representation matrix of the Killing combination tau . xi.
@@ -256,29 +241,47 @@ def rigid_generator(surface: Surface, tau) -> np.ndarray:
     return A
 
 
+_SERIES_Q = 1.0             # cosh_sinc sums the series below |q| = 1
+_POWERS = np.arange(10.0)
+_SERIES = np.array([
+    [1.0 / math.factorial(2 * k) for k in range(10)],                # c
+    [1.0 / math.factorial(2 * k + 1) for k in range(10)],            # S
+    [(k + 1.0) / math.factorial(2 * k + 3) for k in range(10)],      # dS/dq
+])
+
+
+def cosh_sinc(q) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c = cosh(sqrt q), S = sinh(sqrt q) / sqrt q and dS/dq = (c - S) / 2q, elementwise.
+
+    For a traceless 2x2 matrix N with N^2 = q I, exp(N) = c I + S N; for
+    q < 0 c and S are cos and sin of sqrt(-q).  Below |q| = _SERIES_Q the
+    Taylor series to q^9 (first omitted term under 1e-18) replace the closed
+    forms, where dS/dq cancels as q -> 0.  The one evaluation behind
+    exp_rigid and the shape flow's exponential: every entry goes through
+    the same elementwise steps, so equal q give bitwise-equal results.
+    """
+    q = np.asarray(q, dtype=float)
+    series = (q[..., None, None] ** _POWERS * _SERIES).sum(axis=-1)
+    small = np.abs(q) < _SERIES_Q
+    qc = np.where(small, 1.0, q)            # keeps the closed forms off q = 0
+    r = np.sqrt(np.abs(qc))
+    c = np.where(qc > 0.0, np.cosh(r), np.cos(r))
+    S = np.where(qc > 0.0, np.sinh(r), np.sin(r)) / r
+    dS = (c - S) / (2.0 * qc)
+    c, S, dS = (np.where(small, series[..., k], f) for k, f in enumerate((c, S, dS)))
+    return c, S, dS
+
+
 def exp_rigid(surface: Surface, tau) -> Isometry:
     """Unit-time flow of tau . xi as an exact group element.
 
-    The generator squares to -(theta^2 + R|q|^2) times the identity, so the
-    exponential has the closed form cos(d) I + sinc(d) A with d^2 possibly
-    negative (hyperbolic branch).
+    With theta = tau3 / 2 the generator A (rigid_generator) squares to q I,
+    q = -(theta^2 + R (tau1^2 + tau2^2)), so exp(A) = c(q) I + S(q) A.
     """
     t = np.asarray(tau, dtype=float)
-    q = t[0] + 1j * t[1]
     th = 0.5 * t[2]
-    d2 = th * th + surface.R * (q.real**2 + q.imag**2)
-    if d2 > 1e-12:
-        d = math.sqrt(d2)
-        c, s = math.cos(d), math.sin(d) / d
-    elif d2 < -1e-12:
-        m = math.sqrt(-d2)
-        c, s = math.cosh(m), math.sinh(m) / m
-    else:
-        c = 1.0 - d2 / 2.0 + d2 * d2 / 24.0
-        s = 1.0 - d2 / 6.0 + d2 * d2 / 120.0
-    alpha = c + s * 1j * th
-    beta = s * q
-    return Isometry(complex(alpha), complex(beta), surface.R)
+    c, S, _ = cosh_sinc(-(th * th + surface.R * (t[0] ** 2 + t[1] ** 2)))
+    return Isometry(complex(c + S * 1j * th), complex(S * (t[0] + 1j * t[1])), surface.R)
 
 
 def translation_to(surface: Surface, w) -> Isometry:
@@ -352,52 +355,24 @@ def killing_frame(surface: Surface, p) -> np.ndarray:
 
 
 def killing_fields(surface: Surface) -> KillingSet:
+    """The three Killing fields, valued by killing_frame.  Each is holomorphic, so the
+    parts (a, b) of its complex derivative a + ib give its gradient [[a, b], [-b, a]]."""
     R = surface.R
 
-    def f1(p):
-        return killing_frame(surface, p)[0]
+    def field(index, dfdz, linear_matrix=None):
+        def grad(p):
+            pts = as_points(p)
+            a, b = (np.broadcast_to(t, pts.shape[:-1]) for t in dfdz(pts[..., 0], pts[..., 1]))
+            return np.stack([np.stack([a, b], -1), np.stack([-b, a], -1)], -2)
 
-    def g1(p):
-        a = as_points(p)
-        x, y = a[..., 0], a[..., 1]
-        out = np.empty(a.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0 * R * x
-        out[..., 0, 1] = 2.0 * R * y
-        out[..., 1, 0] = -2.0 * R * y
-        out[..., 1, 1] = 2.0 * R * x
-        return out
+        return VectorField(func=lambda p: killing_frame(surface, p)[index], grad=grad,
+                           tag=f"killing-{index + 1}", linear_matrix=linear_matrix)
 
-    def f2(p):
-        return killing_frame(surface, p)[1]
-
-    def g2(p):
-        a = as_points(p)
-        x, y = a[..., 0], a[..., 1]
-        out = np.empty(a.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0 * R * y
-        out[..., 0, 1] = -2.0 * R * x
-        out[..., 1, 0] = 2.0 * R * x
-        out[..., 1, 1] = 2.0 * R * y
-        return out
-
-    xi1 = VectorField(func=f1, grad=g1, tag="killing-1")
-    xi2 = VectorField(func=f2, grad=g2, tag="killing-2")
-
-    def f3(p):
-        return killing_frame(surface, p)[2]
-
-    def g3(p):
-        a = as_points(p)
-        out = np.zeros(a.shape[:-1] + (2, 2))
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = -1.0
-        return out
-
-    xi3 = VectorField(
-        func=f3, grad=g3, tag="killing-3",
-        linear_matrix=np.array([[0.0, -1.0], [1.0, 0.0]]),
-    )
-    return KillingSet(fields=(xi1, xi2, xi3), surface=surface)
+    return KillingSet(fields=(
+        field(0, lambda x, y: (2.0 * R * x, 2.0 * R * y)),      # 2Rz
+        field(1, lambda x, y: (2.0 * R * y, -2.0 * R * x)),     # -2iRz
+        field(2, lambda x, y: (0.0, 1.0), linear_matrix=np.array([[0.0, -1.0], [1.0, 0.0]])),   # i
+    ), surface=surface)
 
 
 def killing_one_form(surface: Surface, index: int, p) -> np.ndarray:
@@ -431,13 +406,6 @@ def killing_two_forms(surface: Surface, p) -> np.ndarray:
     c[1] = -8.0 * R * x / u3
     c[2] = 2.0 * (1.0 - R * r2) / u3
     return c
-
-
-def killing_two_form(surface: Surface, index: int, p) -> np.ndarray:
-    """Row index (1, 2 or 3) of killing_two_forms: the two-form of one Killing field."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"Killing index must be 1, 2 or 3, got {index}")
-    return killing_two_forms(surface, p)[index - 1]
 
 
 def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p) -> float:

@@ -26,8 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .body import Body, moments, momentum_map
-from .deformation import gauge_fixed_linear_deformation, gauge_pairings
+from .body import Body, moments
+from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, SingularGramError
 from .fields import VectorField
 from .geometry import CurvatureTensor, Surface, killing_two_forms
@@ -67,17 +67,6 @@ class HolonomyResult:
         return float(self.delta_tau[2])
 
 
-def gram_matrix(body: Body, surface: Surface) -> np.ndarray:
-    """Killing Gram matrix G_ba = <xi_b | xi_a>; symmetric PSD."""
-    return momentum_map(body, surface, np.empty((0, body.n, 2)))[0] / body.total_mass
-
-
-def _wedge_sum(body: Body, c: np.ndarray, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
-    """(1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1) for two-form coefficients c (..., N)."""
-    wedge = uu[:, 0] * vv[:, 1] - uu[:, 1] * vv[:, 0]
-    return np.sum(body.masses * c * wedge, axis=-1) / body.total_mass
-
-
 def holonomy_general(
     body: Body,
     surface: Surface,
@@ -100,8 +89,9 @@ def holonomy_general(
             f"(max residual {np.max(res):.3e} > {GAUGE_TOLERANCE:.1e}); "
             "apply project_gauge first"
         )
-    c = killing_two_forms(surface, x)
-    rhs = -area * _wedge_sum(body, c, uv[0], uv[1])
+    # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c
+    wedge = uv[0, :, 0] * uv[1, :, 1] - uv[0, :, 1] * uv[1, :, 0]
+    rhs = -area * (np.sum(body.masses * killing_two_forms(surface, x) * wedge, axis=-1) / body.total_mass)
     eigvals, eigvecs = np.linalg.eigh(G)
     top = max(float(eigvals[-1]), 1e-300)
     keep = eigvals > RANK_CUTOFF * top
@@ -172,10 +162,8 @@ def holonomy_linear(
     closed-form fields.
     """
     d = curv.dim
-    fb = gauge_fixed_linear_deformation(body, *pair_b)
-    fc = gauge_fixed_linear_deformation(body, *pair_c)
-    Eb = fb.linear_matrix[:d, :d]
-    Ec = fc.linear_matrix[:d, :d]
+    Eb = gauge_fixed_linear_matrix(body, *pair_b)[:d, :d]
+    Ec = gauge_fixed_linear_matrix(body, *pair_c)[:d, :d]
     q3 = moments(body).q3[:d, :d, :d]
     contraction = np.einsum("imh,jm,lh,jlik->k", q3, Eb, Ec, curv.components)
     return 2.0 * float(area) * contraction / body.total_mass

@@ -49,21 +49,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, metric_pairing, momentum_map, momentum_work
+from .body import Body, momentum_map, momentum_work
 from .errors import SingularGramError, StrokeError
 from .fields import VectorField, complex_view
-from .geometry import Isometry, Surface, rigid_generator
+from .geometry import Isometry, Surface, cosh_sinc, rigid_generator
 
 __all__ = [
     "Stroke",
     "rectangle_stroke",
     "sinusoid_stroke",
     "TrajectoryRecord",
-    "momentum",
     "integrate_stroke",
 ]
 
@@ -158,29 +157,16 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
     return Stroke(((sigma, sigma_dot),), int(steps), math.pi * a * b)
 
 
-def momentum(body: Body, surface: Surface, xi: VectorField, velocities) -> float:
-    """Conserved pairing sum_n m_n g(x_n) v_n . xi(x_n) (not mass-normalized)."""
-    x = body.positions
-    v = np.asarray(velocities, dtype=float)
-    if v.shape != x.shape:
-        raise ValueError(f"need one velocity per particle, got {v.shape} for {x.shape}")
-    return float(metric_pairing(body, surface, v, xi(x)))
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Outcome of one finite stroke."""
 
     delta_tau: np.ndarray            # (translation-x, translation-y, rotation) read from g(1)
-    g_final: Isometry
-    area: float
     steps: int
     mode: str
     max_momentum_residual: float
     residual_bound: float            # 1e-12 * M * max |x-dot| seen along the stroke
     shape_closure_defect: float
-    times: Optional[np.ndarray] = None
-    positions: Optional[np.ndarray] = None   # (n_rec, N, 2) when recording
 
     @property
     def translation(self) -> np.ndarray:
@@ -189,16 +175,6 @@ class TrajectoryRecord:
     @property
     def rotation(self) -> float:
         return float(self.delta_tau[2])
-
-    def trajectory_csv(self) -> str:
-        """Recorded particle paths as CSV rows t,particle,x,y."""
-        if self.times is None or self.positions is None:
-            raise ValueError("integrate with record=True to capture the trajectory")
-        lines = ["t,particle,x,y"]
-        for t, frame in zip(self.times, self.positions):
-            for i, (x, y) in enumerate(frame):
-                lines.append(f"{t:.17g},{i},{x:.17g},{y:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def _connection(gram: np.ndarray, mom: np.ndarray) -> np.ndarray:
@@ -251,28 +227,15 @@ def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.array(sig), np.array(sigd), stages
 
 
-# Below |q| = 1, _expm2 sums the Taylor series of c(q), S(q) and S'(q) to
-# q^9 (first omitted term under 1e-18 there) instead of the closed forms:
-# S' = (c - S) / 2q cancels as q -> 0, and N can be large while q is small.
-_SERIES_Q = 1.0
-_POWERS = np.arange(10.0)
-_SERIES = np.array([
-    [1.0 / math.factorial(2 * k) for k in range(10)],                # c
-    [1.0 / math.factorial(2 * k + 1) for k in range(10)],            # S
-    [(k + 1.0) / math.factorial(2 * k + 3) for k in range(10)],      # dS/dq
-])
-
-
 def _expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """exp(C) and its Frechet derivative at C along D, for stacks (..., 2, 2).
 
     With C = m I + N and N traceless, N^2 = q I where q = -det N, so
-    exp(C) = e^m (c(q) I + S(q) N) with c = cosh(sqrt q) and
-    S = sinh(sqrt q) / sqrt q (cos and sin of sqrt(-q) when q < 0).  The
-    derivative along D = dm I + dN follows by the chain rule, with
-    dq = tr(N dN), dc/dq = S / 2 and dS/dq = (c - S) / 2q.  Every matrix of
-    the stack goes through the same elementwise steps, so equal matrices
-    give bitwise-equal results.
+    exp(C) = e^m (c(q) I + S(q) N) with c, S and dS/dq from cosh_sinc, whose
+    series branch also serves a large N with a small q.  The derivative
+    along D = dm I + dN follows by the chain rule, with dq = tr(N dN) and
+    dc/dq = S / 2.  Every matrix of the stack goes through the same
+    elementwise steps, so equal matrices give bitwise-equal results.
     """
     m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
     dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
@@ -280,14 +243,7 @@ def _expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     dN = D - dm[..., None, None] * np.eye(2)
     q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
     dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
-    series = (q[..., None, None] ** _POWERS * _SERIES).sum(axis=-1)
-    small = np.abs(q) < _SERIES_Q
-    qc = np.where(small, 1.0, q)            # keeps the closed forms off q = 0
-    r = np.sqrt(np.abs(qc))
-    c = np.where(qc > 0.0, np.cosh(r), np.cos(r))
-    S = np.where(qc > 0.0, np.sinh(r), np.sin(r)) / r
-    dS = (c - S) / (2.0 * qc)
-    c, S, dS = (np.where(small, series[..., k], f) for k, f in enumerate((c, S, dS)))
+    c, S, dS = cosh_sinc(q)
     em = np.exp(m)
     E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
     L = (
@@ -317,7 +273,7 @@ def _rigid_velocity(R: float, v: np.ndarray, tau: np.ndarray, x: np.ndarray) -> 
     return complex_view(v) + (q + z * (1j * tau[..., 2, None, None] + R * np.conj(q) * z))
 
 
-def _integrate_composed(body, surface, B, stroke, record):
+def _integrate_composed(body, surface, B, stroke):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
     A depends on time alone, so each distinct stage time (node) is
@@ -326,7 +282,7 @@ def _integrate_composed(body, surface, B, stroke, record):
     one stacked 3x3 solve, and G is advanced over a step once its three
     nodes are in.  Every per-particle array lives in buffers allocated once
     per stroke.  Returns (G, max momentum residual, max space-frame speed,
-    recorded positions at each step's first stage, shape closure defect).
+    shape closure defect).
     """
     X0 = body.positions
     steps, R = stroke.steps, surface.R
@@ -348,7 +304,6 @@ def _integrate_composed(body, surface, B, stroke, record):
     starts = stages[:, 0]
     n = 0
     max_residual = max_speed = 0.0
-    rec_pos: List[np.ndarray] = []
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
         k = hi - lo
@@ -379,21 +334,17 @@ def _integrate_composed(body, surface, B, stroke, record):
         yz = complex_view(y[i])
         wz = _rigid_velocity(R, vy[i], tau[i], y[i])
         max_speed = max(max_speed, float(np.max(np.abs((g.derivative_complex(yz) * wz).view(float)))))
-        if record:
-            rec_pos.extend(g.apply_complex(yz).view(float))
-    return G[steps], max_residual, max_speed, rec_pos, closure
+    return G[steps], max_residual, max_speed, closure
 
 
-def _integrate_direct(body, surface, fields, stroke, record):
+def _integrate_direct(body, surface, fields, stroke):
     """RK4 on particles and group together, velocities evaluated in place.
 
-    Returns (final positions, G, max momentum residual, max speed, recorded
-    positions at each step's first stage).
+    Returns (final positions, G, max momentum residual, max speed).
     """
     dt = 1.0 / stroke.steps
     _, sigd, stages = _stage_controls(stroke)
     max_residual = max_speed = 0.0
-    rec_pos: List[np.ndarray] = []
 
     def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
         """x-dot, G-dot and the momentum system (gram, tau-dot, mom) at one stage."""
@@ -410,14 +361,12 @@ def _integrate_direct(body, surface, fields, stroke, record):
         kx1, kg1, (gram, tau_dot, mom) = deriv(X, G, sd1)
         max_residual = max(max_residual, float(np.max(np.abs(gram @ tau_dot + mom))))
         max_speed = max(max_speed, float(np.max(np.abs(kx1))))
-        if record:
-            rec_pos.append(X.copy())
         kx2, kg2, _ = deriv(X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sd2)
         kx3, kg3, _ = deriv(X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sd2)
         kx4, kg4, _ = deriv(X + dt * kx3, G + dt * kg3, sd3)
         X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
         G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
-    return X, G, max_residual, max_speed, rec_pos
+    return X, G, max_residual, max_speed
 
 
 def integrate_stroke(
@@ -426,7 +375,6 @@ def integrate_stroke(
     fields: Sequence[VectorField],
     stroke: Stroke,
     mode: str = "composed",
-    record: bool = False,
 ) -> TrajectoryRecord:
     """Carry the body around one closed control loop.
 
@@ -448,9 +396,9 @@ def integrate_stroke(
                 "for general field evaluators"
             )
         B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-        G, max_residual, max_speed, rec_pos, closure = _integrate_composed(body, surface, B, stroke, record)
+        G, max_residual, max_speed, closure = _integrate_composed(body, surface, B, stroke)
     else:
-        X, G, max_residual, max_speed, rec_pos = _integrate_direct(body, surface, fields, stroke, record)
+        X, G, max_residual, max_speed = _integrate_direct(body, surface, fields, stroke)
 
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
     if mode == "direct":
@@ -459,15 +407,11 @@ def integrate_stroke(
     bound = 1e-12 * body.total_mass * max(max_speed, 1e-300)
     return TrajectoryRecord(
         delta_tau=delta_tau,
-        g_final=g_final,
-        area=stroke.signed_area,
         steps=stroke.steps,
         mode=mode,
         max_momentum_residual=max_residual,
         residual_bound=bound,
         shape_closure_defect=closure,
-        times=np.arange(stroke.steps) * (1.0 / stroke.steps) if record else None,
-        positions=np.asarray(rec_pos) if record and rec_pos else None,
     )
 
 

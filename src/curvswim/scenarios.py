@@ -78,18 +78,6 @@ def triangle_optimal_mass(M: float) -> float:
     return 0.25 * M
 
 
-def rectangle_stroke_distance(spec: TriangleSpec, R: float, delta_b: float, delta_h: float) -> float:
-    """Leading-order swim distance for one rectangle stroke of the oars.
-
-    The stroke wiggles base and height by (delta_b, delta_h); its control
-    area is dA = (delta_b / b)(delta_h / h) and the distance is
-    R * coefficient * dA, at most 0.5 * b * delta_b * delta_h at the
-    optimal mass split.
-    """
-    dA = (delta_b / spec.b) * (delta_h / spec.h)
-    return R * triangle_swim_coefficient(spec) * dA
-
-
 @dataclass(frozen=True)
 class RingSpec:
     """Flat ring swimmer: a body splitting into two counter-moving splinters."""

@@ -14,10 +14,9 @@ from curvswim.body import (
     momentum_work,
     moments,
     principal_axes,
-    scalar_product,
 )
 from curvswim.errors import ChartDomainError
-from curvswim.fields import VectorField, from_complex, linear_field, to_complex
+from curvswim.fields import from_complex, linear_field, to_complex
 from curvswim.geometry import Surface, killing_fields, translation_to
 
 
@@ -205,55 +204,58 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
 
 
 # ---------------------------------------------------------- scalar product
+# The mass-weighted pairing <u|v> = (1/M) sum_n m_n g(u_n, v_n) as the kernel
+# forms it: gram pairs the Killing fields, mom each velocity with them and vv
+# each velocity with itself.
+
+
+def pairings(b, s, *velocities):
+    """(gram, mom, vv) of momentum_map at the body's positions, mass-normalized."""
+    V = np.stack(velocities) if velocities else np.empty((0, b.n, 2))
+    return tuple(a / b.total_mass for a in momentum_map(b, s, V)[:3])
 
 
 def test_unit_field_has_unit_norm():
     b = Body.from_particles([[1, 0.3, 0.1], [2, -0.5, 0.2]])
-    s = Surface(0.0)
-    xi1 = killing_fields(s)[0]
-    assert scalar_product(b, s, xi1, xi1) == pytest.approx(1.0, abs=1e-15)
+    assert pairings(b, Surface(0.0))[0][0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_three_mass_translation_rotation_pairing():
     # unit masses at (1,0), (-1,0), (0,1): <xi1|xi3> = -Q^y / M = -1/3
     b = Body.from_particles([[1, 1, 0], [1, -1, 0], [1, 0, 1]])
-    s = Surface(0.0)
-    ks = killing_fields(s)
-    assert scalar_product(b, s, ks[0], ks[2]) == pytest.approx(-1.0 / 3.0, abs=1e-15)
-
-
-def constant_field(vx, vy):
-    return VectorField(func=lambda p: np.broadcast_to(np.array([vx, vy], dtype=float), p.shape).copy())
+    assert pairings(b, Surface(0.0))[0][0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 def test_pointwise_orthogonal_fields():
+    # each Killing field turned by a right angle at every particle pairs to zero with it
     b = Body.from_particles([[1, 0.2, 0.4], [3, -0.1, 0.5]])
     s = Surface(1.0)
-    assert scalar_product(b, s, constant_field(1, 0), constant_field(0, 1)) == 0.0
+    turned = [xi(b.positions)[:, ::-1] * [1.0, -1.0] for xi in killing_fields(s)]
+    mom = pairings(b, s, *turned)[1]
+    assert np.max(np.abs(np.diag(mom))) <= 1e-16
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2))
 def test_scalar_product_bilinear_symmetric(a, c):
+    # mom is linear in the velocity and gram is exactly symmetric
     b = Body.from_particles([[1, 0.3, 0.1], [2, -0.2, 0.2], [1.5, 0.1, -0.3]])
     s = Surface(-0.5)
-    u = linear_field(np.array([[0.7, 0.1], [0.0, -0.4]]))
-    v = linear_field(np.array([[0.2, -0.3], [0.5, 0.1]]))
-    w = constant_field(0.4, -0.9)
-    left = scalar_product(b, s, a * u + c * w, v)
-    right = a * scalar_product(b, s, u, v) + c * scalar_product(b, s, w, v)
-    assert left == pytest.approx(right, abs=1e-12)
-    assert scalar_product(b, s, u, v) == pytest.approx(scalar_product(b, s, v, u), abs=1e-15)
+    u = linear_field(np.array([[0.7, 0.1], [0.0, -0.4]]))(b.positions)
+    w = np.broadcast_to([0.4, -0.9], u.shape)
+    gram, mom, _ = pairings(b, s, a * u + c * w, u, w)
+    assert np.max(np.abs(mom[0] - (a * mom[1] + c * mom[2]))) <= 1e-12
+    assert np.array_equal(gram, gram.T)
 
 
 def test_norm_positive_unless_vanishing_on_particles():
     b = Body.from_particles([[1, 0.5, 0.0], [1, -0.5, 0.0]])
-    s = Surface(0.0)
     u = linear_field(np.array([[0.3, 0.0], [0.2, 0.0]]))
-    assert scalar_product(b, s, u, u) > 0.0
     # y d/dy vanishes at every particle of this needle
     v = linear_field(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert scalar_product(b, s, v, v) == 0.0
+    vv = pairings(b, Surface(0.0), u(b.positions), v(b.positions))[2]
+    assert vv[0] > 0.0
+    assert vv[1] == 0.0
 
 
 # ----------------------------------------------------------------- moments

@@ -226,13 +226,16 @@ PARTICLES = [[1.0, 0.1, 0.0], [1.0, -0.1, 0.05], [2.0, 0.0, -0.1]]
 
 @pytest.mark.parametrize("bad, where", [
     ("nan-mass", "body.particles[0]"), ("inf-coordinate", "body.particles[1]"), ("nan-R", "surface.R"),
-    ("huge-int-R", "surface.R"),
+    ("huge-int-R", "surface.R"), ("inf-matrix", "fields[0]"), ("nan-matrix", "fields[0]"),
+    ("bool-x_dx", "fields[1]"), ("huge-int-y_dy", "fields[1]"),
 ])
 @pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep"])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, where):
     # JSON parses NaN and Infinity; they used to escape as a LinAlgError
     # traceback (exit 1) or a "numerical failure" (exit 3), and an integer
-    # beyond the float range as an OverflowError traceback
+    # beyond the float range as an OverflowError traceback.  Field specs
+    # used to run on: a non-finite matrix printed NaN (not JSON) with exit 0,
+    # and {"x_dx": true} ran as 1.0
     particles = [list(p) for p in PARTICLES]
     cfg = dict(BASE_CONFIG, body={"particles": particles}, surface={"R": 1.0},
                sweep={"variable": "area", "values": [1e-4]})
@@ -240,6 +243,12 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
         particles[0][0] = float("nan")
     elif bad == "inf-coordinate":
         particles[1][1] = float("inf")
+    elif bad.endswith("matrix"):
+        cfg["fields"] = [{"matrix": [[float(bad[:3]), 0.0], [0.0, 0.0]]}, "linear:22"]
+    elif bad == "bool-x_dx":
+        cfg["fields"] = ["linear:11", {"x_dx": True}]
+    elif bad == "huge-int-y_dy":
+        cfg["fields"] = ["linear:11", {"y_dy": 10**400, "x_dx": 1.0}]
     else:
         cfg["surface"] = {"R": float("nan") if bad == "nan-R" else 10**400}
     out = tmp_path / "never.out"

@@ -6,9 +6,9 @@ from curvswim.errors import ChartDomainError
 from curvswim.fields import from_complex, linear_field, to_complex
 from curvswim.geometry import (
     CurvatureTensor,
+    Isometry,
     Surface,
     christoffel_at,
-    compose,
     exp_rigid,
     gaussian_curvature,
     geodesic_distance,
@@ -16,10 +16,10 @@ from curvswim.geometry import (
     killing_frame,
     killing_one_form,
     killing_residual,
-    killing_two_form,
     killing_two_forms,
     metric_at,
     numeric_exterior_derivative,
+    rigid_generator,
     translation_killing_approx,
     translation_to,
 )
@@ -287,9 +287,9 @@ def test_one_form_bad_index():
 def test_two_forms_flat():
     s = Surface(0.0)
     pts = np.array([[0.3, 0.4], [-1.0, 2.0]])
-    assert np.all(killing_two_form(s, 1, pts) == 0.0)
-    assert np.all(killing_two_form(s, 2, pts) == 0.0)
-    assert np.all(killing_two_form(s, 3, pts) == 2.0)
+    assert np.all(killing_two_forms(s, pts)[0] == 0.0)
+    assert np.all(killing_two_forms(s, pts)[1] == 0.0)
+    assert np.all(killing_two_forms(s, pts)[2] == 2.0)
 
 
 @pytest.mark.parametrize("R", R_VALUES)
@@ -302,9 +302,7 @@ def test_two_forms_in_one_pass_match_closed_forms(R):
     assert np.array_equal(c[0], 8.0 * R * y / u**3)
     assert np.array_equal(c[1], -8.0 * R * x / u**3)
     assert np.array_equal(c[2], 2.0 * (1.0 - R * (x * x + y * y)) / u**3)
-    for idx in (1, 2, 3):
-        assert np.array_equal(killing_two_form(s, idx, pts), c[idx - 1])
-        assert killing_two_form(s, idx, pts[0, 0]) == c[idx - 1, 0, 0]
+    assert np.array_equal(killing_two_forms(s, pts[0, 0]), c[:, 0, 0])
 
 
 def test_two_forms_outside_hyperbolic_domain_raise():
@@ -313,7 +311,7 @@ def test_two_forms_outside_hyperbolic_domain_raise():
 
 
 def test_two_form_sphere_value():
-    val = killing_two_form(Surface(1.0), 1, (0.0, 0.1))
+    val = killing_two_forms(Surface(1.0), (0.0, 0.1))[0]
     assert val == pytest.approx(0.8 / 1.01**3, rel=1e-14)
 
 
@@ -352,16 +350,39 @@ def test_exp_rigid_matches_ode_oracle():
         assert np.allclose(exp_rigid(s, tau)(p0), sol.y[:, -1], atol=1e-9)
 
 
+def _matrix(g):
+    return np.array([[g.alpha, g.beta], [-g.R * np.conj(g.beta), np.conj(g.alpha)]])
+
+
+@pytest.mark.parametrize("size", [1e-7, 0.999, 1.001, 3.0])
+@pytest.mark.parametrize("R, sign", [(-1.0, 1.0), (-1.0, -1.0), (0.0, -1.0), (1.0, -1.0)])
+def test_exp_rigid_matches_expm(R, sign, size):
+    # the generator squares to q I with q = -(theta^2 + R |tau1 + i tau2|^2);
+    # |q| = size lands on both sides of the series switch at |q| = 1
+    from scipy.linalg import expm
+
+    theta2, b2 = {(-1.0, 1.0): (0.5, 1.5), (-1.0, -1.0): (1.5, 0.5), (0.0, -1.0): (1.0, 0.3),
+                  (1.0, -1.0): (0.5, 0.5)}[(R, sign)]
+    tau = np.array([0.6 * np.sqrt(b2 * size), 0.8 * np.sqrt(b2 * size), 2.0 * np.sqrt(theta2 * size)])
+    s = Surface(R)
+    assert -(0.25 * tau[2] ** 2 + R * (tau[0] ** 2 + tau[1] ** 2)) == pytest.approx(sign * size, rel=1e-12)
+    ref = expm(rigid_generator(s, tau))
+    assert np.max(np.abs(_matrix(exp_rigid(s, tau)) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_composition_and_inverse():
+    # the product of the 2x2 representations acts as the composition (the
+    # integrator accumulates its rigid motion so), and exp_rigid(-tau)
+    # inverts exp_rigid(tau)
     s = Surface(-0.7)
     g = exp_rigid(s, (0.2, 0.1, -0.3))
     h = translation_to(s, (0.15, -0.2))
-    k = exp_rigid(s, (0.0, 0.0, 0.5))
     p = np.array([0.1, 0.2])
-    assert np.allclose(compose(compose(g, h), k)(p), compose(g, compose(h, k))(p), atol=1e-14)
-    e = compose(g, g.inverse()).normalized()
+    gh = _matrix(g) @ _matrix(h)
+    assert np.allclose(Isometry(gh[0, 0], gh[0, 1], s.R)(p), g(h(p)), atol=1e-14)
+    e = Isometry(*(_matrix(g) @ _matrix(exp_rigid(s, (-0.2, -0.1, 0.3))))[0], s.R)
     assert abs(e.alpha - 1.0) < 1e-14 and abs(e.beta) < 1e-14
-    assert np.allclose(g.inverse()(g(p)), p, atol=1e-14)
+    assert np.allclose(exp_rigid(s, (-0.2, -0.1, 0.3))(g(p)), p, atol=1e-14)
 
 
 @pytest.mark.parametrize("R", R_VALUES)
@@ -440,8 +461,8 @@ def test_translation_approx_two_form_ratio():
 
     p = np.array([0.0, 0.2])
     assert curl_from_grad(p) == pytest.approx(8 * R * p[1], abs=1e-14)
-    r1 = curl_from_grad(p) / killing_two_form(s, 1, p)
-    r2 = curl_from_grad(0.5 * p) / killing_two_form(s, 1, 0.5 * p)
+    r1 = curl_from_grad(p) / killing_two_forms(s, p)[0]
+    r2 = curl_from_grad(0.5 * p) / killing_two_forms(s, 0.5 * p)[0]
     assert abs(r2 - 1.0) < 0.3 * abs(r1 - 1.0)
 
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from curvswim.body import Body, balance, principal_axes
+import curvswim.deformation as deformation
+from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import GaugeConditionError
 from curvswim.fields import linear_field
-from curvswim.geometry import CurvatureTensor, Surface, killing_two_form
+from curvswim.geometry import CurvatureTensor, Surface, killing_two_forms
 from curvswim.holonomy import (
-    gram_matrix,
     holonomy_general,
     holonomy_linear,
     holonomy_small_swimmer,
@@ -23,20 +23,20 @@ TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 
 def test_gram_single_mass_at_origin():
     b = Body.from_particles([[1, 0, 0]])
-    G = gram_matrix(b, Surface(0.0))
+    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0] / b.total_mass
     assert np.allclose(G, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_gram_block_diagonal_for_balanced_flat():
     rng = np.random.default_rng(3)
     b = random_balanced_body(rng, extent=0.3)
-    G = gram_matrix(b, Surface(0.0))
+    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0] / b.total_mass
     assert np.allclose(G[:2, 2], 0.0, atol=1e-13)
     assert np.allclose(G[2, :2], 0.0, atol=1e-13)
 
 
 def test_gram_symmetric_on_sphere():
-    G = gram_matrix(TRIANGLE, Surface(1.0))
+    G = momentum_map(TRIANGLE, Surface(1.0), np.empty((0, TRIANGLE.n, 2)))[0] / TRIANGLE.total_mass
     assert np.allclose(G, G.T, atol=1e-15)
     assert np.all(np.linalg.eigvalsh(G) > 0)
 
@@ -50,7 +50,7 @@ def test_bracket_exact_vs_small_swimmer_gap():
     small = triangle_body(TriangleSpec(M=1.0, m=0.25, h=0.1, b=0.1))
     x, y = small.positions.T
     # paired with (y d/dy, x d/dx) a two-form c contributes -(1/M) sum_n m_n c x y
-    exact = np.sum(small.masses * killing_two_form(s, 1, small.positions) * x * y)
+    exact = np.sum(small.masses * killing_two_forms(s, small.positions)[0] * x * y)
     approx = np.sum(small.masses * 8.0 * y * x * y)
     assert abs(exact / approx - 1.0) < 0.05
 
@@ -164,6 +164,19 @@ def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
     holonomy_small_swimmer(prepared, curv, fb, fc, 1e-4)
     # the balanced body (read by principal_axes) and the prepared one
     assert sum(cubic) == 2
+
+
+def test_holonomy_linear_builds_no_field(monkeypatch):
+    # it reads the two gauge-fixed matrices and contracts them with the
+    # cubic moments; the fields the matrices define are never built
+    body = random_balanced_body(np.random.default_rng(5))
+    curv = CurvatureTensor.constant_curvature(4.0)
+    expected = holonomy_linear(body, curv, (1, 1), (1, 2), 0.3)
+    built, original = [], deformation.linear_field
+    monkeypatch.setattr(deformation, "linear_field", lambda *a, **k: built.append(1) or original(*a, **k))
+    got = holonomy_linear(body, curv, (1, 1), (1, 2), 0.3)
+    assert len(built) == 0
+    assert np.array_equal(got, expected)
 
 
 def test_small_swimmer_requires_balance():

@@ -19,13 +19,12 @@ from curvswim.errors import ChartDomainError, StrokeError
 from curvswim.fields import from_complex, linear_field, to_complex
 from curvswim.geometry import Isometry, Surface, killing_fields, rigid_generator
 from curvswim.holonomy import holonomy_general
+from curvswim.geometry import _SERIES_Q
 from curvswim.integrator import (
-    _SERIES_Q,
     Stroke,
     _expm2,
     _extract_delta_tau,
     integrate_stroke,
-    momentum,
     oracle_ratio,
     rectangle_stroke,
     sinusoid_stroke,
@@ -47,17 +46,15 @@ def projected_pair(body, surface):
 
 
 def test_momentum_zero_velocities():
-    assert momentum(TRIANGLE, Surface(1.0), killing_fields(Surface(1.0))[0],
-                    np.zeros_like(TRIANGLE.positions)) == 0.0
+    mom = momentum_map(TRIANGLE, Surface(1.0), np.zeros((1,) + TRIANGLE.positions.shape))[1]
+    assert np.all(mom == 0.0)
 
 
 def test_momentum_of_killing_velocity_is_norm():
-    from curvswim.body import scalar_product
-
+    # the momenta of the velocities xi_a are the rows of the Gram matrix
     s = Surface(1.0)
-    xi = killing_fields(s)[0]
-    val = momentum(TRIANGLE, s, xi, xi(TRIANGLE.positions))
-    assert val == pytest.approx(TRIANGLE.total_mass * scalar_product(TRIANGLE, s, xi, xi), rel=1e-14)
+    gram, mom, _, _ = momentum_map(TRIANGLE, s, np.stack([xi(TRIANGLE.positions) for xi in killing_fields(s)]))
+    assert np.max(np.abs(mom - gram)) <= 1e-14 * np.max(np.abs(gram))
 
 
 def test_solver_residual_below_bound():
@@ -339,19 +336,18 @@ def test_flat_convergence_study_zeros():
 # ------------------------------------------- body-frame reconstruction
 
 
-def reference_composed(body, surface, fields, stroke, record=False):
+def reference_composed(body, surface, fields, stroke):
     """Composed mode evaluated stage by stage in the space frame.
 
     Every RK4 stage maps the shape into the space frame through the current
     group element and solves the 3x3 momentum system there; the integrator
     instead runs RK4 on dG/dt = G A(shape) in the body frame.  Returns
-    (delta_tau, residual_bound, shape_closure_defect, times, positions).
+    (delta_tau, residual_bound, shape_closure_defect).
     """
     X0 = surface.require_inside(body.positions)
     steps = stroke.steps
     dt = 1.0 / steps
     G = np.eye(2, dtype=complex)
-    rec_times, rec_pos = [], []
     max_speed = 0.0
     B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
 
@@ -379,9 +375,6 @@ def reference_composed(body, surface, fields, stroke, record=False):
         vz = g.derivative_complex(yz) * to_complex(Vy)
         v_def = from_complex(vz)
         tau_dot, _ = solve(X, v_def, collect)
-        if collect and record:
-            rec_times.append(t)
-            rec_pos.append(X)
         return rigid_generator(surface, tau_dot) @ Gm
 
     for n in range(steps):
@@ -398,7 +391,7 @@ def reference_composed(body, surface, fields, stroke, record=False):
     closure = float(np.max(np.abs(E1 - E0)))
     delta_tau, _ = _extract_delta_tau(G, surface.R)
     bound = 1e-12 * body.total_mass * max(max_speed, 1e-300)
-    return delta_tau, bound, closure, np.asarray(rec_times), np.asarray(rec_pos)
+    return delta_tau, bound, closure
 
 
 def _random_body(seed=11, n=7, radius=0.3):
@@ -425,15 +418,12 @@ def test_body_frame_matches_space_frame_reference(kind, R, steps):
     body, fields = _random_body()
     s = Surface(R)
     stroke = REFERENCE_STROKES[kind](steps)
-    dtau, bound, closure, times, positions = reference_composed(body, s, fields, stroke, record=True)
-    rec = integrate_stroke(body, s, fields, stroke, mode="composed", record=True)
+    dtau, bound, closure = reference_composed(body, s, fields, stroke)
+    rec = integrate_stroke(body, s, fields, stroke, mode="composed")
     assert np.max(np.abs(rec.delta_tau - dtau)) <= 1e-12 * np.max(np.abs(dtau))
     assert rec.residual_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
     assert rec.max_momentum_residual <= rec.residual_bound
     assert rec.shape_closure_defect == closure
-    assert np.array_equal(rec.times, times)
-    assert rec.positions.shape == positions.shape
-    assert np.max(np.abs(rec.positions - positions)) <= 1e-12
 
 
 def test_body_frame_keeps_mirror_zeros():
@@ -441,7 +431,7 @@ def test_body_frame_keeps_mirror_zeros():
     # rotation vanish exactly in the stage-by-stage reference
     s = Surface(1.0)
     stroke = rectangle_stroke(0.1, 0.1, steps=64)
-    dtau, bound, _, _, _ = reference_composed(TRIANGLE, s, [HEIGHT, BASE], stroke)
+    dtau, bound, _ = reference_composed(TRIANGLE, s, [HEIGHT, BASE], stroke)
     rec = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="composed")
     assert dtau[0] != 0.0 and dtau[1] == 0.0 and dtau[2] == 0.0
     assert rec.delta_tau[1] == 0.0 and rec.delta_tau[2] == 0.0
@@ -528,10 +518,9 @@ def test_composed_blocks_do_not_change_the_result(monkeypatch, kind):
     runs = []
     for per_block in (1, 2, 3, 5, 10**6):
         monkeypatch.setattr(integrator, "_BLOCK_PARTICLE_NODES", per_block * body.n)
-        runs.append(integrate_stroke(body, s, fields, stroke, mode="composed", record=True))
+        runs.append(integrate_stroke(body, s, fields, stroke, mode="composed"))
     for rec in runs[1:]:
         assert np.array_equal(rec.delta_tau, runs[0].delta_tau)
-        assert np.array_equal(rec.positions, runs[0].positions)
         assert rec.max_momentum_residual == runs[0].max_momentum_residual
         assert rec.residual_bound == runs[0].residual_bound
         assert rec.shape_closure_defect == runs[0].shape_closure_defect
@@ -617,25 +606,3 @@ def test_composed_needs_linear_fields():
         integrate_stroke(
             TRIANGLE, Surface(1.0), [nonlinear, HEIGHT], rectangle_stroke(0.1, 0.1, steps=16)
         )
-
-
-def test_record_trajectory():
-    s = Surface(1.0)
-    stroke = rectangle_stroke(0.05, 0.05, steps=16)
-    rec = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="composed", record=True)
-    assert rec.positions.shape == (16, 3, 2)
-    assert rec.times.shape == (16,)
-    csv = rec.trajectory_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "t,particle,x,y"
-    assert len(lines) == 1 + 16 * 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and int(first[1]) == 0
-
-
-def test_trajectory_csv_requires_recording():
-    s = Surface(1.0)
-    stroke = rectangle_stroke(0.05, 0.05, steps=16)
-    rec = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="composed")
-    with pytest.raises(ValueError):
-        rec.trajectory_csv()

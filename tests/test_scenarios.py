@@ -13,7 +13,6 @@ from curvswim.scenarios import (
     RingSpec,
     TriangleSpec,
     baron_cat_report,
-    rectangle_stroke_distance,
     ring_displacement,
     ring_simulate,
     triangle_body,
@@ -86,13 +85,6 @@ def test_bound_saturated_only_at_optimum():
     assert off < at_opt
 
 
-def test_rectangle_stroke_distance():
-    spec = TriangleSpec(1.0, 0.25, 1.0, 1.0)
-    assert rectangle_stroke_distance(spec, 1.0, 0.1, 0.1) == pytest.approx(0.005)
-    assert rectangle_stroke_distance(spec, 1.0, 0.0, 0.1) == 0.0
-    assert rectangle_stroke_distance(spec, -1.0, 0.1, 0.1) == pytest.approx(-0.005)
-
-
 def test_stroke_distance_agrees_with_integrator_small_body():
     # leading-order coefficient vs the momentum-constrained oracle, on a
     # body small enough that curvature corrections stay inside the gate
@@ -104,7 +96,7 @@ def test_stroke_distance_agrees_with_integrator_small_body():
         side = np.sqrt(dA)
         stroke = rectangle_stroke(side, side, steps=1024)
         rec = integrate_stroke(body, s, [height, base], stroke, mode="composed")
-        expected = rectangle_stroke_distance(spec, 1.0, side * spec.b, side * spec.h)
+        expected = 1.0 * triangle_swim_coefficient(spec) * dA     # R * coefficient * dA
         assert rec.delta_tau[0] / expected == pytest.approx(1.0, abs=tol)
 
 
