@@ -21,6 +21,7 @@ from .errors import (
     CurvswimError,
     DegenerateMomentsError,
     GaugeConditionError,
+    NonFiniteResultError,
     SingularGramError,
     StrokeError,
 )

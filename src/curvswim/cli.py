@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: holonomy, integrate, sweep, triangle, ring, check.  All of them take
-a JSON run configuration (strictly validated, unknown keys rejected) and
-emit machine-readable JSON or CSV with full float precision, so repeated
-runs of the same configuration are byte-identical.
+Subcommands: holonomy, integrate, sweep, triangle, ring, check.  All but check
+take a JSON run configuration (strictly validated, unknown keys rejected) and
+emit machine-readable output with full float precision (CSV for sweep,
+JSON for the others), so repeated runs of the same configuration are
+byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -20,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .body import Body, balance, principal_axes
+from .body import Body
 from .checks import Record, run_checks
 from .deformation import parse_field_spec, project_gauge, gauge_residuals
 from .errors import ConfigError, CurvswimError
@@ -88,14 +89,9 @@ class RunConfig:
     sweep: Optional[Dict[str, Any]] = None
     ring: Optional[RingSpec] = None
     mode: str = "composed"
-    gauge: str = "project"
-    do_balance: bool = False
-    do_principal_axes: bool = False
-    out_format: Optional[str] = None
-    out_path: Optional[str] = None
 
 
-TOP_KEYS = ("schema", "surface", "body", "fields", "stroke", "sweep", "ring", "options", "outputs")
+TOP_KEYS = ("schema", "surface", "body", "fields", "stroke", "sweep", "ring", "options")
 
 
 def load_config(path: str) -> RunConfig:
@@ -135,7 +131,7 @@ def parse_config(raw: Any) -> RunConfig:
             try:
                 cfg.body = Body.from_particles(parts)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"body.particles: {exc}") from exc
         else:
             sc = _require_keys(sec["scenario"], ("triangle",), ("triangle",), "body.scenario")
             tri = _require_keys(sc["triangle"], ("M", "m", "h", "b"), ("M", "m", "h", "b"), "body.scenario.triangle")
@@ -147,7 +143,7 @@ def parse_config(raw: Any) -> RunConfig:
                     b=_number(tri["b"], "triangle.b"),
                 )
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"body.scenario.triangle: {exc}") from exc
             cfg.body = triangle_body(cfg.triangle)
 
     if "fields" in top:
@@ -199,40 +195,14 @@ def parse_config(raw: Any) -> RunConfig:
                 m2=_number(sec["m2"], "ring.m2"),
             )
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"ring: {exc}") from exc
 
     if "options" in top:
-        sec = _require_keys(
-            top["options"],
-            ("mode", "gauge", "balance", "principal_axes"),
-            (),
-            "options",
-        )
+        sec = _require_keys(top["options"], ("mode",), (), "options")
         if "mode" in sec:
             if sec["mode"] not in ("composed", "direct"):
                 raise ConfigError("options.mode must be 'composed' or 'direct'")
             cfg.mode = sec["mode"]
-        if "gauge" in sec:
-            if sec["gauge"] not in ("project", "assume"):
-                raise ConfigError("options.gauge must be 'project' or 'assume'")
-            cfg.gauge = sec["gauge"]
-        for key in ("balance", "principal_axes"):
-            if key in sec:
-                if not isinstance(sec[key], bool):
-                    raise ConfigError(f"options.{key} must be a boolean")
-        cfg.do_balance = bool(sec.get("balance", False))
-        cfg.do_principal_axes = bool(sec.get("principal_axes", False))
-
-    if "outputs" in top:
-        sec = _require_keys(top["outputs"], ("format", "path"), (), "outputs")
-        if "format" in sec:
-            if sec["format"] not in ("json", "csv"):
-                raise ConfigError("outputs.format must be 'json' or 'csv'")
-            cfg.out_format = sec["format"]
-        if "path" in sec:
-            if not isinstance(sec["path"], str):
-                raise ConfigError("outputs.path must be a string")
-            cfg.out_path = sec["path"]
 
     return cfg
 
@@ -242,16 +212,6 @@ def _need(cfg: RunConfig, attr: str, what: str) -> Any:
     if value is None:
         raise ConfigError(f"this command needs a '{what}' section in the config")
     return value
-
-
-def _prepared_body(cfg: RunConfig) -> Body:
-    body = _need(cfg, "body", "body")
-    surface = _need(cfg, "surface", "surface")
-    if cfg.do_balance:
-        body = balance(body, surface)
-    if cfg.do_principal_axes:
-        body = principal_axes(body)
-    return body
 
 
 def _build_stroke(cfg: RunConfig, steps_override: Optional[int]) -> Stroke:
@@ -268,13 +228,7 @@ def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
     try:
         return [parse_field_spec(s, body=body) for s in specs]
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _gauge_fields(cfg: RunConfig, body: Body, surface: Surface, raw: List[VectorField]) -> List[VectorField]:
-    if cfg.gauge == "assume":
-        return raw
-    return [project_gauge(body, surface, f) for f in raw]
+        raise ConfigError(f"fields: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +237,10 @@ def _gauge_fields(cfg: RunConfig, body: Body, surface: Surface, raw: List[Vector
 
 def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
     surface = _need(cfg, "surface", "surface")
-    body = _prepared_body(cfg)
+    body = _need(cfg, "body", "body")
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    fields = _gauge_fields(cfg, body, surface, raw)
+    fields = [project_gauge(body, surface, f) for f in raw]
     res = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
     return {
         "command": "holonomy",
@@ -306,7 +260,7 @@ def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any
 def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
     """The integrator half of integrate: (body, raw fields, stroke, trajectory record)."""
     surface = _need(cfg, "surface", "surface")
-    body = _prepared_body(cfg)
+    body = _need(cfg, "body", "body")
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
     return body, raw, stroke, integrate_stroke(body, surface, raw, stroke, mode=cfg.mode)
@@ -315,7 +269,7 @@ def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
 def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
     surface = _need(cfg, "surface", "surface")
     body, raw, stroke, rec = _run_oracle(cfg, steps_override)
-    fields = _gauge_fields(cfg, body, surface, raw)
+    fields = [project_gauge(body, surface, f) for f in raw]
     hol = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
     dx_f, dx_i = float(hol.delta_tau[0]), float(rec.delta_tau[0])
     ratio = oracle_ratio(dx_i, dx_f)
@@ -420,16 +374,12 @@ def _roundtrip_floats(obj: Any) -> Any:
         return [_roundtrip_floats(v) for v in obj]
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
-def _emit(payload: Any, fmt: str, path: Optional[str]) -> None:
+def _emit(payload: Any, path: Optional[str]) -> None:
     if isinstance(payload, str):
         text = payload
-    elif fmt == "csv":
-        raise ConfigError("csv output is only available for the sweep command")
     else:
         text = json.dumps(_roundtrip_floats(payload), indent=2, sort_keys=True) + "\n"
     if path:
@@ -448,12 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, config=True, steps=False, formats=("json", "csv")):
+    def add(name, help, config=True, steps=False):
         p = sub.add_parser(name, help=help)
         if config:
             p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="write the result to this path instead of stdout")
-        p.add_argument("--format", choices=formats, help="output format override")
         if steps:
             p.add_argument("--steps", type=int, help="time-step override for the integrator")
         return p
@@ -463,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("sweep", "formula vs oracle table over area, m or R", steps=True)
     add("triangle", "triangle coefficient and optimal mass split")
     add("ring", "ring swimmer displacement")
-    check_p = add("check", "run the invariant registry", config=False, formats=("json",))
+    check_p = add("check", "run the invariant registry", config=False)
+    check_p.add_argument("--format", choices=("json",), help="write the records as JSON instead of text lines")
     check_p.add_argument("--seed", type=int, default=0, help="seed for the randomized records")
     check_p.add_argument(
         "--inject-killing-fault",
@@ -480,18 +430,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             records = run_checks(seed=args.seed, inject_killing_fault=args.inject_killing_fault)
             _emit(cmd_check(records, args.seed) if args.format == "json"
-                  else "".join(r.line() + "\n" for r in records), args.format, args.out)
+                  else "".join(r.line() + "\n" for r in records), args.out)
             return 0 if all(r.ok for r in records) else 3
         cfg = load_config(args.config)
-        fmt = args.format or cfg.out_format or ("csv" if args.command == "sweep" else "json")
-        path = args.out or cfg.out_path
         if args.command == "holonomy":
             payload = cmd_holonomy(cfg, args.steps)
         elif args.command == "integrate":
             payload = cmd_integrate(cfg, args.steps)
         elif args.command == "sweep":
-            if fmt != "csv":
-                raise ConfigError("sweep emits csv; use --format csv")
             payload = cmd_sweep(cfg, args.steps)
         elif args.command == "triangle":
             payload = cmd_triangle(cfg)
@@ -499,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = cmd_ring(cfg)
         else:  # pragma: no cover - argparse guards this
             raise ConfigError(f"unknown command {args.command!r}")
-        _emit(payload, fmt, path)
+        _emit(payload, args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,6 +30,10 @@ class DegenerateMomentsError(CurvswimError):
     """Second moments degenerate; the requested deformation family is undefined."""
 
 
+class NonFiniteResultError(CurvswimError):
+    """A computed result overflowed to an infinite or NaN value."""
+
+
 class StrokeError(CurvswimError):
     """Invalid stroke definition (for instance a non-closed control loop)."""
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .body import Body, moments
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
-from .errors import GaugeConditionError, SingularGramError
+from .errors import GaugeConditionError, NonFiniteResultError, SingularGramError
 from .fields import VectorField
 from .geometry import CurvatureTensor, Surface, killing_two_forms
 
@@ -79,6 +79,7 @@ def holonomy_general(
     u and v must already satisfy the gauge condition against the Killing
     set (project first if unsure); a residual above GAUGE_TOLERANCE is an
     error, not a warning, because the leading-order derivation relies on it.
+    A delta_tau that overflowed raises NonFiniteResultError.
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
@@ -101,6 +102,8 @@ def holonomy_general(
     V = eigvecs[:, keep]
     inv = (V / eigvals[keep]) @ V.T
     delta = inv @ rhs
+    if not np.all(np.isfinite(delta)):
+        raise NonFiniteResultError(f"rigid increment is not finite: {delta}")
     null = None if rank == G.shape[0] else eigvecs[:, ~keep]
     cond = float(eigvals[-1] / eigvals[keep][0])
     return HolonomyResult(

@@ -54,7 +54,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .body import Body, momentum_map, momentum_work
-from .errors import SingularGramError, StrokeError
+from .errors import NonFiniteResultError, SingularGramError, StrokeError
 from .fields import VectorField, complex_view
 from .geometry import Isometry, Surface, cosh_sinc, rigid_generator
 
@@ -100,9 +100,6 @@ class Stroke:
 
     def sigma(self, t: float) -> np.ndarray:
         return self.piece(t)[0](t)
-
-    def sigma_dot(self, t: float) -> np.ndarray:
-        return self.piece(t)[1](t)
 
     def reversed(self) -> "Stroke":
         """The loop run backwards: its piece p is piece P - 1 - p run backwards."""
@@ -381,7 +378,8 @@ def integrate_stroke(
     fields pairs with the two control axes of the stroke.  The returned
     delta_tau is read from the final rigid element in the origin frame:
     translation is the chart image of the origin, rotation twice the phase
-    of the group parameter alpha.
+    of the group parameter alpha.  A delta_tau that overflowed raises
+    NonFiniteResultError.
     """
     if len(fields) != 2:
         raise ValueError("exactly two control fields are required")
@@ -401,6 +399,8 @@ def integrate_stroke(
         X, G, max_residual, max_speed = _integrate_direct(body, surface, fields, stroke)
 
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
+    if not np.all(np.isfinite(delta_tau)):
+        raise NonFiniteResultError(f"integrated rigid increment is not finite: {delta_tau}")
     if mode == "direct":
         closure = float(np.max(np.abs(X - g_final(X0))))
 

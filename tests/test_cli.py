@@ -1,14 +1,27 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvswim
 import curvswim.checks as checks
-from curvswim.cli import main
+import curvswim.cli as cli
+from curvswim import (
+    Surface,
+    TriangleSpec,
+    gauge_fixed_linear_deformation,
+    holonomy_general,
+    project_gauge,
+    rectangle_stroke,
+    triangle_body,
+)
+from curvswim.cli import build_parser, main
 
 BASE_CONFIG = {
     "schema": 1,
@@ -80,17 +93,24 @@ def test_bad_schema_version(tmp_path):
     assert main(["holonomy", "--config", write_config(tmp_path, cfg)]) == 2
 
 
-def test_gauge_assume_rejected_numerically(tmp_path, capsys):
-    cfg = dict(BASE_CONFIG, options={"gauge": "assume"})
-    code = main(["holonomy", "--config", write_config(tmp_path, cfg)])
-    assert code == 3
-    assert "gauge" in capsys.readouterr().err
-
-
 def test_body_outside_domain_exits_3(tmp_path):
     cfg = dict(BASE_CONFIG, surface={"R": -1.0},
                body={"particles": [[1.0, 0.8, 0.8], [1.0, 0.0, 0.5]]})
     assert main(["holonomy", "--config", write_config(tmp_path, cfg)]) == 3
+
+
+@pytest.mark.parametrize("command", ["holonomy", "integrate"])
+def test_gauge_linear_fields_match_the_library(tmp_path, command):
+    cfg = dict(BASE_CONFIG, fields=["gauge_linear:11", "gauge_linear:22"])
+    rec = run_json(tmp_path, command, cfg)
+    body, surface = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0)), Surface(1.0)
+    u, v = (project_gauge(body, surface, gauge_fixed_linear_deformation(body, j, j)) for j in (1, 2))
+    expected = holonomy_general(body, surface, u, v, rectangle_stroke(0.1, 0.1).signed_area).delta_tau
+    if command == "holonomy":
+        assert rec["delta_tau"] == [float(x) for x in expected]
+    else:
+        assert rec["dx_formula"] == float(expected[0])
+        assert rec["ratio"] == pytest.approx(1.0, abs=2e-3)
 
 
 # ---------------------------------------------------------------- integrate
@@ -167,8 +187,6 @@ def test_sweep_over_m_peaks_at_quarter(tmp_path):
 def test_sweep_over_m_runs_no_formula(tmp_path, monkeypatch):
     # m rows take dx_formula from the triangle's closed form, so the general
     # formula (and the gauge projection feeding it) must not run
-    import curvswim.cli as cli
-
     calls = {"holonomy_general": 0, "project_gauge": 0}
     for name in calls:
         original = getattr(cli, name)
@@ -204,8 +222,17 @@ def test_sweep_over_R_negates(tmp_path):
     assert dx[-1.0] == pytest.approx(-dx[1.0], rel=0.01)
 
 
-def test_sweep_requires_csv(tmp_path):
-    assert main(["sweep", "--config", write_config(tmp_path, SWEEP_CONFIG), "--format", "json"]) == 2
+@pytest.mark.parametrize("command", ["integrate", "sweep"])
+def test_overflowing_result_is_a_numerical_failure(tmp_path, capsys, command):
+    # a finite but huge matrix overflows the shape flow; the NaN increment
+    # used to be printed (not JSON) with exit 0
+    cfg = dict(SWEEP_CONFIG, fields=[{"matrix": [[1e300, 0.0], [0.0, 0.0]]}, "linear:22"])
+    out = tmp_path / "never.out"
+    with np.errstate(all="ignore"):
+        code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    assert "rigid increment is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("steps", ["0", "2", "-3"])
@@ -255,6 +282,57 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert not out.exists()
     assert f"config error: {where} must be a finite number" in capsys.readouterr().err
+
+
+UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
+
+
+@pytest.mark.parametrize("override, message", [
+    pytest.param({"surface": 1.0}, "surface must be an object", id="surface-not-object"),
+    pytest.param({"surface": {}}, "missing key(s) in surface: ['R']", id="surface-missing-R"),
+    pytest.param({"body": {}}, "body needs exactly one of 'particles' or 'scenario'", id="body-empty"),
+    pytest.param({"body": {"particles": []}}, "body.particles must be a non-empty list", id="particles-empty"),
+    pytest.param({"body": {"particles": [[1.0, 0.0]]}}, "body.particles[0] must be [mass, x, y]", id="particle-pair"),
+    pytest.param({"body": {"particles": [[0.0, 0.0, 0.0]]}}, "body.particles: all masses must be positive",
+                 id="particle-massless"),
+    pytest.param({"body": {"scenario": {"triangle": {"M": 1.0, "m": 0.5, "h": 1.0, "b": 1.0}}}},
+                 "body.scenario.triangle: need 0 < 2m < M", id="triangle-mass-split"),
+    pytest.param({"fields": ["linear:11"]}, "fields must list exactly two", id="one-field"),
+    pytest.param({"fields": ["linear:13", "linear:22"]}, "fields: unrecognized field spec 'linear:13'",
+                 id="field-spec-unknown"),
+    pytest.param({"fields": [{"matrix": [[1.0, 0.0], [0.0, 0.0]], "tag": 1}, "linear:22"]},
+                 "fields: unexpected keys in matrix field spec: ['tag']", id="field-matrix-extra-key"),
+    pytest.param({"body": {"particles": PARTICLES}, "fields": ["gauge_linear:11", "gauge_linear:22"]},
+                 "fields: body must be balanced", id="field-gauge_linear-unbalanced"),
+    pytest.param({"stroke": {"type": "circle", "amplitudes": [0.1, 0.1]}}, "stroke.type must be", id="stroke-type"),
+    pytest.param({"stroke": {"type": "rectangle", "amplitudes": [0.1]}}, "stroke.amplitudes must be [a1, a2]",
+                 id="stroke-amplitudes"),
+    pytest.param({"stroke": {"type": "rectangle", "amplitudes": [0.1, 0.1], "profile": "jagged"}},
+                 "stroke.profile must be", id="stroke-profile"),
+    pytest.param({"sweep": {"variable": "h", "values": [1.0]}}, "sweep.variable must be one of", id="sweep-variable"),
+    pytest.param({"sweep": {"variable": "area", "values": []}}, "sweep.values must be a non-empty list",
+                 id="sweep-values"),
+    pytest.param({"ring": {"length": 0.0, "m1": 1.0, "m2": 1.0}}, "ring: circumference must be positive",
+                 id="ring-length"),
+    pytest.param({"options": {"mode": "implicit"}}, "options.mode must be 'composed' or 'direct'", id="options-mode"),
+    # keys the CLI no longer reads: --format and --out say it, and the gauge is always projected
+    pytest.param({"outputs": {"format": "json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.format"),
+    pytest.param({"outputs": {"path": "out.json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.path"),
+    pytest.param({"options": {"gauge": "assume"}}, "unknown key(s) in options: ['gauge']", id="removed-options.gauge"),
+    pytest.param({"options": {"balance": True}}, "unknown key(s) in options: ['balance']",
+                 id="removed-options.balance"),
+    pytest.param({"options": {"principal_axes": True}}, "unknown key(s) in options: ['principal_axes']",
+                 id="removed-options.principal_axes"),
+])
+def test_bad_config_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, override, message):
+    for name in ("integrate_stroke", "holonomy_general", "project_gauge"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+    out = tmp_path / "never.out"
+    code = main(["integrate", "--config", write_config(tmp_path, dict(BASE_CONFIG, **override)), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
 
 
 # ----------------------------------------------------------- triangle / ring
@@ -325,6 +403,9 @@ def test_check_counts_a_crash_as_failing_records(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("triangle", "--seed", "1"), ("ring", "--steps", "1"), ("check", "--steps", "1"), ("check", "--format", "csv"),
+    # the command fixes the format: CSV for sweep, JSON for the others
+    ("holonomy", "--format", "json"), ("integrate", "--format", "json"), ("sweep", "--format", "json"),
+    ("sweep", "--format", "csv"), ("triangle", "--format", "json"), ("ring", "--format", "json"),
 ])
 def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag, value):
     args = [command, flag, value]
@@ -333,6 +414,27 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, command, flag, valu
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_readme_flags_table_matches_the_parser():
+    # each row names every flag of its subcommands, and the values of a flag
+    # with fixed choices (`--format json`) are exactly those choices
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Flags, per subcommand")[1].split("\n\n")[1]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = re.split(r"(?<!\\)\|", row)[1:3]
+        for command in re.findall(r"`(\w+)`", commands):
+            documented[command] = dict(re.findall(r"`(--[\w-]+) ?([^`]*)`", flags))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        flags = documented.pop(name)
+        actions = {a.option_strings[-1]: a for a in p._actions if "--help" not in a.option_strings}
+        assert set(flags) == set(actions), name
+        for flag, action in actions.items():
+            if action.choices:
+                assert flags[flag].split("\\|") == list(action.choices), (name, flag)
+    assert documented == {}
 
 
 # -------------------------------------------------------------- entry point
@@ -366,7 +468,7 @@ def test_cli_runs_without_scipy(tmp_path):
         ["integrate", "--config", paths["composed"]],
         ["integrate", "--config", paths["direct"]],
         ["holonomy", "--config", paths["composed"]],
-        ["sweep", "--config", paths["sweep"], "--format", "csv"],
+        ["sweep", "--config", paths["sweep"]],
     ]
     runs = [args + ["--out", str(tmp_path / f"out{i}")] for i, args in enumerate(runs)]
     script = (

@@ -5,7 +5,7 @@ import curvswim.deformation as deformation
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
-from curvswim.errors import GaugeConditionError
+from curvswim.errors import GaugeConditionError, NonFiniteResultError
 from curvswim.fields import linear_field
 from curvswim.geometry import CurvatureTensor, Surface, killing_two_forms
 from curvswim.holonomy import (
@@ -64,6 +64,13 @@ def test_gauge_violation_rejected():
     other = linear_field(np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(GaugeConditionError):
         holonomy_general(TRIANGLE, s, raw, other, 1.0)
+
+
+def test_overflowing_increment_rejected():
+    s = Surface(1.0)
+    u, v = (project_gauge(TRIANGLE, s, f) for f in triangle_control_fields())
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError):
+        holonomy_general(TRIANGLE, s, u, v, np.inf)
 
 
 def test_rank_deficient_single_particle():
