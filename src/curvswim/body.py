@@ -14,7 +14,6 @@ from .errors import BalanceConvergenceError
 from .geometry import (
     Isometry,
     Surface,
-    killing_components,
     rotation_about_origin,
     translation_to,
 )
@@ -103,46 +102,26 @@ def moments(body: Body) -> Moments:
     return body._moments
 
 
-def _weights(body: Body, surface: Surface, x, out=None) -> np.ndarray:
-    """Contiguous x, y and r2 = |x|^2 of the points x, shape (..., N, 2), and
-    the weights m_n / (1 + R r2_n)^2, stacked as one array of shape
-    (4, ..., N), which is out when given.
-
-    r2 is formed once, for the chart-domain check and the weight.
-    """
-    a = np.asarray(x, dtype=float)
-    xyrw = np.empty((4,) + a.shape[:-1]) if out is None else out
-    surface.chart(a, out=xyrw[:3])
-    r2, w = xyrw[2], xyrw[3]
-    np.multiply(r2, surface.R, w)
-    np.add(1.0, w, w)
-    np.multiply(w, w, w)
-    np.divide(body.masses, w, w)
-    return xyrw
-
-
 def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
     """An uninitialized workspace for momentum_map(work=...) at points of
-    shape (..., N) with k velocity arrays per configuration: per point, the
-    six Killing components, x, y, r2, the weight and the weight times
-    (1 - R r2); per velocity its two components and their weighted copies;
-    and two product rows per velocity (at least two).
+    shape (..., N) with k velocity arrays per configuration: per point x, y,
+    r2, d, xy and the weight, then the six other Gram rows, which the ten
+    rows per velocity reuse once the Gram sums are taken.
     """
-    return np.empty(math.prod(points) * (11 + 4 * k + 2 * max(k, 1)))
+    return np.empty(math.prod(points) * (6 + max(6, 10 * k)))
 
 
 def momentum_map(
     body: Body, surface: Surface, velocities, x=None, *, work=None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The Killing frame at the particles and its mass-weighted pairings.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mass-weighted pairings of the Killing fields with themselves and with velocities.
 
-    Evaluates the three Killing fields once at the points x (default: the
-    body's positions), shape (..., N, 2), as a frame of shape (..., 3, N, 2),
-    and pairs it with itself and with each velocity array of the stack
-    velocities, shape (..., k, N, 2) with the leading axes of x, and each
-    velocity array with itself.  Leading axes are batch axes: each
-    configuration along them is paired on its own.  Returns
-    (gram, mom, vv, frame) with
+    Pairs the three Killing fields at the points x (default: the body's
+    positions), shape (..., N, 2), with themselves and with each velocity
+    array of the stack velocities, shape (..., k, N, 2) with the leading
+    axes of x, and each velocity array with itself.  Leading axes are batch
+    axes: each configuration along them is paired on its own.  Returns
+    (gram, mom, vv) with
 
         gram[..., a, b] = sum_n m_n g(xi_a, xi_b),   mom[..., k, a] = sum_n m_n g(xi_a, V_k),
         vv[..., k] = sum_n m_n g(V_k, V_k),
@@ -151,27 +130,35 @@ def momentum_map(
     connection: the Gram matrix and the momentum map of the velocities.
 
     The fields are quadratic in the chart (xi1 = 1 + R z^2, xi2 =
-    i (1 - R z^2), xi3 = i z), so with r^2 = x^2 + y^2 the Euclidean
-    products of distinct fields have short closed forms:
+    i (1 - R z^2), xi3 = i z), so every pairing is a sum of weighted
+    moments.  With w = m / (1 + R r^2)^2, r^2 = x^2 + y^2, d = x^2 - y^2 and
+    w' = w (1 - R r^2), seven rows w, w r^2, w r^4, w d, w xy, w' x, w' y
+    give the Gram matrix,
 
-        xi1.xi2 = 4Rxy,   xi1.xi3 = -y (1 - R r^2),   xi2.xi3 = x (1 - R r^2),
-        xi3.xi3 = r^2;
+        g11, g22 = S(w) + R^2 S(w r^4) +- 2R S(w d),   g33 = S(w r^2),
+        g12 = 4R S(w xy),   g13 = -S(w' y),   g23 = S(w' x),
 
-    xi1.xi1 and xi2.xi2 come from the squared components.  Only the six
-    unique Gram sums are formed and then mirrored, so gram is exactly
-    symmetric.  Every sum forms each particle's product first and adds the
-    particles with np.add.reduce (never a BLAS dot), so mirror-symmetric
-    bodies keep their exact zeros.
+    and per velocity ten rows give its momenta and norm:
 
-    Every per-particle array, of shape (..., N) or (..., k, N), is written
-    in place (as ufunc outputs) into one flat float array: work when given,
-    which must hold momentum_work(x.shape[:-1], k) elements (a longer one
-    serves, from its start), else one allocated here the same way.  A
-    caller that pairs many batches of one size can so reuse one workspace.
-    Each array is a C-contiguous view laid out as it would be on its own,
-    so the results do not depend on whether work was passed.  Only the
-    returned frame aliases work, and the next call into the same work
-    overwrites it; gram, mom and vv are fresh arrays.
+        mom1 = S(w vx) + R (S(d w vx) + 2 S(xy w vy)),
+        mom2 = S(w vy) + R (2 S(xy w vx) - S(d w vy)),
+        mom3 = S(x w vy) - S(y w vx),   vv = S(vx w vx) + S(vy w vy).
+
+    gram is exactly symmetric.  Each block of rows is summed over the
+    particles by one np.add.reduce over contiguous float rows (never a BLAS
+    dot or a complex sum), so the particle products of mirror images cancel
+    exactly and mirror-symmetric bodies keep their exact zeros.
+
+    Every per-particle row is written in place (as ufunc outputs) into one
+    flat float array: work when given, which must hold
+    momentum_work(x.shape[:-1], k) elements (a longer one serves, from its
+    start), else one allocated here the same way.  A caller that pairs many
+    batches of one size can so reuse one workspace.  Each block is a
+    C-contiguous view laid out as it would be on its own, so the results do
+    not depend on whether work was passed, and no returned array aliases
+    work.  Components are read as x[..., 0] and x[..., 1]: points (and
+    velocities) stored component-major, passed as transposed views, are
+    read as contiguous rows.
     """
     x = body.positions if x is None else np.asarray(x, dtype=float)
     V = np.asarray(velocities, dtype=float)
@@ -179,58 +166,53 @@ def momentum_map(
     size = math.prod(points)
     if work is None:
         work = momentum_work(points, nv)
-    # Consecutive C-contiguous blocks of work, each laid out as the array
-    # would be on its own.
-    rows = work[: 11 * size].reshape((11,) + points)
-    vel = work[11 * size : (11 + 4 * nv) * size].reshape((4,) + points[:-1] + (nv,) + points[-1:])
-    P, Q = work[(11 + 4 * nv) * size : (11 + 4 * nv + 2 * max(nv, 1)) * size].reshape(2, -1)
-    k = rows[:6].reshape((3, 2) + points)
-    x, y, r2, w = _weights(body, surface, x, out=rows[6:10])
-    killing_components(surface, x, y, out=k)
-    (a1x, a1y), (a2x, a2y), (a3x, a3y) = k
-    ws = rows[10]
-    np.multiply(r2, surface.R, ws)
-    np.subtract(1.0, ws, ws)
-    np.multiply(w, ws, ws)
-    t, u = P[:w.size].reshape(w.shape), Q[:w.size].reshape(w.shape)
+    rows = work[: 12 * size].reshape((12,) + points)
+    px, py, r2, d, xy = rows[:5]            # d and xy stay for the velocities
+    w, wr2, wr4, wd, wxy, wpx, wpy = rows[5:]
+    surface.chart(x, out=rows[:3])
+    R = surface.R
+    np.multiply(r2, R, w)
+    np.add(1.0, w, w)
+    np.multiply(w, w, w)
+    np.divide(body.masses, w, w)
+    np.subtract(px, py, d)
+    np.add(px, py, wr2)                     # scratch
+    np.multiply(d, wr2, d)
+    np.multiply(px, py, xy)
+    np.multiply(w, r2, wr2)
+    np.multiply(wr2, r2, wr4)
+    np.multiply(w, d, wd)
+    np.multiply(w, xy, wxy)
+    np.multiply(wr2, R, wpy)                # w' = w - R w r2, built in the w' y row
+    np.subtract(w, wpy, wpy)
+    np.multiply(wpy, px, wpx)
+    np.multiply(wpy, py, wpy)
+    s0, sr2, sr4, sd, sxy, sx, sy = np.add.reduce(rows[5:], -1)
+    gram = np.empty(s0.shape + (3, 3))
+    gram[..., 0, 0] = s0 + R * R * sr4 + 2.0 * R * sd
+    gram[..., 1, 1] = s0 + R * R * sr4 - 2.0 * R * sd
+    gram[..., 2, 2] = sr2
+    gram[..., 0, 1] = gram[..., 1, 0] = 4.0 * R * sxy
+    gram[..., 0, 2] = gram[..., 2, 0] = -sy
+    gram[..., 1, 2] = gram[..., 2, 1] = sx
 
-    def weighted_sum(weight, f):
-        np.multiply(weight, f, t)
-        return np.add.reduce(t, -1)
-
-    def weighted_norm(fx, fy):
-        np.multiply(fx, fx, t)
-        np.multiply(fy, fy, u)
-        np.add(t, u, t)
-        return weighted_sum(w, t)
-
-    gram = np.empty(w.shape[:-1] + (3, 3))
-    gram[..., 0, 0] = weighted_norm(a1x, a1y)
-    gram[..., 1, 1] = weighted_norm(a2x, a2y)
-    gram[..., 2, 2] = weighted_sum(w, r2)
-    # a1y = 2Rxy; doubling the sum is exact
-    gram[..., 0, 1] = gram[..., 1, 0] = 2.0 * weighted_sum(w, a1y)
-    gram[..., 0, 2] = gram[..., 2, 0] = weighted_sum(ws, a3x)
-    gram[..., 1, 2] = gram[..., 2, 1] = weighted_sum(ws, a3y)
-
-    vx, vy, wvx, wvy = vel
-    vx[...] = V[..., 0]
-    vy[...] = V[..., 1]
+    # ten rows per velocity, over the freed Gram rows after w
+    P = work[6 * size : (6 + 10 * nv) * size].reshape((10,) + points[:-1] + (nv,) + points[-1:])
+    vx, vy = V[..., 0], V[..., 1]
+    wvx, wvy = P[0], P[1]
     np.multiply(w[..., None, :], vx, wvx)
     np.multiply(w[..., None, :], vy, wvy)
-    p, q = P[:vx.size].reshape(vx.shape), Q[:vx.size].reshape(vx.shape)
-    mom = np.empty(vx.shape[:-1] + (3,))
-    for a, (ax, ay) in enumerate(k):
-        np.multiply(ax[..., None, :], wvx, p)
-        np.multiply(ay[..., None, :], wvy, q)
-        np.add(p, q, p)
-        mom[..., a] = np.add.reduce(p, -1)
-    np.multiply(wvx, vx, vx)
-    np.multiply(wvy, vy, vy)
-    np.add(vx, vy, vx)
-    vv = np.add.reduce(vx, -1)
-    # the frame (..., 3, N, 2): batch axes first, then field, particle, component
-    return gram, mom, vv, k.transpose(tuple(range(2, k.ndim - 1)) + (0, k.ndim - 1, 1))
+    for out, a, b in ((P[2], d, wvx), (P[3], xy, wvy), (P[4], xy, wvx), (P[5], d, wvy),
+                      (P[6], px, wvy), (P[7], py, wvx)):
+        np.multiply(a[..., None, :], b, out)
+    np.multiply(vx, wvx, P[8])
+    np.multiply(vy, wvy, P[9])
+    t = np.add.reduce(P, -1)
+    mom = np.empty(t.shape[1:] + (3,))
+    np.add(t[0], R * (t[2] + 2.0 * t[3]), mom[..., 0])
+    np.add(t[1], R * (2.0 * t[4] - t[5]), mom[..., 1])
+    np.subtract(t[6], t[7], mom[..., 2])
+    return gram, mom, t[8] + t[9]
 
 
 def balance(body: Body, surface: Surface) -> Body:

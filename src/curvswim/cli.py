@@ -6,7 +6,9 @@ emit machine-readable output with full float precision (CSV for sweep,
 JSON for the others), so repeated runs of the same configuration are
 byte-identical.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  numpy's
+floating-point warnings are silenced: an overflow shows as one typed
+numerical failure (a non-finite result, or a number JSON cannot hold).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .body import Body
 from .checks import Record, run_checks
 from .deformation import parse_field_spec, project_gauge, gauge_residuals
-from .errors import ConfigError, CurvswimError
+from .errors import ConfigError, CurvswimError, NonFiniteResultError
 from .fields import VectorField
 from .geometry import Surface
 from .holonomy import holonomy_general
@@ -137,10 +139,10 @@ def parse_config(raw: Any) -> RunConfig:
             tri = _require_keys(sc["triangle"], ("M", "m", "h", "b"), ("M", "m", "h", "b"), "body.scenario.triangle")
             try:
                 cfg.triangle = TriangleSpec(
-                    M=_number(tri["M"], "triangle.M"),
-                    m=_number(tri["m"], "triangle.m"),
-                    h=_number(tri["h"], "triangle.h"),
-                    b=_number(tri["b"], "triangle.b"),
+                    M=_number(tri["M"], "body.scenario.triangle.M"),
+                    m=_number(tri["m"], "body.scenario.triangle.m"),
+                    h=_number(tri["h"], "body.scenario.triangle.h"),
+                    b=_number(tri["b"], "body.scenario.triangle.b"),
                 )
             except ValueError as exc:
                 raise ConfigError(f"body.scenario.triangle: {exc}") from exc
@@ -381,7 +383,10 @@ def _emit(payload: Any, path: Optional[str]) -> None:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(_roundtrip_floats(payload), indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(_roundtrip_floats(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NonFiniteResultError(f"result is not finite: {exc}") from exc
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
@@ -423,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(all="ignore")
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

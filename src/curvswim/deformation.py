@@ -43,7 +43,7 @@ def gauge_pairings(body: Body, surface: Surface, values) -> Tuple[np.ndarray, np
         G[a, b] = <xi_a|xi_b>,  res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
     """
     M = body.total_mass
-    G, mom, ff, _ = momentum_map(body, surface, values)
+    G, mom, ff = momentum_map(body, surface, values)
     G, mom = G / M, mom / M
     fn = np.sqrt(np.maximum(ff / M, 0.0))
     xin = np.sqrt(np.maximum(np.diag(G), 0.0))
@@ -63,7 +63,7 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     Killing frame.  Raises SingularGramError when the body cannot see all
     rigid directions (for example a single particle).
     """
-    G, mom, _, _ = momentum_map(body, surface, f(body.positions)[None])
+    G, mom, _ = momentum_map(body, surface, f(body.positions)[None])
     G, mom = G / body.total_mass, mom / body.total_mass
     eigvals = np.linalg.eigvalsh(G)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):

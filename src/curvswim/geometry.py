@@ -84,7 +84,7 @@ class Surface:
         if self.R >= 0.0:
             return
         ok = self._inside(r2)
-        if not np.all(ok):
+        if np.count_nonzero(ok) < ok.size:
             bad = a[~ok]
             raise ChartDomainError(
                 f"point(s) outside the chart domain |z|^2 < {1.0 / (-self.R):g} "
@@ -318,7 +318,7 @@ class KillingSet:
         return self.fields[i]
 
 
-def killing_components(surface: Surface, x, y, out=None) -> np.ndarray:
+def killing_components(surface: Surface, x, y) -> np.ndarray:
     """Chart components of the three Killing fields at the points (x, y).
 
     Returns k of shape (3, 2) + shape(x), k[a, i] the i-th component of
@@ -327,12 +327,11 @@ def killing_components(surface: Surface, x, y, out=None) -> np.ndarray:
         xi1 = (1 + R (x^2 - y^2), 2Rxy),  xi2 = (2Rxy, 1 - R (x^2 - y^2)),  xi3 = (-y, x).
 
     2Rxy and R (x^2 - y^2) are formed once and shared by xi1 and xi2, in
-    place in k, which is out when given (x and y must not alias it).  This
-    is the one definition of the fields' values: killing_fields,
-    killing_frame and the momentum-map kernel all read them from here.
+    place in k.  This is the one definition of the fields' values:
+    killing_fields and killing_frame read them from here.
     """
     R = surface.R
-    k = np.empty((3, 2) + np.shape(x)) if out is None else out
+    k = np.empty((3, 2) + np.shape(x))
     (a1x, a1y), (a2x, a2y), (a3x, a3y) = ((k[a, 0, ...], k[a, 1, ...]) for a in range(3))
     np.multiply(x, 2.0 * R, a1y)
     np.multiply(a1y, y, a1y)

@@ -164,6 +164,7 @@ class TrajectoryRecord:
     max_momentum_residual: float
     residual_bound: float            # 1e-12 * M * max |x-dot| seen along the stroke
     shape_closure_defect: float
+    group_drift: float               # |det G - 1| of the final G, before it is normalized
 
     @property
     def translation(self) -> np.ndarray:
@@ -292,9 +293,10 @@ def _integrate_composed(body, surface, B, stroke):
     closure = float(np.max(np.abs(E[-1] - E[-2])))
     per_block = min(nodes, max(1, _BLOCK_PARTICLE_NODES // body.n))
     work = momentum_work((per_block, body.n), 1)
-    # ET[:, s, n] is E[n]^T (s = 0) or Ed[n]^T (s = 1); YV holds a block's Y, then its Vy
-    ET = np.stack([E[:nodes], Ed[:nodes]]).transpose(3, 0, 1, 2)
-    YV = np.empty((body.n, 4 * per_block))
+    # EM[s, n] is E[n] (s = 0) or Ed[n] (s = 1).  YV holds a block's Y, then
+    # its Vy, component-major: row (s, node, i) is component i at every particle.
+    EM = np.stack([E[:nodes], Ed[:nodes]])
+    YV = np.empty((4 * per_block, body.n))
     A = np.empty((nodes, 2, 2), dtype=complex)
     G = np.empty((steps + 1, 2, 2), dtype=complex)     # at each step's start, and the end
     G[0] = np.eye(2)
@@ -304,9 +306,9 @@ def _integrate_composed(body, surface, B, stroke):
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
         k = hi - lo
-        np.matmul(X0, ET[:, :, lo:hi].reshape(2, 4 * k), out=YV[:, : 4 * k])
-        y, vy = YV[:, : 4 * k].reshape(body.n, 2, k, 2).transpose(1, 2, 0, 3)
-        gram, mom, _, _ = momentum_map(body, surface, vy[:, None], y, work=work)
+        np.matmul(EM[:, lo:hi].reshape(4 * k, 2), X0.T, out=YV[: 4 * k])
+        y, vy = YV[: 4 * k].reshape(2, k, 2, body.n).swapaxes(-1, -2)   # (k, N, 2) views
+        gram, mom, _ = momentum_map(body, surface, vy[:, None], y, work=work)
         tau = _connection(gram, mom[:, 0])                # (nodes of the block, 3)
         A[lo:hi] = rigid_generator(surface, tau)
         while n < steps and stages[n, 2] < hi:
@@ -328,8 +330,8 @@ def _integrate_composed(body, surface, B, stroke):
         residual = (gram[i] @ tau[i, :, None])[..., 0] + mom[i, 0]
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         g = Isometry(G[first, 0, 0, None, None], G[first, 0, 1, None, None], R)
-        yz = complex_view(y[i])
-        wz = _rigid_velocity(R, vy[i], tau[i], y[i])
+        yz, vz = complex_view(y[i]), complex_view(vy[i])      # interleaved once each
+        wz = _rigid_velocity(R, vz.view(float), tau[i], yz.view(float))
         max_speed = max(max_speed, float(np.max(np.abs((g.derivative_complex(yz) * wz).view(float)))))
     return G[steps], max_residual, max_speed, closure
 
@@ -346,7 +348,7 @@ def _integrate_direct(body, surface, fields, stroke):
     def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
         """x-dot, G-dot and the momentum system (gram, tau-dot, mom) at one stage."""
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-        gram, mom, _, _ = momentum_map(body, surface, v_def[None], X)
+        gram, mom, _ = momentum_map(body, surface, v_def[None], X)
         tau_dot = _connection(gram, mom[0])
         xdot = _rigid_velocity(surface.R, v_def, tau_dot, X).view(float)
         return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0])
@@ -398,6 +400,7 @@ def integrate_stroke(
     else:
         X, G, max_residual, max_speed = _integrate_direct(body, surface, fields, stroke)
 
+    drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
     if not np.all(np.isfinite(delta_tau)):
         raise NonFiniteResultError(f"integrated rigid increment is not finite: {delta_tau}")
@@ -412,6 +415,7 @@ def integrate_stroke(
         max_momentum_residual=max_residual,
         residual_bound=bound,
         shape_closure_defect=closure,
+        group_drift=drift,
     )
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from curvswim.body import (
 )
 from curvswim.errors import ChartDomainError
 from curvswim.fields import from_complex, linear_field, to_complex
-from curvswim.geometry import Surface, killing_fields, translation_to
+from curvswim.geometry import Surface, killing_fields, killing_frame, translation_to
 
 
 def test_body_validation():
@@ -71,12 +72,13 @@ def test_momentum_map_matches_particle_loop(R, seed):
     b = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-0.5, 0.5, (n, 2)))
     s = Surface(R)
     V = rng.normal(size=(2, n, 2))
-    G, mom, vv, frame = momentum_map(b, s, V)
+    G, mom, vv = momentum_map(b, s, V)
     G_ref, mom_ref, vv_ref = _per_particle_reference(b, s, V)
     assert np.array_equal(G, G.T)
     assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
     assert np.max(np.abs(mom - mom_ref)) <= 1e-14 * np.max(np.abs(mom_ref))
     assert np.max(np.abs(vv - vv_ref)) <= 1e-14 * np.max(np.abs(vv_ref))
+    frame = killing_frame(s, b.positions)
     assert np.array_equal(frame, np.stack([xi(b.positions) for xi in killing_fields(s)]))
 
 
@@ -99,7 +101,7 @@ def test_momentum_map_mirror_body_exact_zeros(R):
     s = Surface(R)
     diagonal = ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])
     even = np.stack([linear_field(B)(b.positions) for B in diagonal])
-    G, mom, _, _ = momentum_map(b, s, even)
+    G, mom, _ = momentum_map(b, s, even)
     # xi_1 is even under y -> -y, xi_2 and xi_3 are odd.
     assert G[0, 1] == G[1, 0] == G[0, 2] == G[2, 0] == 0.0
     assert np.all(mom[:, 1:] == 0.0)
@@ -117,21 +119,69 @@ def _stage_batch(rng, n, batch, k=1, extent=0.4):
 def test_momentum_map_batched_equals_unbatched(R):
     b, x, V = _stage_batch(np.random.default_rng(3), 23, (2, 3), k=2)
     s = Surface(R)
-    G, mom, vv, frame = momentum_map(b, s, V, x)
+    G, mom, vv = momentum_map(b, s, V, x)
+    frame = killing_frame(s, x)
     assert G.shape == (2, 3, 3, 3) and mom.shape == (2, 3, 2, 3)
-    assert vv.shape == (2, 3, 2) and frame.shape == (2, 3, 3, 23, 2)
+    assert vv.shape == (2, 3, 2) and frame.shape == (3, 2, 3, 23, 2)
     for i in range(2):
         for j in range(3):
             one = momentum_map(b, s, V[i, j], x[i, j])
-            for batched, single in zip((G, mom, vv, frame), one):
+            for batched, single in zip((G, mom, vv), one):
                 assert np.array_equal(batched[i, j], single)
+            assert np.array_equal(frame[:, i, j], killing_frame(s, x[i, j]))
+
+
+def _exact_pairings(b, R, velocities):
+    """gram, mom and vv of the particle loop, summed exactly in rationals."""
+    R = Fraction(R)
+    gram = [[Fraction(0)] * 3 for _ in range(3)]
+    mom = [[Fraction(0)] * 3 for _ in velocities]
+    vv = [Fraction(0)] * len(velocities)
+    for n, (m, (x, y)) in enumerate(zip(b.masses.tolist(), b.positions.tolist())):
+        m, x, y = Fraction(m), Fraction(x), Fraction(y)
+        w = m / (1 + R * (x * x + y * y)) ** 2
+        d = x * x - y * y
+        xi = ((1 + R * d, 2 * R * x * y), (2 * R * x * y, 1 - R * d), (-y, x))
+        for a in range(3):
+            for c in range(3):
+                gram[a][c] += w * (xi[a][0] * xi[c][0] + xi[a][1] * xi[c][1])
+        for k, V in enumerate(velocities):
+            vx, vy = (Fraction(v) for v in V[n].tolist())
+            for a in range(3):
+                mom[k][a] += w * (xi[a][0] * vx + xi[a][1] * vy)
+            vv[k] += w * (vx * vx + vy * vy)
+    return gram, mom, vv
+
+
+def _rel_to_largest(got, exact):
+    """Largest |got - exact| over an array, relative to its largest exact entry."""
+    got, exact = np.ravel(got).tolist(), np.ravel(np.array(exact, dtype=object)).tolist()
+    return float(max(abs(Fraction(g) - e) for g, e in zip(got, exact)) / max(abs(e) for e in exact))
+
+
+@pytest.mark.parametrize("R, r2_range", [(-1.0, (0.9, 0.98)), (1.0, (0.0, 3.0))])
+def test_momentum_map_against_exact_sums(R, r2_range):
+    # Near the hyperbolic chart boundary the weights grow to 2500 m; on the
+    # sphere far out they shrink to m/16 while the fields grow to 4.  The
+    # moment sums stay at round-off of the largest entry of each array.
+    rng = np.random.default_rng(9)
+    n = 24
+    r = np.sqrt(rng.uniform(*r2_range, n))
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    b = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
+    V = rng.normal(size=(2, n, 2))
+    G, mom, vv = momentum_map(b, Surface(R), V)
+    G_exact, mom_exact, vv_exact = _exact_pairings(b, R, V)
+    assert _rel_to_largest(G, G_exact) <= 1e-14
+    assert _rel_to_largest(mom, mom_exact) <= 1e-14
+    assert _rel_to_largest(vv, vv_exact) <= 1e-14
 
 
 def test_momentum_map_matches_particle_loop_at_4000_particles():
     # The size of one composed-mode block at N = 4000: three RK4 stages.
     b, x, V = _stage_batch(np.random.default_rng(5), 4000, (1, 3))
     s = Surface(-1.0)
-    G, mom, vv, _ = momentum_map(b, s, V, x)
+    G, mom, vv = momentum_map(b, s, V, x)
     assert np.array_equal(G, np.swapaxes(G, -1, -2))
     for j in range(3):
         stage = Body(masses=b.masses, positions=x[0, j])
@@ -149,7 +199,7 @@ def test_momentum_map_mirror_zeros_batched(R):
     x = np.array([0.5, 1.0, 1.5, 0.75, 1.25, 2.0]).reshape(2, 3, 1, 1) * b.positions
     diagonal = np.array([[1.0, 0.0], [0.0, -2.0]])
     V = (x @ diagonal.T)[:, :, None]
-    G, mom, _, _ = momentum_map(b, s, V, x)
+    G, mom, _ = momentum_map(b, s, V, x)
     assert np.all(G[..., 0, 1] == 0.0) and np.all(G[..., 1, 0] == 0.0)
     assert np.all(G[..., 0, 2] == 0.0) and np.all(G[..., 2, 0] == 0.0)
     assert np.all(mom[..., 1:] == 0.0)
@@ -192,15 +242,13 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
         first = momentum_map(b, s, V, x, work=W)
         for got, expected in zip(first, fresh):
             assert np.array_equal(got, expected)
-        # only the frame aliases the workspace: a second call into it
+        # no returned array aliases the workspace: a second call into it
         # leaves the first call's pairings alone
-        gram, mom, vv, frame = first
-        assert np.shares_memory(frame, W)
-        kept = [a.copy() for a in (gram, mom, vv)]
+        assert not any(np.shares_memory(a, W) for a in first)
+        kept = [a.copy() for a in first]
         momentum_map(b, s, 0.5 * V, 0.5 * x, work=W)
-        for got, expected in zip((gram, mom, vv), kept):
+        for got, expected in zip(first, kept):
             assert np.array_equal(got, expected)
-        assert not np.array_equal(frame, fresh[3])
 
 
 # ---------------------------------------------------------- scalar product
@@ -212,7 +260,7 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
 def pairings(b, s, *velocities):
     """(gram, mom, vv) of momentum_map at the body's positions, mass-normalized."""
     V = np.stack(velocities) if velocities else np.empty((0, b.n, 2))
-    return tuple(a / b.total_mass for a in momentum_map(b, s, V)[:3])
+    return tuple(a / b.total_mass for a in momentum_map(b, s, V))
 
 
 def test_unit_field_has_unit_norm():

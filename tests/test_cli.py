@@ -235,6 +235,34 @@ def test_overflowing_result_is_a_numerical_failure(tmp_path, capsys, command):
     assert "rigid increment is not finite" in capsys.readouterr().err
 
 
+def test_overflow_prints_one_line_and_no_numpy_warnings(tmp_path):
+    # The console command, with numpy's default error state: the overflow
+    # used to print 13 RuntimeWarning lines before its one failure line.
+    cfg = dict(BASE_CONFIG, fields=[{"matrix": [[1e300, 0.0], [0.0, 0.0]]}, "linear:22"])
+    out = tmp_path / "never.out"
+    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvswim", "integrate", "--config", write_config(tmp_path, cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), proc.stderr
+    assert not out.exists()
+
+
+def test_payload_json_cannot_hold_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # NaN and Infinity are not JSON: the dump refuses them and writes nothing
+    monkeypatch.setattr(cli, "cmd_triangle", lambda cfg: {"coefficient": float("nan")})
+    out = tmp_path / "never.out"
+    assert main(["triangle", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("numerical failure: result is not finite")
+
+
 @pytest.mark.parametrize("steps", ["0", "2", "-3"])
 @pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep"])
 def test_steps_flag_follows_the_config_rule(tmp_path, capsys, command, steps):
@@ -297,6 +325,10 @@ UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
                  id="particle-massless"),
     pytest.param({"body": {"scenario": {"triangle": {"M": 1.0, "m": 0.5, "h": 1.0, "b": 1.0}}}},
                  "body.scenario.triangle: need 0 < 2m < M", id="triangle-mass-split"),
+    pytest.param({"body": {"scenario": {"triangle": {"M": float("nan"), "m": 0.25, "h": 1.0, "b": 1.0}}}},
+                 "body.scenario.triangle.M must be a finite number", id="triangle-nan-M"),
+    pytest.param({"body": {"scenario": {"triangle": {"M": 1.0, "m": 0.25, "h": 1.0, "b": float("inf")}}}},
+                 "body.scenario.triangle.b must be a finite number", id="triangle-inf-b"),
     pytest.param({"fields": ["linear:11"]}, "fields must list exactly two", id="one-field"),
     pytest.param({"fields": ["linear:13", "linear:22"]}, "fields: unrecognized field spec 'linear:13'",
                  id="field-spec-unknown"),

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvswim.cli import main
+from curvswim.cli import _run_oracle, main, parse_config
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -138,6 +138,12 @@ def test_golden_output(name, tmp_path):
             assert got_cols[col] == values
         else:
             assert_close([float(v) for v in got_cols[col]], [float(v) for v in values], col)
+
+
+def test_integrate_composed_stays_in_the_group():
+    # |det G - 1| of the final rigid element, read before it is normalized
+    rec = _run_oracle(parse_config(CASES["integrate_composed"][1]), None)[3]
+    assert rec.group_drift <= 1e-9
 
 
 def regenerate() -> None:
