@@ -29,7 +29,6 @@ from .fields import VectorField, linear_field
 from .geometry import (
     CurvatureTensor,
     Isometry,
-    KillingSet,
     Surface,
     christoffel_at,
     exp_rigid,

@@ -22,7 +22,7 @@ import numpy as np
 from .body import Body, balance, moments, principal_axes
 from .deformation import gauge_fixed_linear_deformation, gauge_residuals, linear_deformation, project_gauge
 from .errors import DegenerateMomentsError
-from .fields import VectorField, linear_field
+from .fields import linear_field
 from .geometry import (
     CurvatureTensor,
     Surface,
@@ -34,6 +34,7 @@ from .geometry import (
     killing_residual,
     killing_two_forms,
     numeric_exterior_derivative,
+    rigid_field,
     strain_of,
     translation_killing_approx,
 )
@@ -180,12 +181,10 @@ def _isometries(rng, fault):
             d0 = geodesic_distance(s, p, q)
             drift = max(drift, abs(geodesic_distance(s, g(p), g(q)) - d0) / max(d0, 1e-30))
     s = Surface(1.0)
-    ks = killing_fields(s)
     p = np.array([0.15, -0.1])
 
     def defect(t):
-        w = VectorField(func=lambda q: sum(t[i] * ks[i](q) for i in range(3)),
-                        grad=lambda q: sum(t[i] * ks[i].gradient(q) for i in range(3)))
+        w = rigid_field(s, t)
         second = 0.5 * np.einsum("j,jk->k", w(p), w.gradient(p))
         return float(np.linalg.norm(exp_rigid(s, t)(p) - (p + w(p) + second)))
 

@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -187,6 +187,12 @@ def parse_config(raw: Any) -> RunConfig:
         for v in vals:
             _number(v, "sweep.values")
         cfg.sweep = {"variable": sec["variable"], "values": [float(v) for v in vals]}
+        if sec["variable"] == "m" and cfg.triangle is not None:
+            try:
+                for v in cfg.sweep["values"]:
+                    replace(cfg.triangle, m=v)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values: {exc}") from exc
 
     if "ring" in top:
         sec = _require_keys(top["ring"], ("length", "m1", "m2"), ("length", "m1", "m2"), "ring")
@@ -308,7 +314,7 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
             local = RunConfig(**{**cfg.__dict__, "surface": Surface(float(value))})
         else:  # variable == "m"
             tri = _need(cfg, "triangle", "body.scenario.triangle")
-            spec = TriangleSpec(M=tri.M, m=float(value), h=tri.h, b=tri.b)
+            spec = replace(tri, m=value)
             local = RunConfig(**{**cfg.__dict__, "triangle": spec, "body": triangle_body(spec)})
         if variable == "m":  # the formula is the triangle's closed form: run only the oracle
             _, _, stroke, rec = _run_oracle(local, steps_override)
@@ -369,22 +375,12 @@ def cmd_check(records: List[Record], seed: int) -> Dict[str, Any]:
 # Wiring
 
 
-def _roundtrip_floats(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _roundtrip_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_roundtrip_floats(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
-    return obj
-
-
 def _emit(payload: Any, path: Optional[str]) -> None:
     if isinstance(payload, str):
         text = payload
     else:
         try:
-            text = json.dumps(_roundtrip_floats(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
             raise NonFiniteResultError(f"result is not finite: {exc}") from exc
     if path:

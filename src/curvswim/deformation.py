@@ -15,7 +15,7 @@ import numpy as np
 from .body import Body, moments, momentum_map
 from .errors import DegenerateMomentsError, SingularGramError
 from .fields import VectorField, linear_field
-from .geometry import Surface, killing_fields, killing_frame
+from .geometry import Surface, rigid_field
 
 _LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
 
@@ -56,12 +56,12 @@ def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
 
 
 def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
-    """Remove the rigid content of f: subtract xi_a (G^-1)^ab <xi_b|f>.
+    """Remove the rigid content of f: subtract the rigid field c . xi, c = G^-1 <xi|f>.
 
     The result pairs to zero with every Killing field and carries exactly
-    the strain of f.  Each evaluation of the result evaluates f and one
-    Killing frame.  Raises SingularGramError when the body cannot see all
-    rigid directions (for example a single particle).
+    the strain of f.  Each evaluation of the result (value or gradient)
+    evaluates f and one rigid field.  Raises SingularGramError when the
+    body cannot see all rigid directions (for example a single particle).
     """
     G, mom, _ = momentum_map(body, surface, f(body.positions)[None])
     G, mom = G / body.total_mass, mom / body.total_mass
@@ -77,21 +77,9 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     coeffs = np.linalg.solve(G, mom[0])
     if not np.any(np.abs(coeffs) > 0.0):
         return f
-    c1, c2, c3 = (float(c) for c in coeffs)
-
-    def func(p):
-        xi = killing_frame(surface, p)
-        return f(p) - c1 * xi[0] - c2 * xi[1] - c3 * xi[2]
-
-    grad = None
-    if f.grad is not None:
-        ks = killing_fields(surface)
-
-        def grad(p):
-            g1, g2, g3 = (xi.gradient(p) for xi in ks)
-            return f.gradient(p) - c1 * g1 - c2 * g2 - c3 * g3
-
-    return VectorField(func=func, grad=grad, tag=f"gauge({f.tag})")
+    rigid = rigid_field(surface, coeffs)
+    return VectorField(func=lambda p: f(p) - rigid(p), grad=lambda p: f.gradient(p) - rigid.gradient(p),
+                       tag=f"gauge({f.tag})")
 
 
 def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:

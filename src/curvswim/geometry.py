@@ -32,14 +32,14 @@ from .fields import VectorField, as_points, complex_view, to_complex
 __all__ = [
     "Surface",
     "Isometry",
-    "KillingSet",
     "CurvatureTensor",
     "metric_at",
     "christoffel_at",
     "gaussian_curvature",
     "geodesic_distance",
-    "killing_components",
     "killing_fields",
+    "rigid_field",
+    "rigid_velocity",
     "killing_frame",
     "killing_one_form",
     "killing_two_forms",
@@ -300,78 +300,47 @@ def rotation_about_origin(surface: Surface, angle: float) -> Isometry:
 # Killing fields and their forms
 
 
-@dataclass(frozen=True)
-class KillingSet:
-    """The three Killing fields of a constant-curvature surface.
+def rigid_velocity(surface: Surface, tau, z) -> np.ndarray:
+    """Complex tau . xi at complex points z of shape (..., N, 1), for tau of shape (..., 3).
 
-    Ordered as (translation-x, translation-y, rotation about the origin);
-    the first two reduce to the Euclidean translations at R = 0.
+    The one definition of the Killing fields: tau . xi is the Moebius field
+    q + i tau3 z + R conj(q) z^2 with q = tau1 + i tau2, so xi1, xi2 and xi3
+    are the translation-x, translation-y and rotation fields.
     """
-
-    fields: Tuple[VectorField, VectorField, VectorField]
-    surface: Surface
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def __getitem__(self, i: int) -> VectorField:
-        return self.fields[i]
+    q = (tau[..., 0] + 1j * tau[..., 1])[..., None, None]
+    return q + z * (1j * tau[..., 2, None, None] + surface.R * np.conj(q) * z)
 
 
-def killing_components(surface: Surface, x, y) -> np.ndarray:
-    """Chart components of the three Killing fields at the points (x, y).
+def rigid_field(surface: Surface, tau) -> VectorField:
+    """The Killing combination tau . xi, tau of shape (3,), as a VectorField.
 
-    Returns k of shape (3, 2) + shape(x), k[a, i] the i-th component of
-    xi_(a+1), so each component is one contiguous block:
-
-        xi1 = (1 + R (x^2 - y^2), 2Rxy),  xi2 = (2Rxy, 1 - R (x^2 - y^2)),  xi3 = (-y, x).
-
-    2Rxy and R (x^2 - y^2) are formed once and shared by xi1 and xi2, in
-    place in k.  This is the one definition of the fields' values:
-    killing_fields and killing_frame read them from here.
+    Its values are rigid_velocity's at the points taken as one (M, 1) column,
+    so a single point takes the batch's arithmetic.  It is holomorphic: the
+    parts (a, b) of its complex derivative a + ib = i tau3 + 2R conj(q) z give
+    its gradient [[a, b], [-b, a]].  A pure rotation (q = 0) is linear.
     """
-    R = surface.R
-    k = np.empty((3, 2) + np.shape(x))
-    (a1x, a1y), (a2x, a2y), (a3x, a3y) = ((k[a, 0, ...], k[a, 1, ...]) for a in range(3))
-    np.multiply(x, 2.0 * R, a1y)
-    np.multiply(a1y, y, a1y)
-    a2x[...] = a1y
-    np.multiply(x, x, a1x)          # d = R (x^2 - y^2), built in a1x
-    np.multiply(y, y, a2y)
-    np.subtract(a1x, a2y, a1x)
-    np.multiply(a1x, R, a1x)
-    np.subtract(1.0, a1x, a2y)
-    np.add(1.0, a1x, a1x)
-    np.negative(y, a3x)
-    a3y[...] = x
-    return k
+    t = np.array(tau, dtype=float)
+    q = complex(t[0], t[1])
+
+    def grad(p):
+        d = (1j * t[2] + 2.0 * surface.R * np.conj(q) * complex_view(p)).reshape(p.shape[:-1])
+        return np.stack([np.stack([d.real, d.imag], -1), np.stack([-d.imag, d.real], -1)], -2)
+
+    return VectorField(
+        func=lambda p: rigid_velocity(surface, t, complex_view(p.reshape(-1, 2))).view(float).reshape(p.shape),
+        grad=grad, tag="rigid", linear_matrix=np.array([[0.0, -t[2]], [t[2], 0.0]]) if q == 0 else None)
 
 
 def killing_frame(surface: Surface, p) -> np.ndarray:
     """The three Killing fields at chart points p, shape (..., 2), stacked as (3, ..., 2)."""
     a = as_points(p)
-    return np.moveaxis(killing_components(surface, a[..., 0], a[..., 1]), 1, -1)
+    return rigid_velocity(surface, np.eye(3), complex_view(a.reshape(-1, 2))).view(float).reshape((3,) + a.shape)
 
 
-def killing_fields(surface: Surface) -> KillingSet:
-    """The three Killing fields, valued by killing_frame.  Each is holomorphic, so the
-    parts (a, b) of its complex derivative a + ib give its gradient [[a, b], [-b, a]]."""
-    R = surface.R
-
-    def field(index, dfdz, linear_matrix=None):
-        def grad(p):
-            pts = as_points(p)
-            a, b = (np.broadcast_to(t, pts.shape[:-1]) for t in dfdz(pts[..., 0], pts[..., 1]))
-            return np.stack([np.stack([a, b], -1), np.stack([-b, a], -1)], -2)
-
-        return VectorField(func=lambda p: killing_frame(surface, p)[index], grad=grad,
-                           tag=f"killing-{index + 1}", linear_matrix=linear_matrix)
-
-    return KillingSet(fields=(
-        field(0, lambda x, y: (2.0 * R * x, 2.0 * R * y)),      # 2Rz
-        field(1, lambda x, y: (2.0 * R * y, -2.0 * R * x)),     # -2iRz
-        field(2, lambda x, y: (0.0, 1.0), linear_matrix=np.array([[0.0, -1.0], [1.0, 0.0]])),   # i
-    ), surface=surface)
+def killing_fields(surface: Surface) -> Tuple[VectorField, VectorField, VectorField]:
+    """The three Killing fields (translation-x, translation-y, rotation about the origin),
+    each the rigid_field of a unit tau; the translations reduce to the Euclidean ones at R = 0."""
+    return tuple(rigid_field(surface, e) for e in np.eye(3))
 
 
 def killing_one_form(surface: Surface, index: int, p) -> np.ndarray:

@@ -56,7 +56,7 @@ import numpy as np
 from .body import Body, momentum_map, momentum_work
 from .errors import NonFiniteResultError, SingularGramError, StrokeError
 from .fields import VectorField, complex_view
-from .geometry import Isometry, Surface, cosh_sinc, rigid_generator
+from .geometry import Isometry, Surface, cosh_sinc, rigid_generator, rigid_velocity
 
 __all__ = [
     "Stroke",
@@ -180,6 +180,8 @@ def _connection(gram: np.ndarray, mom: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(gram, -mom[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(mom))):
+            raise NonFiniteResultError("momentum system is not finite mid-stroke") from exc
         raise SingularGramError(
             "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(gram)
         ) from exc
@@ -263,14 +265,6 @@ def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> T
     return _expm2(C, Cd)
 
 
-def _rigid_velocity(R: float, v: np.ndarray, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Complex v + tau . xi(x), shape (..., N, 1), for v and x (..., N, 2) and tau (..., 3):
-    tau . xi is the Moebius field q + i tau3 z + R conj(q) z^2 with q = tau1 + i tau2."""
-    z = complex_view(x)
-    q = (tau[..., 0] + 1j * tau[..., 1])[..., None, None]
-    return complex_view(v) + (q + z * (1j * tau[..., 2, None, None] + R * np.conj(q) * z))
-
-
 def _integrate_composed(body, surface, B, stroke):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
@@ -331,7 +325,7 @@ def _integrate_composed(body, surface, B, stroke):
         max_residual = max(max_residual, float(np.max(np.abs(residual))))
         g = Isometry(G[first, 0, 0, None, None], G[first, 0, 1, None, None], R)
         yz, vz = complex_view(y[i]), complex_view(vy[i])      # interleaved once each
-        wz = _rigid_velocity(R, vz.view(float), tau[i], yz.view(float))
+        wz = vz + rigid_velocity(surface, tau[i], yz)
         max_speed = max(max_speed, float(np.max(np.abs((g.derivative_complex(yz) * wz).view(float)))))
     return G[steps], max_residual, max_speed, closure
 
@@ -350,7 +344,7 @@ def _integrate_direct(body, surface, fields, stroke):
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
         gram, mom, _ = momentum_map(body, surface, v_def[None], X)
         tau_dot = _connection(gram, mom[0])
-        xdot = _rigid_velocity(surface.R, v_def, tau_dot, X).view(float)
+        xdot = (complex_view(v_def) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
         return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0])
 
     X = body.positions.copy()

@@ -254,6 +254,32 @@ def test_overflow_prints_one_line_and_no_numpy_warnings(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, override, code", [
+    pytest.param("integrate", {"stroke": {"type": "rectangle", "amplitudes": [1e3, 1e3], "steps": 8}}, 3,
+                 id="composed-nonfinite-gram"),
+    pytest.param("sweep", {"sweep": {"variable": "area", "values": [1e300]}}, 3, id="sweep-area-1e300"),
+    pytest.param("sweep", {"sweep": {"variable": "m", "values": [0.6]}}, 2, id="sweep-m-inadmissible"),
+    pytest.param("integrate", {"fields": [{"matrix": [[1e300, 0.0], [0.0, 0.0]]}, "linear:22"]}, 3,
+                 id="matrix-overflow"),
+])
+def test_failure_is_one_stderr_line_and_no_output(tmp_path, command, override, code):
+    # The console command: a typed failure is one line on stderr, never a traceback.
+    cfg = dict(BASE_CONFIG, **override)
+    out = tmp_path / "never.out"
+    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvswim", command, "--config", write_config(tmp_path, cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith("config error: " if code == 2 else "numerical failure: ")
+    assert not out.exists()
+
+
 def test_payload_json_cannot_hold_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # NaN and Infinity are not JSON: the dump refuses them and writes nothing
     monkeypatch.setattr(cli, "cmd_triangle", lambda cfg: {"coefficient": float("nan")})
@@ -344,6 +370,8 @@ UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
     pytest.param({"sweep": {"variable": "h", "values": [1.0]}}, "sweep.variable must be one of", id="sweep-variable"),
     pytest.param({"sweep": {"variable": "area", "values": []}}, "sweep.values must be a non-empty list",
                  id="sweep-values"),
+    pytest.param({"sweep": {"variable": "m", "values": [0.2, 0.6]}}, "sweep.values: need 0 < 2m < M, got m=0.6",
+                 id="sweep-m-inadmissible"),
     pytest.param({"ring": {"length": 0.0, "m1": 1.0, "m2": 1.0}}, "ring: circumference must be positive",
                  id="ring-length"),
     pytest.param({"options": {"mode": "implicit"}}, "options.mode must be 'composed' or 'direct'", id="options-mode"),

@@ -13,7 +13,7 @@ from curvswim.deformation import (
 )
 from curvswim.errors import DegenerateMomentsError, SingularGramError
 from curvswim.fields import combine, linear_field
-from curvswim.geometry import Surface, killing_fields, strain_of
+from curvswim.geometry import Surface, killing_fields, rigid_field, strain_of
 
 
 # ------------------------------------------------------------ linear family
@@ -70,8 +70,8 @@ def test_project_noop_when_already_orthogonal():
 
 
 def test_projection_equals_combination_with_killing_fields(monkeypatch):
-    # f minus the coefficients times one Killing frame, added in the order of
-    # the linear combination f - c1 xi1 - c2 xi2 - c3 xi3: equal bit for bit.
+    # f minus one rigid field: equal bit for bit to f(p) - rigid(p), and to
+    # round-off to the linear combination f - c1 xi1 - c2 xi2 - c3 xi3.
     rng = np.random.default_rng(6)
     for R in (-1.0, 0.0, 1.0):
         s = Surface(R)
@@ -80,19 +80,24 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
         pf = project_gauge(body, s, f)
         G, mom, _ = momentum_map(body, s, f(body.positions)[None])
         coeffs = np.linalg.solve(G / body.total_mass, mom[0] / body.total_mass)
+        rigid = rigid_field(s, coeffs)
         ref = combine([f] + list(killing_fields(s)), [1.0] + list(-coeffs))
         for p in (rng.uniform(-0.4, 0.4, (2, 7, 2)), body.positions[0]):
-            assert np.array_equal(pf(p), ref(p))
-            assert np.array_equal(pf.gradient(p), ref.gradient(p))
+            assert np.array_equal(pf(p), f(p) - rigid(p))
+            assert np.array_equal(pf.gradient(p), f.gradient(p) - rigid.gradient(p))
+            for got, want in ((pf(p), ref(p)), (pf.gradient(p), ref.gradient(p))):
+                assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         assert pf.tag == "gauge(f)" and pf.linear_matrix is None
+    # one rigid_velocity call per evaluation, no Killing frame
     calls = []
-    original = curvswim.geometry.killing_components
+    original = curvswim.geometry.rigid_velocity
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(curvswim.geometry, "killing_components", counted)
+    monkeypatch.setattr(curvswim.geometry, "rigid_velocity", counted)
+    monkeypatch.setattr(curvswim.geometry, "killing_frame", lambda *args: pytest.fail("killing_frame ran"))
     pf(body.positions)
     assert len(calls) == 1
 

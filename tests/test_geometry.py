@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvswim.errors import ChartDomainError
-from curvswim.fields import from_complex, linear_field, to_complex
+from curvswim.fields import complex_view, from_complex, linear_field, to_complex
 from curvswim.geometry import (
     CurvatureTensor,
     Isometry,
@@ -19,7 +19,9 @@ from curvswim.geometry import (
     killing_two_forms,
     metric_at,
     numeric_exterior_derivative,
+    rigid_field,
     rigid_generator,
+    rigid_velocity,
     translation_killing_approx,
     translation_to,
 )
@@ -238,10 +240,64 @@ def test_killing_frame_matches_closed_forms(R):
         np.stack([2.0 * R * x * y, 1.0 + R * (y * y - x * x)], axis=-1),
         np.stack([-y, x], axis=-1),
     ])
-    assert np.array_equal(killing_frame(s, pts), expected)
+    frame = killing_frame(s, pts)
+    assert np.max(np.abs(frame - expected)) <= 2 * np.spacing(np.max(np.abs(expected)))
     for a, xi in enumerate(killing_fields(s)):
-        assert np.array_equal(xi(pts), expected[a])
-        assert np.array_equal(xi(pts[1, 2]), expected[a, 1, 2])
+        assert np.array_equal(xi(pts), frame[a])
+        assert np.array_equal(xi(pts[1, 2]), frame[a, 1, 2])
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_rigid_field_matches_closed_forms(R):
+    # tau . xi against the real closed forms tau1 xi1 + tau2 xi2 + tau3 xi3
+    s = Surface(R)
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-0.45, 0.45, (4, 6, 2))
+    x, y = pts[..., 0], pts[..., 1]
+    d, e = R * (x * x - y * y), 2.0 * R * x * y
+    xi = np.stack([np.stack([1.0 + d, e], -1), np.stack([e, 1.0 - d], -1), np.stack([-y, x], -1)])
+    for tau in [*np.eye(3), *rng.uniform(-1.0, 1.0, (4, 3))]:
+        terms = tau[:, None, None, None] * xi
+        got = rigid_field(s, tau)(pts)
+        assert np.max(np.abs(got - terms.sum(axis=0))) <= 2 * np.spacing(np.max(np.abs(terms)))
+        assert np.array_equal(rigid_field(s, tau)(pts[2, 3]), got[2, 3])
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_rigid_field_gradient_matches_central_differences(R):
+    s = Surface(R)
+    rng = np.random.default_rng(6)
+    h = 1e-5
+    for tau in rng.uniform(-1.0, 1.0, (4, 3)):
+        w = rigid_field(s, tau)
+        for p in rng.uniform(-0.4, 0.4, (5, 2)):
+            fd = np.stack([(w(p + h * e) - w(p - h * e)) / (2.0 * h) for e in np.eye(2)])
+            assert np.max(np.abs(w.gradient(p) - fd)) < 1e-9
+        assert w.gradient(rng.uniform(-0.4, 0.4, (3, 5, 2))).shape == (3, 5, 2, 2)
+
+
+def test_rigid_field_is_linear_exactly_without_translation():
+    for R in R_VALUES:
+        s = Surface(R)
+        rot = rigid_field(s, [0.0, 0.0, 0.7])
+        assert np.array_equal(rot.linear_matrix, [[0.0, -0.7], [0.7, 0.0]])
+        p = np.array([[0.3, -0.2], [0.1, 0.4]])
+        assert np.array_equal(rot(p), p @ rot.linear_matrix.T)
+        for tau in ([1e-300, 0.0, 0.7], [0.0, -2.0, 0.0], [0.5, 0.5, 0.0]):
+            assert rigid_field(s, tau).linear_matrix is None
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_batched_rigid_velocity_equals_single_tau_calls(R):
+    s = Surface(R)
+    rng = np.random.default_rng(7)
+    tau = rng.uniform(-1.0, 1.0, (2, 4, 3))
+    z = complex_view(rng.uniform(-0.4, 0.4, (2, 4, 9, 2)))
+    got = rigid_velocity(s, tau, z)
+    assert got.shape == (2, 4, 9, 1)
+    for i in range(2):
+        for j in range(4):
+            assert np.array_equal(rigid_velocity(s, tau[i, j], z[i, j]), got[i, j])
 
 
 def test_rotation_field_residual_exact_flat():

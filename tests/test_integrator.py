@@ -16,8 +16,8 @@ import curvswim.integrator as integrator
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, StrokeError
-from curvswim.fields import from_complex, linear_field, to_complex
-from curvswim.geometry import Isometry, Surface, killing_fields, killing_frame, rigid_generator
+from curvswim.fields import complex_view, from_complex, linear_field, to_complex
+from curvswim.geometry import Isometry, Surface, killing_fields, killing_frame, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import _SERIES_Q
 from curvswim.integrator import (
@@ -544,10 +544,10 @@ def test_rigid_velocity_is_the_killing_combination(R):
     tau = rng.uniform(-1.0, 1.0, (3, 3))
     frame = killing_frame(Surface(R), x)
     expected = v + np.einsum("ba,abnj->bnj", tau, frame)
-    got = integrator._rigid_velocity(R, v, tau, x)
+    got = complex_view(v) + rigid_velocity(Surface(R), tau, complex_view(x))
     assert got.shape == (3, 50, 1)
     assert np.max(np.abs(got.view(float) - expected)) <= 4e-16 * np.max(np.abs(expected))
-    one = integrator._rigid_velocity(R, v[1], tau[1], x[1])
+    one = complex_view(v[1]) + rigid_velocity(Surface(R), tau[1], complex_view(x[1]))
     assert np.array_equal(one, got[1])
 
 
