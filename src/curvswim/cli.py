@@ -87,7 +87,7 @@ class RunConfig:
     body: Optional[Body] = None
     triangle: Optional[TriangleSpec] = None
     field_specs: Optional[List[Any]] = None
-    stroke_cfg: Optional[Dict[str, Any]] = None
+    stroke: Optional[Stroke] = None
     sweep: Optional[Dict[str, Any]] = None
     ring: Optional[RingSpec] = None
     mode: str = "composed"
@@ -161,21 +161,16 @@ def parse_config(raw: Any) -> RunConfig:
         cfg.field_specs = specs
 
     if "stroke" in top:
-        sec = _require_keys(
-            top["stroke"], ("type", "amplitudes", "steps", "profile"), ("type", "amplitudes"), "stroke"
-        )
+        sec = _require_keys(top["stroke"], ("type", "amplitudes", "steps"), ("type", "amplitudes"), "stroke")
         if sec["type"] not in ("rectangle", "sinusoid"):
             raise ConfigError(f"stroke.type must be 'rectangle' or 'sinusoid', got {sec['type']!r}")
         amp = sec["amplitudes"]
         if not isinstance(amp, list) or len(amp) != 2:
             raise ConfigError("stroke.amplitudes must be [a1, a2]")
-        for v in amp:
-            _number(v, "stroke.amplitudes")
-        if "steps" in sec:
-            _steps(sec["steps"], "stroke.steps")
-        if "profile" in sec and sec["profile"] not in ("uniform", "smooth"):
-            raise ConfigError("stroke.profile must be 'uniform' or 'smooth'")
-        cfg.stroke_cfg = dict(sec)
+        a1, a2 = (_number(v, "stroke.amplitudes") for v in amp)
+        steps = _steps(sec["steps"], "stroke.steps") if "steps" in sec else DEFAULT_STEPS
+        build = rectangle_stroke if sec["type"] == "rectangle" else sinusoid_stroke
+        cfg.stroke = build(a1, a2, steps=steps)
 
     if "sweep" in top:
         sec = _require_keys(top["sweep"], ("variable", "values"), ("variable", "values"), "sweep")
@@ -223,12 +218,8 @@ def _need(cfg: RunConfig, attr: str, what: str) -> Any:
 
 
 def _build_stroke(cfg: RunConfig, steps_override: Optional[int]) -> Stroke:
-    sec = _need(cfg, "stroke_cfg", "stroke")
-    steps = sec.get("steps", DEFAULT_STEPS) if steps_override is None else _steps(steps_override, "--steps")
-    a1, a2 = float(sec["amplitudes"][0]), float(sec["amplitudes"][1])
-    if sec["type"] == "rectangle":
-        return rectangle_stroke(a1, a2, steps=steps, profile=sec.get("profile", "uniform"))
-    return sinusoid_stroke(a1, a2, steps=steps)
+    stroke = _need(cfg, "stroke", "stroke")
+    return stroke if steps_override is None else stroke.with_steps(_steps(steps_override, "--steps"))
 
 
 def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
@@ -305,17 +296,14 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
     for value in values:
         if variable == "area":
             side = math.sqrt(abs(value))
-            local = RunConfig(**{**cfg.__dict__, "stroke_cfg": {
-                "type": "rectangle",
-                "amplitudes": [side, math.copysign(side, value)],
-                "steps": (cfg.stroke_cfg or {}).get("steps", DEFAULT_STEPS),
-            }})
+            steps = DEFAULT_STEPS if cfg.stroke is None else cfg.stroke.steps
+            local = replace(cfg, stroke=rectangle_stroke(side, math.copysign(side, value), steps=steps))
         elif variable == "R":
-            local = RunConfig(**{**cfg.__dict__, "surface": Surface(float(value))})
+            local = replace(cfg, surface=Surface(float(value)))
         else:  # variable == "m"
             tri = _need(cfg, "triangle", "body.scenario.triangle")
             spec = replace(tri, m=value)
-            local = RunConfig(**{**cfg.__dict__, "triangle": spec, "body": triangle_body(spec)})
+            local = replace(cfg, triangle=spec, body=triangle_body(spec))
         if variable == "m":  # the formula is the triangle's closed form: run only the oracle
             _, _, stroke, rec = _run_oracle(local, steps_override)
             dx_f = surface.R * triangle_swim_coefficient(spec) * stroke.signed_area

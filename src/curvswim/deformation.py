@@ -13,7 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from .body import Body, moments, momentum_map
-from .errors import DegenerateMomentsError, SingularGramError
+from .errors import DegenerateMomentsError, NonFiniteResultError, SingularGramError
 from .fields import VectorField, linear_field
 from .geometry import Surface, rigid_field
 
@@ -61,11 +61,17 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     The result pairs to zero with every Killing field and carries exactly
     the strain of f.  Each evaluation of the result (value or gradient)
     evaluates f and one rigid field.  Raises SingularGramError when the
-    body cannot see all rigid directions (for example a single particle).
+    body cannot see all rigid directions (for example a single particle),
+    and NonFiniteResultError when its Gram matrix overflowed.
     """
     G, mom, _ = momentum_map(body, surface, f(body.positions)[None])
     G, mom = G / body.total_mass, mom / body.total_mass
-    eigvals = np.linalg.eigvalsh(G)
+    try:
+        eigvals = np.linalg.eigvalsh(G)
+    except np.linalg.LinAlgError as exc:
+        if np.all(np.isfinite(G)):
+            raise
+        raise NonFiniteResultError("Killing Gram matrix is not finite") from exc
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
         rank = int(np.sum(eigvals > 1e-12 * eigvals[-1]))
         raise SingularGramError(

@@ -22,19 +22,9 @@ def as_points(p) -> np.ndarray:
     return a
 
 
-def to_complex(p: np.ndarray) -> np.ndarray:
-    a = as_points(p)
-    return a[..., 0] + 1j * a[..., 1]
-
-
 def complex_view(p) -> np.ndarray:
     """Points (..., 2) as z = x + iy of shape (..., 1), a view of C-contiguous floats; .view(float) inverts it."""
     return np.ascontiguousarray(as_points(p)).view(complex)
-
-
-def from_complex(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1)
 
 
 def fd_step(p) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ChartDomainError
-from .fields import VectorField, as_points, complex_view, to_complex
+from .fields import VectorField, as_points, complex_view
 
 __all__ = [
     "Surface",
@@ -168,8 +168,8 @@ def geodesic_distance(surface: Surface, p, q) -> float:
     Uses the Moebius-invariant chordal ratio |z1 - z2| / |1 + R conj(z1) z2|
     composed with arctan (R > 0), identity (R = 0) or artanh (R < 0).
     """
-    z1 = to_complex(surface.require_inside(p))
-    z2 = to_complex(surface.require_inside(q))
+    z1 = complex_view(surface.require_inside(p))[..., 0]
+    z2 = complex_view(surface.require_inside(q))[..., 0]
     R = surface.R
     num = np.abs(z1 - z2)
     if R == 0.0:
@@ -286,7 +286,7 @@ def exp_rigid(surface: Surface, tau) -> Isometry:
 
 def translation_to(surface: Surface, w) -> Isometry:
     """The origin-to-w transvection (z + w)/(1 - R conj(w) z), alpha real."""
-    wz = complex(to_complex(surface.require_inside(as_points(w))))
+    wz = complex(complex_view(surface.require_inside(w))[..., 0])
     a = 1.0 / math.sqrt(1.0 + surface.R * abs(wz) ** 2)
     return Isometry(complex(a), complex(a * wz), surface.R)
 
@@ -395,31 +395,23 @@ def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p)
     return float((4.0 * central(0.5 * FD_STEP) - central(FD_STEP)) / 3.0)
 
 
-def lowered_covariant_gradient(surface: Surface, f: VectorField, p) -> np.ndarray:
-    """nabla_j w_k for the metric-lowered field w = g . f, shape (..., 2, 2)."""
+def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
+    """Strain of f: half the Lie derivative of the metric along f, L_f g / 2.
+
+    For g = delta / u^2 with u = 1 + R|z|^2 this is the conformal Killing
+    operator (sym grad f - 2R (z . f) / u I) / u^2, with grad f[j, k] =
+    d_j f^k, which equals the symmetrized covariant gradient of the lowered
+    field g . f.  With the 1/2 factor the diagonal linear field x d/dx
+    carries unit xx-strain.  Holonomy results only involve antisymmetrized
+    field pairs and are independent of this factor.
+    """
     a = surface.require_inside(p)
     u = surface.conformal(a)
     v = f(a)
-    dv = f.gradient(a)  # dv[..., j, k] = d v^k / d x^j
-    w = v / u[..., None] ** 2
-    du = 2.0 * surface.R * a  # d u / d x^j = 2 R x_j
-    # d_j w_k = (d_j v^k) / u^2 - 2 v^k u^-3 du_j
-    dw = dv / u[..., None, None] ** 2 - 2.0 * v[..., None, :] * du[..., :, None] / u[..., None, None] ** 3
-    G = christoffel_at(surface, a)
-    # nabla_j w_k = d_j w_k - Gamma^l_jk w_l
-    correction = np.einsum("...ljk,...l->...jk", G, w)
-    return dw - correction
-
-
-def strain_of(surface: Surface, f: VectorField, p) -> np.ndarray:
-    """Strain of f: the symmetrized covariant gradient (nabla_j w_k + nabla_k w_j) / 2 of w = g . f.
-
-    With the 1/2 factor the diagonal linear field x d/dx carries unit
-    xx-strain.  Holonomy results only involve antisymmetrized field pairs
-    and are independent of this factor.
-    """
-    nw = lowered_covariant_gradient(surface, f, p)
-    return 0.5 * (nw + np.swapaxes(nw, -1, -2))
+    dv = f.gradient(a)
+    dilation = 2.0 * surface.R * (a[..., 0] * v[..., 0] + a[..., 1] * v[..., 1]) / u
+    sym = 0.5 * (dv + np.swapaxes(dv, -1, -2)) - dilation[..., None, None] * np.eye(2)
+    return sym / u[..., None, None] ** 2
 
 
 def killing_residual(surface: Surface, f: VectorField, p) -> float:

@@ -79,15 +79,18 @@ def holonomy_general(
     u and v must already satisfy the gauge condition against the Killing
     set (project first if unsure); a residual above GAUGE_TOLERANCE is an
     error, not a warning, because the leading-order derivation relies on it.
-    A delta_tau that overflowed raises NonFiniteResultError.
+    Gauge residuals or a delta_tau that overflowed raise NonFiniteResultError.
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
     G, res = gauge_pairings(body, surface, uv)
-    if np.max(res) > GAUGE_TOLERANCE:
+    worst = np.max(res)
+    if not worst <= GAUGE_TOLERANCE:     # a NaN residual fails too
+        if not np.isfinite(worst):
+            raise NonFiniteResultError(f"gauge residuals are not finite: {worst}")
         raise GaugeConditionError(
             f"deformation fields violate the gauge condition "
-            f"(max residual {np.max(res):.3e} > {GAUGE_TOLERANCE:.1e}); "
+            f"(max residual {worst:.3e} > {GAUGE_TOLERANCE:.1e}); "
             "apply project_gauge first"
         )
     # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c

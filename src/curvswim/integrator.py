@@ -110,28 +110,19 @@ class Stroke:
         return replace(self, steps=int(steps))
 
 
-def _smoothstep(s: float) -> Tuple[float, float]:
-    return s * s * (3.0 - 2.0 * s), 6.0 * s * (1.0 - s)
-
-
-def rectangle_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS, profile: str = "uniform") -> Stroke:
-    """Rectangle loop centered on the undeformed shape, traversed ccw.
+def rectangle_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
+    """Rectangle loop centered on the undeformed shape, traversed ccw at uniform speed.
 
     Corners [+-d1/2] x [+-d2/2]; enclosed signed area d1 * d2.  Each edge
-    is one smooth piece, so steps is rounded up to a multiple of 4.
+    is one smooth piece, so steps is rounded up to a multiple of 4.  Other
+    timings of the same loop are Strokes built from their own pieces.
     """
-    if profile not in ("uniform", "smooth"):
-        raise StrokeError(f"unknown speed profile {profile!r}")
-    ease = _smoothstep if profile == "smooth" else (lambda s: (s, 1.0))
     a, b = 0.5 * float(d1), 0.5 * float(d2)
     corners = np.array([[-a, -b], [a, -b], [a, b], [-a, b], [-a, -b]])
 
     def edge(k: int) -> Piece:
         p0, p1 = corners[k], corners[k + 1]
-        return (
-            lambda t: p0 + ease(t * 4.0 - k)[0] * (p1 - p0),
-            lambda t: 4.0 * ease(t * 4.0 - k)[1] * (p1 - p0),
-        )
+        return lambda t: p0 + (t * 4.0 - k) * (p1 - p0), lambda t: 4.0 * (p1 - p0)
 
     return Stroke(tuple(edge(k) for k in range(4)), steps, float(d1) * float(d2))
 

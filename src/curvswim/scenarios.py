@@ -13,6 +13,7 @@ validates the whole convention end to end.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .body import Body, balance, principal_axes
 from .deformation import gauge_fixed_linear_deformation
-from .errors import DegenerateMomentsError
+from .errors import DegenerateMomentsError, NonFiniteResultError
 from .fields import VectorField, linear_field
 from .geometry import Surface
 from .holonomy import holonomy_general
@@ -91,6 +92,8 @@ class RingSpec:
             raise ValueError("circumference must be positive")
         if self.m1 <= 0.0 or self.m2 <= 0.0:
             raise ValueError("splinter masses must be positive")
+        if math.isinf(self.m1 + self.m2):     # both mass fractions would read 0
+            raise NonFiniteResultError(f"splinter mass sum overflows: {self.m1!r} + {self.m2!r}")
 
 
 def ring_displacement(spec: RingSpec) -> float:

@@ -17,7 +17,7 @@ from curvswim.body import (
     principal_axes,
 )
 from curvswim.errors import ChartDomainError
-from curvswim.fields import from_complex, linear_field, to_complex
+from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import Surface, killing_fields, killing_frame, translation_to
 
 
@@ -390,7 +390,7 @@ def _balance_one_body_per_iteration(body, surface):
             return current, it
         shift = translation_to(surface, -q1)
         current = Body(masses=current.masses,
-                       positions=from_complex(shift.apply_complex(to_complex(current.positions))))
+                       positions=shift.apply_complex(complex_view(current.positions)).view(float))
     raise AssertionError("reference balancing did not converge")
 
 

@@ -261,6 +261,11 @@ def test_overflow_prints_one_line_and_no_numpy_warnings(tmp_path):
     pytest.param("sweep", {"sweep": {"variable": "m", "values": [0.6]}}, 2, id="sweep-m-inadmissible"),
     pytest.param("integrate", {"fields": [{"matrix": [[1e300, 0.0], [0.0, 0.0]]}, "linear:22"]}, 3,
                  id="matrix-overflow"),
+    # the Killing Gram matrix overflows; eigvalsh used to raise LinAlgError
+    pytest.param("holonomy", {"surface": {"R": 0.0}, "body": {"scenario": {"triangle": {
+        "M": 1.0, "m": 0.25, "h": 1e200, "b": 1e200}}}}, 3, id="holonomy-nonfinite-gram"),
+    # m1 + m2 overflows; the ring simulation used to divide by zero
+    pytest.param("ring", {"ring": {"length": 1.0, "m1": 1e308, "m2": 1e308}}, 3, id="ring-mass-sum-overflow"),
 ])
 def test_failure_is_one_stderr_line_and_no_output(tmp_path, command, override, code):
     # The console command: a typed failure is one line on stderr, never a traceback.
@@ -366,7 +371,7 @@ UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
     pytest.param({"stroke": {"type": "rectangle", "amplitudes": [0.1]}}, "stroke.amplitudes must be [a1, a2]",
                  id="stroke-amplitudes"),
     pytest.param({"stroke": {"type": "rectangle", "amplitudes": [0.1, 0.1], "profile": "jagged"}},
-                 "stroke.profile must be", id="stroke-profile"),
+                 "unknown key(s) in stroke: ['profile']", id="stroke-profile"),
     pytest.param({"sweep": {"variable": "h", "values": [1.0]}}, "sweep.variable must be one of", id="sweep-variable"),
     pytest.param({"sweep": {"variable": "area", "values": []}}, "sweep.values must be a non-empty list",
                  id="sweep-values"),

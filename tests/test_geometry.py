@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvswim.body import Body
+from curvswim.deformation import project_gauge
 from curvswim.errors import ChartDomainError
-from curvswim.fields import complex_view, from_complex, linear_field, to_complex
+from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import (
     CurvatureTensor,
     Isometry,
@@ -22,6 +24,7 @@ from curvswim.geometry import (
     rigid_field,
     rigid_generator,
     rigid_velocity,
+    strain_of,
     translation_killing_approx,
     translation_to,
 )
@@ -312,6 +315,33 @@ def test_non_killing_field_has_strain():
     assert killing_residual(s, f, (0.3, 0.0)) > 0.1
 
 
+def _christoffel_strain(surface, f, p):
+    """The symmetrized covariant gradient (nabla_j w_k + nabla_k w_j) / 2 of w = g . f, from christoffel_at."""
+    a = np.asarray(p, dtype=float)
+    u = surface.conformal(a)
+    v, dv = f(a), f.gradient(a)  # dv[..., j, k] = d_j v^k
+    w = v / u[..., None] ** 2
+    du = 2.0 * surface.R * a
+    dw = dv / u[..., None, None] ** 2 - 2.0 * v[..., None, :] * du[..., :, None] / u[..., None, None] ** 3
+    nw = dw - np.einsum("...ljk,...l->...jk", christoffel_at(surface, a), w)
+    return 0.5 * (nw + np.swapaxes(nw, -1, -2))
+
+
+@pytest.mark.parametrize("R", R_VALUES)
+def test_strain_is_the_christoffel_symmetrized_gradient(R):
+    # strain_of's closed form (half the Lie derivative of the metric) against
+    # the covariant-derivative definition, on rigid, linear and projected fields
+    s = Surface(R)
+    rng = np.random.default_rng(17)
+    p = rng.uniform(-0.6, 0.6, (64, 2))
+    body = Body(masses=rng.uniform(0.5, 2.0, 5), positions=rng.uniform(-0.4, 0.4, (5, 2)))
+    fields = [rigid_field(s, rng.uniform(-1.0, 1.0, 3)), linear_field(rng.uniform(-1.0, 1.0, (2, 2))),
+              project_gauge(body, s, linear_field(rng.uniform(-1.0, 1.0, (2, 2))))]
+    for f in fields:
+        want = _christoffel_strain(s, f, p)
+        assert np.max(np.abs(strain_of(s, f, p) - want)) <= 5e-14 * max(1.0, float(np.max(np.abs(want))))
+
+
 # ------------------------------------------------------------- one-forms
 
 
@@ -441,6 +471,11 @@ def test_composition_and_inverse():
     assert np.allclose(exp_rigid(s, (-0.2, -0.1, 0.3))(g(p)), p, atol=1e-14)
 
 
+def _copied_complex(p):
+    a = np.asarray(p, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
 @pytest.mark.parametrize("R", R_VALUES)
 def test_isometry_call_equals_the_copying_conversions(R):
     rng = np.random.default_rng(3)
@@ -452,7 +487,8 @@ def test_isometry_call_equals_the_copying_conversions(R):
         a = np.asarray(p)
         before = a.copy()
         out = g(p)
-        assert np.array_equal(out, from_complex(g.apply_complex(to_complex(p))))
+        z = g.apply_complex(_copied_complex(p))
+        assert np.array_equal(out, np.stack([z.real, z.imag], axis=-1))
         assert out.shape == a.shape and out.dtype == np.float64
         assert np.array_equal(a, before) and not np.shares_memory(out, a)
 
@@ -481,7 +517,7 @@ def test_isometry_pushforward_scales_correctly():
     p = np.array([0.2, 0.1])
     v = np.array([0.5, -0.3])
     q = g(p)
-    w = from_complex(g.derivative_complex(to_complex(p)) * to_complex(v))
+    w = (g.derivative_complex(complex_view(p)) * complex_view(v)).view(float)
     norm_before = v @ metric_at(s, p) @ v
     norm_after = w @ metric_at(s, q) @ w
     assert norm_after == pytest.approx(norm_before, rel=1e-12)

@@ -73,6 +73,18 @@ def test_overflowing_increment_rejected():
         holonomy_general(TRIANGLE, s, u, v, np.inf)
 
 
+def test_non_finite_gram_rejected():
+    # the Killing Gram matrix of a body at 1e200 overflows: a NaN gauge residual
+    # must fail the gauge check, and the projection must not end in LinAlgError
+    huge = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1e200, b=1e200))
+    u, v = triangle_control_fields()
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteResultError, match="gauge residuals"):
+            holonomy_general(huge, Surface(0.0), u, v, 0.01)
+        with pytest.raises(NonFiniteResultError, match="Gram matrix is not finite"):
+            project_gauge(huge, Surface(0.0), u)
+
+
 def test_rank_deficient_single_particle():
     b = Body.from_particles([[1, 0, 0]])
     s = Surface(0.0)

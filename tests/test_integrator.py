@@ -16,7 +16,7 @@ import curvswim.integrator as integrator
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, StrokeError
-from curvswim.fields import complex_view, from_complex, linear_field, to_complex
+from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, killing_fields, killing_frame, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import _SERIES_Q
@@ -33,6 +33,27 @@ from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fie
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 HEIGHT, BASE = triangle_control_fields()
+
+
+def eased_rectangle(d1, d2, steps):
+    """rectangle_stroke's loop with each edge run at the eased pace s^2 (3 - 2s) of its edge time s."""
+    a, b = 0.5 * d1, 0.5 * d2
+    corners = np.array([[-a, -b], [a, -b], [a, b], [-a, b], [-a, -b]])
+
+    def edge(k):
+        p0, p1 = corners[k], corners[k + 1]
+
+        def sigma(t):
+            s = t * 4.0 - k
+            return p0 + s * s * (3.0 - 2.0 * s) * (p1 - p0)
+
+        def sigma_dot(t):
+            s = t * 4.0 - k
+            return 4.0 * (6.0 * s * (1.0 - s)) * (p1 - p0)
+
+        return sigma, sigma_dot
+
+    return Stroke(tuple(edge(k) for k in range(4)), steps, d1 * d2)
 
 
 def projected_pair(body, surface):
@@ -121,7 +142,7 @@ def test_with_steps_keeps_every_step_inside_one_edge():
 LOOPS = {
     "sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps),
     "rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps),
-    "rectangle-smooth": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps, profile="smooth"),
+    "rectangle-smooth": lambda steps: eased_rectangle(0.2, 0.15, steps),
 }
 
 
@@ -287,8 +308,8 @@ def test_reversed_stroke_negates():
 
 def test_time_reparametrization_invariance():
     s = Surface(1.0)
-    uniform = rectangle_stroke(1e-2, 1e-2, steps=512, profile="uniform")
-    smooth = rectangle_stroke(1e-2, 1e-2, steps=512, profile="smooth")
+    uniform = rectangle_stroke(1e-2, 1e-2, steps=512)
+    smooth = eased_rectangle(1e-2, 1e-2, 512)
     r1 = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], uniform, mode="composed")
     r2 = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], smooth, mode="composed")
     assert np.max(np.abs(r1.delta_tau - r2.delta_tau)) < 1e-12
@@ -379,11 +400,9 @@ def reference_composed(body, surface, fields, stroke):
         Y = X0 @ E.T
         Vy = X0 @ Ed.T
         g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R)
-        yz = to_complex(Y)
-        xz = g.apply_complex(yz)
-        X = from_complex(xz)
-        vz = g.derivative_complex(yz) * to_complex(Vy)
-        v_def = from_complex(vz)
+        yz = complex_view(Y)
+        X = g.apply_complex(yz).view(float)
+        v_def = (g.derivative_complex(yz) * complex_view(Vy)).view(float)
         tau_dot, _ = solve(X, v_def, collect)
         return rigid_generator(surface, tau_dot) @ Gm
 
@@ -414,7 +433,7 @@ def _random_body(seed=11, n=7, radius=0.3):
 
 REFERENCE_STROKES = {
     "rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps),
-    "rectangle-smooth": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps, profile="smooth"),
+    "rectangle-smooth": lambda steps: eased_rectangle(0.2, 0.15, steps),
     "sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps),
     "reversed-rectangle": lambda steps: rectangle_stroke(0.2, 0.15, steps=steps).reversed(),
     "reversed-sinusoid": lambda steps: sinusoid_stroke(0.2, 0.15, steps=steps).reversed(),
