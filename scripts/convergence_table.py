@@ -14,7 +14,7 @@ import numpy as np
 from curvswim.deformation import project_gauge
 from curvswim.geometry import Surface
 from curvswim.holonomy import holonomy_general
-from curvswim.integrator import integrate_stroke, rectangle_stroke
+from curvswim.integrator import integrate_stroke, oracle_ratio, rectangle_stroke
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
 
 
@@ -43,7 +43,7 @@ def main() -> None:
         composed = integrate_stroke(body, surface, [height, base], stroke, mode="composed")
         direct = integrate_stroke(body, surface, [height, base], stroke, mode="direct")
         dx_f, dx_c = hol.delta_tau[0], composed.delta_tau[0]
-        print(f"{area:>10.1e} {dx_f:>14.6e} {dx_c:>14.6e} {dx_c / dx_f:>10.6f} "
+        print(f"{area:>10.1e} {dx_f:>14.6e} {dx_c:>14.6e} {oracle_ratio(dx_c, dx_f):>10.6f} "
               f"{direct.delta_tau[0]:>14.6e}")
 
 

@@ -10,7 +10,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import BalanceConvergenceError
+from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramError
 from .geometry import (
     Isometry,
     Surface,
@@ -22,6 +22,7 @@ from .geometry import (
 # convention is designed for; warn but proceed.
 CURVATURE_EXTENT_WARN = 0.1
 BALANCE_TOLERANCE = 1e-12   # balance: largest first moment / max(1, extent)
+GRAM_CUTOFF = 1e-12         # solve_gram: smallest Gram eigenvalue / largest
 BALANCE_MAX_ITER = 50
 AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
@@ -180,7 +181,10 @@ def momentum_map(
     np.multiply(d, wr2, d)
     np.multiply(px, py, xy)
     np.multiply(w, r2, wr2)
-    np.multiply(wr2, r2, wr4)
+    if R:
+        np.multiply(wr2, r2, wr4)
+    else:
+        wr4.fill(0.0)                       # no r^4 term, which could overflow at large |x|
     np.multiply(w, d, wd)
     np.multiply(w, xy, wxy)
     np.multiply(wr2, R, wpy)                # w' = w - R w r2, built in the w' y row
@@ -213,6 +217,34 @@ def momentum_map(
     np.add(t[1], R * (2.0 * t[4] - t[5]), mom[..., 1])
     np.subtract(t[6], t[7], mom[..., 2])
     return gram, mom, t[8] + t[9]
+
+
+def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
+    """x with gram . x = rhs, and the eigenvalues of gram, for stacks (..., 3, 3) and (..., 3).
+
+    The one solve of the Killing Gram system: the gauge projection, the
+    swim equations and both oracle modes call it, so both routes refuse the
+    same bodies.  A gram or rhs that is not finite raises
+    NonFiniteResultError (tested first: eigvalsh returns finite garbage on
+    a NaN entry); a matrix of the stack whose smallest eigenvalue is at
+    most GRAM_CUTOFF times its largest raises SingularGramError with its
+    rank and eigenvalues.  Otherwise x comes from one LU solve of the stack.
+    """
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise NonFiniteResultError("Killing Gram matrix is not finite")
+    eigvals = np.linalg.eigvalsh(gram)
+    regular = eigvals[..., 0] > GRAM_CUTOFF * eigvals[..., -1]    # false for a zero matrix too
+    if not regular.all():
+        bad = eigvals[~regular][0]
+        rank = int(np.sum(bad > GRAM_CUTOFF * bad[-1]))
+        raise SingularGramError(f"Killing Gram matrix is singular (rank {rank} of 3)", rank=rank, eigenvalues=bad)
+    return np.linalg.solve(gram, rhs[..., None])[..., 0], eigvals
+
+
+def require_balanced(body: Body) -> None:
+    """Raise ValueError unless the body's first moments are within 1e-8 M max(1, extent) of zero."""
+    if np.max(np.abs(moments(body).q1)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
+        raise ValueError("body must be balanced (vanishing first moments) first")
 
 
 def balance(body: Body, surface: Surface) -> Body:

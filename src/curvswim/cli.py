@@ -156,7 +156,7 @@ def parse_config(raw: Any) -> RunConfig:
             if isinstance(spec, dict):
                 rows = spec.get("matrix", [])
                 numbers = [v for row in rows if isinstance(row, list) for v in row] if isinstance(rows, list) else []
-                for v in numbers + [spec[k] for k in ("y_dy", "x_dx") if k in spec]:
+                for v in numbers:
                     _number(v, f"fields[{i}]")
         cfg.field_specs = specs
 

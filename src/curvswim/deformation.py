@@ -12,8 +12,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .body import Body, moments, momentum_map
-from .errors import DegenerateMomentsError, NonFiniteResultError, SingularGramError
+from .body import Body, moments, momentum_map, require_balanced, solve_gram
+from .errors import DegenerateMomentsError
 from .fields import VectorField, linear_field
 from .geometry import Surface, rigid_field
 
@@ -60,27 +60,13 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
 
     The result pairs to zero with every Killing field and carries exactly
     the strain of f.  Each evaluation of the result (value or gradient)
-    evaluates f and one rigid field.  Raises SingularGramError when the
-    body cannot see all rigid directions (for example a single particle),
-    and NonFiniteResultError when its Gram matrix overflowed.
+    evaluates f and one rigid field.  c comes from body.solve_gram, so a
+    body that cannot see all rigid directions (for example a single
+    particle) raises SingularGramError, and one whose Gram matrix
+    overflowed NonFiniteResultError.
     """
     G, mom, _ = momentum_map(body, surface, f(body.positions)[None])
-    G, mom = G / body.total_mass, mom / body.total_mass
-    try:
-        eigvals = np.linalg.eigvalsh(G)
-    except np.linalg.LinAlgError as exc:
-        if np.all(np.isfinite(G)):
-            raise
-        raise NonFiniteResultError("Killing Gram matrix is not finite") from exc
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
-        rank = int(np.sum(eigvals > 1e-12 * eigvals[-1]))
-        raise SingularGramError(
-            f"Killing Gram matrix is singular (rank {rank} of {G.shape[0]}); "
-            "gauge projection undefined for this body",
-            rank=rank,
-            eigenvalues=eigvals,
-        )
-    coeffs = np.linalg.solve(G, mom[0])
+    coeffs, _ = solve_gram(G / body.total_mass, mom[0] / body.total_mass)
     if not np.any(np.abs(coeffs) > 0.0):
         return f
     rigid = rigid_field(surface, coeffs)
@@ -92,11 +78,9 @@ def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
     """The matrix B of gauge_fixed_linear_deformation(body, j, k), whose field is v = B x."""
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
-    q = moments(body)
-    q1, q2 = q.q1, q.q2
+    require_balanced(body)
+    q2 = moments(body).q2
     scale = max(float(np.max(np.abs(q2))), 1e-300)
-    if np.max(np.abs(q1)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
-        raise ValueError("body must be balanced (vanishing first moments) first")
     if abs(q2[0, 1]) > 1e-8 * scale:
         raise ValueError("body must be in principal axes (diagonal second moments) first")
     qjj = q2[j - 1, j - 1]
@@ -132,7 +116,6 @@ def parse_field_spec(spec, body: Body | None = None) -> VectorField:
     Accepted forms:
       "linear:jk"            raw symmetric linear field, jk in {11, 22, 12}
       "gauge_linear:jk"      closed-form gauge-fixed member (needs a body)
-      {"y_dy": b, "x_dx": c} the axis-scaling family b*y d/dy + c*x d/dx
       {"matrix": [[..],[..]]} arbitrary linear field v = B x
     """
     if isinstance(spec, str):
@@ -144,15 +127,9 @@ def parse_field_spec(spec, body: Body | None = None) -> VectorField:
                 raise ValueError("gauge_linear field specs need a body")
             return gauge_fixed_linear_deformation(body, int(idx[0]), int(idx[1]))
         raise ValueError(f"unrecognized field spec {spec!r}")
-    if isinstance(spec, dict):
-        if "matrix" in spec:
-            extra = set(spec) - {"matrix"}
-            if extra:
-                raise ValueError(f"unexpected keys in matrix field spec: {sorted(extra)}")
-            return linear_field(np.asarray(spec["matrix"], dtype=float), tag="linear-matrix")
-        if set(spec) <= {"y_dy", "x_dx"} and spec:
-            b = float(spec.get("y_dy", 0.0))
-            c = float(spec.get("x_dx", 0.0))
-            B = np.array([[c, 0.0], [0.0, b]])
-            return linear_field(B, tag=f"axis(b={b:g},c={c:g})")
+    if isinstance(spec, dict) and "matrix" in spec:
+        extra = set(spec) - {"matrix"}
+        if extra:
+            raise ValueError(f"unexpected keys in matrix field spec: {sorted(extra)}")
+        return linear_field(np.asarray(spec["matrix"], dtype=float), tag="linear-matrix")
     raise ValueError(f"unrecognized field spec {spec!r}")

@@ -8,7 +8,8 @@ control axis), the rigid increment dtau solves the linear system
 
 where G is the mass-weighted Gram matrix of the Killing fields and the
 bracket pairs the exact Killing two-forms with the field pair at every
-particle.  Three evaluation paths are provided:
+particle.  G is solved by body.solve_gram, the oracle's solve.  Three
+evaluation paths are provided:
 
   * holonomy_general        exact two-forms of the built-in surfaces
   * holonomy_small_swimmer  curvature-tensor contraction (leading order)
@@ -22,24 +23,22 @@ relative order |R| L^2, which is the observable small-body error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .body import Body, moments
+from .body import Body, moments, require_balanced, solve_gram
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
-from .errors import GaugeConditionError, NonFiniteResultError, SingularGramError
+from .errors import GaugeConditionError, NonFiniteResultError
 from .fields import VectorField
 from .geometry import CurvatureTensor, Surface, killing_two_forms
 
 GAUGE_TOLERANCE = 1e-8
-RANK_CUTOFF = 1e-10
-BALANCE_TOLERANCE = 1e-9    # holonomy_small_swimmer: |Q^j| / (M max(1, extent))
 
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Rigid increment for one stroke, with solver diagnostics.
+    """Rigid increment for one stroke, with its Gram condition and gauge residuals.
 
     delta_tau is ordered (translation-x, translation-y, rotation) and
     already includes the stroke area; per_unit_area divides it back out.
@@ -49,8 +48,6 @@ class HolonomyResult:
     area: float
     gram_condition: float
     gauge_residuals: np.ndarray      # (2, 3): residuals of u and v
-    rank: int
-    null_directions: Optional[np.ndarray] = None  # (3, n_null) when rank < 3
 
     @property
     def per_unit_area(self) -> np.ndarray:
@@ -79,7 +76,8 @@ def holonomy_general(
     u and v must already satisfy the gauge condition against the Killing
     set (project first if unsure); a residual above GAUGE_TOLERANCE is an
     error, not a warning, because the leading-order derivation relies on it.
-    Gauge residuals or a delta_tau that overflowed raise NonFiniteResultError.
+    Gauge residuals or a delta_tau that overflowed raise NonFiniteResultError,
+    and a Gram matrix that body.solve_gram refuses raises its error.
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
@@ -96,26 +94,14 @@ def holonomy_general(
     # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c
     wedge = uv[0, :, 0] * uv[1, :, 1] - uv[0, :, 1] * uv[1, :, 0]
     rhs = -area * (np.sum(body.masses * killing_two_forms(surface, x) * wedge, axis=-1) / body.total_mass)
-    eigvals, eigvecs = np.linalg.eigh(G)
-    top = max(float(eigvals[-1]), 1e-300)
-    keep = eigvals > RANK_CUTOFF * top
-    rank = int(np.sum(keep))
-    if rank == 0:
-        raise SingularGramError("Killing Gram matrix vanishes", rank=0, eigenvalues=eigvals)
-    V = eigvecs[:, keep]
-    inv = (V / eigvals[keep]) @ V.T
-    delta = inv @ rhs
+    delta, eigvals = solve_gram(G, rhs)
     if not np.all(np.isfinite(delta)):
         raise NonFiniteResultError(f"rigid increment is not finite: {delta}")
-    null = None if rank == G.shape[0] else eigvecs[:, ~keep]
-    cond = float(eigvals[-1] / eigvals[keep][0])
     return HolonomyResult(
         delta_tau=delta,
         area=float(area),
-        gram_condition=cond,
+        gram_condition=float(eigvals[-1] / eigvals[0]),
         gauge_residuals=res,
-        rank=rank,
-        null_directions=null,
     )
 
 
@@ -131,16 +117,12 @@ def holonomy_small_swimmer(
     Evaluates M dx^k = 2 R[j, l, i, k] (sum_n m_n x_n^i u^j v^l) A, the
     curvature-moment contraction of the stroke, in any dimension matching
     the supplied tensor.  The factor 2 collapses the two orderings of the
-    field pair; exchanging u and v negates the result.
+    field pair; exchanging u and v negates the result.  The body must pass
+    body.require_balanced.
     """
+    require_balanced(body)
     d = curv.dim
     x = body.positions[:, :d]
-    q1 = np.einsum("n,ni->i", body.masses, x)
-    scale = max(1.0, float(np.max(np.abs(x)))) * body.total_mass
-    if np.max(np.abs(q1)) > BALANCE_TOLERANCE * scale:
-        raise ValueError(
-            f"body is not balanced (|Q^j| = {np.max(np.abs(q1)):.3e}); balance it first"
-        )
     uu = u(body.positions)[:, :d]
     vv = v(body.positions)[:, :d]
     # the particle sums first, then the curvature: much cheaper than one five-operand einsum

@@ -31,7 +31,7 @@ Two shape-evolution models are provided:
       The shapes and shape velocities of every node come from one batched
       closed-form 2x2 exponential and its Frechet derivative, the
       generators of a block of nodes from one momentum-map call and one
-      stacked 3x3 solve into buffers allocated once per stroke, and only
+      stacked solve_gram into buffers allocated once per stroke, and only
       the 2x2 update of G is stepped.
       The isometry matrices form a real-linear space closed under
       products, so every RK4 stage agrees with the space-frame stage
@@ -39,10 +39,14 @@ Two shape-evolution models are provided:
 
   mode="direct"               deformation velocities are evaluated at the
       current particle positions and the particles are integrated with G,
-      dG/dt = A_space G, stage by stage.  Simpler, works for any field, but
-      for non-commuting field pairs the shape loop fails to close at the
-      same order as the holonomy itself, which shows up as a leading-order
-      offset in the rotation component.  Kept for comparison studies.
+      dG/dt = A_space G, stage by stage, with one solve_gram per stage.
+      Simpler, works for any field, but for non-commuting field pairs the
+      shape loop fails to close at the same order as the holonomy itself,
+      which shows up as a leading-order offset in the rotation component.
+      Kept for comparison studies.
+
+body.solve_gram is also the holonomy formulas' solve, so a Gram matrix
+that the formulas refuse stops the stroke with the same typed error.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, momentum_map, momentum_work
-from .errors import NonFiniteResultError, SingularGramError, StrokeError
+from .body import Body, momentum_map, momentum_work, solve_gram
+from .errors import NonFiniteResultError, StrokeError
 from .fields import VectorField, complex_view
 from .geometry import Isometry, Surface, cosh_sinc, rigid_generator, rigid_velocity
 
@@ -166,18 +170,6 @@ class TrajectoryRecord:
         return float(self.delta_tau[2])
 
 
-def _connection(gram: np.ndarray, mom: np.ndarray) -> np.ndarray:
-    """tau-dot with gram . tau-dot = -mom, for stacks gram (..., 3, 3) and mom (..., 3)."""
-    try:
-        return np.linalg.solve(gram, -mom[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(mom))):
-            raise NonFiniteResultError("momentum system is not finite mid-stroke") from exc
-        raise SingularGramError(
-            "momentum system became singular mid-stroke", eigenvalues=np.linalg.eigvalsh(gram)
-        ) from exc
-
-
 def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
     alpha, beta = complex(G[0, 0] + np.conj(G[1, 1])) / 2.0, complex(G[0, 1])
     if R != 0.0:
@@ -262,7 +254,7 @@ def _integrate_composed(body, surface, B, stroke):
     A depends on time alone, so each distinct stage time (node) is
     evaluated once: the shapes of all nodes come from one closed-form shape
     flow, the generators of a block of nodes from one momentum-map call and
-    one stacked 3x3 solve, and G is advanced over a step once its three
+    one stacked solve_gram, and G is advanced over a step once its three
     nodes are in.  Every per-particle array lives in buffers allocated once
     per stroke.  Returns (G, max momentum residual, max space-frame speed,
     shape closure defect).
@@ -294,7 +286,7 @@ def _integrate_composed(body, surface, B, stroke):
         np.matmul(EM[:, lo:hi].reshape(4 * k, 2), X0.T, out=YV[: 4 * k])
         y, vy = YV[: 4 * k].reshape(2, k, 2, body.n).swapaxes(-1, -2)   # (k, N, 2) views
         gram, mom, _ = momentum_map(body, surface, vy[:, None], y, work=work)
-        tau = _connection(gram, mom[:, 0])                # (nodes of the block, 3)
+        tau, _ = solve_gram(gram, -mom[:, 0])             # (nodes of the block, 3)
         A[lo:hi] = rigid_generator(surface, tau)
         while n < steps and stages[n, 2] < hi:
             A1, A2, A3 = A[stages[n]]
@@ -334,7 +326,7 @@ def _integrate_direct(body, surface, fields, stroke):
         """x-dot, G-dot and the momentum system (gram, tau-dot, mom) at one stage."""
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
         gram, mom, _ = momentum_map(body, surface, v_def[None], X)
-        tau_dot = _connection(gram, mom[0])
+        tau_dot, _ = solve_gram(gram, -mom[0])
         xdot = (complex_view(v_def) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
         return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0])
 

@@ -15,10 +15,12 @@ from curvswim.body import (
     momentum_work,
     moments,
     principal_axes,
+    solve_gram,
 )
-from curvswim.errors import ChartDomainError
+from curvswim.errors import ChartDomainError, NonFiniteResultError, SingularGramError
 from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import Surface, killing_fields, killing_frame, translation_to
+from curvswim.scenarios import TriangleSpec, triangle_body
 
 
 def test_body_validation():
@@ -249,6 +251,43 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
         momentum_map(b, s, 0.5 * V, 0.5 * x, work=W)
         for got, expected in zip(first, kept):
             assert np.array_equal(got, expected)
+
+
+def test_momentum_map_flat_gram_at_huge_coordinates():
+    # At R = 0 no r^4 row is formed.  Once it overflowed (|x| above about
+    # 1e77) and 0 * inf made g11 = g22 NaN, though no entry exceeds 1e157.
+    b = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1e78, b=1e78))
+    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0]
+    assert np.all(np.isfinite(G))
+    assert G[0, 0] == G[1, 1] == b.total_mass
+
+
+# -------------------------------------------------------------- Gram solve
+
+
+def test_solve_gram_one_cutoff_for_a_stack():
+    gram = np.stack([np.diag([2.0, 1.0, 1e-11]), np.diag([2.0, 1.0, 4.0])])
+    x, eigvals = solve_gram(gram, np.ones((2, 3)))
+    assert np.allclose(x, [[0.5, 1.0, 1e11], [0.5, 1.0, 0.25]], rtol=1e-15, atol=0.0)
+    assert np.allclose(eigvals, [[1e-11, 1.0, 2.0], [1.0, 2.0, 4.0]], rtol=1e-15, atol=0.0)
+    # one matrix of the stack at 1e-12 of its largest eigenvalue refuses the stack
+    gram[0, 2, 2] = 2e-12
+    with pytest.raises(SingularGramError, match=r"rank 2 of 3") as err:
+        solve_gram(gram, np.ones((2, 3)))
+    assert err.value.rank == 2
+    assert np.allclose(err.value.eigenvalues, [2e-12, 1.0, 2.0], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("where", ["gram", "rhs"])
+def test_solve_gram_refuses_non_finite_first(where):
+    # eigvalsh returns finite garbage for a NaN entry, which would read as singular
+    gram, rhs = np.eye(3), np.ones(3)
+    if where == "gram":
+        gram[0, 1] = np.nan
+    else:
+        rhs[2] = np.inf
+    with pytest.raises(NonFiniteResultError, match="Killing Gram matrix is not finite"):
+        solve_gram(gram, rhs)
 
 
 # ---------------------------------------------------------- scalar product

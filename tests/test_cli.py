@@ -145,6 +145,22 @@ def test_integrate_direct_mode(tmp_path):
     assert rec["shape_closure_defect"] > 0.0
 
 
+def test_integrate_small_generic_swimmer_ratio(tmp_path):
+    # a generic body of extent 1.2e-5 has Gram eigenvalue ratio 7e-11; the
+    # formula used to drop its smallest direction and the ratio read 0.022
+    rng = np.random.default_rng(3)
+    body = checks.random_balanced_body(rng, 7).scaled(3e-5)
+    B = rng.normal(size=(2, 2, 2))
+    cfg = dict(
+        BASE_CONFIG,
+        surface={"R": -1.0},
+        body={"particles": [[m, x, y] for m, (x, y) in zip(body.masses.tolist(), body.positions.tolist())]},
+        fields=[{"matrix": B[0].tolist()}, {"matrix": B[1].tolist()}],
+        stroke={"type": "sinusoid", "amplitudes": [1e-3, 1e-3], "steps": 64},
+    )
+    assert 0.9 < run_json(tmp_path, "integrate", cfg)["ratio"] < 1.1
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -225,14 +241,15 @@ def test_sweep_over_R_negates(tmp_path):
 @pytest.mark.parametrize("command", ["integrate", "sweep"])
 def test_overflowing_result_is_a_numerical_failure(tmp_path, capsys, command):
     # a finite but huge matrix overflows the shape flow; the NaN increment
-    # used to be printed (not JSON) with exit 0
+    # used to be printed (not JSON) with exit 0.  The stroke stops at the
+    # first Killing Gram matrix that is not finite.
     cfg = dict(SWEEP_CONFIG, fields=[{"matrix": [[1e300, 0.0], [0.0, 0.0]]}, "linear:22"])
     out = tmp_path / "never.out"
     with np.errstate(all="ignore"):
         code = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert code == 3
     assert not out.exists()
-    assert "rigid increment is not finite" in capsys.readouterr().err
+    assert "Killing Gram matrix is not finite" in capsys.readouterr().err
 
 
 def test_overflow_prints_one_line_and_no_numpy_warnings(tmp_path):
@@ -313,7 +330,7 @@ PARTICLES = [[1.0, 0.1, 0.0], [1.0, -0.1, 0.05], [2.0, 0.0, -0.1]]
 @pytest.mark.parametrize("bad, where", [
     ("nan-mass", "body.particles[0]"), ("inf-coordinate", "body.particles[1]"), ("nan-R", "surface.R"),
     ("huge-int-R", "surface.R"), ("inf-matrix", "fields[0]"), ("nan-matrix", "fields[0]"),
-    ("bool-x_dx", "fields[1]"), ("huge-int-y_dy", "fields[1]"),
+    ("bool-matrix", "fields[1]"), ("huge-int-matrix", "fields[1]"),
 ])
 @pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep"])
 def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, where):
@@ -321,7 +338,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
     # traceback (exit 1) or a "numerical failure" (exit 3), and an integer
     # beyond the float range as an OverflowError traceback.  Field specs
     # used to run on: a non-finite matrix printed NaN (not JSON) with exit 0,
-    # and {"x_dx": true} ran as 1.0
+    # and a matrix entry true ran as 1.0
     particles = [list(p) for p in PARTICLES]
     cfg = dict(BASE_CONFIG, body={"particles": particles}, surface={"R": 1.0},
                sweep={"variable": "area", "values": [1e-4]})
@@ -329,12 +346,12 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
         particles[0][0] = float("nan")
     elif bad == "inf-coordinate":
         particles[1][1] = float("inf")
+    elif bad == "bool-matrix":
+        cfg["fields"] = ["linear:11", {"matrix": [[True, 0.0], [0.0, 0.0]]}]
+    elif bad == "huge-int-matrix":
+        cfg["fields"] = ["linear:11", {"matrix": [[1.0, 0.0], [0.0, 10**400]]}]
     elif bad.endswith("matrix"):
         cfg["fields"] = [{"matrix": [[float(bad[:3]), 0.0], [0.0, 0.0]]}, "linear:22"]
-    elif bad == "bool-x_dx":
-        cfg["fields"] = ["linear:11", {"x_dx": True}]
-    elif bad == "huge-int-y_dy":
-        cfg["fields"] = ["linear:11", {"y_dy": 10**400, "x_dx": 1.0}]
     else:
         cfg["surface"] = {"R": float("nan") if bad == "nan-R" else 10**400}
     out = tmp_path / "never.out"

@@ -196,8 +196,6 @@ def test_closed_form_equals_projection_flat():
 
 def test_parse_field_specs():
     assert parse_field_spec("linear:12").tag == "linear-12"
-    assert np.allclose(parse_field_spec({"y_dy": 1.0})((0.2, 0.3)), [0.0, 0.3])
-    assert np.allclose(parse_field_spec({"x_dx": 2.0})((0.2, 0.3)), [0.4, 0.0])
     m = parse_field_spec({"matrix": [[0, 1], [0, 0]]})
     assert np.allclose(m((0.5, 0.25)), [0.25, 0.0])
     with pytest.raises(ValueError):

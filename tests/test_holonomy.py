@@ -5,7 +5,7 @@ import curvswim.deformation as deformation
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
-from curvswim.errors import GaugeConditionError, NonFiniteResultError
+from curvswim.errors import GaugeConditionError, NonFiniteResultError, SingularGramError
 from curvswim.fields import linear_field
 from curvswim.geometry import CurvatureTensor, Surface, killing_two_forms
 from curvswim.holonomy import (
@@ -13,6 +13,7 @@ from curvswim.holonomy import (
     holonomy_linear,
     holonomy_small_swimmer,
 )
+from curvswim.integrator import integrate_stroke, sinusoid_stroke
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
@@ -90,10 +91,29 @@ def test_rank_deficient_single_particle():
     s = Surface(0.0)
     u = linear_field(np.array([[1.0, 0.0], [0.0, 0.0]]))
     v = linear_field(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    res = holonomy_general(b, s, u, v, 1.0)
-    assert res.rank == 2
-    assert res.null_directions is not None
-    assert np.allclose(res.delta_tau, 0.0)
+    with pytest.raises(SingularGramError) as err:
+        holonomy_general(b, s, u, v, 1.0)
+    assert err.value.rank == 2
+
+
+def small_generic_swimmer(L):
+    """A generic 7-particle body scaled by L, two generic matrix fields, R = -1, a 64-step sinusoid."""
+    rng = np.random.default_rng(3)
+    body = random_balanced_body(rng, 7).scaled(L)
+    B = rng.normal(size=(2, 2, 2))
+    return body, Surface(-1.0), [linear_field(B[0]), linear_field(B[1])], sinusoid_stroke(1e-3, 1e-3, steps=64)
+
+
+@pytest.mark.parametrize("L, component, rtol", [(3e-5, 2, 1e-6), (1e-4, 1, 1e-3)])
+def test_small_generic_swimmer_formula_matches_oracle(L, component, rtol):
+    # The Gram eigenvalue ratio is 7e-11 at L = 3e-5 and 8e-10 at L = 1e-4.
+    # A pseudo-inverse with a 1e-10 cutoff dropped the rotation at the first
+    # (it read -6.6e-37) and put the y translation 1% off at the second.
+    body, s, raw, stroke = small_generic_swimmer(L)
+    u, v = (project_gauge(body, s, f) for f in raw)
+    formula = holonomy_general(body, s, u, v, stroke.signed_area).delta_tau[component]
+    oracle = integrate_stroke(body, s, raw, stroke).delta_tau[component]
+    assert abs(formula - oracle) <= rtol * abs(oracle)
 
 
 def test_triangle_translation_value():

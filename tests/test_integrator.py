@@ -15,7 +15,7 @@ import curvswim
 import curvswim.integrator as integrator
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
-from curvswim.errors import ChartDomainError, StrokeError
+from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
 from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, killing_fields, killing_frame, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
@@ -348,6 +348,18 @@ def test_convergence_study_rows():
     assert gaps[1] < gaps[0] < 0.05
 
 
+@pytest.mark.parametrize("mode", ["composed", "direct"])
+def test_oracle_refuses_a_single_particle_as_the_formula_does(mode):
+    # both routes solve the Gram system through body.solve_gram: one rule, one error
+    b = Body.from_particles([[1.0, 0.0, 0.0]])
+    s = Surface(0.0)
+    with pytest.raises(SingularGramError) as oracle:
+        integrate_stroke(b, s, [HEIGHT, BASE], rectangle_stroke(0.1, 0.1, steps=8), mode=mode)
+    with pytest.raises(SingularGramError) as formula:
+        project_gauge(b, s, HEIGHT)
+    assert oracle.value.rank == formula.value.rank == 2
+
+
 def test_flat_convergence_study_zeros():
     s = Surface(0.0)
     rng = np.random.default_rng(19)
@@ -357,9 +369,15 @@ def test_flat_convergence_study_zeros():
     v = gauge_fixed_linear_deformation(body, 2, 2)
     stroke = rectangle_stroke(1e-2, 1e-2, steps=64)
     dx_i = integrate_stroke(body, s, [u, v], stroke).delta_tau[0]
-    dx_f = holonomy_general(body, s, u, v, stroke.signed_area).delta_tau[0]
-    assert dx_f == 0.0
+    hol = holonomy_general(body, s, u, v, stroke.signed_area)
+    # balance leaves first moments of 1e-12 max(1, extent), so the Gram
+    # matrix couples translation to the rotation at that level
+    assert abs(hol.delta_tau[0]) <= 1e-12 * max(1.0, body.extent) * abs(hol.rotation)
     assert abs(dx_i) < 1e-14
+    # the flat triangle is mirror-symmetric: both routes give exactly zero
+    dx_i = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke).delta_tau[0]
+    u, v = (project_gauge(TRIANGLE, s, f) for f in (HEIGHT, BASE))
+    dx_f = holonomy_general(TRIANGLE, s, u, v, stroke.signed_area).delta_tau[0]
     assert oracle_ratio(dx_i, dx_f) == 0.0
 
 
