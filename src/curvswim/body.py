@@ -219,6 +219,17 @@ def momentum_map(
     return gram, mom, t[8] + t[9]
 
 
+def pairing_scale(gram, vv) -> np.ndarray:
+    """sqrt(gram[..., a, a] vv[..., k]), shape (..., k, 3): the scale of mom[..., k, a].
+
+    For momentum_map's outputs, Cauchy-Schwarz gives |mom[k, a]| <= this.
+    At the solution tau of gram tau = -mom[k] it also bounds |(gram tau)_a|,
+    since tau gram tau <= vv[k], so it is the scale of the solve's residual.
+    """
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    return np.sqrt(np.maximum(diag, 0.0))[..., None, :] * np.sqrt(vv)[..., None]
+
+
 def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
     """x with gram . x = rhs, and the eigenvalues of gram, for stacks (..., 3, 3) and (..., 3).
 

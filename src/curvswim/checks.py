@@ -331,6 +331,6 @@ def _oracle_runs() -> Tuple[float, float, float, float]:
 def _oracle(rng, fault):
     """Square rectangle strokes of 1024 steps on R = 1.  |oracle/formula - 1| at areas 1e-4
     and 1e-5, worst over the triangles h = b = 1 and 0.2; the worst momentum residual over
-    its bound 1e-12 M max|x-dot|; |dx(R) + dx(-R)| / |dx(R)| at area 1e-5 on a triangle
+    its bound 1e-12 max sqrt(G_aa vv); |dx(R) + dx(-R)| / |dx(R)| at area 1e-5 on a triangle
     small enough (h = b = 3e-4) that the exact-surface asymmetry stays below the bound."""
     return _oracle_runs()

@@ -12,7 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .body import Body, moments, momentum_map, require_balanced, solve_gram
+from .body import Body, moments, momentum_map, pairing_scale, require_balanced, solve_gram
 from .errors import DegenerateMomentsError
 from .fields import VectorField, linear_field
 from .geometry import Surface, rigid_field
@@ -38,16 +38,13 @@ def gauge_pairings(body: Body, surface: Surface, values) -> Tuple[np.ndarray, np
     """Gram matrix and gauge residuals of fields sampled at the particles.
 
     values stacks k fields evaluated at the body's positions, shape
-    (k, N, 2).  Returns, mass-normalized and from one kernel call,
+    (k, N, 2).  Returns, from one kernel call, the mass-normalized Gram matrix
+    and each pairing over its scale (body.pairing_scale),
 
         G[a, b] = <xi_a|xi_b>,  res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
     """
-    M = body.total_mass
     G, mom, ff = momentum_map(body, surface, values)
-    G, mom = G / M, mom / M
-    fn = np.sqrt(np.maximum(ff / M, 0.0))
-    xin = np.sqrt(np.maximum(np.diag(G), 0.0))
-    return G, np.abs(mom) / np.maximum(xin * fn[:, None], 1e-300)
+    return G / body.total_mass, np.abs(mom) / np.maximum(pairing_scale(G, ff), 1e-300)
 
 
 def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:

@@ -196,32 +196,19 @@ class Isometry:
     beta: complex
     R: float
 
-    @property
-    def det(self) -> float:
-        return abs(self.alpha) ** 2 + self.R * abs(self.beta) ** 2
-
     def normalized(self) -> "Isometry":
-        d = self.det
+        """The same isometry with determinant |alpha|^2 + R |beta|^2 scaled to one."""
+        d = abs(self.alpha) ** 2 + self.R * abs(self.beta) ** 2
         if d <= 0.0:
             raise ValueError("isometry representation degenerate (non-positive determinant)")
         s = math.sqrt(d)
         return Isometry(self.alpha / s, self.beta / s, self.R)
 
-    def apply_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        a, b, R = self.alpha, self.beta, self.R
-        return (a * z + b) / (-R * np.conj(b) * z + np.conj(a))
-
     def __call__(self, p) -> np.ndarray:
         """The image of chart points (..., 2), mapped through their complex view (no copy in)."""
-        return self.apply_complex(complex_view(p)).view(float)
-
-    def derivative_complex(self, z):
-        """Complex derivative of the chart action; rotates and scales tangents."""
-        z = np.asarray(z, dtype=complex)
+        z = complex_view(p)
         a, b, R = self.alpha, self.beta, self.R
-        den = -R * np.conj(b) * z + np.conj(a)
-        return self.det / den**2
+        return ((a * z + b) / (-R * np.conj(b) * z + np.conj(a))).view(float)
 
 
 def rigid_generator(surface: Surface, tau) -> np.ndarray:

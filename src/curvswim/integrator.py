@@ -47,6 +47,12 @@ Two shape-evolution models are provided:
 
 body.solve_gram is also the holonomy formulas' solve, so a Gram matrix
 that the formulas refuse stops the stroke with the same typed error.
+
+Each solve the oracle reads is checked against the kernel's own sums:
+max_momentum_residual is the largest |gram tau + mom| and residual_bound
+1e-12 times the largest body.pairing_scale sqrt(gram_aa vv), which bounds
+every term of that residual by Cauchy-Schwarz.  Composed mode reads every
+node, direct mode each step's first stage.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, momentum_map, momentum_work, solve_gram
+from .body import Body, momentum_map, momentum_work, pairing_scale, solve_gram
 from .errors import NonFiniteResultError, StrokeError
 from .fields import VectorField, complex_view
 from .geometry import Isometry, Surface, cosh_sinc, rigid_generator, rigid_velocity
@@ -97,18 +103,10 @@ class Stroke:
         if gap > 1e-12:
             raise StrokeError(f"control loop does not close: |sigma(1)-sigma(0)| = {gap:.3e}")
 
-    def piece(self, t: float) -> Piece:
-        """The (sigma, sigma_dot) pair of the piece holding the time t."""
-        P = len(self.pieces)
-        return self.pieces[min(max(int(t * P), 0), P - 1)]
-
     def sigma(self, t: float) -> np.ndarray:
-        return self.piece(t)[0](t)
-
-    def reversed(self) -> "Stroke":
-        """The loop run backwards: its piece p is piece P - 1 - p run backwards."""
-        pieces = tuple((lambda t, s=s: s(1.0 - t), lambda t, sd=sd: -sd(1.0 - t)) for s, sd in reversed(self.pieces))
-        return Stroke(pieces, self.steps, -self.signed_area)
+        """sigma(t), from the piece holding the time t."""
+        P = len(self.pieces)
+        return self.pieces[min(max(int(t * P), 0), P - 1)][0](t)
 
     def with_steps(self, steps: int) -> "Stroke":
         return replace(self, steps=int(steps))
@@ -157,7 +155,7 @@ class TrajectoryRecord:
     steps: int
     mode: str
     max_momentum_residual: float
-    residual_bound: float            # 1e-12 * M * max |x-dot| seen along the stroke
+    residual_bound: float            # 1e-12 * the largest body.pairing_scale of the solves read
     shape_closure_defect: float
     group_drift: float               # |det G - 1| of the final G, before it is normalized
 
@@ -256,11 +254,11 @@ def _integrate_composed(body, surface, B, stroke):
     flow, the generators of a block of nodes from one momentum-map call and
     one stacked solve_gram, and G is advanced over a step once its three
     nodes are in.  Every per-particle array lives in buffers allocated once
-    per stroke.  Returns (G, max momentum residual, max space-frame speed,
-    shape closure defect).
+    per stroke.  Returns (G, max momentum residual, max pairing scale,
+    shape closure defect), the diagnostics read at every node.
     """
     X0 = body.positions
-    steps, R = stroke.steps, surface.R
+    steps = stroke.steps
     dt = 1.0 / steps
     sig, sigd, stages = _stage_controls(stroke)
     nodes = len(sig)
@@ -275,74 +273,61 @@ def _integrate_composed(body, surface, B, stroke):
     EM = np.stack([E[:nodes], Ed[:nodes]])
     YV = np.empty((4 * per_block, body.n))
     A = np.empty((nodes, 2, 2), dtype=complex)
-    G = np.empty((steps + 1, 2, 2), dtype=complex)     # at each step's start, and the end
-    G[0] = np.eye(2)
-    starts = stages[:, 0]
+    G = np.eye(2, dtype=complex)
     n = 0
-    max_residual = max_speed = 0.0
+    max_residual = max_scale = 0.0
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
         k = hi - lo
         np.matmul(EM[:, lo:hi].reshape(4 * k, 2), X0.T, out=YV[: 4 * k])
         y, vy = YV[: 4 * k].reshape(2, k, 2, body.n).swapaxes(-1, -2)   # (k, N, 2) views
-        gram, mom, _ = momentum_map(body, surface, vy[:, None], y, work=work)
+        gram, mom, vv = momentum_map(body, surface, vy[:, None], y, work=work)
         tau, _ = solve_gram(gram, -mom[:, 0])             # (nodes of the block, 3)
+        max_residual = max(max_residual, float(np.max(np.abs((gram @ tau[..., None])[..., 0] + mom[:, 0]))))
+        max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         A[lo:hi] = rigid_generator(surface, tau)
         while n < steps and stages[n, 2] < hi:
             A1, A2, A3 = A[stages[n]]
-            g = G[n]
-            k1 = g @ A1
-            k2 = (g + 0.5 * dt * k1) @ A2
-            k3 = (g + 0.5 * dt * k2) @ A2
-            k4 = (g + dt * k3) @ A3
-            G[n + 1] = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = G @ A1
+            k2 = (G + 0.5 * dt * k1) @ A2
+            k3 = (G + 0.5 * dt * k2) @ A2
+            k4 = (G + dt * k3) @ A3
+            G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             n += 1
-        # Diagnostics at the first stage of the steps that start in this
-        # block, whose G is known by now.  The speed is read in the space
-        # frame: x-dot = g'(Y) (Y-dot + tau . xi(Y)) with g = G there.
-        first = slice(*np.searchsorted(starts, (lo, hi)))
-        i = starts[first] - lo
-        if len(i) == 0:
-            continue
-        residual = (gram[i] @ tau[i, :, None])[..., 0] + mom[i, 0]
-        max_residual = max(max_residual, float(np.max(np.abs(residual))))
-        g = Isometry(G[first, 0, 0, None, None], G[first, 0, 1, None, None], R)
-        yz, vz = complex_view(y[i]), complex_view(vy[i])      # interleaved once each
-        wz = vz + rigid_velocity(surface, tau[i], yz)
-        max_speed = max(max_speed, float(np.max(np.abs((g.derivative_complex(yz) * wz).view(float)))))
-    return G[steps], max_residual, max_speed, closure
+    return G, max_residual, max_scale, closure
 
 
 def _integrate_direct(body, surface, fields, stroke):
     """RK4 on particles and group together, velocities evaluated in place.
 
-    Returns (final positions, G, max momentum residual, max speed).
+    Returns (final positions, G, max momentum residual, max pairing scale),
+    the diagnostics read at each step's first stage.
     """
     dt = 1.0 / stroke.steps
     _, sigd, stages = _stage_controls(stroke)
-    max_residual = max_speed = 0.0
+    max_residual = max_scale = 0.0
 
     def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
-        """x-dot, G-dot and the momentum system (gram, tau-dot, mom) at one stage."""
+        """x-dot, G-dot and the momentum system (gram, tau-dot, mom, vv) at one stage."""
         v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-        gram, mom, _ = momentum_map(body, surface, v_def[None], X)
+        gram, mom, vv = momentum_map(body, surface, v_def[None], X)
         tau_dot, _ = solve_gram(gram, -mom[0])
         xdot = (complex_view(v_def) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
-        return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0])
+        return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0], vv)
 
     X = body.positions.copy()
     G = np.eye(2, dtype=complex)
     for n in range(stroke.steps):
         sd1, sd2, sd3 = sigd[stages[n]]
-        kx1, kg1, (gram, tau_dot, mom) = deriv(X, G, sd1)
+        kx1, kg1, (gram, tau_dot, mom, vv) = deriv(X, G, sd1)
         max_residual = max(max_residual, float(np.max(np.abs(gram @ tau_dot + mom))))
-        max_speed = max(max_speed, float(np.max(np.abs(kx1))))
+        max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         kx2, kg2, _ = deriv(X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sd2)
         kx3, kg3, _ = deriv(X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sd2)
         kx4, kg4, _ = deriv(X + dt * kx3, G + dt * kg3, sd3)
         X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
         G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
-    return X, G, max_residual, max_speed
+    return X, G, max_residual, max_scale
 
 
 def integrate_stroke(
@@ -373,9 +358,9 @@ def integrate_stroke(
                 "for general field evaluators"
             )
         B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-        G, max_residual, max_speed, closure = _integrate_composed(body, surface, B, stroke)
+        G, max_residual, max_scale, closure = _integrate_composed(body, surface, B, stroke)
     else:
-        X, G, max_residual, max_speed = _integrate_direct(body, surface, fields, stroke)
+        X, G, max_residual, max_scale = _integrate_direct(body, surface, fields, stroke)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
     delta_tau, g_final = _extract_delta_tau(G, surface.R)
@@ -384,7 +369,7 @@ def integrate_stroke(
     if mode == "direct":
         closure = float(np.max(np.abs(X - g_final(X0))))
 
-    bound = 1e-12 * body.total_mass * max(max_speed, 1e-300)
+    bound = 1e-12 * max(max_scale, 1e-300)
     return TrajectoryRecord(
         delta_tau=delta_tau,
         steps=stroke.steps,

@@ -18,7 +18,7 @@ from curvswim.body import (
     solve_gram,
 )
 from curvswim.errors import ChartDomainError, NonFiniteResultError, SingularGramError
-from curvswim.fields import complex_view, linear_field
+from curvswim.fields import linear_field
 from curvswim.geometry import Surface, killing_fields, killing_frame, translation_to
 from curvswim.scenarios import TriangleSpec, triangle_body
 
@@ -420,7 +420,7 @@ def test_balance_curved_reaches_tolerance():
 
 def _balance_one_body_per_iteration(body, surface):
     """balance as a loop that builds a new Body each iteration and applies each
-    shift through the copying complex conversions; returns (body, iterations)."""
+    shift to that body's positions; returns (body, iterations)."""
     current = body
     scale = max(1.0, np.sqrt(float(np.max(np.sum(body.positions**2, axis=1)))))
     for it in range(BALANCE_MAX_ITER):
@@ -428,8 +428,7 @@ def _balance_one_body_per_iteration(body, surface):
         if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
             return current, it
         shift = translation_to(surface, -q1)
-        current = Body(masses=current.masses,
-                       positions=shift.apply_complex(complex_view(current.positions)).view(float))
+        current = Body(masses=current.masses, positions=shift(current.positions))
     raise AssertionError("reference balancing did not converge")
 
 

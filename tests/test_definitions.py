@@ -1,10 +1,13 @@
-"""Every top-level function and class of curvswim has a use outside the tests.
+"""Every top-level function and class of curvswim, and every public method
+and property of its classes, has a use outside the tests.
 
-A definition passes when it is exported by curvswim or listed in its module's
-__all__, registered with the checks.invariant decorator, a [project.scripts]
-entry, or referenced by name in src/, scripts/ or perfbench/ outside its own
-definition (a string holding exactly the name counts, as getattr and the
-benchmark's tracer look names up that way).  Tests do not count as callers.
+A top-level definition passes when it is exported by curvswim or listed in
+its module's __all__, registered with the checks.invariant decorator, a
+[project.scripts] entry, or referenced by name in src/, scripts/ or
+perfbench/ outside its own definition (a string holding exactly the name
+counts, as getattr and the benchmark's tracer look names up that way).  A
+public method or property passes when it is referenced by name there outside
+its own class.  Tests do not count as callers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import curvswim
@@ -33,17 +37,38 @@ def _names_used(node: ast.AST) -> set:
     return used
 
 
-def _referenced() -> set:
-    """Names used anywhere in the caller directories, each definition's own body aside."""
-    used = set()
-    for d in CALLER_DIRS:
-        for path in sorted(d.rglob("*.py")):
-            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-                names = _names_used(stmt)
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    names.discard(stmt.name)
-                used |= names
-    return used
+def _own_uses(stmt: ast.AST) -> set:
+    """Names a top-level statement uses, the name it defines aside."""
+    names = _names_used(stmt)
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names.discard(stmt.name)
+    return names
+
+
+def _uses(sources) -> Counter:
+    """For each name, how many top-level statements of the sources use it."""
+    return Counter(name for text in sources for stmt in ast.parse(text).body for name in _own_uses(stmt))
+
+
+def _caller_sources() -> list:
+    return [path.read_text(encoding="utf-8") for d in CALLER_DIRS for path in sorted(d.rglob("*.py"))]
+
+
+def _dead_members(source: str, uses: Counter) -> list:
+    """Class.member for each public method or property of the source's classes
+    that no top-level statement other than its own class uses."""
+    dead = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            own = _own_uses(stmt)
+            dead += [
+                f"{stmt.name}.{m.name}"
+                for m in stmt.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not m.name.startswith("_")
+                and uses[m.name] == (m.name in own)
+            ]
+    return dead
 
 
 def _script_entries() -> set:
@@ -61,7 +86,7 @@ def _is_registered_invariant(stmt: ast.AST) -> bool:
 
 
 def test_every_top_level_definition_has_a_caller():
-    used = _referenced()
+    used = _uses(_caller_sources())
     entries = _script_entries()
     exported = set(vars(curvswim))
     dead = []
@@ -77,3 +102,28 @@ def test_every_top_level_definition_has_a_caller():
             if not _is_registered_invariant(stmt):
                 dead.append(f"{path.stem}.{name}")
     assert dead == [], f"definitions with no caller outside the tests: {dead}"
+
+
+def test_every_public_method_has_a_caller_outside_its_class():
+    uses = _uses(_caller_sources())
+    dead = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in _dead_members(path.read_text(encoding="utf-8"), uses)]
+    assert dead == [], f"methods and properties with no caller outside their class and the tests: {dead}"
+
+
+def test_the_check_sees_a_dead_method():
+    source = (
+        "class Square:\n"
+        "    def area(self):\n"
+        "        return self.side() ** 2\n"
+        "    def side(self):\n"
+        "        return 1.0\n"
+        "    @property\n"
+        "    def perimeter(self):\n"
+        "        return 4.0\n"
+        "    def _hidden(self):\n"
+        "        return 0.0\n"
+        "def report(s):\n"
+        "    return s.area()\n"
+    )
+    assert _dead_members(source, _uses([source])) == ["Square.side", "Square.perimeter"]
