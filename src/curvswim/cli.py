@@ -90,10 +90,9 @@ class RunConfig:
     stroke: Optional[Stroke] = None
     sweep: Optional[Dict[str, Any]] = None
     ring: Optional[RingSpec] = None
-    mode: str = "composed"
 
 
-TOP_KEYS = ("schema", "surface", "body", "fields", "stroke", "sweep", "ring", "options")
+TOP_KEYS = ("schema", "surface", "body", "fields", "stroke", "sweep", "ring")
 
 
 def load_config(path: str) -> RunConfig:
@@ -200,13 +199,6 @@ def parse_config(raw: Any) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"ring: {exc}") from exc
 
-    if "options" in top:
-        sec = _require_keys(top["options"], ("mode",), (), "options")
-        if "mode" in sec:
-            if sec["mode"] not in ("composed", "direct"):
-                raise ConfigError("options.mode must be 'composed' or 'direct'")
-            cfg.mode = sec["mode"]
-
     return cfg
 
 
@@ -262,7 +254,7 @@ def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
     body = _need(cfg, "body", "body")
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    return body, raw, stroke, integrate_stroke(body, surface, raw, stroke, mode=cfg.mode)
+    return body, raw, stroke, integrate_stroke(body, surface, raw, stroke)
 
 
 def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:

@@ -412,29 +412,26 @@ def killing_residual(surface: Surface, f: VectorField, p) -> float:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Riemann components R[j, l, i, k] in a local Euclidean frame.
+    """Riemann components R[j, l, i, k] of a surface in a local Euclidean frame.
 
-    Antisymmetric in (j, l) and (i, k), symmetric under pair exchange.  The
-    sign convention is fixed by requiring that the associated translation
-    field reproduce the exact two-form of the built-in surfaces; for the 2D
-    constant-curvature case that gives R_1212 = K = 4R.
+    components has shape (2, 2, 2, 2): bodies live in a two-dimensional
+    chart.  Antisymmetric in (j, l) and (i, k), symmetric under pair
+    exchange.  The sign convention is fixed by requiring that the associated
+    translation field reproduce the exact two-form of the built-in surfaces,
+    which gives R_1212 = K = 4R.
     """
 
     components: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.components, dtype=float)
-        if c.ndim != 4 or len(set(c.shape)) != 1:
-            raise ValueError("curvature components must form a (d,d,d,d) array")
+        if c.shape != (2, 2, 2, 2):
+            raise ValueError(f"curvature components must form a (2,2,2,2) array, got shape {c.shape}")
         object.__setattr__(self, "components", c)
 
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
-
     @classmethod
-    def constant_curvature(cls, K: float, dim: int = 2) -> "CurvatureTensor":
-        delta = np.eye(dim)
+    def constant_curvature(cls, K: float) -> "CurvatureTensor":
+        delta = np.eye(2)
         comps = K * (
             np.einsum("ji,lk->jlik", delta, delta)
             - np.einsum("jk,li->jlik", delta, delta)
@@ -443,7 +440,7 @@ class CurvatureTensor:
 
     @classmethod
     def from_surface(cls, surface: Surface) -> "CurvatureTensor":
-        return cls.constant_curvature(gaussian_curvature(surface), dim=2)
+        return cls.constant_curvature(gaussian_curvature(surface))
 
 
 def translation_killing_approx(curv: CurvatureTensor, k: int) -> VectorField:
@@ -457,22 +454,21 @@ def translation_killing_approx(curv: CurvatureTensor, k: int) -> VectorField:
     Christoffel terms of the local frame, which is intrinsic to normal
     coordinates rather than an implementation gap.
     """
-    d = curv.dim
-    if not 1 <= k <= d:
-        raise ValueError(f"axis index must be in 1..{d}")
+    if k not in (1, 2):
+        raise ValueError("axis index must be in 1..2")
     Rt = curv.components
     kk = k - 1
     # symmetrized quadratic coefficient: value path of the one-form
     sym = 0.5 * (Rt[:, :, :, kk] + np.einsum("jli->ilj", Rt[:, :, :, kk]))
 
     def func(p):
-        a = as_points(p)[..., :d]
+        a = as_points(p)
         out = -0.5 * np.einsum("...j,...i,jli->...l", a, a, sym)
         out[..., kk] += 1.0
         return out
 
     def grad(p):
-        a = as_points(p)[..., :d]
+        a = as_points(p)
         return -np.einsum("...i,jli->...jl", a, Rt[:, :, :, kk])
 
     return VectorField(func=func, grad=grad, tag=f"translation-approx-{k}")

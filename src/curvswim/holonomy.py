@@ -115,16 +115,14 @@ def holonomy_small_swimmer(
     """Translation increment of a small balanced swimmer from the curvature.
 
     Evaluates M dx^k = 2 R[j, l, i, k] (sum_n m_n x_n^i u^j v^l) A, the
-    curvature-moment contraction of the stroke, in any dimension matching
-    the supplied tensor.  The factor 2 collapses the two orderings of the
-    field pair; exchanging u and v negates the result.  The body must pass
-    body.require_balanced.
+    curvature-moment contraction of the stroke.  The factor 2 collapses the
+    two orderings of the field pair; exchanging u and v negates the result.
+    The body must pass body.require_balanced.
     """
     require_balanced(body)
-    d = curv.dim
-    x = body.positions[:, :d]
-    uu = u(body.positions)[:, :d]
-    vv = v(body.positions)[:, :d]
+    x = body.positions
+    uu = u(x)
+    vv = v(x)
     # the particle sums first, then the curvature: much cheaper than one five-operand einsum
     moment = np.einsum("n,ni,nj,nl->ijl", body.masses, x, uu, vv)
     bracket = np.einsum("ijl,jlik->k", moment, curv.components)
@@ -149,9 +147,8 @@ def holonomy_linear(
     (moments) and agrees with holonomy_small_swimmer applied to the same
     closed-form fields.
     """
-    d = curv.dim
-    Eb = gauge_fixed_linear_matrix(body, *pair_b)[:d, :d]
-    Ec = gauge_fixed_linear_matrix(body, *pair_c)[:d, :d]
-    q3 = moments(body).q3[:d, :d, :d]
+    Eb = gauge_fixed_linear_matrix(body, *pair_b)
+    Ec = gauge_fixed_linear_matrix(body, *pair_c)
+    q3 = moments(body).q3
     contraction = np.einsum("imh,jm,lh,jlik->k", q3, Eb, Ec, curv.components)
     return 2.0 * float(area) * contraction / body.total_mass

@@ -13,8 +13,9 @@ so the three Killing flows never get summed commutatively.
 A Stroke is its smooth pieces: P (sigma, sigma_dot) pairs of the stroke
 time, piece p covering [p/P, (p+1)/P], with steps a multiple of P.  Both
 modes read sigma-dot (composed mode also sigma) from one table of the
-distinct stage times (nodes), each taken from the piece holding its step:
-a step's end stage is the next step's start stage inside one piece.
+distinct stage times (nodes), sampled in one call per piece: a step's end
+stage is the next step's start stage inside one piece, and the first and
+last nodes are exactly t = 0 and t = 1.
 
 Two shape-evolution models are provided:
 
@@ -27,12 +28,13 @@ Two shape-evolution models are provided:
       under isometries, so the rigid velocity read in the body frame, A,
       depends on the shape alone (the local connection), and G obeys the
       reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
-      equation.  A depends on time alone, so each node is evaluated once.
-      The shapes and shape velocities of every node come from one batched
-      closed-form 2x2 exponential and its Frechet derivative, the
-      generators of a block of nodes from one momentum-map call and one
-      stacked solve_gram into buffers allocated once per stroke, and only
-      the 2x2 update of G is stepped.
+      equation.  A depends on time alone, so each node is evaluated once
+      and each RK4 step is a fixed 2x2 propagator, G <- G P_n.  The shapes
+      and shape velocities of every node come from one batched closed-form
+      2x2 exponential and its Frechet derivative, the generators of a
+      block of nodes from one momentum-map call and one stacked solve_gram
+      into buffers allocated once per stroke, the propagators of all steps
+      from batched 2x2 products, and G is their ordered product.
       The isometry matrices form a real-linear space closed under
       products, so every RK4 stage agrees with the space-frame stage
       dG/dt = A_space G up to round-off.
@@ -77,7 +79,7 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 1024
-Piece = Tuple[Callable[[float], np.ndarray], Callable[[float], np.ndarray]]
+Piece = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ class Stroke:
     """Closed loop in the two-dimensional control (strain coefficient) space.
 
     pieces holds P smooth (sigma, sigma_dot) pairs of the stroke time t in
-    [0, 1], piece p covering [p/P, (p+1)/P].  steps is rounded up to a
+    [0, 1], piece p covering [p/P, (p+1)/P], each mapping times of any
+    shape (...) to controls of shape (..., 2).  steps is rounded up to a
     multiple of P, so every RK4 step lies inside one piece.
     """
 
@@ -94,19 +97,16 @@ class Stroke:
     signed_area: float
 
     def __post_init__(self):
+        if not self.pieces:
+            raise StrokeError("a stroke needs at least one piece")
         if self.steps < 4:
             raise StrokeError("a stroke needs at least 4 time steps")
         P = len(self.pieces)
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "steps", P * math.ceil(self.steps / P))
-        gap = float(np.max(np.abs(np.asarray(self.sigma(1.0)) - np.asarray(self.sigma(0.0)))))
-        if gap > 1e-12:
+        gap = float(np.max(np.abs(self.pieces[-1][0](1.0) - self.pieces[0][0](0.0))))
+        if not gap <= 1e-12:
             raise StrokeError(f"control loop does not close: |sigma(1)-sigma(0)| = {gap:.3e}")
-
-    def sigma(self, t: float) -> np.ndarray:
-        """sigma(t), from the piece holding the time t."""
-        P = len(self.pieces)
-        return self.pieces[min(max(int(t * P), 0), P - 1)][0](t)
 
     def with_steps(self, steps: int) -> "Stroke":
         return replace(self, steps=int(steps))
@@ -124,7 +124,8 @@ def rectangle_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke
 
     def edge(k: int) -> Piece:
         p0, p1 = corners[k], corners[k + 1]
-        return lambda t: p0 + (t * 4.0 - k) * (p1 - p0), lambda t: 4.0 * (p1 - p0)
+        return (lambda t: p0 + (np.asarray(t)[..., None] * 4.0 - k) * (p1 - p0),
+                lambda t: np.broadcast_to(4.0 * (p1 - p0), np.shape(t) + (2,)))
 
     return Stroke(tuple(edge(k) for k in range(4)), steps, float(d1) * float(d2))
 
@@ -136,13 +137,13 @@ def sinusoid_stroke(d1: float, d2: float, steps: int = DEFAULT_STEPS) -> Stroke:
 
     # The phase is wrapped so that sigma(1) == sigma(0) bitwise: sin(2 pi)
     # is about -2.4e-16, not 0.
-    def sigma(t: float) -> np.ndarray:
-        t %= 1.0
-        return np.array([-a * math.cos(w * t), -b * math.sin(w * t)])
+    def sigma(t) -> np.ndarray:
+        wt = w * (np.asarray(t)[..., None] % 1.0)
+        return np.concatenate([-a * np.cos(wt), -b * np.sin(wt)], axis=-1)
 
-    def sigma_dot(t: float) -> np.ndarray:
-        t %= 1.0
-        return np.array([a * w * math.sin(w * t), -b * w * math.cos(w * t)])
+    def sigma_dot(t) -> np.ndarray:
+        wt = w * (np.asarray(t)[..., None] % 1.0)
+        return np.concatenate([a * w * np.sin(wt), -b * w * np.cos(wt)], axis=-1)
 
     return Stroke(((sigma, sigma_dot),), int(steps), math.pi * a * b)
 
@@ -188,24 +189,20 @@ _BLOCK_PARTICLE_NODES = 12288
 def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma and sigma-dot at the distinct RK4 stage times (nodes) of the stroke.
 
-    Step n has stages at t, t + dt/2 and t + dt from the piece holding it,
-    and its start is the end node of step n - 1 inside one piece (2 steps
-    + 1 nodes per piece).  Returns sig and sigd of shape (nodes, 2) and
-    stages of shape (steps, 3), the node of each stage.
+    A piece of per steps has 2 per + 1 nodes, node k of piece p at
+    t = (2 p per + k) / (2 steps): step n has stages at t, t + dt/2 and
+    t + dt from the piece holding it, and its start is the end node of
+    step n - 1 inside one piece.  Returns sig and sigd of shape (nodes, 2)
+    and stages of shape (steps, 3), the node of each stage.
     """
-    dt = 1.0 / stroke.steps
-    per_piece = stroke.steps // len(stroke.pieces)
-    sig, sigd = [], []
-    stages = np.empty((stroke.steps, 3), dtype=np.intp)
-    for n in range(stroke.steps):
-        t = n * dt
-        s, sd = stroke.pieces[n // per_piece]
-        times = (t, t + 0.5 * dt, t + dt) if n % per_piece == 0 else (t + 0.5 * dt, t + dt)
-        for ts in times:
-            sig.append(s(ts))
-            sigd.append(sd(ts))
-        stages[n] = np.arange(len(sig) - 3, len(sig))
-    return np.array(sig), np.array(sigd), stages
+    P = len(stroke.pieces)
+    per = stroke.steps // P
+    times = (2 * per * np.arange(P)[:, None] + np.arange(2 * per + 1)) / (2 * stroke.steps)
+    sig = np.concatenate([s(tp) for (s, _), tp in zip(stroke.pieces, times)])
+    sigd = np.concatenate([sd(tp) for (_, sd), tp in zip(stroke.pieces, times)])
+    n = np.arange(stroke.steps)
+    stages = ((2 * per + 1) * (n // per) + 2 * (n % per))[:, None] + np.arange(3)
+    return sig, sigd, stages
 
 
 def _expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,29 +249,26 @@ def _integrate_composed(body, surface, B, stroke):
     A depends on time alone, so each distinct stage time (node) is
     evaluated once: the shapes of all nodes come from one closed-form shape
     flow, the generators of a block of nodes from one momentum-map call and
-    one stacked solve_gram, and G is advanced over a step once its three
-    nodes are in.  Every per-particle array lives in buffers allocated once
-    per stroke.  Returns (G, max momentum residual, max pairing scale,
-    shape closure defect), the diagnostics read at every node.
+    one stacked solve_gram, into buffers allocated once per stroke.  The
+    stages of step n are then k_i = G B_i with B1 = A1, B2 = (I + dt/2 A1) A2,
+    B3 = (I + dt/2 B2) A2 and B4 = (I + dt B3) A3, so every step is a fixed
+    propagator G <- G (I + D_n), D_n = dt/6 (A1 + 2 B2 + 2 B3 + B4), formed
+    for all steps at once.  Returns (G, max momentum residual, max pairing
+    scale, shape closure defect), the diagnostics read at every node.
     """
     X0 = body.positions
-    steps = stroke.steps
-    dt = 1.0 / steps
+    dt = 1.0 / stroke.steps
     sig, sigd, stages = _stage_controls(stroke)
     nodes = len(sig)
-    # The loop's end points ride along in the same shape-flow call.
-    ends = np.stack([stroke.sigma(0.0), stroke.sigma(1.0)])
-    E, Ed = _shape_flow(B, np.concatenate([sig, ends]), np.concatenate([sigd, np.zeros_like(ends)]))
-    closure = float(np.max(np.abs(E[-1] - E[-2])))
+    E, Ed = _shape_flow(B, sig, sigd)
+    closure = float(np.max(np.abs(E[-1] - E[0])))
     per_block = min(nodes, max(1, _BLOCK_PARTICLE_NODES // body.n))
     work = momentum_work((per_block, body.n), 1)
     # EM[s, n] is E[n] (s = 0) or Ed[n] (s = 1).  YV holds a block's Y, then
     # its Vy, component-major: row (s, node, i) is component i at every particle.
-    EM = np.stack([E[:nodes], Ed[:nodes]])
+    EM = np.stack([E, Ed])
     YV = np.empty((4 * per_block, body.n))
     A = np.empty((nodes, 2, 2), dtype=complex)
-    G = np.eye(2, dtype=complex)
-    n = 0
     max_residual = max_scale = 0.0
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
@@ -286,14 +280,15 @@ def _integrate_composed(body, surface, B, stroke):
         max_residual = max(max_residual, float(np.max(np.abs((gram @ tau[..., None])[..., 0] + mom[:, 0]))))
         max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         A[lo:hi] = rigid_generator(surface, tau)
-        while n < steps and stages[n, 2] < hi:
-            A1, A2, A3 = A[stages[n]]
-            k1 = G @ A1
-            k2 = (G + 0.5 * dt * k1) @ A2
-            k3 = (G + 0.5 * dt * k2) @ A2
-            k4 = (G + dt * k3) @ A3
-            G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            n += 1
+    I = np.eye(2)
+    A1, A2, A3 = A[stages.T]
+    B2 = (I + 0.5 * dt * A1) @ A2
+    B3 = (I + 0.5 * dt * B2) @ A2
+    B4 = (I + dt * B3) @ A3
+    D = (dt / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
+    G = np.eye(2, dtype=complex)
+    for Dn in D:
+        G = G + G @ Dn        # not G (I + D_n): that rounds D_n against I first
     return G, max_residual, max_scale, closure
 
 

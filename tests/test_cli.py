@@ -138,13 +138,6 @@ def test_steps_override_does_not_leak_into_next_call(tmp_path):
     assert default["steps"] == 256
 
 
-def test_integrate_direct_mode(tmp_path):
-    cfg = dict(BASE_CONFIG, options={"mode": "direct"})
-    rec = run_json(tmp_path, "integrate", cfg)
-    assert rec["mode"] == "direct"
-    assert rec["shape_closure_defect"] > 0.0
-
-
 def test_integrate_small_generic_swimmer_ratio(tmp_path):
     # a generic body of extent 1.2e-5 has Gram eigenvalue ratio 7e-11; the
     # formula used to drop its smallest direction and the ratio read 0.022
@@ -361,6 +354,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
 
 
 UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
+UNKNOWN_OPTIONS = "unknown key(s) in config: ['options']"
 
 
 @pytest.mark.parametrize("override, message", [
@@ -396,15 +390,14 @@ UNKNOWN_OUTPUTS = "unknown key(s) in config: ['outputs']"
                  id="sweep-m-inadmissible"),
     pytest.param({"ring": {"length": 0.0, "m1": 1.0, "m2": 1.0}}, "ring: circumference must be positive",
                  id="ring-length"),
-    pytest.param({"options": {"mode": "implicit"}}, "options.mode must be 'composed' or 'direct'", id="options-mode"),
-    # keys the CLI no longer reads: --format and --out say it, and the gauge is always projected
+    # sections the CLI no longer reads: --format and --out say it, the gauge is
+    # always projected, and every config runs the composed oracle
+    pytest.param({"options": {"mode": "implicit"}}, UNKNOWN_OPTIONS, id="options-mode"),
     pytest.param({"outputs": {"format": "json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.format"),
     pytest.param({"outputs": {"path": "out.json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.path"),
-    pytest.param({"options": {"gauge": "assume"}}, "unknown key(s) in options: ['gauge']", id="removed-options.gauge"),
-    pytest.param({"options": {"balance": True}}, "unknown key(s) in options: ['balance']",
-                 id="removed-options.balance"),
-    pytest.param({"options": {"principal_axes": True}}, "unknown key(s) in options: ['principal_axes']",
-                 id="removed-options.principal_axes"),
+    pytest.param({"options": {"gauge": "assume"}}, UNKNOWN_OPTIONS, id="removed-options.gauge"),
+    pytest.param({"options": {"balance": True}}, UNKNOWN_OPTIONS, id="removed-options.balance"),
+    pytest.param({"options": {"principal_axes": True}}, UNKNOWN_OPTIONS, id="removed-options.principal_axes"),
 ])
 def test_bad_config_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, override, message):
     for name in ("integrate_stroke", "holonomy_general", "project_gauge"):
@@ -541,14 +534,11 @@ def test_cli_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: no command of the CLI may import it
     cfgs = {
         "composed": dict(BASE_CONFIG, stroke={"type": "sinusoid", "amplitudes": [0.1, 0.1], "steps": 8}),
-        "direct": dict(BASE_CONFIG, stroke={"type": "rectangle", "amplitudes": [0.1, 0.1], "steps": 8},
-                       options={"mode": "direct"}),
         "sweep": dict(SWEEP_CONFIG, stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 8}),
     }
     paths = {name: write_config(tmp_path, cfg, f"{name}.json") for name, cfg in cfgs.items()}
     runs = [
         ["integrate", "--config", paths["composed"]],
-        ["integrate", "--config", paths["direct"]],
         ["holonomy", "--config", paths["composed"]],
         ["sweep", "--config", paths["sweep"]],
     ]
@@ -564,7 +554,7 @@ def test_cli_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 @pytest.mark.parametrize("script", ["convergence_table.py", "triangle_optimum.py"])

@@ -544,6 +544,14 @@ def test_curvature_tensor_symmetries():
     assert CurvatureTensor.from_surface(Surface(1.0)).components[0, 1, 0, 1] == 4.0
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (1, 1, 1, 1)])
+def test_curvature_tensor_is_two_dimensional(shape):
+    # bodies live in a two-dimensional chart: a (3,3,3,3) tensor used to fail
+    # later with an untyped broadcast error, and a (1,1,1,1) one gave zeros
+    with pytest.raises(ValueError, match=r"\(2,2,2,2\)"):
+        CurvatureTensor(np.zeros(shape))
+
+
 def test_translation_approx_flat_is_constant():
     f = translation_killing_approx(CurvatureTensor.constant_curvature(0.0), 1)
     assert np.allclose(f((0.3, -0.8)), [1.0, 0.0])

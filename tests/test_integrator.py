@@ -44,11 +44,11 @@ def eased_rectangle(d1, d2, steps):
         p0, p1 = corners[k], corners[k + 1]
 
         def sigma(t):
-            s = t * 4.0 - k
+            s = np.asarray(t)[..., None] * 4.0 - k
             return p0 + s * s * (3.0 - 2.0 * s) * (p1 - p0)
 
         def sigma_dot(t):
-            s = t * 4.0 - k
+            s = np.asarray(t)[..., None] * 4.0 - k
             return 4.0 * (6.0 * s * (1.0 - s)) * (p1 - p0)
 
         return sigma, sigma_dot
@@ -126,18 +126,32 @@ def test_group_drift_falls_with_the_step_size():
 def test_custom_stroke_must_close():
     with pytest.raises(StrokeError):
         Stroke(
-            pieces=((lambda t: np.array([t, 0.0]), lambda t: np.array([1.0, 0.0])),),
+            pieces=((lambda t: np.asarray(t)[..., None] * [1.0, 0.0],
+                     lambda t: np.broadcast_to([1.0, 0.0], np.shape(t) + (2,))),),
             steps=16,
             signed_area=0.0,
         )
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: Stroke((), 8, 0.0), lambda: sinusoid_stroke(math.nan, 0.1)], ids=["no-pieces", "nan-loop"]
+)
+def test_malformed_loop_is_refused(make):
+    # no piece used to divide by zero, and a nan gap passed the closure check
+    with pytest.raises(StrokeError):
+        make()
+
+
 def _numeric_area(stroke, n=200000):
     from scipy.integrate import trapezoid
 
-    ts = np.linspace(0.0, 1.0, n)
-    sig = np.array([stroke.sigma(t) for t in ts])
-    return trapezoid(sig[:, 0] * np.gradient(sig[:, 1], ts), ts)
+    P = len(stroke.pieces)
+    area = 0.0
+    for p, (sigma, _) in enumerate(stroke.pieces):
+        ts = np.linspace(p / P, (p + 1) / P, n // P)
+        sig = sigma(ts)
+        area += trapezoid(sig[:, 0] * np.gradient(sig[:, 1], ts), ts)
+    return area
 
 
 def test_builtin_stroke_areas():
@@ -176,10 +190,58 @@ LOOPS = {
 @pytest.mark.parametrize("kind", sorted(LOOPS))
 def test_builtin_loops_close_bitwise(kind, steps):
     stroke = LOOPS[kind](steps)
-    assert np.array_equal(stroke.sigma(1.0), stroke.sigma(0.0))
+    assert np.array_equal(stroke.pieces[-1][0](1.0), stroke.pieces[0][0](0.0))
     body, fields = _random_body()
     rec = integrate_stroke(body, Surface(-1.0), fields, stroke, mode="composed")
     assert rec.shape_closure_defect == 0.0
+
+
+def unwrapped_ellipse(d1, d2, steps):
+    """sinusoid_stroke's loop without its phase wrap: sigma(1) - sigma(0) is round-off, not zero."""
+    a, b, w = 0.5 * d1, 0.5 * d2, 2.0 * math.pi
+
+    def sigma(t):
+        wt = w * np.asarray(t)[..., None]
+        return np.concatenate([-a * np.cos(wt), -b * np.sin(wt)], axis=-1)
+
+    def sigma_dot(t):
+        wt = w * np.asarray(t)[..., None]
+        return np.concatenate([a * w * np.sin(wt), -b * w * np.cos(wt)], axis=-1)
+
+    return Stroke(((sigma, sigma_dot),), steps, math.pi * a * b)
+
+
+@pytest.mark.parametrize("steps", [6, 14, 24])
+def test_composed_closure_reads_the_exact_end_nodes(steps):
+    # n dt + dt misses 1.0 at these step counts; the last node is t = 1 exactly
+    body, fields = _random_body()
+    stroke = unwrapped_ellipse(0.2, 0.15, steps)
+    rec = integrate_stroke(body, Surface(-1.0), fields, stroke)
+    ends = stroke.pieces[0][0](np.array([0.0, 1.0]))
+    assert np.array_equal(integrator._stage_controls(stroke)[0][[0, -1]], ends)
+    E, _ = integrator._shape_flow([f.linear_matrix for f in fields], ends, np.zeros_like(ends))
+    assert rec.shape_closure_defect == float(np.max(np.abs(E[1] - E[0]))) > 0.0
+
+
+@pytest.mark.parametrize("steps", [16, 1024])
+@pytest.mark.parametrize("kind", ["sinusoid", "rectangle"])
+def test_composed_samples_each_piece_in_one_call(kind, steps):
+    stroke = LOOPS[kind](steps)
+    calls = []
+
+    def counted(f, key):
+        def wrapped(t):
+            calls.append(key)
+            return f(t)
+        return wrapped
+
+    pieces = tuple((counted(s, ("sigma", p)), counted(sd, ("sigma_dot", p)))
+                   for p, (s, sd) in enumerate(stroke.pieces))
+    counted_stroke = Stroke(pieces, stroke.steps, stroke.signed_area)
+    calls.clear()                       # the constructor reads the loop's ends
+    body, fields = _random_body()
+    integrate_stroke(body, Surface(-1.0), fields, counted_stroke)
+    assert sorted(calls) == sorted((name, p) for p in range(len(pieces)) for name in ("sigma", "sigma_dot"))
 
 
 # ------------------------------------------------------ closed-form exponential
@@ -460,7 +522,7 @@ def reference_composed(body, surface, fields, stroke):
         k3 = deriv(t + 0.5 * dt, G + 0.5 * dt * k2, sig, sigd)
         k4 = deriv(t + dt, G + dt * k3, sig, sigd)
         G = G + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    s0, s1 = stroke.sigma(0.0), stroke.sigma(1.0)
+    s0, s1 = stroke.pieces[0][0](0.0), stroke.pieces[-1][0](1.0)
     E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
     E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
     closure = float(np.max(np.abs(E1 - E0)))
