@@ -1,4 +1,4 @@
-"""Point-mass bodies: the momentum-map kernel, moments, balancing, principal axes."""
+"""Point-mass bodies: the momentum-map kernel, per-curvature frames, moments, balancing, principal axes."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramE
 from .geometry import (
     Isometry,
     Surface,
+    killing_two_forms,
     rotation_about_origin,
     translation_to,
 )
@@ -29,7 +30,7 @@ AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
 @dataclass(frozen=True)
 class Body:
-    """Point masses in the chart; immutable, so its mass, extent and moments are cached."""
+    """Point masses in the chart; immutable, so its mass, extent, moments and frames are cached."""
 
     masses: np.ndarray      # (N,), strictly positive
     positions: np.ndarray   # (N, 2) chart coordinates
@@ -77,9 +78,20 @@ class Body:
         m, x = self.masses, self.positions
         q = (np.einsum("n,ni->i", m, x), np.einsum("n,ni,nj->ij", m, x, x),
              np.einsum("n,ni,nj,nk->ijk", m, x, x, x))
-        for a in q:
-            a.setflags(write=False)
-        return Moments(*q, total_mass=self.total_mass)
+        return Moments(*map(_read_only, q), total_mass=self.total_mass)
+
+    @cached_property
+    def _frames(self) -> dict:
+        return {}
+
+    def frame(self, surface: Surface) -> "BodyFrame":
+        """The body's frame on surface: one per R, made on first use and kept with the body."""
+        R = surface.R
+        key = (R, math.copysign(1.0, R))    # -0.0 and 0.0 give different signed zeros
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = BodyFrame(self.masses, self.positions, self.total_mass, surface)
+        return frame
 
     def transformed(self, g: Isometry) -> "Body":
         return Body(masses=self.masses, positions=g(self.positions))
@@ -96,6 +108,65 @@ class Moments:
     q2: np.ndarray  # (2, 2)
     q3: np.ndarray  # (2, 2, 2)
     total_mass: float
+
+
+@dataclass(frozen=True, eq=False)
+class BodyFrame:
+    """What the formula route reads of one body on one surface, each part built on first use.
+
+    rows and gram: the position half of momentum_map at the body's
+    positions (per particle x, y, r2, d, xy and the weight w, shape (6, N),
+    and the Gram matrix, not mass-normalized).  inverse and eigvals: the
+    inverse of G/M and its eigenvalues, from one solve_gram(G/M, I), so a
+    body that solve_gram refuses raises its error on first use of either.
+    The rows of inverse are G/M solved against the unit vectors: for a right
+    side b, b @ inverse is the solution of (G/M) c = b.  two_forms:
+    killing_two_forms at the positions.  Every array is read-only.  The
+    frame holds the body's read-only arrays, never the body, so a body and
+    its frames form no reference cycle.
+    """
+
+    masses: np.ndarray
+    positions: np.ndarray
+    total_mass: float
+    surface: Surface
+
+    @cached_property
+    def _position_part(self) -> Tuple[np.ndarray, np.ndarray]:
+        n = self.masses.shape[0]
+        rows = np.empty(12 * n).reshape(12, n)
+        gram = _position_rows(self.masses, self.surface, self.positions, rows)
+        return _read_only(rows[:6]), _read_only(gram)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._position_part[0]
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._position_part[1]
+
+    @cached_property
+    def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
+        inverse, eigvals = solve_gram(self.gram / self.total_mass, np.eye(3))
+        return _read_only(inverse), _read_only(eigvals)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        return self._solved[0]
+
+    @property
+    def eigvals(self) -> np.ndarray:
+        return self._solved[1]
+
+    @cached_property
+    def two_forms(self) -> np.ndarray:
+        return _read_only(killing_two_forms(self.surface, self.positions))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def moments(body: Body) -> Moments:
@@ -160,14 +231,55 @@ def momentum_map(
     work.  Components are read as x[..., 0] and x[..., 1]: points (and
     velocities) stored component-major, passed as transposed views, are
     read as contiguous rows.
+
+    With x None the position rows and gram are those of body.frame(surface),
+    formed once per body and curvature; only the velocity rows are formed
+    here, and gram is the frame's read-only array.
     """
-    x = body.positions if x is None else np.asarray(x, dtype=float)
     V = np.asarray(velocities, dtype=float)
-    points, nv = x.shape[:-1], V.shape[-3]
-    size = math.prod(points)
-    if work is None:
-        work = momentum_work(points, nv)
-    rows = work[: 12 * size].reshape((12,) + points)
+    nv = V.shape[-3]
+    if x is None:
+        frame = body.frame(surface)
+        rows, gram = frame.rows, frame.gram
+        points = rows.shape[1:]
+        size = math.prod(points)
+        P = (np.empty(10 * nv * size) if work is None else work)[: 10 * nv * size]
+    else:
+        x = np.asarray(x, dtype=float)
+        points = x.shape[:-1]
+        size = math.prod(points)
+        if work is None:
+            work = momentum_work(points, nv)
+        rows = work[: 12 * size].reshape((12,) + points)
+        gram = _position_rows(body.masses, surface, x, rows)
+        P = work[6 * size : (6 + 10 * nv) * size]    # over the freed Gram rows after w
+
+    # ten rows per velocity
+    P = P.reshape((10,) + points[:-1] + (nv,) + points[-1:])
+    px, py, _, d, xy, w = rows[:6]
+    R = surface.R
+    vx, vy = V[..., 0], V[..., 1]
+    wvx, wvy = P[0], P[1]
+    np.multiply(w[..., None, :], vx, wvx)
+    np.multiply(w[..., None, :], vy, wvy)
+    for out, a, b in ((P[2], d, wvx), (P[3], xy, wvy), (P[4], xy, wvx), (P[5], d, wvy),
+                      (P[6], px, wvy), (P[7], py, wvx)):
+        np.multiply(a[..., None, :], b, out)
+    np.multiply(vx, wvx, P[8])
+    np.multiply(vy, wvy, P[9])
+    t = np.add.reduce(P, -1)
+    mom = np.empty(t.shape[1:] + (3,))
+    np.add(t[0], R * (t[2] + 2.0 * t[3]), mom[..., 0])
+    np.add(t[1], R * (2.0 * t[4] - t[5]), mom[..., 1])
+    np.subtract(t[6], t[7], mom[..., 2])
+    return gram, mom, t[8] + t[9]
+
+
+def _position_rows(masses, surface: Surface, x, rows) -> np.ndarray:
+    """The position half of momentum_map: fill rows, shape (12,) + x.shape[:-1],
+    with x, y, r2, d, xy and w, then the six other Gram rows, and return the
+    Gram matrix they sum to.
+    """
     px, py, r2, d, xy = rows[:5]            # d and xy stay for the velocities
     w, wr2, wr4, wd, wxy, wpx, wpy = rows[5:]
     surface.chart(x, out=rows[:3])
@@ -175,7 +287,7 @@ def momentum_map(
     np.multiply(r2, R, w)
     np.add(1.0, w, w)
     np.multiply(w, w, w)
-    np.divide(body.masses, w, w)
+    np.divide(masses, w, w)
     np.subtract(px, py, d)
     np.add(px, py, wr2)                     # scratch
     np.multiply(d, wr2, d)
@@ -199,24 +311,7 @@ def momentum_map(
     gram[..., 0, 1] = gram[..., 1, 0] = 4.0 * R * sxy
     gram[..., 0, 2] = gram[..., 2, 0] = -sy
     gram[..., 1, 2] = gram[..., 2, 1] = sx
-
-    # ten rows per velocity, over the freed Gram rows after w
-    P = work[6 * size : (6 + 10 * nv) * size].reshape((10,) + points[:-1] + (nv,) + points[-1:])
-    vx, vy = V[..., 0], V[..., 1]
-    wvx, wvy = P[0], P[1]
-    np.multiply(w[..., None, :], vx, wvx)
-    np.multiply(w[..., None, :], vy, wvy)
-    for out, a, b in ((P[2], d, wvx), (P[3], xy, wvy), (P[4], xy, wvx), (P[5], d, wvy),
-                      (P[6], px, wvy), (P[7], py, wvx)):
-        np.multiply(a[..., None, :], b, out)
-    np.multiply(vx, wvx, P[8])
-    np.multiply(vy, wvy, P[9])
-    t = np.add.reduce(P, -1)
-    mom = np.empty(t.shape[1:] + (3,))
-    np.add(t[0], R * (t[2] + 2.0 * t[3]), mom[..., 0])
-    np.add(t[1], R * (2.0 * t[4] - t[5]), mom[..., 1])
-    np.subtract(t[6], t[7], mom[..., 2])
-    return gram, mom, t[8] + t[9]
+    return gram
 
 
 def pairing_scale(gram, vv) -> np.ndarray:
@@ -233,9 +328,11 @@ def pairing_scale(gram, vv) -> np.ndarray:
 def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
     """x with gram . x = rhs, and the eigenvalues of gram, for stacks (..., 3, 3) and (..., 3).
 
-    The one solve of the Killing Gram system: the gauge projection, the
-    swim equations and both oracle modes call it, so both routes refuse the
-    same bodies.  A gram or rhs that is not finite raises
+    The one solve of the Killing Gram system, so both routes refuse the
+    same bodies: both oracle modes call it at every node or stage, and the
+    formula route (gauge projection and swim equations) multiplies by the
+    inverse that BodyFrame forms with it once per body and curvature.  A
+    gram or rhs that is not finite raises
     NonFiniteResultError (tested first: eigvalsh returns finite garbage on
     a NaN entry); a matrix of the stack whose smallest eigenvalue is at
     most GRAM_CUTOFF times its largest raises SingularGramError with its

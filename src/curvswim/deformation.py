@@ -8,12 +8,10 @@ deformations cleanly from rigid motions.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from .body import Body, moments, momentum_map, pairing_scale, require_balanced, solve_gram
-from .errors import DegenerateMomentsError
+from .body import Body, moments, momentum_map, pairing_scale, require_balanced
+from .errors import DegenerateMomentsError, NonFiniteResultError
 from .fields import VectorField, linear_field
 from .geometry import Surface, rigid_field
 
@@ -34,22 +32,23 @@ def linear_deformation(j: int, k: int) -> VectorField:
     return linear_field(B, tag=tag)
 
 
-def gauge_pairings(body: Body, surface: Surface, values) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and gauge residuals of fields sampled at the particles.
+def gauge_pairings(body: Body, surface: Surface, values) -> np.ndarray:
+    """Gauge residuals of fields sampled at the particles.
 
     values stacks k fields evaluated at the body's positions, shape
-    (k, N, 2).  Returns, from one kernel call, the mass-normalized Gram matrix
-    and each pairing over its scale (body.pairing_scale),
+    (k, N, 2).  Returns, from one kernel call on the body's frame (so the
+    Gram matrix is the cached one), each pairing over its scale
+    (body.pairing_scale),
 
-        G[a, b] = <xi_a|xi_b>,  res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
+        res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
     """
     G, mom, ff = momentum_map(body, surface, values)
-    return G / body.total_mass, np.abs(mom) / np.maximum(pairing_scale(G, ff), 1e-300)
+    return np.abs(mom) / np.maximum(pairing_scale(G, ff), 1e-300)
 
 
 def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
     """Normalized pairings |<xi_a|f>| / (|xi_a| |f|) against the Killing set."""
-    return gauge_pairings(body, surface, f(body.positions)[None])[1][0]
+    return gauge_pairings(body, surface, f(body.positions)[None])[0]
 
 
 def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
@@ -57,13 +56,16 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
 
     The result pairs to zero with every Killing field and carries exactly
     the strain of f.  Each evaluation of the result (value or gradient)
-    evaluates f and one rigid field.  c comes from body.solve_gram, so a
-    body that cannot see all rigid directions (for example a single
+    evaluates f and one rigid field.  c = (<xi|f> / M) . inverse, with the
+    inverse of G/M that body.frame(surface) formed once by body.solve_gram,
+    so a body that cannot see all rigid directions (for example a single
     particle) raises SingularGramError, and one whose Gram matrix
-    overflowed NonFiniteResultError.
+    overflowed NonFiniteResultError, as does a c that is not finite.
     """
-    G, mom, _ = momentum_map(body, surface, f(body.positions)[None])
-    coeffs, _ = solve_gram(G / body.total_mass, mom[0] / body.total_mass)
+    _, mom, _ = momentum_map(body, surface, f(body.positions)[None])
+    coeffs = (mom[0] / body.total_mass) @ body.frame(surface).inverse
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteResultError(f"gauge projection coefficients are not finite: {coeffs}")
     if not np.any(np.abs(coeffs) > 0.0):
         return f
     rigid = rigid_field(surface, coeffs)

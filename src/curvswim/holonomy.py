@@ -8,7 +8,9 @@ control axis), the rigid increment dtau solves the linear system
 
 where G is the mass-weighted Gram matrix of the Killing fields and the
 bracket pairs the exact Killing two-forms with the field pair at every
-particle.  G is solved by body.solve_gram, the oracle's solve.  Three
+particle.  dtau is the right side times the inverse of G that
+body.frame forms once per body and curvature by body.solve_gram, the
+oracle's solve, so both routes refuse the same bodies.  Three
 evaluation paths are provided:
 
   * holonomy_general        exact two-forms of the built-in surfaces
@@ -27,11 +29,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .body import Body, moments, require_balanced, solve_gram
+from .body import Body, moments, require_balanced
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, NonFiniteResultError
 from .fields import VectorField
-from .geometry import CurvatureTensor, Surface, killing_two_forms
+from .geometry import CurvatureTensor, Surface
 
 GAUGE_TOLERANCE = 1e-8
 
@@ -77,11 +79,12 @@ def holonomy_general(
     set (project first if unsure); a residual above GAUGE_TOLERANCE is an
     error, not a warning, because the leading-order derivation relies on it.
     Gauge residuals or a delta_tau that overflowed raise NonFiniteResultError,
-    and a Gram matrix that body.solve_gram refuses raises its error.
+    and a Gram matrix that body.solve_gram refuses raises its error, after
+    the gauge check.
     """
     x = body.positions
     uv = np.stack([u(x), v(x)])
-    G, res = gauge_pairings(body, surface, uv)
+    res = gauge_pairings(body, surface, uv)
     worst = np.max(res)
     if not worst <= GAUGE_TOLERANCE:     # a NaN residual fails too
         if not np.isfinite(worst):
@@ -92,15 +95,16 @@ def holonomy_general(
             "apply project_gauge first"
         )
     # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c
+    frame = body.frame(surface)
     wedge = uv[0, :, 0] * uv[1, :, 1] - uv[0, :, 1] * uv[1, :, 0]
-    rhs = -area * (np.sum(body.masses * killing_two_forms(surface, x) * wedge, axis=-1) / body.total_mass)
-    delta, eigvals = solve_gram(G, rhs)
+    rhs = -area * (np.sum(body.masses * frame.two_forms * wedge, axis=-1) / body.total_mass)
+    delta = rhs @ frame.inverse
     if not np.all(np.isfinite(delta)):
         raise NonFiniteResultError(f"rigid increment is not finite: {delta}")
     return HolonomyResult(
         delta_tau=delta,
         area=float(area),
-        gram_condition=float(eigvals[-1] / eigvals[0]),
+        gram_condition=float(frame.eigvals[-1] / frame.eigvals[0]),
         gauge_residuals=res,
     )
 

@@ -72,12 +72,6 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_transport_option_is_unknown(tmp_path, capsys):
-    cfg = dict(BASE_CONFIG, options={"mode": "direct", "transport": True})
-    assert main(["integrate", "--config", write_config(tmp_path, cfg)]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["holonomy", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -393,6 +387,7 @@ UNKNOWN_OPTIONS = "unknown key(s) in config: ['options']"
     # sections the CLI no longer reads: --format and --out say it, the gauge is
     # always projected, and every config runs the composed oracle
     pytest.param({"options": {"mode": "implicit"}}, UNKNOWN_OPTIONS, id="options-mode"),
+    pytest.param({"options": {"mode": "direct", "transport": True}}, UNKNOWN_OPTIONS, id="options-transport"),
     pytest.param({"outputs": {"format": "json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.format"),
     pytest.param({"outputs": {"path": "out.json"}}, UNKNOWN_OUTPUTS, id="removed-outputs.path"),
     pytest.param({"options": {"gauge": "assume"}}, UNKNOWN_OPTIONS, id="removed-options.gauge"),
