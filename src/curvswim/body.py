@@ -351,37 +351,63 @@ def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
 
 def require_balanced(body: Body) -> None:
     """Raise ValueError unless the body's first moments are within 1e-8 M max(1, extent) of zero."""
-    if np.max(np.abs(moments(body).q1)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
+    qx, qy = moments(body).q1.tolist()
+    if max(abs(qx), abs(qy)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
         raise ValueError("body must be balanced (vanishing first moments) first")
 
 
 def balance(body: Body, surface: Surface) -> Body:
     """Translate the body (by exact isometries) until its first moments vanish.
 
-    Isometries act nonlinearly on the chart for R != 0, so the flat shift by
-    the mean is iterated to a fixed point.  Convergence is geometric while
-    |R| L^2 stays well below one.  The iteration runs on the positions
-    array and builds one Body at the end; a body that is already balanced
-    is returned itself.
+    Each iteration applies the transvection translation_to(surface, w) whose
+    w solves the balance condition to first order in w: the image of z is
+    z + w + R conj(w) z^2 + O(w^2), so with q1 and q2 the mass-weighted means
+    of z and z^2 at the current positions, w is the Newton step
+
+        w + R conj(w) q2 = -q1,   w = (-q1 + R q2 conj(q1)) / (1 - R^2 |q2|^2),
+
+    and balancing converges quadratically, in 2-3 transvections for a small
+    body.  Where 1 - R^2 |q2|^2 < 1/2 or |R| |w|^2 exceeds
+    CURVATURE_EXTENT_WARN (outside the small-body regime, where the step
+    can leave the hyperbolic chart) the iteration takes the flat step
+    w = -q1 instead, which is every step at R = 0.  The iteration runs on
+    the positions array and builds one Body at the end; a body that is
+    already balanced is returned itself.
     """
     x = body.positions
     extent2 = float(np.max(np.sum(x**2, axis=1)))
-    if abs(surface.R) * extent2 > CURVATURE_EXTENT_WARN:
+    R = surface.R
+    if abs(R) * extent2 > CURVATURE_EXTENT_WARN:
         warnings.warn(
-            f"body extent is large for this curvature (|R| L^2 = {abs(surface.R) * extent2:.3g}); "
+            f"body extent is large for this curvature (|R| L^2 = {abs(R) * extent2:.3g}); "
             "chart-coordinate balancing degrades outside the small-body regime",
             stacklevel=2,
         )
-    scale = max(1.0, np.sqrt(extent2))
+    scale = max(1.0, math.sqrt(extent2))
+    m, mass = body.masses, body.total_mass
     for _ in range(BALANCE_MAX_ITER):
-        q1 = np.einsum("n,ni->i", body.masses, x) / body.total_mass
-        if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
-            return body if x is body.positions else Body(masses=body.masses, positions=x)
-        x = translation_to(surface, -q1)(x)
+        qx, qy = (np.einsum("n,ni->i", m, x) / mass).tolist()
+        if max(abs(qx), abs(qy)) <= BALANCE_TOLERANCE * scale:
+            return body if x is body.positions else Body(masses=m, positions=x)
+        x = translation_to(surface, _balance_step(R, qx, qy, x, m, mass))(x)
     raise BalanceConvergenceError(
         f"first-moment balancing did not converge in {BALANCE_MAX_ITER} iterations "
-        f"(R={surface.R:g}, extent={np.sqrt(extent2):g})"
+        f"(R={R:g}, extent={math.sqrt(extent2):g})"
     )
+
+
+def _balance_step(R: float, qx: float, qy: float, x, m, mass: float) -> Tuple[float, float]:
+    """balance's step w from the first moments (qx, qy) at the positions x: Newton, or flat -q1."""
+    if R:
+        (sxx, sxy), (_, syy) = (np.einsum("n,ni,nj->ij", m, x, x) / mass).tolist()
+        c, s = sxx - syy, 2.0 * sxy                     # q2 = c + i s
+        det = 1.0 - R * R * (c * c + s * s)
+        if det >= 0.5:
+            wx = (R * (c * qx + s * qy) - qx) / det
+            wy = (R * (s * qx - c * qy) - qy) / det
+            if abs(R) * (wx * wx + wy * wy) <= CURVATURE_EXTENT_WARN:
+                return wx, wy
+    return -qx, -qy
 
 
 def principal_axes(body: Body) -> Body:
@@ -391,19 +417,19 @@ def principal_axes(body: Body) -> Body:
     unchanged, axes are ordered so Q_xx >= Q_yy, and the rotation angle is
     taken in (-pi/2, pi/2].
     """
-    q2 = moments(body).q2
-    qxx, qyy, qxy = q2[0, 0], q2[1, 1], q2[0, 1]
+    (qxx, qxy), (_, qyy) = moments(body).q2.tolist()
     scale = max(qxx, qyy, 1e-300)
     if abs(qxy) <= AXES_TOLERANCE * scale:
         if qxx >= qyy:
             return body
-        return body.transformed(rotation_about_origin(Surface(0.0), np.pi / 2.0))
-    # eigen-rotation of the symmetric 2x2 block
-    theta = 0.5 * np.arctan2(2.0 * qxy, qxx - qyy)
-    c, s = np.cos(theta), np.sin(theta)
+        return body.transformed(rotation_about_origin(Surface(0.0), math.pi / 2.0))
+    # eigen-rotation of the symmetric 2x2 block; numpy's atan2, which differs from
+    # math.atan2 in the last bit on some inputs, so prepared bodies keep their bits
+    theta = 0.5 * float(np.arctan2(2.0 * qxy, qxx - qyy))
+    c, s = math.cos(theta), math.sin(theta)
     lam1 = c * c * qxx + 2 * c * s * qxy + s * s * qyy
     lam2 = s * s * qxx - 2 * c * s * qxy + c * c * qyy
     angle = -theta
     if lam1 < lam2:
-        angle += np.pi / 2.0
-    return body.transformed(rotation_about_origin(Surface(0.0), float(angle)))
+        angle += math.pi / 2.0
+    return body.transformed(rotation_about_origin(Surface(0.0), angle))

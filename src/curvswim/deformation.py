@@ -78,21 +78,21 @@ def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
     require_balanced(body)
-    q2 = moments(body).q2
-    scale = max(float(np.max(np.abs(q2))), 1e-300)
-    if abs(q2[0, 1]) > 1e-8 * scale:
+    q2 = moments(body).q2.tolist()
+    scale = max(*map(abs, q2[0] + q2[1]), 1e-300)
+    if abs(q2[0][1]) > 1e-8 * scale:
         raise ValueError("body must be in principal axes (diagonal second moments) first")
-    qjj = q2[j - 1, j - 1]
-    qkk = q2[k - 1, k - 1]
+    qjj = q2[j - 1][j - 1]
+    qkk = q2[k - 1][k - 1]
     denom = qjj + qkk
     if denom <= 1e-14 * scale:
         raise DegenerateMomentsError(
             f"Q^{j}{j} + Q^{k}{k} vanishes; no admissible ({j},{k}) deformation for this body"
         )
-    B = np.zeros((2, 2))
-    B[k - 1, j - 1] += qkk / denom
-    B[j - 1, k - 1] += qjj / denom
-    return B
+    B = [[0.0, 0.0], [0.0, 0.0]]
+    B[k - 1][j - 1] += qkk / denom
+    B[j - 1][k - 1] += qjj / denom
+    return np.array(B)
 
 
 def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:

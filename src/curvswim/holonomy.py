@@ -14,6 +14,8 @@ oracle's solve, so both routes refuse the same bodies.  Three
 evaluation paths are provided:
 
   * holonomy_general        exact two-forms of the built-in surfaces
+                            (swim_increments for one pair: the same solve
+                            takes every pair of a set of fields at once)
   * holonomy_small_swimmer  curvature-tensor contraction (leading order)
   * holonomy_linear         same contraction, collapsed onto cubic moments
                             for the closed-form linear deformation family
@@ -25,7 +27,7 @@ relative order |R| L^2, which is the observable small-body error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -78,13 +80,42 @@ def holonomy_general(
     u and v must already satisfy the gauge condition against the Killing
     set (project first if unsure); a residual above GAUGE_TOLERANCE is an
     error, not a warning, because the leading-order derivation relies on it.
-    Gauge residuals or a delta_tau that overflowed raise NonFiniteResultError,
-    and a Gram matrix that body.solve_gram refuses raises its error, after
-    the gauge check.
+    This is swim_increments for the one pair (u, v): gauge residuals or a
+    delta_tau that overflowed raise NonFiniteResultError, and a Gram matrix
+    that body.solve_gram refuses raises its error, after the gauge check.
     """
     x = body.positions
-    uv = np.stack([u(x), v(x)])
-    res = gauge_pairings(body, surface, uv)
+    delta, res = swim_increments(body, surface, np.stack([u(x), v(x)]), [(0, 1)], area)
+    eigvals = body.frame(surface).eigvals
+    return HolonomyResult(
+        delta_tau=delta[0],
+        area=float(area),
+        gram_condition=float(eigvals[-1] / eigvals[0]),
+        gauge_residuals=res,
+    )
+
+
+def swim_increments(
+    body: Body,
+    surface: Surface,
+    values: np.ndarray,
+    pairs: Sequence[Tuple[int, int]],
+    area: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The swim equations for every index pair of k fields sampled at the particles.
+
+    values stacks the k fields at the body's positions, shape (k, N, 2), and
+    each pair (i, j) of pairs drives a stroke of the given area with field i
+    on the first control axis.  Returns (delta, res): delta[p], shape
+    (len(pairs), 3), is pair p's rigid increment, and res, shape (k, 3),
+    the gauge residuals of every field, from one gauge_pairings call.  Any
+    residual above GAUGE_TOLERANCE raises GaugeConditionError (a NaN one
+    NonFiniteResultError).  Each pair takes the same products and particle
+    sums as a call for that pair alone, and the product with the frame's
+    inverse is one stacked matmul of (1, 3) rows, a vector-matrix product per
+    pair, so every delta[p] is bitwise the one-pair result.
+    """
+    res = gauge_pairings(body, surface, values)
     worst = np.max(res)
     if not worst <= GAUGE_TOLERANCE:     # a NaN residual fails too
         if not np.isfinite(worst):
@@ -94,19 +125,17 @@ def holonomy_general(
             f"(max residual {worst:.3e} > {GAUGE_TOLERANCE:.1e}); "
             "apply project_gauge first"
         )
-    # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c
+    # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c and pair (u, v)
     frame = body.frame(surface)
-    wedge = uv[0, :, 0] * uv[1, :, 1] - uv[0, :, 1] * uv[1, :, 0]
-    rhs = -area * (np.sum(body.masses * frame.two_forms * wedge, axis=-1) / body.total_mass)
-    delta = rhs @ frame.inverse
+    wedge = np.empty((len(pairs), body.n))
+    for p, (i, j) in enumerate(pairs):
+        u, v = values[i], values[j]
+        np.subtract(u[:, 0] * v[:, 1], u[:, 1] * v[:, 0], wedge[p])
+    rhs = -area * (np.sum(body.masses * frame.two_forms * wedge[:, None], axis=-1) / body.total_mass)
+    delta = np.matmul(rhs[:, None], frame.inverse)[:, 0]
     if not np.all(np.isfinite(delta)):
         raise NonFiniteResultError(f"rigid increment is not finite: {delta}")
-    return HolonomyResult(
-        delta_tau=delta,
-        area=float(area),
-        gram_condition=float(frame.eigvals[-1] / frame.eigvals[0]),
-        gauge_residuals=res,
-    )
+    return delta, res
 
 
 def holonomy_small_swimmer(

@@ -24,7 +24,7 @@ from .deformation import gauge_fixed_linear_deformation
 from .errors import DegenerateMomentsError, NonFiniteResultError
 from .fields import VectorField, linear_field
 from .geometry import Surface
-from .holonomy import holonomy_general
+from .holonomy import swim_increments
 
 RING_STEPS = 4096           # ring_simulate: fixed steps until the splinters meet
 ROTATION_FLOOR = 1e-9       # baron_cat_report: smallest rotation that counts as turning
@@ -141,7 +141,10 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     The body is balanced and rotated to principal axes, every pair of
     gauge-fixed linear deformations is pushed through the swim equations at
     R = 0, and the translation components are collected along with the
-    pairs producing nonzero rotation.
+    pairs producing nonzero rotation.  The (at most three) fields are
+    evaluated once at the particles and all pairs go through one
+    swim_increments call, so one gauge_pairings call checks every field;
+    each pair's result is bitwise holonomy_general's for that pair.
     """
     surface = Surface(0.0)
     prepared = principal_axes(balance(body, surface))
@@ -151,13 +154,18 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
             fields[p] = gauge_fixed_linear_deformation(prepared, *p)
         except DegenerateMomentsError:
             pass
+    keys = list(fields)
+    pairs = list(itertools.combinations(range(len(keys)), 2))
     rotations: Dict[Tuple[Tuple[int, int], Tuple[int, int]], float] = {}
     turning = []
     max_tr = 0.0
-    for pb, pc in itertools.combinations(fields, 2):
-        res = holonomy_general(prepared, surface, fields[pb], fields[pc], area)
-        max_tr = max(max_tr, float(np.max(np.abs(res.translation))))
-        rotations[(pb, pc)] = res.rotation
-        if abs(res.rotation) > ROTATION_FLOOR:
-            turning.append((pb, pc))
+    if pairs:
+        x = prepared.positions
+        delta, _ = swim_increments(prepared, surface, np.stack([f(x) for f in fields.values()]), pairs, area)
+        for (i, j), (tx, ty, rotation) in zip(pairs, delta.tolist()):
+            key = (keys[i], keys[j])
+            max_tr = max(max_tr, abs(tx), abs(ty))
+            rotations[key] = rotation
+            if abs(rotation) > ROTATION_FLOOR:
+                turning.append(key)
     return BaronCatReport(max_translation=max_tr, rotations=rotations, turning_pairs=turning)

@@ -1,14 +1,17 @@
+import importlib.util
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import curvswim.body as body_mod
 from curvswim.body import (
     BALANCE_MAX_ITER,
     BALANCE_TOLERANCE,
+    CURVATURE_EXTENT_WARN,
     Body,
     balance,
     momentum_map,
@@ -19,7 +22,7 @@ from curvswim.body import (
 )
 from curvswim.errors import ChartDomainError, NonFiniteResultError, SingularGramError
 from curvswim.fields import linear_field
-from curvswim.geometry import Surface, killing_fields, killing_frame, translation_to
+from curvswim.geometry import Surface, geodesic_distance, killing_fields, killing_frame, translation_to
 from curvswim.scenarios import TriangleSpec, triangle_body
 
 
@@ -419,16 +422,28 @@ def test_balance_curved_reaches_tolerance():
 
 
 def _balance_one_body_per_iteration(body, surface):
-    """balance as a loop that builds a new Body each iteration and applies each
-    shift to that body's positions; returns (body, iterations)."""
-    current = body
+    """balance as a loop that builds a new Body each iteration, reads its cached
+    moments and applies each step to that body's positions; returns (body,
+    iterations).  The step is the Newton step w (1 - R^2 |q2|^2) =
+    -q1 + R q2 conj(q1) in the means q1, q2 of z and z^2, or the flat -q1
+    where 1 - R^2 |q2|^2 < 1/2 or |R| |w|^2 > CURVATURE_EXTENT_WARN.
+    """
+    current, R = body, surface.R
     scale = max(1.0, np.sqrt(float(np.max(np.sum(body.positions**2, axis=1)))))
     for it in range(BALANCE_MAX_ITER):
-        q1 = np.einsum("n,ni->i", current.masses, current.positions) / current.total_mass
-        if np.max(np.abs(q1)) <= BALANCE_TOLERANCE * scale:
+        q = moments(current)
+        qx, qy = (q.q1 / current.total_mass).tolist()
+        if max(abs(qx), abs(qy)) <= BALANCE_TOLERANCE * scale:
             return current, it
-        shift = translation_to(surface, -q1)
-        current = Body(masses=current.masses, positions=shift(current.positions))
+        w = (-qx, -qy)
+        (sxx, sxy), (_, syy) = (q.q2 / current.total_mass).tolist()
+        c, s = sxx - syy, 2.0 * sxy
+        det = 1.0 - R * R * (c * c + s * s)
+        if R and det >= 0.5:
+            newton = ((R * (c * qx + s * qy) - qx) / det, (R * (s * qx - c * qy) - qy) / det)
+            if abs(R) * (newton[0] ** 2 + newton[1] ** 2) <= CURVATURE_EXTENT_WARN:
+                w = newton
+        current = Body(masses=current.masses, positions=translation_to(surface, w)(current.positions))
     raise AssertionError("reference balancing did not converge")
 
 
@@ -446,6 +461,86 @@ def test_balance_matches_the_per_iteration_body_loop(R, seed, monkeypatch):
     assert np.array_equal(out.positions, expected.positions)
     assert np.array_equal(out.masses, body.masses)
     assert balance(out, Surface(R)) is out
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_balance_takes_at_most_three_steps_on_the_formula_benchmark_bodies(monkeypatch):
+    # the flat step -q1 took 3-8 transvections on these bodies, the Newton step 2-3
+    workloads = _perfbench_workloads()
+    cases = [c for c in workloads.load_reference("formula")["cases"] if c["R"] != 0.0]
+    assert len(cases) == 96
+    steps = []
+    monkeypatch.setattr(body_mod, "translation_to", lambda s, w: steps.append(w) or translation_to(s, w))
+    for case in cases:
+        masses, points, _ = workloads.random_inputs(case["seed"], case["n"], case["radius"])
+        del steps[:]
+        balance(Body(masses=np.array(masses), positions=np.array(points)), Surface(case["R"]))
+        assert 1 <= len(steps) <= 3, case["id"]
+
+
+def _out_of_regime_body(seed, L, R):
+    rng = np.random.default_rng(seed)
+    n = rng.integers(2, 12)
+    positions = rng.uniform(-L, L, (n, 2)) + rng.uniform(-L, L, 2)
+    masses = rng.uniform(0.1, 3, n)
+    extent = np.max(np.linalg.norm(positions, axis=1))
+    if R < 0 and extent >= 0.99:
+        positions *= 0.9 / extent
+    return Body(masses=masses, positions=positions)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("R", [1.0, 4.0, -1.0])
+def test_balance_converges_outside_the_small_body_regime(R, L):
+    # the flat step diverged at R = 1, L = 2 and R = 4, L = 1 (seed 11), and an
+    # unguarded Newton step leaves the hyperbolic chart on some R = -1 bodies
+    for seed in range(30):
+        body = _out_of_regime_body(seed, L, R)
+        out = balance(body, Surface(R))
+        q1 = moments(out).q1 / out.total_mass
+        assert np.max(np.abs(q1)) <= BALANCE_TOLERANCE * max(1.0, body.extent), seed
+
+
+@st.composite
+def _small_bodies(draw):
+    n = draw(st.integers(3, 12))
+    unit = st.floats(-1.0, 1.0)
+    points = np.array(draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n)))
+    offset = np.array(draw(st.tuples(unit, unit)))
+    masses = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    R = draw(st.floats(-1.0, 1.0))
+    size = draw(st.floats(0.01, 1.0))
+    positions = points + offset
+    extent = np.max(np.linalg.norm(positions, axis=1))
+    assume(extent > 0.0)
+    # |R| extent^2 <= 0.1, and at most sqrt(2) when R is small
+    positions *= size * np.sqrt(0.1 / max(abs(R), 0.05)) / extent
+    return Body(masses=np.array(masses), positions=positions), Surface(R)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_bodies())
+def test_balance_is_an_exact_isometry(case):
+    body, surface = case
+    x = body.positions
+    separation = min(np.linalg.norm(x[i] - x[j]) for i in range(body.n) for j in range(i))
+    assume(separation >= 0.05 * body.extent)
+    out = balance(body, surface)
+    for i in range(body.n):
+        for j in range(i):
+            d = geodesic_distance(surface, x[i], x[j])
+            assert abs(geodesic_distance(surface, out.positions[i], out.positions[j]) - d) <= 1e-12 * d
+    q1 = moments(out).q1 / out.total_mass
+    assert np.max(np.abs(q1)) <= BALANCE_TOLERANCE * max(1.0, body.extent)
+    assert balance(out, surface) is out
 
 
 def test_balance_warns_for_large_bodies():

@@ -12,6 +12,7 @@ from curvswim.holonomy import (
     holonomy_general,
     holonomy_linear,
     holonomy_small_swimmer,
+    swim_increments,
 )
 from curvswim.integrator import integrate_stroke, sinusoid_stroke
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
@@ -114,6 +115,23 @@ def test_small_generic_swimmer_formula_matches_oracle(L, component, rtol):
     formula = holonomy_general(body, s, u, v, stroke.signed_area).delta_tau[component]
     oracle = integrate_stroke(body, s, raw, stroke).delta_tau[component]
     assert abs(formula - oracle) <= rtol * abs(oracle)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("n", [3, 300])
+def test_swim_increments_is_bitwise_the_one_pair_solve(R, n):
+    rng = np.random.default_rng(n)
+    body = random_balanced_body(rng, n, 0.2)
+    s = Surface(R)
+    fields = [project_gauge(body, s, linear_field(rng.normal(size=(2, 2)))) for _ in range(3)]
+    values = np.stack([f(body.positions) for f in fields])
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
+    delta, res = swim_increments(body, s, values, pairs, 1e-3)
+    assert delta.shape == (4, 3) and res.shape == (3, 3)
+    for p, (i, j) in enumerate(pairs):
+        one = holonomy_general(body, s, fields[i], fields[j], 1e-3)
+        assert np.array_equal(delta[p], one.delta_tau)
+        assert np.array_equal(res[[i, j]], one.gauge_residuals)
 
 
 def test_triangle_translation_value():
