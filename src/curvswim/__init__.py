@@ -30,14 +30,12 @@ from .geometry import (
     CurvatureTensor,
     Isometry,
     Surface,
-    christoffel_at,
     exp_rigid,
     gaussian_curvature,
     geodesic_distance,
     killing_fields,
     killing_one_form,
     killing_residual,
-    metric_at,
     numeric_exterior_derivative,
     strain_of,
     translation_killing_approx,

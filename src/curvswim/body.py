@@ -6,7 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramE
 from .geometry import (
     Isometry,
     Surface,
-    killing_two_forms,
+    chart_two_forms,
     rotation_about_origin,
     translation_to,
 )
@@ -30,7 +30,11 @@ AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
 @dataclass(frozen=True)
 class Body:
-    """Point masses in the chart; immutable, so its mass, extent, moments and frames are cached."""
+    """Point masses in the chart; immutable, so its mass, extent, moments and derived pieces are cached.
+
+    Its isometry images (transformed, scaled and balance's result) share its
+    checked, read-only masses array; only their new positions are checked.
+    """
 
     masses: np.ndarray      # (N,), strictly positive
     positions: np.ndarray   # (N, 2) chart coordinates
@@ -75,29 +79,48 @@ class Body:
 
     @cached_property
     def _moments(self) -> "Moments":
-        m, x = self.masses, self.positions
-        q = (np.einsum("n,ni->i", m, x), np.einsum("n,ni,nj->ij", m, x, x),
-             np.einsum("n,ni,nj,nk->ijk", m, x, x, x))
+        x = self.positions
+        q = particle_sums(self.masses, (x, x, x))
         return Moments(*map(_read_only, q), total_mass=self.total_mass)
 
     @cached_property
-    def _frames(self) -> dict:
+    def _derived(self) -> dict:
         return {}
+
+    def derived(self, key: tuple, build: Callable[[], object]):
+        """The body's piece named key: build() on first use, then kept with the body.
+
+        A key's first entry names the piece's kind, so two kinds never share a
+        key ((1, 1) == (1.0, 1.0)).  A piece must not hold the body, so that a
+        body and its pieces form no reference cycle.
+        """
+        piece = self._derived.get(key)
+        if piece is None:
+            piece = self._derived[key] = build()
+        return piece
 
     def frame(self, surface: Surface) -> "BodyFrame":
         """The body's frame on surface: one per R, made on first use and kept with the body."""
         R = surface.R
-        key = (R, math.copysign(1.0, R))    # -0.0 and 0.0 give different signed zeros
-        frame = self._frames.get(key)
-        if frame is None:
-            frame = self._frames[key] = BodyFrame(self.masses, self.positions, self.total_mass, surface)
-        return frame
+        return self.derived(("frame", R, math.copysign(1.0, R)),   # -0.0 and 0.0 give different signed zeros
+                            lambda: BodyFrame(self.masses, self.positions, self.total_mass, surface))
 
     def transformed(self, g: Isometry) -> "Body":
-        return Body(masses=self.masses, positions=g(self.positions))
+        return self._image(g(self.positions))
 
     def scaled(self, factor: float) -> "Body":
-        return Body(masses=self.masses, positions=factor * self.positions)
+        return self._image(factor * self.positions)
+
+    def _image(self, positions: np.ndarray) -> "Body":
+        """The body's masses (and total mass) at positions, a fresh (N, 2) float
+        array it takes over; only their finiteness is left to check."""
+        if not np.isfinite(positions).all():
+            raise ValueError("masses and positions must be finite")
+        image = object.__new__(Body)
+        object.__setattr__(image, "masses", self.masses)
+        object.__setattr__(image, "positions", _read_only(positions))
+        object.__setattr__(image, "total_mass", self.total_mass)    # fills the cached property
+        return image
 
 
 @dataclass(frozen=True)
@@ -161,7 +184,7 @@ class BodyFrame:
 
     @cached_property
     def two_forms(self) -> np.ndarray:
-        return _read_only(killing_two_forms(self.surface, self.positions))
+        return _read_only(chart_two_forms(self.surface.R, *self.rows[:3]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -170,8 +193,38 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def moments(body: Body) -> Moments:
-    """The body's moments, formed on first use and cached: one read-only object per body."""
+    """The body's moments, formed on first use and cached: one read-only object per body.
+
+    q1, q2 and q3 are one particle_sums call on the positions, so a body
+    symmetric under a mirror keeps the exact zeros its symmetry gives.
+    """
     return body._moments
+
+
+def particle_sums(masses, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """Mass-weighted particle sums of the component products of k = 1 to 3 point arrays.
+
+    factors are k arrays of shape (N, 2), the positions or fields at them.
+    The i-th sum, shape (2,) * i, is S_i[a_1 .. a_i] = sum_n m_n f_1[n, a_1]
+    ... f_i[n, a_i], so (x, x, x) gives q1, q2 and q3.  The products are
+    contiguous rows, level i the rows of level i - 1 times the components of
+    f_i, summed by one np.add.reduce as momentum_map sums (no einsum, no
+    BLAS product): mirror images cancel exactly, and S_i is bitwise the same
+    whatever factors follow f_i.
+    """
+    n = masses.shape[0]
+    k = len(factors)
+    rows = np.empty(((2 << k) - 2, n))
+    np.multiply(masses, factors[0].T, rows[:2])
+    if k > 1:
+        np.multiply(rows[:2, None], factors[1].T, rows[2:6].reshape(2, 2, n))
+    if k > 2:
+        np.multiply(rows[2:6, None], factors[2].T, rows[6:].reshape(4, 2, n))
+    s = np.add.reduce(rows, -1)
+    if k == 1:
+        return (s,)
+    sums = (s[:2], s[2:6].reshape(2, 2))
+    return sums if k == 2 else sums + (s[6:].reshape(2, 2, 2),)
 
 
 def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
@@ -371,8 +424,10 @@ def balance(body: Body, surface: Surface) -> Body:
     CURVATURE_EXTENT_WARN (outside the small-body regime, where the step
     can leave the hyperbolic chart) the iteration takes the flat step
     w = -q1 instead, which is every step at R = 0.  The iteration runs on
-    the positions array and builds one Body at the end; a body that is
-    already balanced is returned itself.
+    the positions array and builds one Body at the end, which shares the
+    body's masses; a body that is already balanced is returned itself.  The
+    means q1 and q2 come from one particle_sums call per iteration, so they
+    are bitwise those of moments() at the same positions.
     """
     x = body.positions
     extent2 = float(np.max(np.sum(x**2, axis=1)))
@@ -386,20 +441,22 @@ def balance(body: Body, surface: Surface) -> Body:
     scale = max(1.0, math.sqrt(extent2))
     m, mass = body.masses, body.total_mass
     for _ in range(BALANCE_MAX_ITER):
-        qx, qy = (np.einsum("n,ni->i", m, x) / mass).tolist()
+        sums = particle_sums(m, (x, x) if R else (x,))
+        qx, qy = (sums[0] / mass).tolist()
         if max(abs(qx), abs(qy)) <= BALANCE_TOLERANCE * scale:
-            return body if x is body.positions else Body(masses=m, positions=x)
-        x = translation_to(surface, _balance_step(R, qx, qy, x, m, mass))(x)
+            return body if x is body.positions else body._image(x)
+        x = translation_to(surface, _balance_step(R, qx, qy, sums, mass))(x)
     raise BalanceConvergenceError(
         f"first-moment balancing did not converge in {BALANCE_MAX_ITER} iterations "
         f"(R={R:g}, extent={math.sqrt(extent2):g})"
     )
 
 
-def _balance_step(R: float, qx: float, qy: float, x, m, mass: float) -> Tuple[float, float]:
-    """balance's step w from the first moments (qx, qy) at the positions x: Newton, or flat -q1."""
+def _balance_step(R: float, qx: float, qy: float, sums, mass: float) -> Tuple[float, float]:
+    """balance's step w from the means (qx, qy) of z and the particle_sums of the
+    positions (with their second-order sums where R != 0): Newton, or flat -q1."""
     if R:
-        (sxx, sxy), (_, syy) = (np.einsum("n,ni,nj->ij", m, x, x) / mass).tolist()
+        (sxx, sxy), (_, syy) = (sums[1] / mass).tolist()
         c, s = sxx - syy, 2.0 * sxy                     # q2 = c + i s
         det = 1.0 - R * R * (c * c + s * s)
         if det >= 0.5:

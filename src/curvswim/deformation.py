@@ -8,6 +8,8 @@ deformations cleanly from rigid motions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .body import Body, moments, momentum_map, pairing_scale, require_balanced
@@ -64,9 +66,10 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
     """
     _, mom, _ = momentum_map(body, surface, f(body.positions)[None])
     coeffs = (mom[0] / body.total_mass) @ body.frame(surface).inverse
-    if not np.isfinite(coeffs).all():
+    c = coeffs.tolist()
+    if not all(map(math.isfinite, c)):
         raise NonFiniteResultError(f"gauge projection coefficients are not finite: {coeffs}")
-    if not np.any(np.abs(coeffs) > 0.0):
+    if not any(c):
         return f
     rigid = rigid_field(surface, coeffs)
     return VectorField(func=lambda p: f(p) - rigid(p), grad=lambda p: f.gradient(p) - rigid.gradient(p),
@@ -74,9 +77,18 @@ def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
 
 
 def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
-    """The matrix B of gauge_fixed_linear_deformation(body, j, k), whose field is v = B x."""
+    """The matrix B of gauge_fixed_linear_deformation(body, j, k), whose field is v = B x.
+
+    Formed on first use for the body and (j, k) and kept with the body
+    (body.derived), as one read-only array; a body that fails a test raises
+    on every call.
+    """
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
+    return body.derived(("gauge_fixed_linear_matrix", j, k), lambda: _gauge_fixed_linear_matrix(body, j, k))
+
+
+def _gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
     require_balanced(body)
     q2 = moments(body).q2.tolist()
     scale = max(*map(abs, q2[0] + q2[1]), 1e-300)
@@ -92,7 +104,9 @@ def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
     B = [[0.0, 0.0], [0.0, 0.0]]
     B[k - 1][j - 1] += qkk / denom
     B[j - 1][k - 1] += qjj / denom
-    return np.array(B)
+    B = np.array(B)
+    B.setflags(write=False)
+    return B
 
 
 def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:

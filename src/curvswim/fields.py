@@ -27,20 +27,14 @@ def complex_view(p) -> np.ndarray:
     return np.ascontiguousarray(as_points(p)).view(complex)
 
 
-def fd_step(p) -> float:
-    """Default central-difference step: 1e-5 scaled by the point magnitude."""
-    a = as_points(p)
-    return 1e-5 * max(1.0, float(np.max(np.abs(a))))
-
-
 @dataclass(frozen=True)
 class VectorField:
     """A tangent vector field with optional analytic gradient.
 
     func        maps (..., 2) points to (..., 2) components.
     grad        maps (..., 2) points to (..., 2, 2) partials, indexed
-                grad[..., j, k] = d v^k / d x^j.  When absent, central
-                differences are used.
+                grad[..., j, k] = d v^k / d x^j.  When absent, gradient
+                raises ValueError.
     linear_matrix   set when v(x) = B @ x exactly; enables the closed-form
                 shape flow used by the stroke integrator.
     """
@@ -54,19 +48,9 @@ class VectorField:
         return np.asarray(self.func(as_points(p)), dtype=float)
 
     def gradient(self, p) -> np.ndarray:
-        pts = as_points(p)
-        if self.grad is not None:
-            return np.asarray(self.grad(pts), dtype=float)
-        return self._fd_gradient(pts)
-
-    def _fd_gradient(self, pts: np.ndarray) -> np.ndarray:
-        h = fd_step(pts)
-        out = np.empty(pts.shape[:-1] + (2, 2))
-        for j in range(2):
-            dp = np.zeros_like(pts)
-            dp[..., j] = h
-            out[..., j, :] = (self(pts + dp) - self(pts - dp)) / (2.0 * h)
-        return out
+        if self.grad is None:
+            raise ValueError(f"field {self.tag!r} has no gradient: build it with grad=")
+        return np.asarray(self.grad(as_points(p)), dtype=float)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return combine([self, other], [1.0, 1.0], tag=f"({self.tag}+{other.tag})")

@@ -33,14 +33,11 @@ __all__ = [
     "Surface",
     "Isometry",
     "CurvatureTensor",
-    "metric_at",
-    "christoffel_at",
     "gaussian_curvature",
     "geodesic_distance",
     "killing_fields",
     "rigid_field",
     "rigid_velocity",
-    "killing_frame",
     "killing_one_form",
     "killing_two_forms",
     "numeric_exterior_derivative",
@@ -115,38 +112,6 @@ class Surface:
         y[...] = a[..., 1]
         self._require(a, r2)
         return xyr
-
-
-def metric_at(surface: Surface, p) -> np.ndarray:
-    """Metric components g_ij = delta_ij / (1 + R|z|^2)^2 at a chart point."""
-    a = surface.require_inside(p)
-    u = surface.conformal(a)
-    g = np.zeros(a.shape[:-1] + (2, 2))
-    g[..., 0, 0] = 1.0 / u**2
-    g[..., 1, 1] = 1.0 / u**2
-    return g
-
-
-def christoffel_at(surface: Surface, p) -> np.ndarray:
-    """Christoffel symbols Gamma[i, j, k] = Gamma^i_jk of the chart metric.
-
-    For a conformal metric exp(2 phi) delta with phi = -log(1 + R|z|^2) the
-    symbols follow the standard 2D pattern built from the partials of phi.
-    """
-    a = surface.require_inside(p)
-    u = surface.conformal(a)
-    px = -2.0 * surface.R * a[..., 0] / u
-    py = -2.0 * surface.R * a[..., 1] / u
-    G = np.zeros(a.shape[:-1] + (2, 2, 2))
-    G[..., 0, 0, 0] = px
-    G[..., 0, 0, 1] = py
-    G[..., 0, 1, 0] = py
-    G[..., 0, 1, 1] = -px
-    G[..., 1, 0, 0] = -py
-    G[..., 1, 0, 1] = px
-    G[..., 1, 1, 0] = px
-    G[..., 1, 1, 1] = py
-    return G
 
 
 def gaussian_curvature(surface: Surface, at=None) -> float:
@@ -318,12 +283,6 @@ def rigid_field(surface: Surface, tau) -> VectorField:
         grad=grad, tag="rigid", linear_matrix=np.array([[0.0, -t[2]], [t[2], 0.0]]) if q == 0 else None)
 
 
-def killing_frame(surface: Surface, p) -> np.ndarray:
-    """The three Killing fields at chart points p, shape (..., 2), stacked as (3, ..., 2)."""
-    a = as_points(p)
-    return rigid_velocity(surface, np.eye(3), complex_view(a.reshape(-1, 2))).view(float).reshape((3,) + a.shape)
-
-
 def killing_fields(surface: Surface) -> Tuple[VectorField, VectorField, VectorField]:
     """The three Killing fields (translation-x, translation-y, rotation about the origin),
     each the rigid_field of a unit tau; the translations reduce to the Euclidean ones at R = 0."""
@@ -353,8 +312,11 @@ def killing_two_forms(surface: Surface, p) -> np.ndarray:
     At R = 0 the translation forms vanish identically and the rotation form
     is the constant 2.
     """
-    x, y, r2 = surface.chart(p)
-    R = surface.R
+    return chart_two_forms(surface.R, *surface.chart(p))
+
+
+def chart_two_forms(R: float, x, y, r2) -> np.ndarray:
+    """killing_two_forms from chart rows already formed: x, y and r2 = |z|^2 as Surface.chart gives them."""
     u3 = (1.0 + R * r2) ** 3
     c = np.empty((3,) + r2.shape)
     c[0] = 8.0 * R * y / u3

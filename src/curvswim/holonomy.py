@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, moments, require_balanced
+from .body import Body, moments, particle_sums, require_balanced
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, NonFiniteResultError
 from .fields import VectorField
@@ -154,10 +154,8 @@ def holonomy_small_swimmer(
     """
     require_balanced(body)
     x = body.positions
-    uu = u(x)
-    vv = v(x)
-    # the particle sums first, then the curvature: much cheaper than one five-operand einsum
-    moment = np.einsum("n,ni,nj,nl->ijl", body.masses, x, uu, vv)
+    # the particle sums first (by the kernel's rule), then the curvature
+    moment = particle_sums(body.masses, (x, u(x), v(x)))[2]
     bracket = np.einsum("ijl,jlik->k", moment, curv.components)
     return 2.0 * float(area) * bracket / body.total_mass
 

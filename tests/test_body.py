@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import curvswim.body as body_mod
+import curvswim.holonomy as holonomy_mod
 from curvswim.body import (
     BALANCE_MAX_ITER,
     BALANCE_TOLERANCE,
@@ -17,13 +19,22 @@ from curvswim.body import (
     momentum_map,
     momentum_work,
     moments,
+    particle_sums,
     principal_axes,
     solve_gram,
 )
 from curvswim.errors import ChartDomainError, NonFiniteResultError, SingularGramError
 from curvswim.fields import linear_field
-from curvswim.geometry import Surface, geodesic_distance, killing_fields, killing_frame, translation_to
+from curvswim.geometry import (
+    CurvatureTensor,
+    Surface,
+    geodesic_distance,
+    killing_fields,
+    rotation_about_origin,
+    translation_to,
+)
 from curvswim.scenarios import TriangleSpec, triangle_body
+from references import killing_frame
 
 
 def test_body_validation():
@@ -389,6 +400,65 @@ def test_moments_are_formed_once_per_body():
     assert body.extent == float(np.max(np.linalg.norm(x, axis=1)))
 
 
+def _odd_in_y(shape):
+    """Index tuples of a moment tensor with an odd number of y (index 1) entries."""
+    return [i for i in np.ndindex(*shape) if sum(i) % 2 == 1]
+
+
+def test_moments_keep_the_mirror_zeros_exactly():
+    # einsum read q1_y = -1.1e-16 and Q_xy = -6.9e-18 on this body
+    q = moments(_mirror_body())
+    assert q.q1[1] == 0.0 and q.q1[0] > 0.0
+    assert q.q2[0, 1] == q.q2[1, 0] == 0.0
+    odd = _odd_in_y((2, 2, 2))
+    for i in np.ndindex(2, 2, 2):
+        assert (q.q3[i] == 0.0) == (i in odd), i
+
+
+@pytest.mark.parametrize("R", [-1.0, 1.0])
+def test_small_swimmer_moment_keeps_the_mirror_zeros_exactly(R, monkeypatch):
+    b = _mirror_body()
+    centred = Body(masses=b.masses, positions=b.positions - [moments(b).q1[0] / b.total_mass, 0.0])
+    assert moments(centred).q1[1] == 0.0
+    sums = []
+    monkeypatch.setattr(holonomy_mod, "particle_sums", lambda m, f: sums.append(particle_sums(m, f)) or sums[-1])
+    even = [linear_field(B) for B in ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])]
+    dx = holonomy_mod.holonomy_small_swimmer(centred, CurvatureTensor.from_surface(Surface(R)), *even, 0.5)
+    moment = sums[0][2]
+    for i in _odd_in_y((2, 2, 2)):
+        assert moment[i] == 0.0, i
+    assert dx[1] == 0.0 and dx[0] != 0.0
+
+
+def test_particle_sums_are_the_moments_and_each_level_stands_alone():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 17, 300):
+        m, x = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, (n, 2))
+        u = rng.normal(size=(n, 2))
+        q1, q2, q3 = particle_sums(m, (x, x, x))
+        assert np.array_equal(particle_sums(m, (x,))[0], q1)
+        assert np.array_equal(particle_sums(m, (x, x))[1], q2)
+        assert np.array_equal(particle_sums(m, (x.copy(order="F"), x, x))[2], q3)
+        ref = np.einsum("n,ni,nj,nk->ijk", m, x, x, u)
+        assert np.max(np.abs(particle_sums(m, (x, x, u))[2] - ref)) <= 1e-15 * np.max(np.abs(ref)) * n
+
+
+def test_isometry_images_share_the_checked_masses():
+    body = Body(masses=np.array([1.0, 2.0, 0.5]), positions=np.array([[0.1, 0.2], [-0.25, 0.1], [0.2, -0.2]]))
+    images = [body.scaled(2.0), body.transformed(rotation_about_origin(Surface(1.0), 0.4)),
+              balance(body, Surface(-1.0)), principal_axes(body)]
+    for image in images:
+        assert image.masses is body.masses
+        assert not image.positions.flags.writeable
+        assert image.total_mass == body.total_mass
+        assert np.array_equal(moments(image).q2, moments(Body(masses=body.masses, positions=image.positions)).q2)
+    assert np.array_equal(images[0].positions, 2.0 * body.positions)
+    with np.errstate(invalid="ignore"):
+        for factor in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                body.scaled(factor)
+
+
 def test_moments_additive_under_merge():
     b1 = Body.from_particles([[1, 0.2, 0.3], [2, -0.1, 0.4]])
     b2 = Body.from_particles([[3, 0.5, -0.2]])
@@ -521,8 +591,9 @@ def _small_bodies(draw):
     positions = points + offset
     extent = np.max(np.linalg.norm(positions, axis=1))
     assume(extent > 0.0)
-    # |R| extent^2 <= 0.1, and at most sqrt(2) when R is small
-    positions *= size * np.sqrt(0.1 / max(abs(R), 0.05)) / extent
+    # |R| (2 extent)^2 <= 0.1, and extent at most sqrt(2) / 2 when R is small: the
+    # centroid lies inside the drawn extent, so the balanced body stays in regime too
+    positions *= size * np.sqrt(0.1 / max(abs(R), 0.05)) / (2.0 * extent)
     return Body(masses=np.array(masses), positions=positions), Surface(R)
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import curvswim.deformation as deformation_mod
 import curvswim.geometry
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import (
+    gauge_fixed_linear_matrix,
     gauge_fixed_linear_deformation,
     gauge_residuals,
     linear_deformation,
@@ -12,7 +14,7 @@ from curvswim.deformation import (
     project_gauge,
 )
 from curvswim.errors import DegenerateMomentsError, SingularGramError
-from curvswim.fields import combine, linear_field
+from curvswim.fields import VectorField, combine, linear_field
 from curvswim.geometry import Surface, killing_fields, rigid_field, strain_of
 
 
@@ -26,13 +28,32 @@ def test_linear_deformation_values():
     assert np.allclose(linear_deformation(2, 1)((1.0, 0.0)), linear_deformation(1, 2)((1.0, 0.0)))
 
 
+def _central_gradient(f, p):
+    """d f^k / d x^j by central differences, step 1e-5 scaled by the point magnitude."""
+    h = 1e-5 * max(1.0, float(np.max(np.abs(p))))
+    out = np.empty(p.shape[:-1] + (2, 2))
+    for j in range(2):
+        dp = np.zeros_like(p)
+        dp[..., j] = h
+        out[..., j, :] = (f(p + dp) - f(p - dp)) / (2.0 * h)
+    return out
+
+
 def test_field_gradient_consistency():
     rng = np.random.default_rng(2)
     for f in [linear_deformation(1, 1), linear_deformation(1, 2), killing_fields(Surface(0.7))[0]]:
         for _ in range(5):
             p = rng.uniform(-0.4, 0.4, 2)
-            fd = f._fd_gradient(p)
+            fd = _central_gradient(f, p)
             assert np.allclose(fd, f.gradient(p), atol=1e-6)
+
+
+def test_field_without_gradient_refuses_gradient():
+    f = VectorField(func=lambda p: p * p, tag="square")
+    with pytest.raises(ValueError, match="'square' has no gradient"):
+        f.gradient((0.1, 0.2))
+    with pytest.raises(ValueError, match="no gradient"):
+        combine([f, linear_deformation(1, 1)], [1.0, 2.0]).gradient((0.1, 0.2))
 
 
 # ------------------------------------------------------------------- strain
@@ -88,7 +109,7 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
             for got, want in ((pf(p), ref(p)), (pf.gradient(p), ref.gradient(p))):
                 assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         assert pf.tag == "gauge(f)" and pf.linear_matrix is None
-    # one rigid_velocity call per evaluation, no Killing frame
+    # one rigid_velocity call per evaluation
     calls = []
     original = curvswim.geometry.rigid_velocity
 
@@ -97,7 +118,6 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(curvswim.geometry, "rigid_velocity", counted)
-    monkeypatch.setattr(curvswim.geometry, "killing_frame", lambda *args: pytest.fail("killing_frame ran"))
     pf(body.positions)
     assert len(calls) == 1
 
@@ -167,6 +187,31 @@ def test_needle_admissible_deformations():
         gauge_fixed_linear_deformation(needle, 2, 2)
     f11 = gauge_fixed_linear_deformation(needle, 1, 1)
     assert np.max(np.abs(f11(needle.positions))) > 0.1
+
+
+def test_gauge_fixed_matrix_is_formed_once_per_body_and_pair(monkeypatch):
+    body = random_balanced_body(np.random.default_rng(9))
+    built, original = [], deformation_mod._gauge_fixed_linear_matrix
+    monkeypatch.setattr(deformation_mod, "_gauge_fixed_linear_matrix",
+                        lambda *args: built.append(args[1:]) or original(*args))
+    frame = body.frame(Surface(1.0))        # a frame key (1.0, 1.0) must not hand back the frame
+    B = gauge_fixed_linear_matrix(body, 1, 1)
+    assert gauge_fixed_linear_matrix(body, 1, 1) is B
+    assert gauge_fixed_linear_matrix(body, 1.0, 1.0) is B
+    assert isinstance(B, np.ndarray) and B is not frame and body.frame(Surface(1.0)) is frame
+    with pytest.raises(ValueError):
+        B[0, 0] = 0.0
+    B12 = gauge_fixed_linear_matrix(body, 1, 2)
+    assert built == [(1, 1), (1, 2)]
+    f = gauge_fixed_linear_deformation(body, 1, 2)
+    assert f.linear_matrix is B12 and built == [(1, 1), (1, 2)]
+
+
+def test_gauge_fixed_refusal_is_not_cached():
+    unbalanced = Body.from_particles([[1, 0.5, 0.0], [1, 0.1, 0.2]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="balanced"):
+            gauge_fixed_linear_matrix(unbalanced, 1, 1)
 
 
 def test_gauge_fixed_rotation_orthogonality():

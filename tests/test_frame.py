@@ -16,7 +16,7 @@ from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_residuals, project_gauge
 from curvswim.errors import NonFiniteResultError, SingularGramError
 from curvswim.fields import VectorField, linear_field
-from curvswim.geometry import Surface
+from curvswim.geometry import Surface, killing_two_forms
 from curvswim.holonomy import holonomy_general
 from curvswim.integrator import integrate_stroke, sinusoid_stroke
 from curvswim.scenarios import baron_cat_report
@@ -44,19 +44,19 @@ def test_formula_route_forms_one_frame(monkeypatch):
     rng = default_rng(11)
     body = random_balanced_body(rng, 7, 0.2)
     s = Surface(-1.0)
-    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "killing_two_forms")
+    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "chart_two_forms")
     u, v = (project_gauge(body, s, f) for f in _fields(rng))
     gauge_residuals(body, s, u)
     res = holonomy_general(body, s, u, v, 1e-3)
-    assert calls == {"solve_gram": 1, "_position_rows": 1, "killing_two_forms": 1}
+    assert calls == {"solve_gram": 1, "_position_rows": 1, "chart_two_forms": 1}
     assert res.gram_condition == body.frame(s).eigvals[-1] / body.frame(s).eigvals[0]
 
 
 def test_baron_cat_report_forms_one_frame_for_its_pairs(monkeypatch):
-    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "killing_two_forms")
+    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "chart_two_forms")
     report = baron_cat_report(random_balanced_body(default_rng(12), 6))
     assert len(report.rotations) == 3
-    assert calls == {"solve_gram": 1, "_position_rows": 1, "killing_two_forms": 1}
+    assert calls == {"solve_gram": 1, "_position_rows": 1, "chart_two_forms": 1}
 
 
 def test_a_second_curvature_forms_a_second_frame(monkeypatch):
@@ -115,6 +115,19 @@ def test_frame_arrays_are_read_only():
         with pytest.raises(ValueError):
             a[0] = 0.0
     assert momentum_map(body, s, np.zeros((1, body.n, 2)))[0] is frame.gram
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 0.5])
+def test_frame_two_forms_reuse_the_frame_chart(R, monkeypatch):
+    body = random_balanced_body(default_rng(18))
+    s = Surface(R)
+    expected = killing_two_forms(s, body.positions)
+    charts, original = [], Surface.chart
+    monkeypatch.setattr(Surface, "chart", lambda *args, **kwargs: charts.append(1) or original(*args, **kwargs))
+    frame = body.frame(s)
+    assert np.array_equal(frame.two_forms, expected)
+    assert np.array_equal(frame.rows[:3], original(s, body.positions))
+    assert len(charts) == 1
 
 
 def test_projection_refuses_non_finite_coefficients():

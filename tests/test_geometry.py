@@ -10,16 +10,13 @@ from curvswim.geometry import (
     CurvatureTensor,
     Isometry,
     Surface,
-    christoffel_at,
     exp_rigid,
     gaussian_curvature,
     geodesic_distance,
     killing_fields,
-    killing_frame,
     killing_one_form,
     killing_residual,
     killing_two_forms,
-    metric_at,
     numeric_exterior_derivative,
     rigid_field,
     rigid_generator,
@@ -28,6 +25,7 @@ from curvswim.geometry import (
     translation_killing_approx,
     translation_to,
 )
+from references import killing_frame
 
 R_VALUES = (-1.0, -0.25, 0.0, 0.25, 1.0)
 
@@ -36,6 +34,39 @@ points = st.tuples(coords, coords).map(np.array)
 
 
 # ----------------------------------------------------------------- metric
+# The metric and its Christoffel symbols, as references: no library path uses them.
+
+
+def metric_at(surface: Surface, p) -> np.ndarray:
+    """Metric components g_ij = delta_ij / (1 + R|z|^2)^2 at a chart point."""
+    a = surface.require_inside(p)
+    u = surface.conformal(a)
+    g = np.zeros(a.shape[:-1] + (2, 2))
+    g[..., 0, 0] = 1.0 / u**2
+    g[..., 1, 1] = 1.0 / u**2
+    return g
+
+
+def christoffel_at(surface: Surface, p) -> np.ndarray:
+    """Christoffel symbols Gamma[i, j, k] = Gamma^i_jk of the chart metric.
+
+    For a conformal metric exp(2 phi) delta with phi = -log(1 + R|z|^2) the
+    symbols follow the standard 2D pattern built from the partials of phi.
+    """
+    a = surface.require_inside(p)
+    u = surface.conformal(a)
+    px = -2.0 * surface.R * a[..., 0] / u
+    py = -2.0 * surface.R * a[..., 1] / u
+    G = np.zeros(a.shape[:-1] + (2, 2, 2))
+    G[..., 0, 0, 0] = px
+    G[..., 0, 0, 1] = py
+    G[..., 0, 1, 0] = py
+    G[..., 0, 1, 1] = -px
+    G[..., 1, 0, 0] = -py
+    G[..., 1, 0, 1] = px
+    G[..., 1, 1, 0] = px
+    G[..., 1, 1, 1] = py
+    return G
 
 
 def test_metric_flat_is_identity():

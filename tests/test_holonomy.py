@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import curvswim.body as body_mod
 import curvswim.deformation as deformation
-from curvswim.body import Body, balance, momentum_map, principal_axes
+import curvswim.holonomy as holonomy_mod
+from curvswim.body import Body, balance, momentum_map, particle_sums, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import GaugeConditionError, NonFiniteResultError, SingularGramError
@@ -204,13 +206,15 @@ def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
     s = Surface(1.0)
     curv = CurvatureTensor.from_surface(s)
     fields = [linear_field(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(2)]
-    einsum, cubic = np.einsum, []
+    cubic = []
 
-    def counting_einsum(subscripts, *operands, **kwargs):
-        cubic.append(subscripts == "n,ni,nj,nk->ijk")
-        return einsum(subscripts, *operands, **kwargs)
+    def counting_sums(masses, factors):
+        if len(factors) == 3:
+            cubic.append("moments" if factors[0] is factors[1] is factors[2] else "x u v")
+        return particle_sums(masses, factors)
 
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for module in (body_mod, holonomy_mod):
+        monkeypatch.setattr(module, "particle_sums", counting_sums)
     # one op of the benchmark's formula workload
     prepared = principal_axes(balance(body, s))
     u, v = (project_gauge(prepared, s, f) for f in fields)
@@ -219,8 +223,9 @@ def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
     fc = gauge_fixed_linear_deformation(prepared, 2, 2)
     holonomy_linear(prepared, curv, (1, 1), (2, 2), 1e-4)
     holonomy_small_swimmer(prepared, curv, fb, fc, 1e-4)
-    # the balanced body (read by principal_axes) and the prepared one
-    assert sum(cubic) == 2
+    # the balanced body (read by principal_axes) and the prepared one; the
+    # small swimmer's sum of m x u v is the one other three-factor sum
+    assert sorted(cubic) == ["moments", "moments", "x u v"]
 
 
 def test_holonomy_linear_builds_no_field(monkeypatch):

@@ -17,7 +17,7 @@ from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
 from curvswim.fields import complex_view, linear_field
-from curvswim.geometry import Isometry, Surface, killing_fields, killing_frame, rigid_generator, rigid_velocity
+from curvswim.geometry import Isometry, Surface, killing_fields, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import _SERIES_Q
 from curvswim.integrator import (
@@ -30,6 +30,7 @@ from curvswim.integrator import (
     sinusoid_stroke,
 )
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
+from references import killing_frame
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 HEIGHT, BASE = triangle_control_fields()
