@@ -28,9 +28,11 @@ BALANCE_MAX_ITER = 50
 AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Body:
     """Point masses in the chart; immutable, so its mass, extent, moments and derived pieces are cached.
+
+    Bodies compare and hash by identity, as their frames do.
 
     Its isometry images (transformed, scaled and balance's result) share its
     checked, read-only masses array; only their new positions are checked.
@@ -481,12 +483,8 @@ def principal_axes(body: Body) -> Body:
             return body
         return body.transformed(rotation_about_origin(Surface(0.0), math.pi / 2.0))
     # eigen-rotation of the symmetric 2x2 block; numpy's atan2, which differs from
-    # math.atan2 in the last bit on some inputs, so prepared bodies keep their bits
+    # math.atan2 in the last bit on some inputs, so prepared bodies keep their bits.
+    # It turns the larger eigenvalue onto x: past the test above the two differ
+    # by sqrt((Q_xx - Q_yy)^2 + 4 Q_xy^2) >= 2e-14 scale, far above rounding.
     theta = 0.5 * float(np.arctan2(2.0 * qxy, qxx - qyy))
-    c, s = math.cos(theta), math.sin(theta)
-    lam1 = c * c * qxx + 2 * c * s * qxy + s * s * qyy
-    lam2 = s * s * qxx - 2 * c * s * qxy + c * c * qyy
-    angle = -theta
-    if lam1 < lam2:
-        angle += math.pi / 2.0
-    return body.transformed(rotation_about_origin(Surface(0.0), angle))
+    return body.transformed(rotation_about_origin(Surface(0.0), -theta))

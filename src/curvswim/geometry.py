@@ -208,9 +208,8 @@ def cosh_sinc(q) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     For a traceless 2x2 matrix N with N^2 = q I, exp(N) = c I + S N; for
     q < 0 c and S are cos and sin of sqrt(-q).  Below |q| = _SERIES_Q the
     Taylor series to q^9 (first omitted term under 1e-18) replace the closed
-    forms, where dS/dq cancels as q -> 0.  The one evaluation behind
-    exp_rigid and the shape flow's exponential: every entry goes through
-    the same elementwise steps, so equal q give bitwise-equal results.
+    forms, where dS/dq cancels as q -> 0.  Every entry goes through the
+    same elementwise steps, so equal q give bitwise-equal results.
     """
     q = np.asarray(q, dtype=float)
     series = (q[..., None, None] ** _POWERS * _SERIES).sum(axis=-1)
@@ -224,16 +223,39 @@ def cosh_sinc(q) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, S, dS
 
 
-def exp_rigid(surface: Surface, tau) -> Isometry:
-    """Unit-time flow of tau . xi as an exact group element.
+def expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """exp(C) and its Frechet derivative at C along D, for stacks (..., 2, 2).
 
-    With theta = tau3 / 2 the generator A (rigid_generator) squares to q I,
-    q = -(theta^2 + R (tau1^2 + tau2^2)), so exp(A) = c(q) I + S(q) A.
+    The package's one 2x2 exponential, behind exp_rigid and the shape flow.
+    With C = m I + N and N traceless, N^2 = q I where q = -det N, so
+    exp(C) = e^m (c(q) I + S(q) N) with c, S and dS/dq from cosh_sinc, whose
+    series branch also serves a large N with a small q.  q is real for real
+    C and for isometry generators, so cosh_sinc takes its real part.  The
+    derivative along D = dm I + dN follows by the chain rule, with dq =
+    tr(N dN) and dc/dq = S / 2.  Every matrix of the stack goes through the
+    same elementwise steps, so equal matrices give bitwise-equal results.
     """
-    t = np.asarray(tau, dtype=float)
-    th = 0.5 * t[2]
-    c, S, _ = cosh_sinc(-(th * th + surface.R * (t[0] ** 2 + t[1] ** 2)))
-    return Isometry(complex(c + S * 1j * th), complex(S * (t[0] + 1j * t[1])), surface.R)
+    m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
+    dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
+    N = C - m[..., None, None] * np.eye(2)
+    dN = D - dm[..., None, None] * np.eye(2)
+    q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
+    dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
+    c, S, dS = cosh_sinc(np.real(q))
+    em = np.exp(m)
+    E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
+    L = (
+        (em * (dm * c + 0.5 * S * dq))[..., None, None] * np.eye(2)
+        + (em * (dm * S + dS * dq))[..., None, None] * N
+        + (em * S)[..., None, None] * dN
+    )
+    return E, L
+
+
+def exp_rigid(surface: Surface, tau) -> Isometry:
+    """Unit-time flow of tau . xi as an exact group element: the first row of expm2 of its generator."""
+    E, _ = expm2(rigid_generator(surface, tau), np.zeros((2, 2)))
+    return Isometry(complex(E[0, 0]), complex(E[0, 1]), surface.R)
 
 
 def translation_to(surface: Surface, w) -> Isometry:

@@ -68,7 +68,7 @@ import numpy as np
 from .body import Body, momentum_map, momentum_work, pairing_scale, solve_gram
 from .errors import NonFiniteResultError, StrokeError
 from .fields import VectorField, complex_view
-from .geometry import Isometry, Surface, cosh_sinc, rigid_generator, rigid_velocity
+from .geometry import Isometry, Surface, expm2, rigid_generator, rigid_velocity
 
 __all__ = [
     "Stroke",
@@ -160,14 +160,6 @@ class TrajectoryRecord:
     shape_closure_defect: float
     group_drift: float               # |det G - 1| of the final G, before it is normalized
 
-    @property
-    def translation(self) -> np.ndarray:
-        return self.delta_tau[:2]
-
-    @property
-    def rotation(self) -> float:
-        return float(self.delta_tau[2])
-
 
 def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
     alpha, beta = complex(G[0, 0] + np.conj(G[1, 1])) / 2.0, complex(G[0, 1])
@@ -205,42 +197,15 @@ def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]
     return sig, sigd, stages
 
 
-def _expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """exp(C) and its Frechet derivative at C along D, for stacks (..., 2, 2).
-
-    With C = m I + N and N traceless, N^2 = q I where q = -det N, so
-    exp(C) = e^m (c(q) I + S(q) N) with c, S and dS/dq from cosh_sinc, whose
-    series branch also serves a large N with a small q.  The derivative
-    along D = dm I + dN follows by the chain rule, with dq = tr(N dN) and
-    dc/dq = S / 2.  Every matrix of the stack goes through the same
-    elementwise steps, so equal matrices give bitwise-equal results.
-    """
-    m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
-    dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
-    N = C - m[..., None, None] * np.eye(2)
-    dN = D - dm[..., None, None] * np.eye(2)
-    q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
-    dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
-    c, S, dS = cosh_sinc(q)
-    em = np.exp(m)
-    E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
-    L = (
-        (em * (dm * c + 0.5 * S * dq))[..., None, None] * np.eye(2)
-        + (em * (dm * S + dS * dq))[..., None, None] * N
-        + (em * S)[..., None, None] * dN
-    )
-    return E, L
-
-
 def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """exp(C) and its derivative along C-dot, for C = sigma . B, in closed form.
 
-    The control matrices are 2x2, so one batched _expm2 gives every shape
+    The control matrices are 2x2, so one batched expm2 gives every shape
     matrix and its Frechet derivative at once.
     """
     C = sig[..., 0, None, None] * B[0] + sig[..., 1, None, None] * B[1]
     Cd = sigd[..., 0, None, None] * B[0] + sigd[..., 1, None, None] * B[1]
-    return _expm2(C, Cd)
+    return expm2(C, Cd)
 
 
 def _integrate_composed(body, surface, B, stroke):

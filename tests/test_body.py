@@ -52,6 +52,13 @@ def test_body_rejects_non_finite_values(bad):
         Body(masses=np.ones(2), positions=np.array([[0.0, 0.1], [bad, 0.0]]))
 
 
+def test_bodies_compare_and_hash_by_identity():
+    a = Body(masses=np.ones(2), positions=np.zeros((2, 2)))
+    b = Body(masses=np.ones(2), positions=np.zeros((2, 2)))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_from_particles():
     b = Body.from_particles([[1.0, 0.0, 0.0], [2.0, 0.5, -0.5]])
     assert b.total_mass == 3.0
@@ -637,6 +644,27 @@ def test_principal_axes_diagonal_rotation():
     q2 = moments(out).q2
     assert abs(q2[0, 1]) < 1e-14
     assert q2[0, 0] >= q2[1, 1]
+
+
+def test_principal_axes_turns_a_diagonal_body_with_the_larger_moment_on_y():
+    body = Body.from_particles([[1, 0.2, 0.0], [1, -0.2, 0.0], [1, 0.0, 0.5], [1, 0.0, -0.5]])
+    out = principal_axes(body)
+    assert np.allclose(out.positions, body.positions @ np.array([[0.0, 1.0], [-1.0, 0.0]]), rtol=0, atol=1e-15)
+    q2 = moments(out).q2
+    assert q2[0, 0] >= q2[1, 1]
+    assert principal_axes(out) is out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n),
+    st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=n, max_size=n))))
+def test_principal_axes_orders_the_axes_and_is_idempotent(case):
+    masses, points = case
+    out = principal_axes(Body(masses=np.array(masses), positions=np.array(points)))
+    q2 = moments(out).q2
+    assert q2[0, 0] >= q2[1, 1]
+    assert principal_axes(out) is out
 
 
 def test_principal_axes_random_bodies():

@@ -526,7 +526,8 @@ def test_console_entrypoint_smoke(tmp_path):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy is a test dependency only: no command of the CLI may import it
+    # scipy is a test dependency only: no command of the CLI may import it,
+    # and only check loads the invariant registry
     cfgs = {
         "composed": dict(BASE_CONFIG, stroke={"type": "sinusoid", "amplitudes": [0.1, 0.1], "steps": 8}),
         "sweep": dict(SWEEP_CONFIG, stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 8}),
@@ -542,23 +543,30 @@ def test_cli_runs_without_scipy(tmp_path):
         "import json, sys\n"
         "from curvswim.cli import main\n"
         "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+        "print(json.dumps({'codes': codes, 'checks': 'curvswim.checks' in sys.modules,\n"
+        "                  'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )
     paths_env = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths_env if p))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0], "scipy": []}
+    assert result == {"codes": [0, 0, 0], "checks": False, "scipy": []}
 
 
-@pytest.mark.parametrize("script", ["convergence_table.py", "triangle_optimum.py"])
-def test_scripts_run(script):
-    # The scripts call the library directly, so an API change shows here.
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(Path(curvswim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), "--steps", "16"], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_readme_configs_run(tmp_path):
+    # Every JSON configuration in README is an experiment run by curvswim sweep:
+    # each row's oracle agrees with its formula, and the mass sweep peaks at M/4.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    assert {cfg["sweep"]["variable"] for cfg in configs} == {"area", "m"}
+    for i, cfg in enumerate(configs):
+        out = tmp_path / f"sweep{i}.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [float(r["value"]) for r in rows] == sorted(cfg["sweep"]["values"])
+        assert all(abs(float(r["ratio"]) - 1.0) < 0.15 for r in rows)
+        if cfg["sweep"]["variable"] == "m":
+            best = max(rows, key=lambda r: float(r["dx_formula"]))
+            assert float(best["value"]) == cfg["body"]["scenario"]["triangle"]["M"] / 4.0

@@ -1,8 +1,8 @@
 """Every top-level function and class of curvswim, and every public method
 and property of its classes, has a use outside the tests.
 
-A top-level definition passes when it is referenced by name in src/,
-scripts/ or perfbench/ outside its own definition (a string holding exactly
+A top-level definition passes when it is referenced by name in src/ or
+perfbench/ outside its own definition (a string holding exactly
 the name counts, as getattr and the benchmark's tracer look names up that
 way), registered with the checks.invariant decorator, or a [project.scripts]
 entry.  An export (exported by curvswim or listed in its module's __all__)
@@ -23,7 +23,7 @@ import curvswim
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "curvswim"
-CALLER_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
+CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
 README = ROOT / "README.md"
 
 
