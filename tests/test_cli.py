@@ -554,19 +554,20 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0], "checks": False, "scipy": []}
 
 
-def test_readme_configs_run(tmp_path):
+@pytest.mark.parametrize("variable", ["area", "m"])
+def test_readme_configs_run(tmp_path, variable):
     # Every JSON configuration in README is an experiment run by curvswim sweep:
     # each row's oracle agrees with its formula, and the mass sweep peaks at M/4.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", readme, re.S)]
-    assert {cfg["sweep"]["variable"] for cfg in configs} == {"area", "m"}
-    for i, cfg in enumerate(configs):
-        out = tmp_path / f"sweep{i}.csv"
-        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        header, *lines = out.read_text().splitlines()
-        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-        assert [float(r["value"]) for r in rows] == sorted(cfg["sweep"]["values"])
-        assert all(abs(float(r["ratio"]) - 1.0) < 0.15 for r in rows)
-        if cfg["sweep"]["variable"] == "m":
-            best = max(rows, key=lambda r: float(r["dx_formula"]))
-            assert float(best["value"]) == cfg["body"]["scenario"]["triangle"]["M"] / 4.0
+    assert sorted(cfg["sweep"]["variable"] for cfg in configs) == ["area", "m"]
+    (cfg,) = [cfg for cfg in configs if cfg["sweep"]["variable"] == variable]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [float(r["value"]) for r in rows] == sorted(cfg["sweep"]["values"])
+    assert all(abs(float(r["ratio"]) - 1.0) < 0.15 for r in rows)
+    if variable == "m":
+        best = max(rows, key=lambda r: float(r["dx_formula"]))
+        assert float(best["value"]) == cfg["body"]["scenario"]["triangle"]["M"] / 4.0
