@@ -24,11 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from .body import Body
-from .deformation import parse_field_spec, project_gauge, gauge_residuals
+from .deformation import gauge_coefficients, gauge_pairings, parse_field_spec
 from .errors import ConfigError, CurvswimError, NonFiniteResultError
-from .fields import VectorField
-from .geometry import Surface
-from .holonomy import holonomy_general
+from .fields import VectorField, complex_view
+from .geometry import Surface, rigid_velocity
+from .holonomy import HolonomyResult, swim_increments
 from .integrator import (
     DEFAULT_STEPS,
     Stroke,
@@ -225,13 +225,28 @@ def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
 # Commands
 
 
+def _formula(body: Body, surface: Surface, raw: List[VectorField], area: float):
+    """(raw values (2, N, 2), projected tags, HolonomyResult): holonomy_general on project_gauge's
+    fields, bitwise, from one evaluation of each raw field, one gauge_coefficients call for both
+    and one rigid_velocity call for the stack; a field with c all zero keeps its raw values."""
+    x = body.positions
+    values = np.stack([f(x) for f in raw])
+    c = gauge_coefficients(body, surface, values)
+    moved = c.any(axis=-1)
+    used = np.where(moved[:, None, None], values - rigid_velocity(surface, c, complex_view(x)).view(float), values)
+    delta, res = swim_increments(body, surface, used, [(0, 1)], area)
+    eigvals = body.frame(surface).eigvals
+    tags = [f"gauge({f.tag})" if m else f.tag for f, m in zip(raw, moved.tolist())]
+    return values, tags, HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
+
+
 def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
+    """_formula's result, with the raw fields' residuals from one gauge_pairings call on their values."""
     surface = _need(cfg, "surface", "surface")
     body = _need(cfg, "body", "body")
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    fields = [project_gauge(body, surface, f) for f in raw]
-    res = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
+    values, tags, res = _formula(body, surface, raw, stroke.signed_area)
     return {
         "command": "holonomy",
         "surface": {"R": surface.R},
@@ -240,10 +255,10 @@ def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any
         "per_unit_area": list(res.per_unit_area),
         "gram_condition": res.gram_condition,
         "gauge_residuals": {
-            "raw": [list(gauge_residuals(body, surface, f)) for f in raw],
+            "raw": [list(r) for r in gauge_pairings(body, surface, values)],
             "used": [list(r) for r in res.gauge_residuals],
         },
-        "fields": [f.tag for f in fields],
+        "fields": tags,
     }
 
 
@@ -257,10 +272,10 @@ def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
 
 
 def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
+    """The oracle's increment of the stroke against the formula's: _run_oracle, then _formula."""
     surface = _need(cfg, "surface", "surface")
     body, raw, stroke, rec = _run_oracle(cfg, steps_override)
-    fields = [project_gauge(body, surface, f) for f in raw]
-    hol = holonomy_general(body, surface, fields[0], fields[1], stroke.signed_area)
+    _, _, hol = _formula(body, surface, raw, stroke.signed_area)
     dx_f, dx_i = float(hol.delta_tau[0]), float(rec.delta_tau[0])
     ratio = oracle_ratio(dx_i, dx_f)
     return {

@@ -53,23 +53,29 @@ def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
     return gauge_pairings(body, surface, f(body.positions)[None])[0]
 
 
+def gauge_coefficients(body: Body, surface: Surface, values) -> np.ndarray:
+    """The rigid content c = G^-1 <xi|f>, shape (k, 3), of k fields sampled at the particles, shape (k, N, 2).
+
+    One kernel call on the body's frame, then c = (<xi|f> / M) . inverse (the frame's inverse of G/M)
+    as stacked (1, 3) rows, so c[k] is bitwise field k's alone.  A body that body.solve_gram refuses
+    raises its error, a c that is not finite NonFiniteResultError.
+    """
+    _, mom, _ = momentum_map(body, surface, values)
+    c = np.matmul(mom[:, None] / body.total_mass, body.frame(surface).inverse)[:, 0]
+    if not all(map(math.isfinite, c.ravel().tolist())):
+        raise NonFiniteResultError(f"gauge projection coefficients are not finite: {c[~np.isfinite(c).all(-1)][0]}")
+    return c
+
+
 def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
-    """Remove the rigid content of f: subtract the rigid field c . xi, c = G^-1 <xi|f>.
+    """Remove the rigid content of f: subtract the rigid field c . xi, c from gauge_coefficients.
 
     The result pairs to zero with every Killing field and carries exactly
     the strain of f.  Each evaluation of the result (value or gradient)
-    evaluates f and one rigid field.  c = (<xi|f> / M) . inverse, with the
-    inverse of G/M that body.frame(surface) formed once by body.solve_gram,
-    so a body that cannot see all rigid directions (for example a single
-    particle) raises SingularGramError, and one whose Gram matrix
-    overflowed NonFiniteResultError, as does a c that is not finite.
+    evaluates f and one rigid field; f with c all zero is returned itself.
     """
-    _, mom, _ = momentum_map(body, surface, f(body.positions)[None])
-    coeffs = (mom[0] / body.total_mass) @ body.frame(surface).inverse
-    c = coeffs.tolist()
-    if not all(map(math.isfinite, c)):
-        raise NonFiniteResultError(f"gauge projection coefficients are not finite: {coeffs}")
-    if not any(c):
+    coeffs = gauge_coefficients(body, surface, f(body.positions)[None])[0]
+    if not any(coeffs.tolist()):
         return f
     rigid = rigid_field(surface, coeffs)
     return VectorField(func=lambda p: f(p) - rigid(p), grad=lambda p: f.gradient(p) - rigid.gradient(p),

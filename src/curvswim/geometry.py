@@ -73,14 +73,11 @@ class Surface:
         """u(z) = 1 + R |z|^2, the reciprocal square root of the metric factor."""
         return 1.0 + self.R * _abs2(as_points(p))
 
-    def _inside(self, r2: np.ndarray) -> np.ndarray:
-        return r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
-
     def _require(self, a: np.ndarray, r2: np.ndarray) -> None:
         """Raise ChartDomainError unless every point of a (with |z|^2 = r2) is inside."""
         if self.R >= 0.0:
             return
-        ok = self._inside(r2)
+        ok = r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
         if np.count_nonzero(ok) < ok.size:
             bad = a[~ok]
             raise ChartDomainError(
@@ -194,6 +191,7 @@ def rigid_generator(surface: Surface, tau) -> np.ndarray:
 
 
 _SERIES_Q = 1.0             # cosh_sinc sums the series below |q| = 1
+_I2 = np.eye(2)             # expm2's identity
 _POWERS = np.arange(10.0)
 _SERIES = np.array([
     [1.0 / math.factorial(2 * k) for k in range(10)],                # c
@@ -208,19 +206,19 @@ def cosh_sinc(q) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     For a traceless 2x2 matrix N with N^2 = q I, exp(N) = c I + S N; for
     q < 0 c and S are cos and sin of sqrt(-q).  Below |q| = _SERIES_Q the
     Taylor series to q^9 (first omitted term under 1e-18) replace the closed
-    forms, where dS/dq cancels as q -> 0.  Every entry goes through the
-    same elementwise steps, so equal q give bitwise-equal results.
+    forms (formed only if some |q| is not below), where dS/dq cancels as q -> 0.
+    Every entry takes the same elementwise steps: equal q, bitwise-equal results.
     """
     q = np.asarray(q, dtype=float)
     series = (q[..., None, None] ** _POWERS * _SERIES).sum(axis=-1)
     small = np.abs(q) < _SERIES_Q
+    if small.all():
+        return series[..., 0], series[..., 1], series[..., 2]
     qc = np.where(small, 1.0, q)            # keeps the closed forms off q = 0
     r = np.sqrt(np.abs(qc))
     c = np.where(qc > 0.0, np.cosh(r), np.cos(r))
     S = np.where(qc > 0.0, np.sinh(r), np.sin(r)) / r
-    dS = (c - S) / (2.0 * qc)
-    c, S, dS = (np.where(small, series[..., k], f) for k, f in enumerate((c, S, dS)))
-    return c, S, dS
+    return tuple(np.where(small, series[..., k], f) for k, f in enumerate((c, S, (c - S) / (2.0 * qc))))
 
 
 def expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -237,17 +235,18 @@ def expm2(C: np.ndarray, D: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """
     m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
     dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
-    N = C - m[..., None, None] * np.eye(2)
-    dN = D - dm[..., None, None] * np.eye(2)
+    N = C - m[..., None, None] * _I2
+    dN = D - dm[..., None, None] * _I2
     q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
     dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
     c, S, dS = cosh_sinc(np.real(q))
     em = np.exp(m)
-    E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
+    emS = (em * S)[..., None, None]
+    E = (em * c)[..., None, None] * _I2 + emS * N
     L = (
-        (em * (dm * c + 0.5 * S * dq))[..., None, None] * np.eye(2)
+        (em * (dm * c + 0.5 * S * dq))[..., None, None] * _I2
         + (em * (dm * S + dS * dq))[..., None, None] * N
-        + (em * S)[..., None, None] * dN
+        + emS * dN
     )
     return E, L
 

@@ -87,12 +87,7 @@ def holonomy_general(
     x = body.positions
     delta, res = swim_increments(body, surface, np.stack([u(x), v(x)]), [(0, 1)], area)
     eigvals = body.frame(surface).eigvals
-    return HolonomyResult(
-        delta_tau=delta[0],
-        area=float(area),
-        gram_condition=float(eigvals[-1] / eigvals[0]),
-        gauge_residuals=res,
-    )
+    return HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
 
 
 def swim_increments(

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -118,6 +119,41 @@ def test_integrate_record(tmp_path):
     assert rec["steps"] == 256
 
 
+@pytest.mark.parametrize("command, frame_calls", [("integrate", 2), ("holonomy", 3)])
+def test_formula_half_pairs_each_raw_field_once(tmp_path, monkeypatch, command, frame_calls):
+    # one kernel call on the body's frame gives both fields' gauge coefficients
+    # and one checks the projected fields (holonomy adds one for the raw
+    # residuals), and each raw field is evaluated once at the particles
+    import curvswim.deformation as deformation
+
+    kernel_calls = []
+    original_map = deformation.momentum_map
+
+    def counted_map(body, surface, velocities, x=None, **kwargs):
+        kernel_calls.append(x is None)
+        return original_map(body, surface, velocities, x, **kwargs)
+
+    monkeypatch.setattr(deformation, "momentum_map", counted_map)
+    evaluations = []
+    original_parse = cli.parse_field_spec
+
+    def counted_parse(spec, body=None):
+        f = original_parse(spec, body=body)
+        i = len(evaluations)
+        evaluations.append(0)
+
+        def func(p):
+            evaluations[i] += 1
+            return f.func(p)
+
+        return dataclasses.replace(f, func=func)
+
+    monkeypatch.setattr(cli, "parse_field_spec", counted_parse)
+    run_json(tmp_path, command, BASE_CONFIG)
+    assert kernel_calls == [True] * frame_calls
+    assert evaluations == [1, 1]
+
+
 def test_integrate_steps_override(tmp_path):
     r1 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "256"))
     r2 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "512"))
@@ -189,8 +225,8 @@ def test_sweep_over_m_peaks_at_quarter(tmp_path):
 
 def test_sweep_over_m_runs_no_formula(tmp_path, monkeypatch):
     # m rows take dx_formula from the triangle's closed form, so the general
-    # formula (and the gauge projection feeding it) must not run
-    calls = {"holonomy_general": 0, "project_gauge": 0}
+    # formula (the swim solve and the gauge projection feeding it) must not run
+    calls = {"swim_increments": 0, "gauge_coefficients": 0}
     for name in calls:
         original = getattr(cli, name)
 
@@ -207,7 +243,7 @@ def test_sweep_over_m_runs_no_formula(tmp_path, monkeypatch):
     out = tmp_path / "m.csv"
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 4
-    assert calls == {"holonomy_general": 0, "project_gauge": 0}
+    assert calls == {"swim_increments": 0, "gauge_coefficients": 0}
 
 
 def test_sweep_over_R_negates(tmp_path):
@@ -395,7 +431,7 @@ UNKNOWN_OPTIONS = "unknown key(s) in config: ['options']"
     pytest.param({"options": {"principal_axes": True}}, UNKNOWN_OPTIONS, id="removed-options.principal_axes"),
 ])
 def test_bad_config_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, override, message):
-    for name in ("integrate_stroke", "holonomy_general", "project_gauge"):
+    for name in ("integrate_stroke", "swim_increments", "gauge_coefficients"):
         monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
     out = tmp_path / "never.out"
     code = main(["integrate", "--config", write_config(tmp_path, dict(BASE_CONFIG, **override)), "--out", str(out)])

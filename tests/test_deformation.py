@@ -6,6 +6,7 @@ import curvswim.geometry
 from curvswim.body import Body, balance, momentum_map, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import (
+    gauge_coefficients,
     gauge_fixed_linear_matrix,
     gauge_fixed_linear_deformation,
     gauge_residuals,
@@ -13,9 +14,9 @@ from curvswim.deformation import (
     parse_field_spec,
     project_gauge,
 )
-from curvswim.errors import DegenerateMomentsError, SingularGramError
-from curvswim.fields import VectorField, combine, linear_field
-from curvswim.geometry import Surface, killing_fields, rigid_field, strain_of
+from curvswim.errors import DegenerateMomentsError, NonFiniteResultError, SingularGramError
+from curvswim.fields import VectorField, combine, complex_view, linear_field
+from curvswim.geometry import Surface, killing_fields, rigid_field, rigid_velocity, strain_of
 
 
 # ------------------------------------------------------------ linear family
@@ -120,6 +121,47 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
     monkeypatch.setattr(curvswim.geometry, "rigid_velocity", counted)
     pf(body.positions)
     assert len(calls) == 1
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_stacked_coefficients_and_subtraction_are_project_gauge(R):
+    # the CLI's projection of a stack: one gauge_coefficients call, one
+    # rigid_velocity subtraction, raw values kept where c is all zero, as
+    # project_gauge keeps such a field.  The zero field's -0.0 values must
+    # survive bit for bit.
+    rng = np.random.default_rng(11)
+    s = Surface(R)
+    body = random_balanced_body(rng, 6)
+    fields = [linear_field(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    fields.insert(1, VectorField(func=lambda p: -0.0 * p, tag="signed-zero"))
+    x = body.positions
+    values = np.stack([f(x) for f in fields])
+    assert np.any(np.signbit(values[1]))
+    c = gauge_coefficients(body, s, values)
+    assert c.shape == (4, 3) and not np.any(c[1])
+    moved = c.any(axis=-1)
+    used = np.where(moved[:, None, None], values - rigid_velocity(s, c, complex_view(x)).view(float), values)
+    for k, f in enumerate(fields):
+        assert _bits(gauge_coefficients(body, s, values[k][None])[0]) == _bits(c[k])
+        assert _bits(used[k]) == _bits(project_gauge(body, s, f)(x))
+    assert project_gauge(body, s, fields[1]) is fields[1]
+
+
+def test_non_finite_coefficients_raise_the_projection_error():
+    body = random_balanced_body(np.random.default_rng(2))
+    s = Surface(1.0)
+    good = linear_field(np.array([[0.3, 0.1], [-0.2, 0.5]]))
+    bad = VectorField(func=lambda p: np.full(p.shape, np.inf))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteResultError, match="gauge projection coefficients are not finite") as alone:
+            project_gauge(body, s, bad)
+        with pytest.raises(NonFiniteResultError) as stacked:
+            gauge_coefficients(body, s, np.stack([good(body.positions), bad(body.positions)]))
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_projection_kills_residuals_and_is_idempotent():

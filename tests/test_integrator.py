@@ -19,7 +19,7 @@ from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
 from curvswim.fields import complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
-from curvswim.geometry import _SERIES_Q
+from curvswim.geometry import _SERIES_Q, cosh_sinc
 from curvswim.integrator import (
     Stroke,
     _extract_delta_tau,
@@ -312,6 +312,65 @@ def test_expm2_inverse_and_batching():
     for i, j in np.ndindex(5, 3):
         E_ij, L_ij = expm2(C[i, j], D[i, j])
         assert _rel(E[i, j], E_ij) <= 1e-15 and _rel(L[i, j], L_ij) <= 1e-15
+
+
+def test_cosh_sinc_entries_are_bitwise_their_values_alone():
+    # a stack mixing the series (|q| < 1) and the closed forms, and one that
+    # takes only the series: each entry equals its value computed alone
+    rng = np.random.default_rng(8)
+    mixed = np.concatenate([[0.0, -0.0, 1e-300, -0.5, 1.0 - 1e-16, 1.0, -1.0, 2.5, -7.0, 30.0],
+                            rng.uniform(-3.0, 3.0, 40)])
+    rng.shuffle(mixed)
+    for q in (mixed, mixed[np.abs(mixed) < 1.0][:20].reshape(-1, 2)):
+        got = cosh_sinc(q)
+        for i in np.ndindex(q.shape):
+            alone = cosh_sinc(q[i])
+            for a, b in zip(got, alone):
+                assert a[i].tobytes() == np.asarray(b).tobytes()
+
+
+_SERIES_COPY = np.array([[1.0 / math.factorial(2 * k + j) * (k + 1.0 if j == 3 else 1.0) for k in range(10)]
+                         for j in (0, 1, 3)])
+
+
+def _expm2_copy(C, D):
+    """expm2 as it was first written: closed forms formed for every q, four identities."""
+    m = 0.5 * (C[..., 0, 0] + C[..., 1, 1])
+    dm = 0.5 * (D[..., 0, 0] + D[..., 1, 1])
+    N = C - m[..., None, None] * np.eye(2)
+    dN = D - dm[..., None, None] * np.eye(2)
+    q = N[..., 0, 0] * N[..., 0, 0] + N[..., 0, 1] * N[..., 1, 0]
+    dq = 2.0 * N[..., 0, 0] * dN[..., 0, 0] + N[..., 0, 1] * dN[..., 1, 0] + N[..., 1, 0] * dN[..., 0, 1]
+    q = np.real(q)
+    series = (q[..., None, None] ** np.arange(10.0) * _SERIES_COPY).sum(axis=-1)
+    small = np.abs(q) < 1.0
+    qc = np.where(small, 1.0, q)
+    r = np.sqrt(np.abs(qc))
+    c = np.where(qc > 0.0, np.cosh(r), np.cos(r))
+    S = np.where(qc > 0.0, np.sinh(r), np.sin(r)) / r
+    dS = (c - S) / (2.0 * qc)
+    c, S, dS = (np.where(small, series[..., k], f) for k, f in enumerate((c, S, dS)))
+    em = np.exp(m)
+    E = (em * c)[..., None, None] * np.eye(2) + (em * S)[..., None, None] * N
+    L = (
+        (em * (dm * c + 0.5 * S * dq))[..., None, None] * np.eye(2)
+        + (em * (dm * S + dS * dq))[..., None, None] * N
+        + (em * S)[..., None, None] * dN
+    )
+    return E, L
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 2.0])
+def test_expm2_is_bitwise_its_first_formula(scale):
+    # scale 1e-3 takes the series everywhere, 0.3 and 2 mix both branches;
+    # real shape-flow stacks and complex isometry generators
+    rng = np.random.default_rng(5)
+    C = scale * rng.uniform(-1.0, 1.0, (64, 2, 2))
+    D = rng.uniform(-1.0, 1.0, (64, 2, 2))
+    A = rigid_generator(Surface(-0.7), scale * rng.uniform(-1.0, 1.0, (64, 3)))
+    for C_, D_ in ((C, D), (A, D), (A, np.zeros((2, 2)))):
+        for got, want in zip(expm2(C_, D_), _expm2_copy(C_, D_)):
+            assert got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- flat space
