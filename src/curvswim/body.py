@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,9 +140,10 @@ class Moments:
 class BodyFrame:
     """What the formula route reads of one body on one surface, each part built on first use.
 
-    rows and gram: the position half of momentum_map at the body's
-    positions (per particle x, y, r2, d, xy and the weight w, shape (6, N),
-    and the Gram matrix, not mass-normalized).  inverse and eigvals: the
+    rows and gram: the position half of both kernels at the body's
+    positions (per particle x, y, r2 and the factors w, w x, w y, w d and
+    w xy of the weight w, shape (8, N), and the Gram matrix, not
+    mass-normalized).  inverse and eigvals: the
     inverse of G/M and its eigenvalues, from one solve_gram(G/M, I), so a
     body that solve_gram refuses raises its error on first use of either.
     The rows of inverse are G/M solved against the unit vectors: for a right
@@ -158,10 +160,9 @@ class BodyFrame:
 
     @cached_property
     def _position_part(self) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.masses.shape[0]
-        rows = np.empty(12 * n).reshape(12, n)
-        gram = _position_rows(self.masses, self.surface, self.positions, rows)
-        return _read_only(rows[:6]), _read_only(gram)
+        rows = np.empty((POSITION_ROWS, self.masses.shape[0]))
+        gram, _ = _position_rows(self.masses, self.surface, self.positions, rows)
+        return _read_only(rows[:8]), _read_only(gram)
 
     @property
     def rows(self) -> np.ndarray:
@@ -229,18 +230,19 @@ def particle_sums(masses, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, ..
     return sums if k == 2 else sums + (s[6:].reshape(2, 2, 2),)
 
 
-def momentum_work(points: Tuple[int, ...], k: int) -> np.ndarray:
-    """An uninitialized workspace for momentum_map(work=...) at points of
-    shape (..., N) with k velocity arrays per configuration: per point x, y,
-    r2, d, xy and the weight, then the six other Gram rows, which the ten
-    rows per velocity reuse once the Gram sums are taken.
+# Rows per point of the position half: x, y and r2, then the eleven weighted
+# monomials w {1, x, y, x^2, xy, y^2, x^3, x^2 y, x y^2, y^3} and w r^4.
+POSITION_ROWS = 14
+
+
+def momentum_work(points: Tuple[int, ...]) -> np.ndarray:
+    """An uninitialized workspace for linear_momentum_map(work=...) at points
+    of shape (..., N): the POSITION_ROWS rows per point of the position half.
     """
-    return np.empty(math.prod(points) * (6 + max(6, 10 * k)))
+    return np.empty(math.prod(points) * POSITION_ROWS)
 
 
-def momentum_map(
-    body: Body, surface: Surface, velocities, x=None, *, work=None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def momentum_map(body: Body, surface: Surface, velocities, x=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mass-weighted pairings of the Killing fields with themselves and with velocities.
 
     Pairs the three Killing fields at the points x (default: the body's
@@ -259,69 +261,55 @@ def momentum_map(
     The fields are quadratic in the chart (xi1 = 1 + R z^2, xi2 =
     i (1 - R z^2), xi3 = i z), so every pairing is a sum of weighted
     moments.  With w = m / (1 + R r^2)^2, r^2 = x^2 + y^2, d = x^2 - y^2 and
-    w' = w (1 - R r^2), seven rows w, w r^2, w r^4, w d, w xy, w' x, w' y
-    give the Gram matrix,
+    S the sum over the particles, _position_rows gives the Gram matrix from
+    the weighted monomials, and per velocity ten rows give its momenta and
+    norm from the factors w, w d, w xy, w x and w y:
 
-        g11, g22 = S(w) + R^2 S(w r^4) +- 2R S(w d),   g33 = S(w r^2),
-        g12 = 4R S(w xy),   g13 = -S(w' y),   g23 = S(w' x),
-
-    and per velocity ten rows give its momenta and norm:
-
-        mom1 = S(w vx) + R (S(d w vx) + 2 S(xy w vy)),
-        mom2 = S(w vy) + R (2 S(xy w vx) - S(d w vy)),
-        mom3 = S(x w vy) - S(y w vx),   vv = S(vx w vx) + S(vy w vy).
+        mom1 = S(w vx) + R (S(w d vx) + 2 S(w xy vy)),
+        mom2 = S(w vy) + R (2 S(w xy vx) - S(w d vy)),
+        mom3 = S(w x vy) - S(w y vx),   vv = S(vx w vx) + S(vy w vy).
 
     gram is exactly symmetric.  Each block of rows is summed over the
     particles by one np.add.reduce over contiguous float rows (never a BLAS
     dot or a complex sum), so the particle products of mirror images cancel
-    exactly and mirror-symmetric bodies keep their exact zeros.
-
-    Every per-particle row is written in place (as ufunc outputs) into one
-    flat float array: work when given, which must hold
-    momentum_work(x.shape[:-1], k) elements (a longer one serves, from its
-    start), else one allocated here the same way.  A caller that pairs many
-    batches of one size can so reuse one workspace.  Each block is a
-    C-contiguous view laid out as it would be on its own, so the results do
-    not depend on whether work was passed, and no returned array aliases
-    work.  Components are read as x[..., 0] and x[..., 1]: points (and
-    velocities) stored component-major, passed as transposed views, are
-    read as contiguous rows.
+    exactly and mirror-symmetric bodies keep their exact zeros.  Components
+    are read as x[..., 0] and x[..., 1]: points (and velocities) stored
+    component-major, passed as transposed views, are read as contiguous rows.
+    The velocity rows are laid over the position rows that the Gram sums free.
 
     With x None the position rows and gram are those of body.frame(surface),
     formed once per body and curvature; only the velocity rows are formed
-    here, and gram is the frame's read-only array.
+    here, and gram is the frame's read-only array.  Velocities that are
+    linear in the points are paired from the moments alone by
+    linear_momentum_map.
     """
     V = np.asarray(velocities, dtype=float)
     nv = V.shape[-3]
     if x is None:
         frame = body.frame(surface)
-        rows, gram = frame.rows, frame.gram
-        points = rows.shape[1:]
-        size = math.prod(points)
-        P = (np.empty(10 * nv * size) if work is None else work)[: 10 * nv * size]
+        factors, gram = frame.rows[3:], frame.gram
+        points = factors.shape[1:]
+        P = np.empty(10 * nv * math.prod(points))
     else:
         x = np.asarray(x, dtype=float)
         points = x.shape[:-1]
         size = math.prod(points)
-        if work is None:
-            work = momentum_work(points, nv)
-        rows = work[: 12 * size].reshape((12,) + points)
-        gram = _position_rows(body.masses, surface, x, rows)
-        P = work[6 * size : (6 + 10 * nv) * size]    # over the freed Gram rows after w
+        work = np.empty(size * (8 + max(POSITION_ROWS - 8, 10 * nv)))
+        rows = work[: POSITION_ROWS * size].reshape((POSITION_ROWS,) + points)
+        gram, _ = _position_rows(body.masses, surface, x, rows)
+        factors = rows[3:8]
+        P = work[8 * size : (8 + 10 * nv) * size]    # over the rows freed after w xy
 
     # ten rows per velocity
     P = P.reshape((10,) + points[:-1] + (nv,) + points[-1:])
-    px, py, _, d, xy, w = rows[:6]
+    w, wx, wy, wd, wxy = (f[..., None, :] for f in factors)
     R = surface.R
     vx, vy = V[..., 0], V[..., 1]
-    wvx, wvy = P[0], P[1]
-    np.multiply(w[..., None, :], vx, wvx)
-    np.multiply(w[..., None, :], vy, wvy)
-    for out, a, b in ((P[2], d, wvx), (P[3], xy, wvy), (P[4], xy, wvx), (P[5], d, wvy),
-                      (P[6], px, wvy), (P[7], py, wvx)):
-        np.multiply(a[..., None, :], b, out)
-    np.multiply(vx, wvx, P[8])
-    np.multiply(vy, wvy, P[9])
+    for out, a, b in ((P[0], w, vx), (P[1], w, vy), (P[2], wd, vx), (P[3], wxy, vy), (P[4], wxy, vx),
+                      (P[5], wd, vy), (P[6], wx, vy), (P[7], wy, vx)):
+        np.multiply(a, b, out)
+    np.multiply(vx, P[0], P[8])
+    np.multiply(vy, P[1], P[9])
     t = np.add.reduce(P, -1)
     mom = np.empty(t.shape[1:] + (3,))
     np.add(t[0], R * (t[2] + 2.0 * t[3]), mom[..., 0])
@@ -330,43 +318,133 @@ def momentum_map(
     return gram, mom, t[8] + t[9]
 
 
-def _position_rows(masses, surface: Surface, x, rows) -> np.ndarray:
-    """The position half of momentum_map: fill rows, shape (12,) + x.shape[:-1],
-    with x, y, r2, d, xy and w, then the six other Gram rows, and return the
-    Gram matrix they sum to.
+# The weighted moments _position_rows sums, in the order of its rows.
+_MOMENTS = ("1", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy", "r4")
+
+# Each pairing as a linear combination of the moment sums S(w .):
+# (column, moment, power of R, coefficient).  Columns 0-5 are the Gram
+# entries g11, g12, g13, g22, g23, g33.  Column 6 + 7 i + j is K[i, j],
+# i over the entries a, b, c, d of a velocity matrix L = [[a, b], [c, d]]:
+# for the velocity v = L y, (a, b, c, d) . K[:, j] is mom1, mom2 and mom3
+# for j = 0, 1, 2 and the entries of L Q, Q = S(w y y^T), for j = 3-6.
+_TERMS = (
+    (0, "1", 0, 1), (0, "xx", 1, 2), (0, "yy", 1, -2), (0, "r4", 2, 1),
+    (1, "xy", 1, 4),
+    (2, "y", 0, -1), (2, "xxy", 1, 1), (2, "yyy", 1, 1),
+    (3, "1", 0, 1), (3, "xx", 1, -2), (3, "yy", 1, 2), (3, "r4", 2, 1),
+    (4, "x", 0, 1), (4, "xxx", 1, -1), (4, "xyy", 1, -1),
+    (5, "xx", 0, 1), (5, "yy", 0, 1),
+    # mom1 = a Sx + b Sy + R (a (Sxxx - Sxyy) + b (Sxxy - Syyy) + 2 c Sxxy + 2 d Sxyy)
+    (6, "x", 0, 1), (6, "xxx", 1, 1), (6, "xyy", 1, -1),
+    (13, "y", 0, 1), (13, "xxy", 1, 1), (13, "yyy", 1, -1),
+    (20, "xxy", 1, 2), (27, "xyy", 1, 2),
+    # mom2 = c Sx + d Sy + R (2 a Sxxy + 2 b Sxyy - c (Sxxx - Sxyy) - d (Sxxy - Syyy))
+    (7, "xxy", 1, 2), (14, "xyy", 1, 2),
+    (21, "x", 0, 1), (21, "xxx", 1, -1), (21, "xyy", 1, 1),
+    (28, "y", 0, 1), (28, "xxy", 1, -1), (28, "yyy", 1, 1),
+    # mom3 = c Sxx + d Sxy - a Sxy - b Syy
+    (8, "xy", 0, -1), (15, "yy", 0, -1), (22, "xx", 0, 1), (29, "xy", 0, 1),
+    # L Q
+    (9, "xx", 0, 1), (10, "xy", 0, 1), (16, "xy", 0, 1), (17, "yy", 0, 1),
+    (25, "xx", 0, 1), (26, "xy", 0, 1), (32, "xy", 0, 1), (33, "yy", 0, 1),
+)
+_COEFFICIENTS = np.zeros((3, len(_MOMENTS), 34))
+for _col, _moment, _power, _c in _TERMS:
+    _COEFFICIENTS[_power, _MOMENTS.index(_moment), _col] = _c
+_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(R: float) -> np.ndarray:
+    """The (11, 34) weights of the moment sums at curvature R, read-only."""
+    c0, c1, c2 = _COEFFICIENTS
+    return _read_only(c0 + R * (c1 + R * c2))
+
+
+def linear_momentum_map(
+    body: Body, surface: Surface, x, L, *, work=None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """momentum_map's (gram, mom, vv) for the linear velocities v = L y, read from weighted moments.
+
+    x holds the points, shape (..., N, 2), and L the velocity matrices,
+    shape (..., k, 2, 2) with the leading axes of x: velocity array k of a
+    configuration is V_k[n] = L[k] @ x[n].  The position half is
+    _position_rows, and the velocity half is 2x2 contractions of its moment
+    sums, so no per-particle velocity row is formed.  With S the sum over
+    the particles and w = m / (1 + R r^2)^2, write the moments m1 = S(w y),
+    T1 = S(w d y), T2 = S(w xy y) and Q = S(w y y^T) (y = (x, y), d =
+    x^2 - y^2), and l1, l2 for the rows of L.  Then
+
+        mom1 = l1.m1 + R (l1.T1 + 2 l2.T2),   mom2 = l2.m1 + R (2 l1.T2 - l2.T1),
+        mom3 = (L Q)_21 - (L Q)_12,           vv = tr(L Q L^T) = S(w |L y|^2),
+
+    the local connection of a linear shape change read straight from the
+    moments up to third order.  vv, a form that is never negative, is
+    clipped at zero where rounding takes it below.  The contractions use no
+    BLAS product and weigh each sum by exact coefficients, zeros included,
+    so a mirror-symmetric body paired with a diagonal L keeps its exact
+    zeros, and a configuration's result does not depend on the batch it is
+    paired in.
+
+    The rows are written into work when given, which must hold
+    momentum_work(x.shape[:-1]) elements (a longer one serves, from its
+    start), else into one array allocated here; the results do not depend
+    on which, and none aliases work.
     """
-    px, py, r2, d, xy = rows[:5]            # d and xy stay for the velocities
-    w, wr2, wr4, wd, wxy, wpx, wpy = rows[5:]
-    surface.chart(x, out=rows[:3])
+    x, L = np.asarray(x, dtype=float), np.asarray(L, dtype=float)
+    points = x.shape[:-1]
+    size = POSITION_ROWS * math.prod(points)
+    rows = (np.empty(size) if work is None else work)[:size].reshape((POSITION_ROWS,) + points)
+    gram, K = _position_rows(body.masses, surface, x, rows)
+    entries = L.reshape(L.shape[:-2] + (4, 1))
+    U = np.add.reduce(entries * K[..., None, :, :], -2)        # (..., k, 7)
+    vv = np.add.reduce(U[..., 3:] * entries[..., 0], -1)
+    return gram, U[..., :3], np.maximum(vv, 0.0, out=vv)
+
+
+def _position_rows(masses, surface: Surface, x, rows) -> Tuple[np.ndarray, np.ndarray]:
+    """The position half of both kernels: fill rows, shape (14,) + x.shape[:-1],
+    and return the Gram matrix and the velocity coefficients K, shape
+    x.shape[:-2] + (4, 7), both read from the weighted moment sums.
+
+    rows takes x, y and r2, then the weighted monomials w {1, x, y, x^2, xy,
+    y^2, x^3, x^2 y, x y^2, y^3} and w r^4 (the cubic and quartic rows only
+    enter times R, and are zero at R = 0, where they could overflow at large
+    |x|), which one np.add.reduce sums.  Then the w x^2 row takes w d =
+    w (x^2 - y^2), so rows[3:8] are w, w x, w y, w d and w xy, the factors
+    of momentum_map's velocity rows.  With w' = w (1 - R r^2),
+
+        g11, g22 = S(w) + R^2 S(w r^4) +- 2R S(w d),   g33 = S(w r^2),
+        g12 = 4R S(w xy),   g13 = -S(w' y),   g23 = S(w' x),
+
+    where S(w d) = Sxx - Syy, S(w r^2) = Sxx + Syy, S(w' x) = Sx - R (Sxxx
+    + Sxyy) and S(w' y) = Sy - R (Sxxy + Syyy).  These and K, the momenta
+    of linear velocities (see linear_momentum_map), are the _TERMS
+    combinations of the sums, all formed by one einsum (no BLAS), and gram
+    is exactly symmetric.
+    """
+    px, py, r2 = surface.chart(x, out=rows[:3])
+    w = rows[3]
     R = surface.R
     np.multiply(r2, R, w)
     np.add(1.0, w, w)
     np.multiply(w, w, w)
     np.divide(masses, w, w)
-    np.subtract(px, py, d)
-    np.add(px, py, wr2)                     # scratch
-    np.multiply(d, wr2, d)
-    np.multiply(px, py, xy)
-    np.multiply(w, r2, wr2)
+    xy = rows[:2]
+    np.multiply(w, xy, rows[4:6])                   # w x, w y
+    np.multiply(rows[4], xy, rows[6:8])             # w x^2, w xy
+    np.multiply(rows[5], py, rows[8])               # w y^2
     if R:
-        np.multiply(wr2, r2, wr4)
+        np.multiply(rows[6], xy, rows[9:11])        # w x^3, w x^2 y
+        np.multiply(rows[8], xy, rows[11:13])       # w x y^2, w y^3
+        np.add(rows[6], rows[8], rows[13])
+        np.multiply(rows[13], r2, rows[13])         # w r^4
     else:
-        wr4.fill(0.0)                       # no r^4 term, which could overflow at large |x|
-    np.multiply(w, d, wd)
-    np.multiply(w, xy, wxy)
-    np.multiply(wr2, R, wpy)                # w' = w - R w r2, built in the w' y row
-    np.subtract(w, wpy, wpy)
-    np.multiply(wpy, px, wpx)
-    np.multiply(wpy, py, wpy)
-    s0, sr2, sr4, sd, sxy, sx, sy = np.add.reduce(rows[5:], -1)
-    gram = np.empty(s0.shape + (3, 3))
-    gram[..., 0, 0] = s0 + R * R * sr4 + 2.0 * R * sd
-    gram[..., 1, 1] = s0 + R * R * sr4 - 2.0 * R * sd
-    gram[..., 2, 2] = sr2
-    gram[..., 0, 1] = gram[..., 1, 0] = 4.0 * R * sxy
-    gram[..., 0, 2] = gram[..., 2, 0] = -sy
-    gram[..., 1, 2] = gram[..., 2, 1] = sx
-    return gram
+        rows[9:].fill(0.0)
+    s = np.add.reduce(rows[3:], -1)
+    np.subtract(rows[6], rows[8], rows[6])          # w d for the velocity rows
+    T = np.einsum("m...,mj->...j", s, _coefficients(R))     # (..., 34)
+    return T[..., _SYMMETRIC], T[..., 6:].reshape(T.shape[:-1] + (4, 7))
 
 
 def pairing_scale(gram, vv) -> np.ndarray:

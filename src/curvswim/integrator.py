@@ -23,29 +23,33 @@ Two shape-evolution models are provided:
       unit-time flow of the frozen field sigma . eta from the initial
       shape.  For linear deformation fields this is an exact matrix
       exponential, the control loop closes in shape space identically, and
-      the measured holonomy matches the leading-order formulas.  Requires
-      fields with a linear matrix.  The momentum constraint is equivariant
-      under isometries, so the rigid velocity read in the body frame, A,
-      depends on the shape alone (the local connection), and G obeys the
-      reconstruction equation dG/dt = G A(shape(t)).  RK4 runs on that
-      equation.  A depends on time alone, so each node is evaluated once
-      and each RK4 step is a fixed 2x2 propagator, G <- G P_n.  The shapes
-      and shape velocities of every node come from one batched closed-form
-      2x2 exponential and its Frechet derivative, the generators of a
-      block of nodes from one momentum-map call and one stacked solve_gram
-      into buffers allocated once per stroke, the propagators of all steps
-      from batched 2x2 products, and G is their ordered product.
-      The isometry matrices form a real-linear space closed under
-      products, so every RK4 stage agrees with the space-frame stage
-      dG/dt = A_space G up to round-off.
+      the measured holonomy matches the leading-order formulas.  The
+      momentum constraint is equivariant under isometries, so the rigid
+      velocity read in the body frame, A, depends on the shape alone (the
+      local connection), and G obeys the reconstruction equation
+      dG/dt = G A(shape(t)).  RK4 runs on that equation.  A depends on time
+      alone, so each node is evaluated once and each RK4 step is a fixed
+      2x2 propagator, G <- G P_n.  The shapes E and shape velocities Ed of
+      every node come from one batched closed-form 2x2 exponential and its
+      Frechet derivative; the shape velocity is L = Ed E^-1 applied to the
+      shape, and the generators of a block of nodes come from one
+      linear_momentum_map call and one stacked solve_gram into buffers
+      allocated once per stroke, the propagators of all steps from batched
+      2x2 products, and G is their ordered product.  The isometry matrices
+      form a real-linear space closed under products, so every RK4 stage
+      agrees with the space-frame stage dG/dt = A_space G up to round-off.
 
-  mode="direct"               deformation velocities are evaluated at the
-      current particle positions and the particles are integrated with G,
-      dG/dt = A_space G, stage by stage, with one solve_gram per stage.
-      Simpler, works for any field, but for non-commuting field pairs the
-      shape loop fails to close at the same order as the holonomy itself,
-      which shows up as a leading-order offset in the rotation component.
-      Kept for comparison studies.
+  mode="direct"               the particles move with the deformation
+      velocity L = sigma-dot . B read at their current positions and are
+      integrated with G, dG/dt = A_space G, stage by stage, with one
+      linear_momentum_map call and one solve_gram per stage.  For
+      non-commuting field pairs the shape loop fails to close at the same
+      order as the holonomy itself, which shows up as a leading-order
+      offset in the rotation component.  Kept for comparison studies.
+
+Both modes pair linear velocities v = L y from the weighted moments of the
+points (body.linear_momentum_map), so both need fields with a linear
+matrix: no per-particle velocity is formed for the momentum solve.
 
 body.solve_gram is also the holonomy formulas' solve, so a Gram matrix
 that the formulas refuse stops the stroke with the same typed error.
@@ -65,7 +69,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, momentum_map, momentum_work, pairing_scale, solve_gram
+from .body import Body, linear_momentum_map, momentum_work, pairing_scale, solve_gram
 from .errors import NonFiniteResultError, StrokeError
 from .fields import VectorField, complex_view
 from .geometry import Isometry, Surface, expm2, rigid_generator, rigid_velocity
@@ -174,8 +178,9 @@ def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
 # Particle-nodes (particles times distinct stage times) per block of nodes
 # in composed mode: many nodes per block at small N to share the per-call
 # overhead, three at N = 4000 (as many as one RK4 step has) so memory stays
-# O(N).
-_BLOCK_PARTICLE_NODES = 12288
+# O(N).  A particle-node takes 16 floats (the kernel's 14 position rows and
+# the shape's 2), so a block's buffers take 16 * 15360 * 8 B = 1.97 MB.
+_BLOCK_PARTICLE_NODES = 15360
 
 
 def _stage_controls(stroke: Stroke) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,8 +218,10 @@ def _integrate_composed(body, surface, B, stroke):
 
     A depends on time alone, so each distinct stage time (node) is
     evaluated once: the shapes of all nodes come from one closed-form shape
-    flow, the generators of a block of nodes from one momentum-map call and
-    one stacked solve_gram, into buffers allocated once per stroke.  The
+    flow, the generators of a block of nodes from one linear_momentum_map
+    call and one stacked solve_gram, into buffers allocated once per
+    stroke.  At a node the shape is Y = X0 E^T and its velocity
+    X0 Ed^T = Y L^T with L = Ed E^-1, so the kernel pairs L at Y.  The
     stages of step n are then k_i = G B_i with B1 = A1, B2 = (I + dt/2 A1) A2,
     B3 = (I + dt/2 B2) A2 and B4 = (I + dt B3) A3, so every step is a fixed
     propagator G <- G (I + D_n), D_n = dt/6 (A1 + 2 B2 + 2 B3 + B4), formed
@@ -227,20 +234,22 @@ def _integrate_composed(body, surface, B, stroke):
     nodes = len(sig)
     E, Ed = _shape_flow(B, sig, sigd)
     closure = float(np.max(np.abs(E[-1] - E[0])))
+    # L = Ed E^-1 by the adjugate [[d, -b], [-c, a]] of E = [[a, b], [c, d]]
+    adj = np.swapaxes(E[:, ::-1, ::-1], 1, 2) * [[1.0, -1.0], [-1.0, 1.0]]
+    det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
+    L = (Ed @ adj / det[:, None, None])[:, None]
     per_block = min(nodes, max(1, _BLOCK_PARTICLE_NODES // body.n))
-    work = momentum_work((per_block, body.n), 1)
-    # EM[s, n] is E[n] (s = 0) or Ed[n] (s = 1).  YV holds a block's Y, then
-    # its Vy, component-major: row (s, node, i) is component i at every particle.
-    EM = np.stack([E, Ed])
-    YV = np.empty((4 * per_block, body.n))
+    work = momentum_work((per_block, body.n))
+    # Y holds a block's shapes component-major: row (node, i) is component i at every particle.
+    Y = np.empty((2 * per_block, body.n))
     A = np.empty((nodes, 2, 2), dtype=complex)
     max_residual = max_scale = 0.0
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
         k = hi - lo
-        np.matmul(EM[:, lo:hi].reshape(4 * k, 2), X0.T, out=YV[: 4 * k])
-        y, vy = YV[: 4 * k].reshape(2, k, 2, body.n).swapaxes(-1, -2)   # (k, N, 2) views
-        gram, mom, vv = momentum_map(body, surface, vy[:, None], y, work=work)
+        np.matmul(E[lo:hi].reshape(2 * k, 2), X0.T, out=Y[: 2 * k])
+        y = Y[: 2 * k].reshape(k, 2, body.n).swapaxes(-1, -2)       # (k, N, 2) view
+        gram, mom, vv = linear_momentum_map(body, surface, y, L[lo:hi], work=work)
         tau, _ = solve_gram(gram, -mom[:, 0])             # (nodes of the block, 3)
         max_residual = max(max_residual, float(np.max(np.abs((gram @ tau[..., None])[..., 0] + mom[:, 0]))))
         max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
@@ -257,22 +266,25 @@ def _integrate_composed(body, surface, B, stroke):
     return G, max_residual, max_scale, closure
 
 
-def _integrate_direct(body, surface, fields, stroke):
-    """RK4 on particles and group together, velocities evaluated in place.
+def _integrate_direct(body, surface, B, stroke):
+    """RK4 on particles and group together, the deformation read at the current positions.
 
-    Returns (final positions, G, max momentum residual, max pairing scale),
-    the diagnostics read at each step's first stage.
+    At each stage the deformation velocity is X L^T with L = sigma-dot . B,
+    paired by linear_momentum_map at the current positions X.  Returns
+    (final positions, G, max momentum residual, max pairing scale), the
+    diagnostics read at each step's first stage.
     """
     dt = 1.0 / stroke.steps
     _, sigd, stages = _stage_controls(stroke)
+    work = momentum_work((body.n,))
     max_residual = max_scale = 0.0
 
     def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
         """x-dot, G-dot and the momentum system (gram, tau-dot, mom, vv) at one stage."""
-        v_def = sd[0] * fields[0](X) + sd[1] * fields[1](X)
-        gram, mom, vv = momentum_map(body, surface, v_def[None], X)
+        L = sd[0] * B[0] + sd[1] * B[1]
+        gram, mom, vv = linear_momentum_map(body, surface, X, L[None], work=work)
         tau_dot, _ = solve_gram(gram, -mom[0])
-        xdot = (complex_view(v_def) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
+        xdot = (complex_view(X @ L.T) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
         return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0], vv)
 
     X = body.positions.copy()
@@ -303,7 +315,15 @@ def integrate_stroke(
     delta_tau is read from the final rigid element in the origin frame:
     translation is the chart image of the origin, rotation twice the phase
     of the group parameter alpha.  A delta_tau that overflowed raises
-    NonFiniteResultError.
+    NonFiniteResultError.  Both fields need a linear_matrix (ValueError
+    naming the field otherwise).
+
+    Round-off floor at small |R|: the translation is proportional to R,
+    and half of it comes from the R r^2 term of the kernel weight
+    m / (1 + R r^2)^2, which rounds away once |R| r^2 nears the float
+    epsilon.  On README's triangle config the dx ratio reads 1.0000206 at
+    R = 1e-2, 1.0000211 at 1e-10, 0.99982 at 1e-12 and 0.50001 at 1e-16,
+    where 1 + R r^2 rounds to 1.
     """
     if len(fields) != 2:
         raise ValueError("exactly two control fields are required")
@@ -311,16 +331,14 @@ def integrate_stroke(
         raise ValueError(f"unknown mode {mode!r}")
     X0 = surface.require_inside(body.positions)
 
+    for f in fields:
+        if f.linear_matrix is None:
+            raise ValueError(f"integrate_stroke needs linear deformation fields: field {f.tag!r} has no linear_matrix")
+    B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
     if mode == "composed":
-        if any(f.linear_matrix is None for f in fields):
-            raise ValueError(
-                "composed mode needs linear deformation fields; use mode='direct' "
-                "for general field evaluators"
-            )
-        B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
         G, max_residual, max_scale, closure = _integrate_composed(body, surface, B, stroke)
     else:
-        X, G, max_residual, max_scale = _integrate_direct(body, surface, fields, stroke)
+        X, G, max_residual, max_scale = _integrate_direct(body, surface, B, stroke)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
     delta_tau, g_final = _extract_delta_tau(G, surface.R)

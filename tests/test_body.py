@@ -16,9 +16,11 @@ from curvswim.body import (
     CURVATURE_EXTENT_WARN,
     Body,
     balance,
+    linear_momentum_map,
     momentum_map,
     momentum_work,
     moments,
+    pairing_scale,
     particle_sums,
     principal_axes,
     solve_gram,
@@ -255,23 +257,109 @@ def test_momentum_map_memory_stays_within_a_few_stage_arrays():
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
 def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
+    # the workspace belongs to linear_momentum_map, the oracle's kernel
     rng = np.random.default_rng(6)
     s = Surface(R)
     for n in (1, 7, 300):
-        b, x, V = _stage_batch(rng, n, batch, k=k)
-        fresh = momentum_map(b, s, V, x)
+        b, x, _ = _stage_batch(rng, n, batch, k=k)
+        L = rng.normal(size=batch + (k, 2, 2))
+        fresh = linear_momentum_map(b, s, x, L)
         # a longer workspace serves from its start
-        W = momentum_work(batch + (n + 1,), k + 1)
-        first = momentum_map(b, s, V, x, work=W)
+        W = momentum_work(batch + (n + 1,))
+        first = linear_momentum_map(b, s, x, L, work=W)
         for got, expected in zip(first, fresh):
             assert np.array_equal(got, expected)
         # no returned array aliases the workspace: a second call into it
         # leaves the first call's pairings alone
         assert not any(np.shares_memory(a, W) for a in first)
         kept = [a.copy() for a in first]
-        momentum_map(b, s, 0.5 * V, 0.5 * x, work=W)
+        again = linear_momentum_map(b, s, 0.5 * x, 0.5 * L, work=W)
         for got, expected in zip(first, kept):
             assert np.array_equal(got, expected)
+        for got, expected in zip(linear_momentum_map(b, s, x, L, work=W), fresh):
+            assert np.array_equal(got, expected)
+        assert not np.array_equal(again[0], fresh[0])
+
+
+# ------------------------------------------------- linear velocities: moments
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("R", [-1.0, 0.0, 0.5, 1.0])
+def test_linear_momentum_map_matches_the_velocity_rows(R, batch, k):
+    # v = L y paired from the weighted moments against the per-particle
+    # velocity rows of momentum_map.  Over 40 seeds of this draw (N = 1 to
+    # 39, points in [-0.6, 0.6]^2) the momenta differed by at most 7.8e-16
+    # of their pairing scale and vv by 7.2e-15 of itself; gram is the same
+    # position half, bitwise.
+    rng = np.random.default_rng(21)
+    s = Surface(R)
+    for n in (1, 5, 39):
+        b, x, _ = _stage_batch(rng, n, batch, k=k, extent=0.6)
+        L = rng.normal(size=batch + (k, 2, 2))
+        V = x[..., None, :, :] @ np.swapaxes(L, -1, -2)
+        gram, mom, vv = momentum_map(b, s, V, x)
+        got = linear_momentum_map(b, s, x, L)
+        assert [a.shape for a in got] == [gram.shape, mom.shape, vv.shape]
+        last = (-1,) * len(batch)       # a configuration paired alone: bitwise its batched result
+        for batched, single in zip(got, linear_momentum_map(b, s, x[last], L[last])):
+            assert np.array_equal(batched[last], single)
+        assert np.array_equal(got[0], gram)
+        assert np.all(np.abs(got[1] - mom) <= 4e-15 * pairing_scale(gram, vv))
+        assert np.all(np.abs(got[2] - vv) <= 4e-14 * vv)
+
+
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+def test_linear_momentum_map_mirror_zeros(R):
+    b = _mirror_body()
+    s = Surface(R)
+    x = np.array([1.0, 0.5, 1.5]).reshape(3, 1, 1) * b.positions
+    L = np.array([[[1.0, 0.0], [0.0, -2.0]], [[0.3, 0.0], [0.0, 0.0]]])
+    gram, mom, vv = linear_momentum_map(b, s, x, np.broadcast_to(L, (3, 2, 2, 2)))
+    assert np.all(gram[..., 0, 1] == 0.0) and np.all(gram[..., 0, 2] == 0.0)
+    assert np.all(mom[..., 1:] == 0.0)
+    assert np.all(np.abs(mom[..., 0]) > 0.0) and np.all(vv > 0.0)
+
+
+def test_linear_momentum_map_point_outside_chart_raises():
+    b, x, _ = _stage_batch(np.random.default_rng(8), 9, (2, 3))
+    x[1, 2, 5] = [0.9, 0.9]
+    with pytest.raises(ChartDomainError, match=r"outside the chart domain \|z\|\^2 < 1 for R=-1"):
+        linear_momentum_map(b, Surface(-1.0), x, np.ones((2, 3, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linear_momentum_map_norm_is_never_negative(seed):
+    # A collinear body turned off the axes, with L = a n^T for n normal to
+    # its line: L y = 0 at every particle, so vv = n^T Q n sum|a|^2 is zero
+    # up to rounding of the second moments Q, which takes it below zero on
+    # about half of such draws.  A negative vv would make the pairing scale
+    # NaN, which max() drops silently.
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi)
+    u, normal = np.array([np.cos(theta), np.sin(theta)]), np.array([-np.sin(theta), np.cos(theta)])
+    b = Body(masses=rng.uniform(0.5, 1.5, 6), positions=rng.uniform(-0.3, 0.3, (6, 1)) * u)
+    L = np.outer(rng.normal(size=2), normal)[None]
+    gram, mom, vv = linear_momentum_map(b, Surface(-1.0), b.positions, L)
+    assert vv[0] >= 0.0 and vv[0] <= 1e-15 * np.sum(L**2) * gram[2, 2]
+    assert np.all(np.isfinite(pairing_scale(gram, vv)))
+
+
+def test_linear_momentum_map_memory_stays_within_a_few_stage_arrays():
+    # One composed-mode block at N = 4000 (three nodes): the position rows
+    # and small sums, no per-particle velocity row.
+    b, x, _ = _stage_batch(np.random.default_rng(2), 4000, (3,))
+    L = np.random.default_rng(3).normal(size=(3, 1, 2, 2))
+    s = Surface(-1.0)
+    linear_momentum_map(b, s, x, L)
+    tracemalloc.start()
+    try:
+        linear_momentum_map(b, s, x, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 def test_momentum_map_flat_gram_at_huge_coordinates():

@@ -13,10 +13,10 @@ from scipy.linalg import expm_frechet
 
 import curvswim
 import curvswim.integrator as integrator
-from curvswim.body import Body, balance, momentum_map, principal_axes
+from curvswim.body import Body, balance, linear_momentum_map, momentum_map, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
-from curvswim.fields import complex_view, linear_field
+from curvswim.fields import VectorField, complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import _SERIES_Q, cosh_sinc
@@ -692,11 +692,11 @@ def test_composed_evaluates_each_stage_time_once(monkeypatch, kind, steps, nodes
     stroke = REFERENCE_STROKES[kind](steps)
     evaluated = []
 
-    def counting(body, surface, velocities, x=None, **kwargs):
+    def counting(body, surface, x, L, **kwargs):
         evaluated.append(math.prod(np.shape(x)[:-2]))
-        return momentum_map(body, surface, velocities, x, **kwargs)
+        return linear_momentum_map(body, surface, x, L, **kwargs)
 
-    monkeypatch.setattr(integrator, "momentum_map", counting)
+    monkeypatch.setattr(integrator, "linear_momentum_map", counting)
     rec = integrate_stroke(body, s, fields, stroke, mode="composed")
     assert sum(evaluated) == nodes
     dtau = reference_composed(body, s, fields, stroke)[0]
@@ -792,6 +792,16 @@ def test_particle_leaving_chart_raises():
 def test_wrong_field_count():
     with pytest.raises(ValueError):
         integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT], rectangle_stroke(0.1, 0.1, steps=16))
+
+
+@pytest.mark.parametrize("mode", ["composed", "direct"])
+def test_both_modes_name_a_field_without_a_linear_matrix(mode):
+    # both modes pair the shape velocity L y from the moments, so every
+    # field needs its matrix; neither mode is the other's fallback
+    square = VectorField(func=lambda p: np.asarray(p) ** 2, tag="square")
+    with pytest.raises(ValueError, match="field 'square' has no linear_matrix") as err:
+        integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT, square], rectangle_stroke(0.1, 0.1, steps=16), mode=mode)
+    assert "direct" not in str(err.value)
 
 
 def test_composed_needs_linear_fields():

@@ -2,11 +2,11 @@
 fields) and the oracle (composed integrate_stroke), each run end to end."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvswim.body import Body, balance, principal_axes
 from curvswim.deformation import project_gauge
-from curvswim.errors import CurvswimError
+from curvswim.errors import CurvswimError, SingularGramError
 from curvswim.fields import linear_field
 from curvswim.geometry import Surface
 from curvswim.holonomy import holonomy_general
@@ -66,3 +66,66 @@ def test_mass_scaling_leaves_both_routes_bitwise_unchanged(case):
         for k in range(-8, 9):
             scaled = Body(masses=body.masses * 2.0**k, positions=body.positions)
             assert _outcome(lambda: route(scaled)) == expected
+
+
+def _scaled_outcome(route, body, surface, lam):
+    """_outcome of the route on body.scaled(lam) on Surface(R / lam^2), the
+    translation divided by lam, or the type of the typed error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            delta_tau = route(body.scaled(lam), Surface(surface.R / lam**2))
+    except CurvswimError as exc:
+        return type(exc)
+    assert np.all(np.isfinite(delta_tau))
+    return np.append(delta_tau[:2] / lam, delta_tau[2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_swimmers())
+def test_scaling_covariance_of_both_routes(case):
+    # Scaling the chart by lam and the curvature by 1 / lam^2 scales the
+    # metric by lam^2: the translation scales by lam and the rotation stays.
+    # Both routes sum the kernel's moments up to fourth order, so a scaled
+    # run rounds differently.  Against lam = 1, in units of area max|B|^2
+    # (times the extent for translations), 600 draws of this strategy at
+    # lam = 1e-3 ... 1e3 read at most 1.7e-14 on the formula and 7.7e-13 on
+    # the 16-step oracle.  Two kinds of draw are left out, since a check
+    # can pass at one scale and fail at another: fields left nearly rigid
+    # on the body by its shape, whose projection is round-off for the gauge
+    # check (FOUND in CHANGES.md), and Gram matrices whose eigenvalue ratio,
+    # which scales as lam^2 or 1 / lam^2, would cross solve_gram's 1e-12
+    # cutoff at lam = 1e-3 or 1e3 (ROADMAP item 5).  R r^2 does not change
+    # with lam, but R / lam^2 must stay a normal float: the oracle divides
+    # by R, which overflows at a subnormal R (FOUND in CHANGES.md).  Fields
+    # with every entry below 1e-3 are left out too: their net motion, of
+    # order area max|B|^2, can sink toward the subnormal range.
+    body, surface, fields = case
+    assume(surface.R == 0.0 or abs(surface.R) >= 1e-290)
+    try:
+        eigvals = body.frame(surface).eigvals
+    except SingularGramError:
+        eigvals = None
+    assume(eigvals is not None and eigvals[0] > 1e-5 * eigvals[-1])
+    for f in fields:
+        raw, projected = f(body.positions), project_gauge(body, surface, f)(body.positions)
+        assume(body.masses @ np.sum(projected**2, -1) > 1e-6 * (body.masses @ np.sum(raw**2, -1)))
+    gross = max(float(np.max(np.abs(f.linear_matrix))) for f in fields)
+    assume(gross >= 1e-3)
+    unit = STROKE.signed_area * gross**2
+
+    def formula(b, s):
+        u, v = (project_gauge(b, s, f) for f in fields)
+        return holonomy_general(b, s, u, v, STROKE.signed_area).delta_tau
+
+    def oracle(b, s):
+        return integrate_stroke(b, s, fields, STROKE).delta_tau
+
+    for route, bound in ((formula, 2e-13), (oracle, 1e-11)):
+        expected = _scaled_outcome(route, body, surface, 1.0)
+        for k in range(-3, 4):
+            got = _scaled_outcome(route, body, surface, 10.0**k)
+            if isinstance(expected, type) or isinstance(got, type):
+                assert got is expected
+                continue
+            assert np.hypot(*(got[:2] - expected[:2])) <= bound * unit * body.extent
+            assert abs(got[2] - expected[2]) <= bound * unit
