@@ -77,9 +77,9 @@ class Surface:
         """Raise ChartDomainError unless every point of a (with |z|^2 = r2) is inside."""
         if self.R >= 0.0:
             return
-        ok = r2 < (1.0 - _DOMAIN_MARGIN) / (-self.R)
-        if np.count_nonzero(ok) < ok.size:
-            bad = a[~ok]
+        bound = (1.0 - _DOMAIN_MARGIN) / (-self.R)
+        if not r2.max(initial=-math.inf) < bound:       # one reduction; a NaN fails it too
+            bad = a[~(r2 < bound)]
             raise ChartDomainError(
                 f"point(s) outside the chart domain |z|^2 < {1.0 / (-self.R):g} "
                 f"for R={self.R:g}: {bad[:3]!r}"

@@ -40,12 +40,13 @@ Two shape-evolution models are provided:
       agrees with the space-frame stage dG/dt = A_space G up to round-off.
 
   mode="direct"               the particles move with the deformation
-      velocity L = sigma-dot . B read at their current positions and are
-      integrated with G, dG/dt = A_space G, stage by stage, with one
-      linear_momentum_map call and one solve_gram per stage.  For
+      velocity L = sigma-dot . B read at their current positions plus the
+      rigid velocity, one linear_momentum_map call, one solve_gram and one
+      row combination per RK4 stage; G, dG/dt = A_space G, never feeds
+      back, so composed mode's propagators form it after the loop.  For
       non-commuting field pairs the shape loop fails to close at the same
-      order as the holonomy itself, which shows up as a leading-order
-      offset in the rotation component.  Kept for comparison studies.
+      order as the holonomy itself, a leading-order offset in the rotation
+      component.  Kept for comparison studies.
 
 Both modes pair linear velocities v = L y from the weighted moments of the
 points (body.linear_momentum_map), so both need fields with a linear
@@ -71,8 +72,8 @@ import numpy as np
 
 from .body import Body, linear_momentum_map, momentum_work, pairing_scale, solve_gram
 from .errors import NonFiniteResultError, StrokeError
-from .fields import VectorField, complex_view
-from .geometry import Isometry, Surface, expm2, rigid_generator, rigid_velocity
+from .fields import VectorField
+from .geometry import Isometry, Surface, expm2, rigid_generator
 
 __all__ = [
     "Stroke",
@@ -213,6 +214,22 @@ def _shape_flow(B: Sequence[np.ndarray], sig: np.ndarray, sigd: np.ndarray) -> T
     return expm2(C, Cd)
 
 
+def _propagate(A1, A2, A3, A4, dt):
+    """G of RK4 on dG/dt = G A from G = I, A1-A4 the generators at every step's four stages.
+
+    Step n's stages are k_i = G B_i, B1 = A1, B2 = (I + dt/2 A1) A2, B3 = (I + dt/2 B2) A3
+    and B4 = (I + dt B3) A4: G <- G (I + D_n), D_n = dt/6 (A1 + 2 B2 + 2 B3 + B4)."""
+    I = np.eye(2)
+    B2 = (I + 0.5 * dt * A1) @ A2
+    B3 = (I + 0.5 * dt * B2) @ A3
+    B4 = (I + dt * B3) @ A4
+    D = (dt / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
+    G = np.eye(2, dtype=complex)
+    for Dn in D:
+        G = G + G @ Dn        # not G (I + D_n): that rounds D_n against I first
+    return G
+
+
 def _integrate_composed(body, surface, B, stroke):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
@@ -221,12 +238,9 @@ def _integrate_composed(body, surface, B, stroke):
     flow, the generators of a block of nodes from one linear_momentum_map
     call and one stacked solve_gram, into buffers allocated once per
     stroke.  At a node the shape is Y = X0 E^T and its velocity
-    X0 Ed^T = Y L^T with L = Ed E^-1, so the kernel pairs L at Y.  The
-    stages of step n are then k_i = G B_i with B1 = A1, B2 = (I + dt/2 A1) A2,
-    B3 = (I + dt/2 B2) A2 and B4 = (I + dt B3) A3, so every step is a fixed
-    propagator G <- G (I + D_n), D_n = dt/6 (A1 + 2 B2 + 2 B3 + B4), formed
-    for all steps at once.  Returns (G, max momentum residual, max pairing
-    scale, shape closure defect), the diagnostics read at every node.
+    X0 Ed^T = Y L^T with L = Ed E^-1, so the kernel pairs L at Y.  Returns
+    (G, max momentum residual, max pairing scale, shape closure defect),
+    the diagnostics read at every node.
     """
     X0 = body.positions
     dt = 1.0 / stroke.steps
@@ -254,52 +268,52 @@ def _integrate_composed(body, surface, B, stroke):
         max_residual = max(max_residual, float(np.max(np.abs((gram @ tau[..., None])[..., 0] + mom[:, 0]))))
         max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         A[lo:hi] = rigid_generator(surface, tau)
-    I = np.eye(2)
-    A1, A2, A3 = A[stages.T]
-    B2 = (I + 0.5 * dt * A1) @ A2
-    B3 = (I + 0.5 * dt * B2) @ A2
-    B4 = (I + dt * B3) @ A3
-    D = (dt / 6.0) * (A1 + 2.0 * B2 + 2.0 * B3 + B4)
-    G = np.eye(2, dtype=complex)
-    for Dn in D:
-        G = G + G @ Dn        # not G (I + D_n): that rounds D_n against I first
-    return G, max_residual, max_scale, closure
+    return _propagate(*A[stages.T[[0, 1, 1, 2]]], dt), max_residual, max_scale, closure
 
 
 def _integrate_direct(body, surface, B, stroke):
-    """RK4 on particles and group together, the deformation read at the current positions.
+    """RK4 on the particles X, kept component-major (2, N), the deformation read at X; then on G.
 
-    At each stage the deformation velocity is X L^T with L = sigma-dot . B,
-    paired by linear_momentum_map at the current positions X.  Returns
-    (final positions, G, max momentum residual, max pairing scale), the
-    diagnostics read at each step's first stage.
+    A stage's velocity X L^T + tau . xi(X) (L = sigma-dot . B, tau solved from
+    linear_momentum_map at its points) is C @ [1, x, y, x^2 - y^2, xy], its rows:
+    C is tau . XI, XI the x and y rows of each xi_a, plus L in the x, y columns.
+    X never reads G, so G' = A G is solved after the loop as (G^T)' = G^T A^T.
+    Returns what _integrate_composed does, the solves read at each step's first stage.
     """
     dt = 1.0 / stroke.steps
     _, sigd, stages = _stage_controls(stroke)
+    R = surface.R
+    XI = np.array([[1, 0, 0, R, 0, 0, 0, 0, 0, 2 * R],                 # xi1 = 1 + R z^2
+                   [0, 0, 0, 0, 2 * R, 1, 0, 0, -R, 0],                # xi2 = i (1 - R z^2)
+                   [0, 0, -1, 0, 0, 0, 1, 0, 0, 0]], dtype=float)      # xi3 = i z
+    L = sigd[:, 0, None, None] * B[0] + sigd[:, 1, None, None] * B[1]
+    rows = np.empty((4, 5, body.n))
+    rows[:, 0] = 1.0
+    X = rows[0, 1:3]                    # the particles are the first stage's points
+    X[...] = body.positions.T
+    C = np.empty((4, 2, 5))
+    weights = (dt / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]
+    taus = np.empty((4, stroke.steps, 3))
+    grams, moms, vvs = np.empty((stroke.steps, 3, 3)), np.empty((stroke.steps, 3)), np.empty((stroke.steps, 1))
     work = momentum_work((body.n,))
-    max_residual = max_scale = 0.0
-
-    def deriv(X: np.ndarray, Gm: np.ndarray, sd: np.ndarray):
-        """x-dot, G-dot and the momentum system (gram, tau-dot, mom, vv) at one stage."""
-        L = sd[0] * B[0] + sd[1] * B[1]
-        gram, mom, vv = linear_momentum_map(body, surface, X, L[None], work=work)
-        tau_dot, _ = solve_gram(gram, -mom[0])
-        xdot = (complex_view(X @ L.T) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
-        return xdot, rigid_generator(surface, tau_dot) @ Gm, (gram, tau_dot, mom[0], vv)
-
-    X = body.positions.copy()
-    G = np.eye(2, dtype=complex)
-    for n in range(stroke.steps):
-        sd1, sd2, sd3 = sigd[stages[n]]
-        kx1, kg1, (gram, tau_dot, mom, vv) = deriv(X, G, sd1)
-        max_residual = max(max_residual, float(np.max(np.abs(gram @ tau_dot + mom))))
-        max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
-        kx2, kg2, _ = deriv(X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sd2)
-        kx3, kg3, _ = deriv(X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sd2)
-        kx4, kg4, _ = deriv(X + dt * kx3, G + dt * kg3, sd3)
-        X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-        G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
-    return X, G, max_residual, max_scale
+    for n, nodes in enumerate(stages[:, [0, 1, 1, 2]].tolist()):
+        for i, (node, h) in enumerate(zip(nodes, (0.0, 0.5 * dt, 0.5 * dt, dt))):
+            p = rows[i, 1:3]
+            if i:
+                np.add(X, (h * C[i - 1]) @ rows[i - 1], out=p)
+            np.subtract(*(p * p), rows[i, 3])
+            np.multiply(*p, rows[i, 4])
+            gram, mom, vv = linear_momentum_map(body, surface, p.T, L[node, None], work=work)
+            tau = taus[i, n] = solve_gram(gram, -mom[0])[0]
+            C[i] = (tau @ XI).reshape(2, 5)
+            C[i, :, 1:3] += L[node]
+            if not i:
+                grams[n], moms[n], vvs[n] = gram, mom[0], vv
+        X += (weights * C).swapaxes(0, 1).reshape(2, 20) @ rows.reshape(20, -1)
+    G = _propagate(*np.swapaxes(rigid_generator(surface, taus), -1, -2), dt).T
+    closure = float(np.max(np.abs(_extract_delta_tau(G, R)[1](body.positions).T - X)))
+    max_residual = float(np.max(np.abs((grams @ taus[0, :, :, None])[..., 0] + moms)))
+    return G, max_residual, float(np.max(pairing_scale(grams, vvs))), closure
 
 
 def integrate_stroke(
@@ -329,23 +343,19 @@ def integrate_stroke(
         raise ValueError("exactly two control fields are required")
     if mode not in ("composed", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-    X0 = surface.require_inside(body.positions)
+    surface.require_inside(body.positions)
 
     for f in fields:
         if f.linear_matrix is None:
             raise ValueError(f"integrate_stroke needs linear deformation fields: field {f.tag!r} has no linear_matrix")
     B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-    if mode == "composed":
-        G, max_residual, max_scale, closure = _integrate_composed(body, surface, B, stroke)
-    else:
-        X, G, max_residual, max_scale = _integrate_direct(body, surface, B, stroke)
+    integrate = _integrate_composed if mode == "composed" else _integrate_direct
+    G, max_residual, max_scale, closure = integrate(body, surface, B, stroke)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
-    delta_tau, g_final = _extract_delta_tau(G, surface.R)
+    delta_tau, _ = _extract_delta_tau(G, surface.R)
     if not np.all(np.isfinite(delta_tau)):
         raise NonFiniteResultError(f"integrated rigid increment is not finite: {delta_tau}")
-    if mode == "direct":
-        closure = float(np.max(np.abs(X - g_final(X0))))
 
     bound = 1e-12 * max(max_scale, 1e-300)
     return TrajectoryRecord(

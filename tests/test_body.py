@@ -329,6 +329,19 @@ def test_linear_momentum_map_point_outside_chart_raises():
         linear_momentum_map(b, Surface(-1.0), x, np.ones((2, 3, 1, 2, 2)))
 
 
+@pytest.mark.parametrize("point, shown", [([np.nan, 0.1], r"nan, 0\.1"), ([0.6, 0.8], r"0\.6, 0\.8")])
+def test_chart_check_names_a_nan_or_boundary_point(point, shown):
+    # the check is one maximum over |z|^2: a NaN maximum fails it, and a
+    # point on the boundary |z|^2 = 1/|R| lies outside the margin
+    b, x, _ = _stage_batch(np.random.default_rng(9), 9, ())
+    x[4] = point
+    s = Surface(-1.0)
+    with pytest.raises(ChartDomainError, match=rf"outside the chart domain .*\[\[{shown}\]\]"):
+        s.require_inside(x)
+    with pytest.raises(ChartDomainError, match=rf"outside the chart domain .*\[\[{shown}\]\]"):
+        linear_momentum_map(b, s, x, np.ones((1, 2, 2)))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_linear_momentum_map_norm_is_never_negative(seed):
     # A collinear body turned off the axes, with L = a n^T for n normal to

@@ -13,7 +13,7 @@ from scipy.linalg import expm_frechet
 
 import curvswim
 import curvswim.integrator as integrator
-from curvswim.body import Body, balance, linear_momentum_map, momentum_map, principal_axes
+from curvswim.body import Body, balance, linear_momentum_map, momentum_map, pairing_scale, principal_axes, solve_gram
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
 from curvswim.fields import VectorField, complex_view, linear_field
@@ -633,6 +633,73 @@ def test_body_frame_keeps_mirror_zeros():
     assert rec.delta_tau[1] == 0.0 and rec.delta_tau[2] == 0.0
     assert rec.delta_tau[0] == pytest.approx(dtau[0], rel=1e-12, abs=0.0)
     assert rec.residual_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+
+
+def reference_direct(body, surface, fields, stroke):
+    """Direct mode as RK4 on particles and group together, stage by stage.
+
+    Every stage moves the particles with X L^T plus the complex rigid
+    velocity and the group with A_space G, both from that stage's momentum
+    solve at the current points; the pairing scale is read at each step's
+    first stage.  Returns (delta_tau, residual_bound, group_drift,
+    shape_closure_defect) as integrate_stroke forms them.
+    """
+    B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
+    dt = 1.0 / stroke.steps
+    _, sigd, stages = integrator._stage_controls(stroke)
+    max_scale = 0.0
+
+    def deriv(X, Gm, sd):
+        L = sd[0] * B[0] + sd[1] * B[1]
+        gram, mom, vv = linear_momentum_map(body, surface, X, L[None])
+        tau_dot, _ = solve_gram(gram, -mom[0])
+        xdot = (complex_view(X @ L.T) + rigid_velocity(surface, tau_dot, complex_view(X))).view(float)
+        return xdot, rigid_generator(surface, tau_dot) @ Gm, float(np.max(pairing_scale(gram, vv)))
+
+    X = body.positions.copy()
+    G = np.eye(2, dtype=complex)
+    for n in range(stroke.steps):
+        sd1, sd2, sd3 = sigd[stages[n]]
+        kx1, kg1, scale = deriv(X, G, sd1)
+        max_scale = max(max_scale, scale)
+        kx2, kg2, _ = deriv(X + 0.5 * dt * kx1, G + 0.5 * dt * kg1, sd2)
+        kx3, kg3, _ = deriv(X + 0.5 * dt * kx2, G + 0.5 * dt * kg2, sd2)
+        kx4, kg4, _ = deriv(X + dt * kx3, G + dt * kg3, sd3)
+        X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+        G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
+    drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
+    delta_tau, g = _extract_delta_tau(G, surface.R)
+    return delta_tau, 1e-12 * max_scale, drift, float(np.max(np.abs(X - g(body.positions))))
+
+
+@pytest.mark.parametrize("steps", [4, 16, 64])
+@pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("kind", ["rectangle", "sinusoid"])
+def test_direct_matches_stage_by_stage_reference(kind, R, steps):
+    body, fields = _random_body()
+    s = Surface(R)
+    stroke = REFERENCE_STROKES[kind](steps)
+    dtau, bound, drift, closure = reference_direct(body, s, fields, stroke)
+    rec = integrate_stroke(body, s, fields, stroke, mode="direct")
+    assert np.max(np.abs(rec.delta_tau - dtau)) <= 1e-12 * np.max(np.abs(dtau))
+    assert rec.residual_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+    assert rec.max_momentum_residual <= rec.residual_bound
+    assert rec.group_drift == pytest.approx(drift, rel=1e-9, abs=1e-15)
+    assert rec.shape_closure_defect == pytest.approx(closure, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("R", [-1.0, 1.0])
+def test_direct_mode_keeps_mirror_zeros(R):
+    # the README triangle is mirror-symmetric and its controls diagonal, so
+    # the y-translation and rotation vanish exactly, stage by stage and in
+    # the row combinations alike
+    s = Surface(R)
+    stroke = rectangle_stroke(0.1, 0.1, steps=64)
+    dtau, *_ = reference_direct(TRIANGLE, s, [HEIGHT, BASE], stroke)
+    rec = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="direct")
+    assert dtau[0] != 0.0 and dtau[1] == 0.0 and dtau[2] == 0.0
+    assert rec.delta_tau[1] == 0.0 and rec.delta_tau[2] == 0.0
+    assert rec.delta_tau[0] == pytest.approx(dtau[0], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("R", [-1.0, 1.0])
