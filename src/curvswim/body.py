@@ -242,18 +242,14 @@ def momentum_work(points: Tuple[int, ...]) -> np.ndarray:
     return np.empty(math.prod(points) * POSITION_ROWS)
 
 
-def momentum_map(body: Body, surface: Surface, velocities, x=None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass-weighted pairings of the Killing fields with themselves and with velocities.
+def momentum_map(body: Body, surface: Surface, velocities) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The formula route's pairings on body.frame(surface): the Killing fields with themselves and with velocities.
 
-    Pairs the three Killing fields at the points x (default: the body's
-    positions), shape (..., N, 2), with themselves and with each velocity
-    array of the stack velocities, shape (..., k, N, 2) with the leading
-    axes of x, and each velocity array with itself.  Leading axes are batch
-    axes: each configuration along them is paired on its own.  Returns
-    (gram, mom, vv) with
+    velocities stacks k velocity arrays at the body's positions, shape
+    (k, N, 2).  Returns (gram, mom, vv) with
 
-        gram[..., a, b] = sum_n m_n g(xi_a, xi_b),   mom[..., k, a] = sum_n m_n g(xi_a, V_k),
-        vv[..., k] = sum_n m_n g(V_k, V_k),
+        gram[a, b] = sum_n m_n g(xi_a, xi_b),   mom[k, a] = sum_n m_n g(xi_a, V_k),
+        vv[k] = sum_n m_n g(V_k, V_k),
 
     not mass-normalized.  gram and mom are the ingredients of the local
     connection: the Gram matrix and the momentum map of the velocities.
@@ -261,49 +257,28 @@ def momentum_map(body: Body, surface: Surface, velocities, x=None) -> Tuple[np.n
     The fields are quadratic in the chart (xi1 = 1 + R z^2, xi2 =
     i (1 - R z^2), xi3 = i z), so every pairing is a sum of weighted
     moments.  With w = m / (1 + R r^2)^2, r^2 = x^2 + y^2, d = x^2 - y^2 and
-    S the sum over the particles, _position_rows gives the Gram matrix from
-    the weighted monomials, and per velocity ten rows give its momenta and
-    norm from the factors w, w d, w xy, w x and w y:
+    S the sum over the particles, the frame's position rows give the Gram
+    matrix from the weighted monomials (see _position_rows), and per
+    velocity ten rows give its momenta and norm from the frame's factors w,
+    w d, w xy, w x and w y:
 
         mom1 = S(w vx) + R (S(w d vx) + 2 S(w xy vy)),
         mom2 = S(w vy) + R (2 S(w xy vx) - S(w d vy)),
         mom3 = S(w x vy) - S(w y vx),   vv = S(vx w vx) + S(vy w vy).
 
-    gram is exactly symmetric.  Each block of rows is summed over the
+    The frame forms its rows and gram once per body and curvature; only the
+    velocity rows are formed here, and gram is the frame's read-only,
+    exactly symmetric array.  Each block of rows is summed over the
     particles by one np.add.reduce over contiguous float rows (never a BLAS
     dot or a complex sum), so the particle products of mirror images cancel
-    exactly and mirror-symmetric bodies keep their exact zeros.  Components
-    are read as x[..., 0] and x[..., 1]: points (and velocities) stored
-    component-major, passed as transposed views, are read as contiguous rows.
-    The velocity rows are laid over the position rows that the Gram sums free.
-
-    With x None the position rows and gram are those of body.frame(surface),
-    formed once per body and curvature; only the velocity rows are formed
-    here, and gram is the frame's read-only array.  Velocities that are
-    linear in the points are paired from the moments alone by
-    linear_momentum_map.
+    exactly and mirror-symmetric bodies keep their exact zeros.  The oracle
+    pairs at points other than the body's positions, with velocities linear
+    in them, by linear_momentum_map.
     """
     V = np.asarray(velocities, dtype=float)
-    nv = V.shape[-3]
-    if x is None:
-        frame = body.frame(surface)
-        factors, gram = frame.rows[3:], frame.gram
-        points = factors.shape[1:]
-        P = np.empty(10 * nv * math.prod(points))
-    else:
-        x = np.asarray(x, dtype=float)
-        points = x.shape[:-1]
-        size = math.prod(points)
-        work = np.empty(size * (8 + max(POSITION_ROWS - 8, 10 * nv)))
-        rows = work[: POSITION_ROWS * size].reshape((POSITION_ROWS,) + points)
-        gram, _ = _position_rows(body.masses, surface, x, rows)
-        factors = rows[3:8]
-        P = work[8 * size : (8 + 10 * nv) * size]    # over the rows freed after w xy
-
-    # ten rows per velocity
-    P = P.reshape((10,) + points[:-1] + (nv,) + points[-1:])
-    w, wx, wy, wd, wxy = (f[..., None, :] for f in factors)
-    R = surface.R
+    frame = body.frame(surface)
+    w, wx, wy, wd, wxy = frame.rows[3:, None]
+    P = np.empty((10,) + V.shape[:-1])      # ten rows per velocity
     vx, vy = V[..., 0], V[..., 1]
     for out, a, b in ((P[0], w, vx), (P[1], w, vy), (P[2], wd, vx), (P[3], wxy, vy), (P[4], wxy, vx),
                       (P[5], wd, vy), (P[6], wx, vy), (P[7], wy, vx)):
@@ -311,11 +286,11 @@ def momentum_map(body: Body, surface: Surface, velocities, x=None) -> Tuple[np.n
     np.multiply(vx, P[0], P[8])
     np.multiply(vy, P[1], P[9])
     t = np.add.reduce(P, -1)
-    mom = np.empty(t.shape[1:] + (3,))
-    np.add(t[0], R * (t[2] + 2.0 * t[3]), mom[..., 0])
-    np.add(t[1], R * (2.0 * t[4] - t[5]), mom[..., 1])
-    np.subtract(t[6], t[7], mom[..., 2])
-    return gram, mom, t[8] + t[9]
+    mom = np.empty((V.shape[0], 3))
+    np.add(t[0], surface.R * (t[2] + 2.0 * t[3]), mom[:, 0])
+    np.add(t[1], surface.R * (2.0 * t[4] - t[5]), mom[:, 1])
+    np.subtract(t[6], t[7], mom[:, 2])
+    return frame.gram, mom, t[8] + t[9]
 
 
 # The weighted moments _position_rows sums, in the order of its rows.

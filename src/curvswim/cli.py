@@ -113,7 +113,10 @@ def parse_config(raw: Any) -> RunConfig:
 
     if "surface" in top:
         sec = _require_keys(top["surface"], ("R",), ("R",), "surface")
-        cfg.surface = Surface(_number(sec["R"], "surface.R"))
+        try:
+            cfg.surface = Surface(_number(sec["R"], "surface.R"))
+        except ValueError as exc:
+            raise ConfigError(f"surface.R: {exc}") from exc
 
     if "body" in top:
         sec = _require_keys(top["body"], ("particles", "scenario"), (), "body")
@@ -180,12 +183,14 @@ def parse_config(raw: Any) -> RunConfig:
         for v in vals:
             _number(v, "sweep.values")
         cfg.sweep = {"variable": sec["variable"], "values": [float(v) for v in vals]}
-        if sec["variable"] == "m" and cfg.triangle is not None:
-            try:
-                for v in cfg.sweep["values"]:
+        try:    # _sweep_rows builds each value's triangle or surface only at run time
+            for v in cfg.sweep["values"]:
+                if sec["variable"] == "R":
+                    Surface(v)
+                elif sec["variable"] == "m" and cfg.triangle is not None:
                     replace(cfg.triangle, m=v)
-            except ValueError as exc:
-                raise ConfigError(f"sweep.values: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values: {exc}") from exc
 
     if "ring" in top:
         sec = _require_keys(top["ring"], ("length", "m1", "m2"), ("length", "m1", "m2"), "ring")

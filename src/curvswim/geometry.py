@@ -21,6 +21,7 @@ acting by the fractional linear map z -> (alpha z + beta)/(-R conj(beta) z
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -66,8 +67,10 @@ class Surface:
     R: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.R):
-            raise ValueError(f"surface parameter R must be finite, got {self.R!r}")
+        # a subnormal R has no finite reciprocal, and the oracle divides by R
+        if not math.isfinite(self.R) or 0.0 < abs(self.R) < sys.float_info.min:
+            raise ValueError(f"surface parameter R must be finite, and zero or at least the smallest "
+                             f"normal float {sys.float_info.min!r} in magnitude, got {self.R!r}")
 
     def conformal(self, p) -> np.ndarray:
         """u(z) = 1 + R |z|^2, the reciprocal square root of the metric factor."""

@@ -9,7 +9,9 @@ entry.  An export (exported by curvswim or listed in its module's __all__)
 passes too when README.md names it: the README is its caller.  Membership of
 __all__ alone is no use, and __all__ lists and imports reference nothing.  A
 public method or property passes when it is referenced by name there outside
-its own class.  Tests do not count as callers.
+its own class.  Every defaulted parameter of a function is passed by some
+call there: by keyword, by position, or through * or **.  Tests do not count
+as callers.
 """
 
 from __future__ import annotations
@@ -175,3 +177,97 @@ def test_the_check_sees_a_dead_method():
         "    return s.area()\n"
     )
     assert _dead_members(source, _uses([source])) == ["Square.side", "Square.perimeter"]
+
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list:
+    """(name, position) of each defaulted parameter of fn; position is the
+    index among a call's positional arguments (the bound self or cls aside),
+    None for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = int(method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _functions(source: str):
+    """(qualified name, the name its calls use, definition, whether a method) for
+    each function of the source; a class's calls reach its __init__."""
+    tree = ast.parse(source)
+    methods = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods.add(fn)
+                    yield f"{cls.name}.{fn.name}", cls.name if fn.name == "__init__" else fn.name, fn, True
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn not in methods:
+            yield fn.name, fn.name, fn, False
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether the call passes the parameter: by keyword, by position, or through * or **."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unpassed_defaults(sources: dict, callers) -> list:
+    """module.function(parameter) for each defaulted parameter of a function of
+    the sources (module name to text) that no call among callers passes."""
+    calls = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None), []).append(node)
+    return [
+        f"{module}.{qualname}({name})"
+        for module, source in sources.items()
+        for qualname, called_as, fn, method in _functions(source)
+        for name, position in _defaulted(fn, method)
+        if not any(_passes(call, name, position) for call in calls.get(called_as, ()))
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    # a default that every caller keeps leaves an option branch only tests reach
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    unpassed = _unpassed_defaults(sources, _caller_sources())
+    assert unpassed == [], f"defaulted parameters that no caller outside the tests passes: {unpassed}"
+
+
+def test_the_check_sees_an_unpassed_default():
+    source = (
+        "def kernel(a, x=None, *, work=None, scale=1.0):\n"
+        "    return a\n"
+        "def spread(a, order=1, tag='t'):\n"
+        "    return a\n"
+        "class Frame:\n"
+        "    def __init__(self, rows, gram=None):\n"
+        "        self.rows = rows\n"
+        "    def pair(self, v, out=None):\n"
+        "        return v\n"
+        "    @staticmethod\n"
+        "    def make(v, out=None):\n"
+        "        return v\n"
+    )
+    callers = (
+        "def run(f, args, opts):\n"
+        "    kernel(1, work=2)\n"
+        "    spread(*args)\n"
+        "    Frame(1, 2).pair(1)\n"
+        "    Frame.make(1, 2)\n"
+        "    return kernel(**opts)\n"
+    )
+    everything = ["planted.kernel(x)", "planted.kernel(work)", "planted.kernel(scale)", "planted.spread(order)",
+                  "planted.spread(tag)", "planted.Frame.__init__(gram)", "planted.Frame.pair(out)",
+                  "planted.Frame.make(out)"]
+    assert sorted(_unpassed_defaults({"planted": source}, [source])) == sorted(everything)
+    assert _unpassed_defaults({"planted": source}, [source, callers]) == ["planted.Frame.pair(out)"]
+    no_double_star = callers.replace("**opts", "0")
+    assert sorted(_unpassed_defaults({"planted": source}, [no_double_star])) == [
+        "planted.Frame.pair(out)", "planted.kernel(scale)", "planted.kernel(x)"]

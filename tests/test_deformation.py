@@ -291,3 +291,14 @@ def test_parse_field_specs():
         parse_field_spec({"bogus": 1})
     with pytest.raises(ValueError):
         parse_field_spec("gauge_linear:11")  # needs a body
+
+
+def test_linear_deformation_indices_and_axes_are_checked():
+    with pytest.raises(ValueError, match="linear deformation indices must be 1 or 2"):
+        linear_deformation(3, 1)
+    # balanced (the positions sum to zero exactly), second moments not diagonal
+    body = Body(masses=np.ones(4), positions=[[1.0, 0.5], [-1.0, -0.5], [0.2, -0.3], [-0.2, 0.3]])
+    with pytest.raises(ValueError, match="linear deformation indices must be 1 or 2"):
+        gauge_fixed_linear_matrix(body, 0, 1)
+    with pytest.raises(ValueError, match=r"body must be in principal axes \(diagonal second moments\) first"):
+        gauge_fixed_linear_matrix(body, 1, 1)

@@ -11,7 +11,7 @@ from numpy.random import default_rng
 
 import curvswim.body as body_mod
 import curvswim.integrator as integrator
-from curvswim.body import Body, momentum_map
+from curvswim.body import Body, linear_momentum_map, momentum_map
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_residuals, project_gauge
 from curvswim.errors import NonFiniteResultError, SingularGramError
@@ -68,8 +68,8 @@ def test_a_second_curvature_forms_a_second_frame(monkeypatch):
     assert frames[0] is frames[2]
     assert len({id(frame) for frame in frames}) == 4    # -0.0 keeps its own signed zeros
     assert calls["_position_rows"] == 4
-    assert np.array_equal(frames[0].gram, momentum_map(body, Surface(1.0), np.empty((0, body.n, 2)),
-                                                       body.positions)[0])
+    gram = linear_momentum_map(body, Surface(1.0), body.positions, np.empty((0, 2, 2)))[0]
+    assert np.array_equal(frames[0].gram, gram)
 
 
 @pytest.mark.parametrize("mode", ["composed", "direct"])

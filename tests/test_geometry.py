@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curvswim.body import Body
 from curvswim.deformation import project_gauge
 from curvswim.errors import ChartDomainError
-from curvswim.fields import complex_view, linear_field
+from curvswim.fields import as_points, combine, complex_view, linear_field
 from curvswim.geometry import (
     CurvatureTensor,
     Isometry,
@@ -533,6 +536,31 @@ def test_isometry_call_equals_the_copying_conversions(R):
 def test_surface_rejects_non_finite_R(R):
     with pytest.raises(ValueError, match="finite"):
         Surface(R)
+
+
+@pytest.mark.parametrize("R", [1e-310, -1e-310, 5e-324])
+def test_surface_rejects_subnormal_R(R):
+    # the oracle divides by R, and a subnormal R has no finite reciprocal:
+    # integrate used to exit 3 on a NaN increment at R = 1e-310
+    expected = rf"smallest normal float 2\.2250738585072014e-308 in magnitude, got {re.escape(repr(R))}$"
+    with pytest.raises(ValueError, match=expected):
+        Surface(R)
+
+
+@pytest.mark.parametrize("R", [0.0, -0.0, sys.float_info.min, -sys.float_info.min])
+def test_surface_accepts_zero_and_normal_R(R):
+    assert Surface(R).R == R
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Isometry(0j, 0j, 1.0).normalized(), r"isometry representation degenerate \(non-positive determinant\)"),
+    (lambda: linear_field(np.eye(3)), "linear_field needs a 2x2 matrix"),
+    (lambda: combine([linear_field(np.eye(2))], [1.0, 2.0]), "one coefficient per field required"),
+    (lambda: as_points(np.zeros(3)), r"chart points need a trailing axis of size 2, got shape \(3,\)"),
+], ids=["isometry-degenerate", "linear-field-3x3", "combine-count", "points-3"])
+def test_malformed_geometry_inputs_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @settings(max_examples=30, deadline=None)

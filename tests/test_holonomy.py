@@ -77,6 +77,15 @@ def test_overflowing_increment_rejected():
         holonomy_general(TRIANGLE, s, u, v, np.inf)
 
 
+def test_per_unit_area_of_a_zero_area_stroke_is_zero():
+    # dividing the zero increment by the zero area would give NaN
+    s = Surface(1.0)
+    u, v = (project_gauge(TRIANGLE, s, f) for f in triangle_control_fields())
+    res = holonomy_general(TRIANGLE, s, u, v, 0.0)
+    assert np.array_equal(res.delta_tau, np.zeros(3))
+    assert np.array_equal(res.per_unit_area, np.zeros(3))
+
+
 def test_non_finite_gram_rejected():
     # the Killing Gram matrix of a body at 1e200 overflows: a NaN gauge residual
     # must fail the gauge check, and the projection must not end in LinAlgError

@@ -563,13 +563,13 @@ def reference_composed(body, surface, fields, stroke):
         E, Ed = expm_frechet(C, Cd)
         Y = X0 @ E.T
         Vy = X0 @ Ed.T
-        gram, _, vv = momentum_map(body, surface, Vy[None], Y)
+        gram, _, vv = momentum_map(Body(masses=body.masses, positions=Y), surface, Vy[None])
         max_scale = max(max_scale, float(np.max(np.sqrt(np.diag(gram) * vv[0]))))
         g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R)
         yz = complex_view(Y)
         X = g(Y)
         v_def = (mobius_derivative(g, yz) * complex_view(Vy)).view(float)
-        A, mom, _ = momentum_map(body, surface, v_def[None], X)
+        A, mom, _ = momentum_map(Body(masses=body.masses, positions=X), surface, v_def[None])
         tau_dot = np.linalg.solve(A, -mom[0])
         return rigid_generator(surface, tau_dot) @ Gm
 
@@ -859,6 +859,14 @@ def test_particle_leaving_chart_raises():
 def test_wrong_field_count():
     with pytest.raises(ValueError):
         integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT], rectangle_stroke(0.1, 0.1, steps=16))
+
+
+def test_unknown_mode_and_short_stroke_are_refused():
+    stroke = rectangle_stroke(0.1, 0.1, steps=16)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT, BASE], stroke, mode="bogus")
+    with pytest.raises(StrokeError, match="a stroke needs at least 4 time steps"):
+        Stroke(stroke.pieces, steps=3, signed_area=stroke.signed_area)
 
 
 @pytest.mark.parametrize("mode", ["composed", "direct"])

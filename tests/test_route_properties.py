@@ -22,7 +22,7 @@ def _small_swimmers(draw):
     unit = st.floats(-1.0, 1.0)
     points = np.array(draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n)))
     masses = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
-    R = draw(st.floats(-1.0, 1.0))
+    R = draw(st.floats(-1.0, 1.0, allow_subnormal=False))     # Surface refuses a subnormal R
     size = draw(st.floats(0.01, 1.0))
     extent = max(float(np.max(np.linalg.norm(points, axis=1))), 1e-3)
     points *= size * np.sqrt(0.1 / max(abs(R), 0.05)) / (2.0 * extent)
@@ -95,10 +95,10 @@ def test_scaling_covariance_of_both_routes(case):
     # check (FOUND in CHANGES.md), and Gram matrices whose eigenvalue ratio,
     # which scales as lam^2 or 1 / lam^2, would cross solve_gram's 1e-12
     # cutoff at lam = 1e-3 or 1e3 (ROADMAP item 5).  R r^2 does not change
-    # with lam, but R / lam^2 must stay a normal float: the oracle divides
-    # by R, which overflows at a subnormal R (FOUND in CHANGES.md).  Fields
-    # with every entry below 1e-3 are left out too: their net motion, of
-    # order area max|B|^2, can sink toward the subnormal range.
+    # with lam, but R / lam^2 must stay a normal float, as Surface refuses
+    # a subnormal R (the oracle divides by R).  Fields with every entry
+    # below 1e-3 are left out too: their net motion, of order area
+    # max|B|^2, can sink toward the subnormal range.
     body, surface, fields = case
     assume(surface.R == 0.0 or abs(surface.R) >= 1e-290)
     try:

@@ -7,7 +7,7 @@ import curvswim.holonomy as holonomy
 import curvswim.scenarios as scenarios
 from curvswim.body import Body, balance, moments, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation
-from curvswim.errors import DegenerateMomentsError
+from curvswim.errors import DegenerateMomentsError, NonFiniteResultError
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import Surface
 from curvswim.integrator import integrate_stroke, rectangle_stroke
@@ -32,6 +32,15 @@ def test_triangle_spec_validation():
         TriangleSpec(M=1.0, m=0.5, h=1.0, b=1.0)  # 2m == M
     with pytest.raises(ValueError):
         TriangleSpec(M=1.0, m=0.25, h=-1.0, b=1.0)
+
+
+def test_masses_are_checked():
+    with pytest.raises(ValueError, match="total mass must be positive"):
+        triangle_optimal_mass(0)
+    with pytest.raises(ValueError, match="splinter masses must be positive"):
+        RingSpec(length=1.0, m1=0.0, m2=1.0)
+    with pytest.raises(NonFiniteResultError, match=r"splinter mass sum overflows: 1e\+308 \+ 1e\+308"):
+        RingSpec(length=1.0, m1=1e308, m2=1e308)
 
 
 def test_triangle_body_layout():
