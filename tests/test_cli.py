@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +334,83 @@ def test_payload_json_cannot_hold_is_a_numerical_failure(tmp_path, capsys, monke
     assert main(["triangle", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out)]) == 3
     assert not out.exists()
     assert capsys.readouterr().err.startswith("numerical failure: result is not finite")
+
+
+# -------------------------------------------------------------------- --out
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.json"
+    assert main(["integrate", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write --out {out}: {os.strerror(errno.ENOENT)}\n"
+    assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, capsys):
+    before = sorted(tmp_path.iterdir())
+    assert main(["integrate", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write --out {tmp_path}: ") and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == before + [tmp_path / "cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["holonomy", "integrate", "sweep", "triangle", "ring"])
+def test_out_over_a_longer_file_holds_the_stdout_bytes(tmp_path, capsys, command):
+    # --out is overwritten in place and cut to the new length
+    cfg = {"sweep": SWEEP_CONFIG, "ring": {"schema": 1, "ring": {"length": 1.0, "m1": 1.0, "m2": 3.0}}}
+    args = [command, "--config", write_config(tmp_path, cfg.get(command, BASE_CONFIG))]
+    assert main(args) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * (len(expected) + 4096))
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_out_to_the_null_device(tmp_path, capsys):
+    # a device is written but not truncated
+    assert main(["integrate", "--config", write_config(tmp_path, BASE_CONFIG), "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_to_a_fifo(tmp_path, capsys):
+    # a FIFO is written but not truncated; the reader is opened first so the writer does not block
+    args = ["integrate", "--config", write_config(tmp_path, BASE_CONFIG)]
+    assert main(args) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(args + ["--out", str(fifo)]) == 0
+        got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert got == expected
+
+
+def test_non_finite_result_leaves_an_existing_out_file_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_triangle", lambda cfg: {"coefficient": float("nan")})
+    out = tmp_path / "out.json"
+    out.write_bytes(b'{"previous": "result"}\n')
+    assert main(["triangle", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out)]) == 3
+    assert out.read_bytes() == b'{"previous": "result"}\n'
+    assert capsys.readouterr().err.startswith("numerical failure: result is not finite")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_out_file_gets_the_mode_open_gives(tmp_path, umask):
+    cfg_path = write_config(tmp_path, BASE_CONFIG)
+    reference, out = tmp_path / "reference", tmp_path / "out.json"
+    previous = os.umask(umask)
+    try:
+        with open(reference, "w"):
+            pass
+        assert main(["triangle", "--config", cfg_path, "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
 
 
 @pytest.mark.parametrize("steps", ["0", "2", "-3"])

@@ -129,3 +129,61 @@ def test_scaling_covariance_of_both_routes(case):
                 continue
             assert np.hypot(*(got[:2] - expected[:2])) <= bound * unit * body.extent
             assert abs(got[2] - expected[2]) <= bound * unit
+
+
+def _rotated_outcome(route, body, surface, fields, theta):
+    """The route's delta_tau on the body rotated about the origin by theta, with each field
+    matrix conjugated by the rotation, its translation turned back by -theta; or the type
+    of the typed error it raised."""
+    c, s = np.cos(theta), np.sin(theta)
+    Q = np.array([[c, -s], [s, c]])
+    turned = Body(masses=body.masses, positions=body.positions @ Q.T)
+    turned_fields = [linear_field(Q @ f.linear_matrix @ Q.T) for f in fields]
+    try:
+        with np.errstate(all="ignore"):
+            delta_tau = route(turned, surface, turned_fields)
+    except CurvswimError as exc:
+        return type(exc)
+    assert np.all(np.isfinite(delta_tau))
+    return np.append(Q.T @ delta_tau[:2], delta_tau[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_swimmers(), st.floats(-np.pi, np.pi))
+def test_rotation_equivariance_of_both_routes(case, theta):
+    # A rotation about the origin is an isometry for every R, and a linear
+    # field B x conjugated to Q B Q^T is the rotated field.  Both routes turn
+    # the translation by theta and keep the rotation, up to round-off of the
+    # rotated body.  Draws whose net motion is itself round-off are left
+    # out: fields nearly rigid on the body (a zero field, or one that moves
+    # a collinear body only along its line), whose projection is round-off
+    # for the gauge check (FOUND in CHANGES.md), and a formula increment
+    # below 1e-6 of area max|B|^2 (two dependent fields, or |R| near the
+    # subnormal range).  300 draws read at most 2.2e-10 of max|delta_tau| on
+    # the 16-step oracle and 1.1e-13 on the formula.
+    body, surface, fields = case
+    try:
+        for f in fields:
+            raw, projected = f(body.positions), project_gauge(body, surface, f)(body.positions)
+            assume(body.masses @ np.sum(projected**2, -1) > 1e-6 * (body.masses @ np.sum(raw**2, -1)))
+    except SingularGramError:
+        pass    # both routes refuse the body, rotated or not
+
+    def formula(b, s, fs):
+        u, v = (project_gauge(b, s, f) for f in fs)
+        return holonomy_general(b, s, u, v, STROKE.signed_area).delta_tau
+
+    def oracle(b, s, fs):
+        return integrate_stroke(b, s, fs, STROKE).delta_tau
+
+    expected = [_rotated_outcome(route, body, surface, fields, 0.0) for route in (formula, oracle)]
+    if not isinstance(expected[0], type):
+        gross = max(float(np.max(np.abs(f.linear_matrix))) for f in fields)
+        assume(np.max(np.abs(expected[0])) >= 1e-6 * STROKE.signed_area * gross**2)
+    for route, before in zip((formula, oracle), expected):
+        got = _rotated_outcome(route, body, surface, fields, theta)
+        if isinstance(before, type) or isinstance(got, type):
+            assert got is before
+            continue
+        scale = max(np.max(np.abs(before)), np.max(np.abs(got)))
+        assert np.max(np.abs(got - before)) <= 1e-8 * scale
