@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramError
 from .geometry import (
+    KILLING_TABLE,
     Isometry,
     Surface,
     chart_two_forms,
+    killing_table,
     rotation_about_origin,
     translation_to,
 )
@@ -254,78 +256,51 @@ def momentum_map(body: Body, surface: Surface, velocities) -> Tuple[np.ndarray, 
     not mass-normalized.  gram and mom are the ingredients of the local
     connection: the Gram matrix and the momentum map of the velocities.
 
-    The fields are quadratic in the chart (xi1 = 1 + R z^2, xi2 =
-    i (1 - R z^2), xi3 = i z), so every pairing is a sum of weighted
-    moments.  With w = m / (1 + R r^2)^2, r^2 = x^2 + y^2, d = x^2 - y^2 and
-    S the sum over the particles, the frame's position rows give the Gram
-    matrix from the weighted monomials (see _position_rows), and per
-    velocity ten rows give its momenta and norm from the frame's factors w,
-    w d, w xy, w x and w y:
-
-        mom1 = S(w vx) + R (S(w d vx) + 2 S(w xy vy)),
-        mom2 = S(w vy) + R (2 S(w xy vx) - S(w d vy)),
-        mom3 = S(w x vy) - S(w y vx),   vv = S(vx w vx) + S(vy w vy).
-
-    The frame forms its rows and gram once per body and curvature; only the
-    velocity rows are formed here, and gram is the frame's read-only,
-    exactly symmetric array.  Each block of rows is summed over the
-    particles by one np.add.reduce over contiguous float rows (never a BLAS
-    dot or a complex sum), so the particle products of mirror images cancel
-    exactly and mirror-symmetric bodies keep their exact zeros.  The oracle
-    pairs at points other than the body's positions, with velocities linear
-    in them, by linear_momentum_map.
+    gram is the frame's read-only, exactly symmetric array, formed once per
+    body and curvature.  With w = m / (1 + R r^2)^2 and S the sum over the
+    particles, the frame's five rows w m_j give per velocity the ten sums
+    S(w m_j V^i), and mom[k, a] is their contraction with
+    geometry.killing_table(R), which expands xi_a^i in the monomials m_j:
+    the ten terms of each entry added in one order, whatever k.  vv sums
+    V^i w V^i.  The particle sums are np.add.reduce over contiguous float
+    rows (never a BLAS dot or a complex sum), so the particle products of
+    mirror images cancel exactly and mirror-symmetric bodies keep their
+    exact zeros.  The oracle pairs at points other than the body's
+    positions, with velocities linear in them, by linear_momentum_map.
     """
-    V = np.asarray(velocities, dtype=float)
+    V = np.moveaxis(np.asarray(velocities, dtype=float), -1, 0)       # (2, k, N)
     frame = body.frame(surface)
-    w, wx, wy, wd, wxy = frame.rows[3:, None]
-    P = np.empty((10,) + V.shape[:-1])      # ten rows per velocity
-    vx, vy = V[..., 0], V[..., 1]
-    for out, a, b in ((P[0], w, vx), (P[1], w, vy), (P[2], wd, vx), (P[3], wxy, vy), (P[4], wxy, vx),
-                      (P[5], wd, vy), (P[6], wx, vy), (P[7], wy, vx)):
-        np.multiply(a, b, out)
-    np.multiply(vx, P[0], P[8])
-    np.multiply(vy, P[1], P[9])
+    P = np.empty((12,) + V.shape[1:])       # w m_j V^i in row 5 i + j, then V^i w V^i
+    np.multiply(frame.rows[3:, None], V[:, None], P[:10].reshape((2, 5) + V.shape[1:]))
+    np.multiply(V, P[0:10:5], P[10:])
     t = np.add.reduce(P, -1)
-    mom = np.empty((V.shape[0], 3))
-    np.add(t[0], surface.R * (t[2] + 2.0 * t[3]), mom[:, 0])
-    np.add(t[1], surface.R * (2.0 * t[4] - t[5]), mom[:, 1])
-    np.subtract(t[6], t[7], mom[:, 2])
-    return frame.gram, mom, t[8] + t[9]
+    mom = np.add.reduce(t[:10, :, None] * killing_table(surface.R).reshape(3, 10).T[:, None], 0)
+    return frame.gram, mom, t[10] + t[11]
 
 
-# The weighted moments _position_rows sums, in the order of its rows.
-_MOMENTS = ("1", "x", "y", "xx", "xy", "yy", "xxx", "xxy", "xyy", "yyy", "r4")
-
-# Each pairing as a linear combination of the moment sums S(w .):
-# (column, moment, power of R, coefficient).  Columns 0-5 are the Gram
-# entries g11, g12, g13, g22, g23, g33.  Column 6 + 7 i + j is K[i, j],
-# i over the entries a, b, c, d of a velocity matrix L = [[a, b], [c, d]]:
-# for the velocity v = L y, (a, b, c, d) . K[:, j] is mom1, mom2 and mom3
-# for j = 0, 1, 2 and the entries of L Q, Q = S(w y y^T), for j = 3-6.
-_TERMS = (
-    (0, "1", 0, 1), (0, "xx", 1, 2), (0, "yy", 1, -2), (0, "r4", 2, 1),
-    (1, "xy", 1, 4),
-    (2, "y", 0, -1), (2, "xxy", 1, 1), (2, "yyy", 1, 1),
-    (3, "1", 0, 1), (3, "xx", 1, -2), (3, "yy", 1, 2), (3, "r4", 2, 1),
-    (4, "x", 0, 1), (4, "xxx", 1, -1), (4, "xyy", 1, -1),
-    (5, "xx", 0, 1), (5, "yy", 0, 1),
-    # mom1 = a Sx + b Sy + R (a (Sxxx - Sxyy) + b (Sxxy - Syyy) + 2 c Sxxy + 2 d Sxyy)
-    (6, "x", 0, 1), (6, "xxx", 1, 1), (6, "xyy", 1, -1),
-    (13, "y", 0, 1), (13, "xxy", 1, 1), (13, "yyy", 1, -1),
-    (20, "xxy", 1, 2), (27, "xyy", 1, 2),
-    # mom2 = c Sx + d Sy + R (2 a Sxxy + 2 b Sxyy - c (Sxxx - Sxyy) - d (Sxxy - Syyy))
-    (7, "xxy", 1, 2), (14, "xyy", 1, 2),
-    (21, "x", 0, 1), (21, "xxx", 1, -1), (21, "xyy", 1, 1),
-    (28, "y", 0, 1), (28, "xxy", 1, -1), (28, "yyy", 1, 1),
-    # mom3 = c Sxx + d Sxy - a Sxy - b Syy
-    (8, "xy", 0, -1), (15, "yy", 0, -1), (22, "xx", 0, 1), (29, "xy", 0, 1),
-    # L Q
-    (9, "xx", 0, 1), (10, "xy", 0, 1), (16, "xy", 0, 1), (17, "yy", 0, 1),
-    (25, "xx", 0, 1), (26, "xy", 0, 1), (32, "xy", 0, 1), (33, "yy", 0, 1),
-)
-_COEFFICIENTS = np.zeros((3, len(_MOMENTS), 34))
-for _col, _moment, _power, _c in _TERMS:
-    _COEFFICIENTS[_power, _MOMENTS.index(_moment), _col] = _c
+# _COEFFICIENTS[p, m, c] weighs R^p times moment sum m in column c of _position_rows' T, derived from
+# KILLING_TABLE by polynomial products in the chart.  The moments are x^a y^b for (a, b) in
+# _MOMENT_POWERS, in the order of _position_rows' rows, the last read as r^4 = x^4 + 2 x^2 y^2 + y^4.
+# Columns 0-5 are the Gram entries g11, g12, g13, g22, g23, g33, sum_i xi_a^i xi_b^i.  Column
+# 6 + 7 (2r + s) + j pairs the entry L[r, s] of a velocity matrix: for v = L y it gives mom_a,
+# sum_r xi_a^r v^r, for j = a < 3 and the entry (L Q)[r', t] of L Q, Q = S(w y y^T), for j = 3 + 2r' + t.
+_MOMENT_POWERS = [0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 4], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0]
+_MONOMIALS = np.zeros((5, 3, 3))      # KILLING_TABLE's 1, x, y, x^2 - y^2 and xy, over x^a y^b
+_MONOMIALS[[0, 1, 2, 3, 3, 4], [0, 1, 0, 2, 0, 1], [0, 0, 1, 0, 2, 1]] = 1.0, 1.0, 1.0, 1.0, -1.0, 1.0
+_PRODUCTS = np.zeros((5, 5, 5, 5))    # m_j m_k over x^a y^b
+for _a in range(3):
+    for _b in range(3):
+        _PRODUCTS[:, :, _a:_a + 3, _b:_b + 3] += _MONOMIALS[:, None, _a, _b, None, None] * _MONOMIALS
+_GRAMS = np.einsum("pqabjk,jkxy->pqabxy", np.einsum("paij,qbik->pqabjk", KILLING_TABLE, KILLING_TABLE),
+                   _PRODUCTS).reshape(4, 9, 5, 5)                 # [(power of xi_a, of xi_b), (a, b)]
+_K = np.zeros((3, 2, 2, 7, 5, 5))     # [power of R, r, s, j]
+_K[:2, :, :, :3] = np.einsum("parj,jsxy->prsaxy", KILLING_TABLE, _PRODUCTS[:, 1:3])
+_K[0, 0, :, 3:5] = _K[0, 1, :, 5:7] = _PRODUCTS[1:3, 1:3]
+_COLUMNS = np.concatenate([np.stack([_GRAMS[0], _GRAMS[1] + _GRAMS[2], _GRAMS[3]])[:, [0, 1, 2, 4, 5, 8]],
+                           _K.reshape(3, 28, 5, 5)], 1)
+_QUARTIC = _COLUMNS[..., [4, 3, 2, 1, 0], [0, 1, 2, 3, 4]]
+assert np.array_equal(_QUARTIC, _QUARTIC[..., :1] * [1, 0, 2, 0, 1]), "a quartic pairing is not a multiple of r^4"
+_COEFFICIENTS = np.ascontiguousarray(_COLUMNS[..., _MOMENT_POWERS[0], _MOMENT_POWERS[1]].transpose(0, 2, 1))
 _SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
@@ -345,21 +320,16 @@ def linear_momentum_map(
     shape (..., k, 2, 2) with the leading axes of x: velocity array k of a
     configuration is V_k[n] = L[k] @ x[n].  The position half is
     _position_rows, and the velocity half is 2x2 contractions of its moment
-    sums, so no per-particle velocity row is formed.  With S the sum over
-    the particles and w = m / (1 + R r^2)^2, write the moments m1 = S(w y),
-    T1 = S(w d y), T2 = S(w xy y) and Q = S(w y y^T) (y = (x, y), d =
-    x^2 - y^2), and l1, l2 for the rows of L.  Then
-
-        mom1 = l1.m1 + R (l1.T1 + 2 l2.T2),   mom2 = l2.m1 + R (2 l1.T2 - l2.T1),
-        mom3 = (L Q)_21 - (L Q)_12,           vv = tr(L Q L^T) = S(w |L y|^2),
-
-    the local connection of a linear shape change read straight from the
-    moments up to third order.  vv, a form that is never negative, is
-    clipped at zero where rounding takes it below.  The contractions use no
-    BLAS product and weigh each sum by exact coefficients, zeros included,
-    so a mirror-symmetric body paired with a diagonal L keeps its exact
-    zeros, and a configuration's result does not depend on the batch it is
-    paired in.
+    sums, so no per-particle velocity row is formed: entry L[r, s] weighs
+    the sums S(w xi_a^r y_s) for mom_a and S(w y_s y^T) for L Q, Q =
+    S(w y y^T), with w = m / (1 + R r^2)^2, S the sum over the particles
+    and xi_a^r expanded by geometry.KILLING_TABLE.  vv = tr(L Q L^T) =
+    S(w |L y|^2), a form that is never negative, is clipped at zero where
+    rounding takes it below.  The contractions use no BLAS product and
+    weigh each sum by exact coefficients, zeros included, so a
+    mirror-symmetric body paired with a diagonal L keeps its exact zeros,
+    and a configuration's result does not depend on the batch it is paired
+    in.
 
     The rows are written into work when given, which must hold
     momentum_work(x.shape[:-1]) elements (a longer one serves, from its
@@ -387,16 +357,11 @@ def _position_rows(masses, surface: Surface, x, rows) -> Tuple[np.ndarray, np.nd
     enter times R, and are zero at R = 0, where they could overflow at large
     |x|), which one np.add.reduce sums.  Then the w x^2 row takes w d =
     w (x^2 - y^2), so rows[3:8] are w, w x, w y, w d and w xy, the factors
-    of momentum_map's velocity rows.  With w' = w (1 - R r^2),
-
-        g11, g22 = S(w) + R^2 S(w r^4) +- 2R S(w d),   g33 = S(w r^2),
-        g12 = 4R S(w xy),   g13 = -S(w' y),   g23 = S(w' x),
-
-    where S(w d) = Sxx - Syy, S(w r^2) = Sxx + Syy, S(w' x) = Sx - R (Sxxx
-    + Sxyy) and S(w' y) = Sy - R (Sxxy + Syyy).  These and K, the momenta
-    of linear velocities (see linear_momentum_map), are the _TERMS
-    combinations of the sums, all formed by one einsum (no BLAS), and gram
-    is exactly symmetric.
+    of momentum_map's velocity rows.  gram and K are the sums weighed by
+    _coefficients(R), the pairings of geometry.KILLING_TABLE's fields with
+    each other and with linear velocities (see linear_momentum_map) written
+    in the moments, all formed by one einsum (no BLAS); gram is exactly
+    symmetric.
     """
     px, py, r2 = surface.chart(x, out=rows[:3])
     w = rows[3]

@@ -22,7 +22,7 @@ import numpy as np
 from .body import Body, balance, moments, principal_axes
 from .deformation import gauge_fixed_linear_deformation, gauge_residuals, linear_deformation, project_gauge
 from .errors import DegenerateMomentsError
-from .fields import linear_field
+from .fields import VectorField, linear_field
 from .geometry import (
     CurvatureTensor,
     Surface,
@@ -133,7 +133,9 @@ def _killing_fields(rng, fault):
         s = Surface(R)
         fields = list(killing_fields(s))
         if fault:
-            fields[0] = fields[0] + 1e-3 * linear_deformation(1, 1)
+            xi, eta = fields[0], linear_deformation(1, 1)
+            fields[0] = VectorField(func=lambda p: xi(p) + 1e-3 * eta(p),
+                                    grad=lambda p: xi.gradient(p) + 1e-3 * eta.gradient(p))
         worst = max(worst, max(killing_residual(s, f, p) for f in fields for p in grid))
     return (worst,)
 

@@ -2,14 +2,14 @@
 
 A field is a callable taking chart points of shape (..., 2) and returning
 tangent components of the same shape, together with an optional closed-form
-gradient.  Killing fields, linear deformation fields and anything built from
-them by linear combination all share this one representation.
+gradient.  Killing fields and deformation fields share this one
+representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,42 +51,6 @@ class VectorField:
         if self.grad is None:
             raise ValueError(f"field {self.tag!r} has no gradient: build it with grad=")
         return np.asarray(self.grad(as_points(p)), dtype=float)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return combine([self, other], [1.0, 1.0], tag=f"({self.tag}+{other.tag})")
-
-    def __rmul__(self, c: float) -> "VectorField":
-        return combine([self], [float(c)], tag=f"({c}*{self.tag})")
-
-    __mul__ = __rmul__
-
-
-def combine(fields: Sequence[VectorField], coeffs: Sequence[float], tag: str = "combo") -> VectorField:
-    """Linear combination sum_i c_i f_i, keeping analytic structure when present."""
-    fields = list(fields)
-    coeffs = [float(c) for c in coeffs]
-    if len(fields) != len(coeffs):
-        raise ValueError("one coefficient per field required")
-
-    def func(p):
-        acc = coeffs[0] * fields[0](p)
-        for c, f in zip(coeffs[1:], fields[1:]):
-            acc = acc + c * f(p)
-        return acc
-
-    grad_fn = None
-    if all(f.grad is not None for f in fields):
-        def grad_fn(p):
-            acc = coeffs[0] * fields[0].gradient(p)
-            for c, f in zip(coeffs[1:], fields[1:]):
-                acc = acc + c * f.gradient(p)
-            return acc
-
-    lin = None
-    if all(f.linear_matrix is not None for f in fields):
-        lin = sum(c * f.linear_matrix for c, f in zip(coeffs, fields))
-
-    return VectorField(func=func, grad=grad_fn, tag=tag, linear_matrix=lin)
 
 
 def linear_field(matrix, tag: str = "linear") -> VectorField:

@@ -20,6 +20,7 @@ acting by the fractional linear map z -> (alpha z + beta)/(-R conj(beta) z
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,6 +37,8 @@ __all__ = [
     "CurvatureTensor",
     "gaussian_curvature",
     "geodesic_distance",
+    "KILLING_TABLE",
+    "killing_table",
     "killing_fields",
     "rigid_field",
     "rigid_velocity",
@@ -279,12 +282,30 @@ def rotation_about_origin(surface: Surface, angle: float) -> Isometry:
 def rigid_velocity(surface: Surface, tau, z) -> np.ndarray:
     """Complex tau . xi at complex points z of shape (..., N, 1), for tau of shape (..., 3).
 
-    The one definition of the Killing fields: tau . xi is the Moebius field
+    The Killing fields in complex form: tau . xi is the Moebius field
     q + i tau3 z + R conj(q) z^2 with q = tau1 + i tau2, so xi1, xi2 and xi3
-    are the translation-x, translation-y and rotation fields.
+    are the translation-x, translation-y and rotation fields.  KILLING_TABLE
+    writes the same fields in chart monomials.
     """
     q = (tau[..., 0] + 1j * tau[..., 1])[..., None, None]
     return q + z * (1j * tau[..., 2, None, None] + surface.R * np.conj(q) * z)
+
+
+# The Killing fields in chart monomials: component i of xi_a is
+# sum_{p, j} KILLING_TABLE[p, a, i, j] R^p m_j, m = (1, x, y, x^2 - y^2, xy).
+# With R z^2 = R (x^2 - y^2) + 2iR xy: xi1 = 1 + R z^2, xi2 = i (1 - R z^2), xi3 = i z.
+KILLING_TABLE = np.zeros((2, 3, 2, 5))
+KILLING_TABLE[0, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 2, 1]] = 1.0, 1.0, -1.0, 1.0
+KILLING_TABLE[1, [0, 0, 1, 1], [0, 1, 0, 1], [3, 4, 4, 3]] = 1.0, 2.0, 2.0, -1.0
+KILLING_TABLE.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def killing_table(R: float) -> np.ndarray:
+    """KILLING_TABLE at curvature R, read-only: the (3, 2, 5) coefficients of xi_a's components in m_j."""
+    table = KILLING_TABLE[0] + R * KILLING_TABLE[1]
+    table.setflags(write=False)
+    return table
 
 
 def rigid_field(surface: Surface, tau) -> VectorField:

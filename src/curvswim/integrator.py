@@ -73,7 +73,7 @@ import numpy as np
 from .body import Body, linear_momentum_map, momentum_work, pairing_scale, solve_gram
 from .errors import NonFiniteResultError, StrokeError
 from .fields import VectorField
-from .geometry import Isometry, Surface, expm2, rigid_generator
+from .geometry import Isometry, Surface, expm2, killing_table, rigid_generator
 
 __all__ = [
     "Stroke",
@@ -265,7 +265,7 @@ def _integrate_composed(body, surface, B, stroke):
         y = Y[: 2 * k].reshape(k, 2, body.n).swapaxes(-1, -2)       # (k, N, 2) view
         gram, mom, vv = linear_momentum_map(body, surface, y, L[lo:hi], work=work)
         tau, _ = solve_gram(gram, -mom[:, 0])             # (nodes of the block, 3)
-        max_residual = max(max_residual, float(np.max(np.abs((gram @ tau[..., None])[..., 0] + mom[:, 0]))))
+        max_residual = max(max_residual, float(np.max(np.abs(np.add.reduce(gram * tau[:, None], -1) + mom[:, 0]))))
         max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         A[lo:hi] = rigid_generator(surface, tau)
     return _propagate(*A[stages.T[[0, 1, 1, 2]]], dt), max_residual, max_scale, closure
@@ -276,16 +276,13 @@ def _integrate_direct(body, surface, B, stroke):
 
     A stage's velocity X L^T + tau . xi(X) (L = sigma-dot . B, tau solved from
     linear_momentum_map at its points) is C @ [1, x, y, x^2 - y^2, xy], its rows:
-    C is tau . XI, XI the x and y rows of each xi_a, plus L in the x, y columns.
+    C is tau . XI, XI geometry.killing_table's x and y rows of each xi_a, plus L in the x, y columns.
     X never reads G, so G' = A G is solved after the loop as (G^T)' = G^T A^T.
     Returns what _integrate_composed does, the solves read at each step's first stage.
     """
     dt = 1.0 / stroke.steps
     _, sigd, stages = _stage_controls(stroke)
-    R = surface.R
-    XI = np.array([[1, 0, 0, R, 0, 0, 0, 0, 0, 2 * R],                 # xi1 = 1 + R z^2
-                   [0, 0, 0, 0, 2 * R, 1, 0, 0, -R, 0],                # xi2 = i (1 - R z^2)
-                   [0, 0, -1, 0, 0, 0, 1, 0, 0, 0]], dtype=float)      # xi3 = i z
+    XI = killing_table(surface.R).reshape(3, 10)
     L = sigd[:, 0, None, None] * B[0] + sigd[:, 1, None, None] * B[1]
     rows = np.empty((4, 5, body.n))
     rows[:, 0] = 1.0
@@ -311,8 +308,8 @@ def _integrate_direct(body, surface, B, stroke):
                 grams[n], moms[n], vvs[n] = gram, mom[0], vv
         X += (weights * C).swapaxes(0, 1).reshape(2, 20) @ rows.reshape(20, -1)
     G = _propagate(*np.swapaxes(rigid_generator(surface, taus), -1, -2), dt).T
-    closure = float(np.max(np.abs(_extract_delta_tau(G, R)[1](body.positions).T - X)))
-    max_residual = float(np.max(np.abs((grams @ taus[0, :, :, None])[..., 0] + moms)))
+    closure = float(np.max(np.abs(_extract_delta_tau(G, surface.R)[1](body.positions).T - X)))
+    max_residual = float(np.max(np.abs(np.add.reduce(grams * taus[0, :, None], -1) + moms)))
     return G, max_residual, float(np.max(pairing_scale(grams, vvs))), closure
 
 

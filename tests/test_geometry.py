@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from curvswim.body import Body
 from curvswim.deformation import project_gauge
 from curvswim.errors import ChartDomainError
-from curvswim.fields import as_points, combine, complex_view, linear_field
+from curvswim.fields import as_points, complex_view, linear_field
 from curvswim.geometry import (
     CurvatureTensor,
     Isometry,
@@ -19,6 +19,7 @@ from curvswim.geometry import (
     killing_fields,
     killing_one_form,
     killing_residual,
+    killing_table,
     killing_two_forms,
     numeric_exterior_derivative,
     rigid_field,
@@ -337,6 +338,18 @@ def test_batched_rigid_velocity_equals_single_tau_calls(R):
             assert np.array_equal(rigid_velocity(s, tau[i, j], z[i, j]), got[i, j])
 
 
+@pytest.mark.parametrize("R", [-1.0, -0.25, 0.0, 0.3, 1.0])
+def test_killing_table_is_rigid_velocity(R):
+    # the table, contracted with the monomials 1, x, y, x^2 - y^2 and xy,
+    # gives the Killing fields of the Moebius form at unit tau
+    x, y = np.random.default_rng(11).uniform(-0.6, 0.6, (2, 50))
+    table = killing_table(R)
+    got = np.einsum("aij,jn->ani", table, np.stack([np.ones(50), x, y, x * x - y * y, x * y]))
+    want = rigid_velocity(Surface(R), np.eye(3), complex_view(np.stack([x, y], -1))).view(float)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert table.shape == (3, 2, 5) and not table.flags.writeable and killing_table(R) is table
+
+
 def test_rotation_field_residual_exact_flat():
     s = Surface(0.0)
     rot = killing_fields(s)[2]
@@ -555,9 +568,8 @@ def test_surface_accepts_zero_and_normal_R(R):
 @pytest.mark.parametrize("make, message", [
     (lambda: Isometry(0j, 0j, 1.0).normalized(), r"isometry representation degenerate \(non-positive determinant\)"),
     (lambda: linear_field(np.eye(3)), "linear_field needs a 2x2 matrix"),
-    (lambda: combine([linear_field(np.eye(2))], [1.0, 2.0]), "one coefficient per field required"),
     (lambda: as_points(np.zeros(3)), r"chart points need a trailing axis of size 2, got shape \(3,\)"),
-], ids=["isometry-degenerate", "linear-field-3x3", "combine-count", "points-3"])
+], ids=["isometry-degenerate", "linear-field-3x3", "points-3"])
 def test_malformed_geometry_inputs_are_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()

@@ -468,8 +468,7 @@ def test_rigid_content_of_controls_is_subleading_composed():
     # unchanged at leading order and the gap dies faster than the area
     s = Surface(1.0)
     ks = killing_fields(s)
-    u_dirty = HEIGHT + 0.3 * ks[2]
-    assert u_dirty.linear_matrix is not None
+    u_dirty = linear_field(HEIGHT.linear_matrix + 0.3 * ks[2].linear_matrix)    # the rotation xi3 is linear
 
     def rel_gap(area):
         stroke = rectangle_stroke(np.sqrt(area), np.sqrt(area), steps=256)

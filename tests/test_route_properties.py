@@ -8,8 +8,8 @@ from curvswim.body import Body, balance, principal_axes
 from curvswim.deformation import project_gauge
 from curvswim.errors import CurvswimError, SingularGramError
 from curvswim.fields import linear_field
-from curvswim.geometry import Surface
-from curvswim.holonomy import holonomy_general
+from curvswim.geometry import CurvatureTensor, Surface
+from curvswim.holonomy import holonomy_general, holonomy_linear, holonomy_small_swimmer
 from curvswim.integrator import integrate_stroke, sinusoid_stroke
 
 STROKE = sinusoid_stroke(0.02, 0.02, steps=16)
@@ -187,3 +187,28 @@ def test_rotation_equivariance_of_both_routes(case, theta):
             continue
         scale = max(np.max(np.abs(before)), np.max(np.abs(got)))
         assert np.max(np.abs(got - before)) <= 1e-8 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_swimmers(), st.permutations([(1, 1), (2, 2), (1, 2)]))
+def test_curvature_sign_negates_the_curvature_routes(case, pairs):
+    # holonomy_linear and holonomy_small_swimmer contract the curvature
+    # tensor, 4R times a fixed tensor, with the body's moments in one order:
+    # R -> -R negates every term, so it negates the result to the last bit
+    # (a zero may change its sign), or both signs raise the same typed error.
+    body, surface, fields = case
+    pair_b, pair_c = pairs[:2]      # a pair with itself moves nothing
+
+    def linear(s):
+        return holonomy_linear(body, CurvatureTensor.from_surface(s), pair_b, pair_c, STROKE.signed_area)
+
+    def small(s):
+        return holonomy_small_swimmer(body, CurvatureTensor.from_surface(s), *fields, STROKE.signed_area)
+
+    for route in (linear, small):
+        plus = _outcome(lambda: route(surface))
+        minus = _outcome(lambda: route(Surface(-surface.R)))
+        if isinstance(plus, type) or isinstance(minus, type):
+            assert minus is plus
+        else:
+            assert np.array_equal(np.frombuffer(minus), -np.frombuffer(plus))
