@@ -105,10 +105,15 @@ class Body:
         return piece
 
     def frame(self, surface: Surface) -> "BodyFrame":
-        """The body's frame on surface: one per R, made on first use and kept with the body."""
+        """The body's frame on surface: one per R, built whole on first use and kept with the body."""
+        def build() -> BodyFrame:
+            rows = np.empty((POSITION_ROWS, self.n))
+            gram, _ = _position_rows(self.masses, surface, self.positions, rows)
+            two_forms = chart_two_forms(surface.R, *rows[:3])
+            return BodyFrame(*map(_read_only, (rows[3:8], gram, two_forms)), self.total_mass)
+
         R = surface.R
-        return self.derived(("frame", R, math.copysign(1.0, R)),   # -0.0 and 0.0 give different signed zeros
-                            lambda: BodyFrame(self.masses, self.positions, self.total_mass, surface))
+        return self.derived(("frame", R, math.copysign(1.0, R)), build)   # -0.0 and 0.0 give different signed zeros
 
     def transformed(self, g: Isometry) -> "Body":
         return self._image(g(self.positions))
@@ -140,39 +145,23 @@ class Moments:
 
 @dataclass(frozen=True, eq=False)
 class BodyFrame:
-    """What the formula route reads of one body on one surface, each part built on first use.
+    """What the formula route reads of one body on one surface; Body.frame builds it whole in one pass.
 
-    rows and gram: the position half of both kernels at the body's
-    positions (per particle x, y, r2 and the factors w, w x, w y, w d and
-    w xy of the weight w, shape (8, N), and the Gram matrix, not
-    mass-normalized).  inverse and eigvals: the
-    inverse of G/M and its eigenvalues, from one solve_gram(G/M, I), so a
-    body that solve_gram refuses raises its error on first use of either.
-    The rows of inverse are G/M solved against the unit vectors: for a right
-    side b, b @ inverse is the solution of (G/M) c = b.  two_forms:
-    killing_two_forms at the positions.  Every array is read-only.  The
-    frame holds the body's read-only arrays, never the body, so a body and
+    rows: w, w x, w y, w d and w xy (w = m / (1 + R r^2)^2, d = x^2 - y^2)
+    at the body's positions, shape (5, N), the factors of momentum_map's
+    velocity rows.  gram: the Gram matrix, not mass-normalized.  two_forms:
+    killing_two_forms at the positions, from the pass's chart rows.  Only
+    the solve is deferred: inverse and eigvals, of G/M, come from one
+    solve_gram(G/M, I) on first use of either, which raises the error of a
+    body it refuses.  For a right side b, b @ inverse solves (G/M) c = b.
+    Every array is read-only, and the frame holds no body, so a body and
     its frames form no reference cycle.
     """
 
-    masses: np.ndarray
-    positions: np.ndarray
+    rows: np.ndarray
+    gram: np.ndarray
+    two_forms: np.ndarray
     total_mass: float
-    surface: Surface
-
-    @cached_property
-    def _position_part(self) -> Tuple[np.ndarray, np.ndarray]:
-        rows = np.empty((POSITION_ROWS, self.masses.shape[0]))
-        gram, _ = _position_rows(self.masses, self.surface, self.positions, rows)
-        return _read_only(rows[:8]), _read_only(gram)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._position_part[0]
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self._position_part[1]
 
     @cached_property
     def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -186,10 +175,6 @@ class BodyFrame:
     @property
     def eigvals(self) -> np.ndarray:
         return self._solved[1]
-
-    @cached_property
-    def two_forms(self) -> np.ndarray:
-        return _read_only(chart_two_forms(self.surface.R, *self.rows[:3]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -271,7 +256,7 @@ def momentum_map(body: Body, surface: Surface, velocities) -> Tuple[np.ndarray, 
     V = np.moveaxis(np.asarray(velocities, dtype=float), -1, 0)       # (2, k, N)
     frame = body.frame(surface)
     P = np.empty((12,) + V.shape[1:])       # w m_j V^i in row 5 i + j, then V^i w V^i
-    np.multiply(frame.rows[3:, None], V[:, None], P[:10].reshape((2, 5) + V.shape[1:]))
+    np.multiply(frame.rows[:, None], V[:, None], P[:10].reshape((2, 5) + V.shape[1:]))
     np.multiply(V, P[0:10:5], P[10:])
     t = np.add.reduce(P, -1)
     mom = np.add.reduce(t[:10, :, None] * killing_table(surface.R).reshape(3, 10).T[:, None], 0)

@@ -20,8 +20,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .body import Body, balance, moments, principal_axes
-from .deformation import gauge_fixed_linear_deformation, gauge_residuals, linear_deformation, project_gauge
-from .errors import DegenerateMomentsError
+from .deformation import (
+    admissible_linear_deformations, gauge_fixed_linear_deformation, gauge_residuals, linear_deformation, project_gauge
+)
 from .fields import VectorField, linear_field
 from .geometry import (
     CurvatureTensor,
@@ -272,17 +273,8 @@ def _null_bodies(rng, fault):
         [[1, -0.2, 0], [2, 0, 0], [1, 0.2, 0]], [[1, -0.2, 0], [2, 0.05, 0], [1, 0.3, 0]])]
     two = [random_balanced_body(rng, 2, 0.3) for _ in range(20)]
 
-    def admissible(body):
-        fields = {}
-        for pair in PAIRS:
-            try:
-                fields[pair] = gauge_fixed_linear_deformation(body, *pair)
-            except DegenerateMomentsError:
-                pass
-        return fields
-
     def worst_small_swimmer(body):
-        fields = admissible(body)
+        fields = admissible_linear_deformations(body)
         keys = list(fields)
         return max((_max_abs(holonomy_small_swimmer(body, K4, fields[pb], fields[pc], 1.0))
                     for i, pb in enumerate(keys) for pc in keys[i + 1:]), default=0.0)
@@ -291,7 +283,7 @@ def _null_bodies(rng, fault):
             max(_max_abs(holonomy_linear(b, K4, pb, pc, 1.0)) for b in symmetric
                 for i, pb in enumerate(PAIRS) for pc in PAIRS[i + 1:]),
             max(worst_small_swimmer(n) for n in needles),
-            sum((2, 2) in admissible(n) for n in needles),
+            sum((2, 2) in admissible_linear_deformations(n) for n in needles),
             max(worst_small_swimmer(b) for b in two))
 
 

@@ -30,8 +30,7 @@ def linear_deformation(j: int, k: int) -> VectorField:
     B = np.zeros((2, 2))
     B[k - 1, j - 1] += 0.5
     B[j - 1, k - 1] += 0.5
-    tag = _LINEAR_TAGS.get((min(j, k), max(j, k)), f"linear-{j}{k}")
-    return linear_field(B, tag=tag)
+    return linear_field(B, tag=_LINEAR_TAGS[min(j, k), max(j, k)])
 
 
 def gauge_pairings(body: Body, surface: Surface, values) -> np.ndarray:
@@ -127,6 +126,17 @@ def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
     corrections otherwise.  The diagonal members reduce to x^j d_j.
     """
     return linear_field(gauge_fixed_linear_matrix(body, j, k), tag=f"linear-ort-{j}{k}")
+
+
+def admissible_linear_deformations(body: Body) -> dict:
+    """The gauge-fixed members (1,1), (2,2) and (1,2) by pair, less any that raises DegenerateMomentsError."""
+    fields = {}
+    for pair in ((1, 1), (2, 2), (1, 2)):
+        try:
+            fields[pair] = gauge_fixed_linear_deformation(body, *pair)
+        except DegenerateMomentsError:
+            pass
+    return fields
 
 
 def parse_field_spec(spec, body: Body | None = None) -> VectorField:

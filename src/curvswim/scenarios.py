@@ -20,8 +20,8 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .body import Body, balance, principal_axes
-from .deformation import gauge_fixed_linear_deformation
-from .errors import DegenerateMomentsError, NonFiniteResultError
+from .deformation import admissible_linear_deformations
+from .errors import NonFiniteResultError
 from .fields import VectorField, linear_field
 from .geometry import Surface
 from .holonomy import swim_increments
@@ -148,12 +148,7 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     """
     surface = Surface(0.0)
     prepared = principal_axes(balance(body, surface))
-    fields = {}
-    for p in [(1, 1), (2, 2), (1, 2)]:  # a degenerate member drops every pair it is in
-        try:
-            fields[p] = gauge_fixed_linear_deformation(prepared, *p)
-        except DegenerateMomentsError:
-            pass
+    fields = admissible_linear_deformations(prepared)   # a degenerate member drops every pair it is in
     keys = list(fields)
     pairs = list(itertools.combinations(range(len(keys)), 2))
     rotations: Dict[Tuple[Tuple[int, int], Tuple[int, int]], float] = {}

@@ -25,7 +25,7 @@ from curvswim.body import (
     principal_axes,
     solve_gram,
 )
-from curvswim.errors import ChartDomainError, NonFiniteResultError, SingularGramError
+from curvswim.errors import BalanceConvergenceError, ChartDomainError, NonFiniteResultError, SingularGramError
 from curvswim.fields import linear_field
 from curvswim.geometry import (
     CurvatureTensor,
@@ -682,6 +682,14 @@ def test_balance_warns_for_large_bodies():
     body = Body.from_particles([[1, 0.0, 0.0], [1, 0.8, 0.0]])
     with pytest.warns(UserWarning):
         balance(body, Surface(1.0))
+
+
+@pytest.mark.parametrize("R, particles", [(1.0, [[1, 2.0, 0.0], [1, -0.5, 0.0]]),
+                                           (4.0, [[1, 1.0, 0.0], [1, -0.25, 0.0]])])
+def test_balance_of_an_antipodal_pair_is_refused(R, particles):
+    # the two masses sit at antipodal points of the sphere, so no centroid balances them
+    with pytest.warns(UserWarning), pytest.raises(BalanceConvergenceError, match="did not converge in 50 iterations"):
+        balance(Body.from_particles(particles), Surface(R))
 
 
 # --------------------------------------------------------- principal axes

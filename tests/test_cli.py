@@ -156,6 +156,23 @@ def test_formula_half_pairs_each_raw_field_once(tmp_path, monkeypatch, command, 
     assert evaluations == [1, 1]
 
 
+@pytest.mark.parametrize("R, ratio", [(1e-12, 0.999824), (5e-13, 0.999900), (2e-13, None), (-1e-13, None),
+                                      (1e-16, None)])
+def test_tiny_R_is_refused_where_round_off_takes_the_translation(tmp_path, capsys, R, ratio):
+    # README's example config with only surface.R changed (max r^2 = 0.5):
+    # ratio used to read 1.0036 at R = 2e-13, 0.9944 at 1e-13 and 0.50001 at
+    # 1e-16 with exit 0.  It now runs while eps / (|R| max r^2) <= 1e-3.
+    cfg = dict(BASE_CONFIG, surface={"R": R}, stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 1024})
+    out = tmp_path / "out.json"
+    code = main(["integrate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    if ratio is not None:
+        assert code == 0 and json.loads(out.read_text())["ratio"] == pytest.approx(ratio, abs=1e-6)
+        return
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err == (f"numerical failure: |R| max r^2 = {0.5 * abs(R):.3g} is below 2.2e-13, where "
+                                       "round-off of the kernel weight loses more than 0.001 of the translation\n")
+
+
 def test_integrate_steps_override(tmp_path):
     r1 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "256"))
     r2 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "512"))
@@ -603,6 +620,15 @@ def test_check_counts_a_crash_as_failing_records(monkeypatch, capsys):
         ("a", False, None, "ZeroDivisionError: boom"),
         ("b", False, None, "ZeroDivisionError: boom"),
     ]
+
+
+def test_check_text_line_of_a_crash(monkeypatch, capsys):
+    def crash(rng, inject_killing_fault):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(checks, "REGISTRY", [checks.Invariant((("a", "<", 1.0),), crash)])
+    assert main(["check"]) == 3
+    assert capsys.readouterr().out == "FAIL  a: raised ZeroDivisionError: boom\n"
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -11,7 +11,7 @@ from numpy.random import default_rng
 
 import curvswim.body as body_mod
 import curvswim.integrator as integrator
-from curvswim.body import Body, linear_momentum_map, momentum_map
+from curvswim.body import Body, linear_momentum_map, momentum_map, momentum_work
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_residuals, project_gauge
 from curvswim.errors import NonFiniteResultError, SingularGramError
@@ -122,11 +122,13 @@ def test_frame_two_forms_reuse_the_frame_chart(R, monkeypatch):
     body = random_balanced_body(default_rng(18))
     s = Surface(R)
     expected = killing_two_forms(s, body.positions)
+    work = momentum_work((body.n,))     # the kernel's rows at the positions: x, y, r2, then w, w x, w y, w d, w xy
+    linear_momentum_map(body, s, body.positions, np.empty((0, 2, 2)), work=work)
     charts, original = [], Surface.chart
     monkeypatch.setattr(Surface, "chart", lambda *args, **kwargs: charts.append(1) or original(*args, **kwargs))
     frame = body.frame(s)
     assert np.array_equal(frame.two_forms, expected)
-    assert np.array_equal(frame.rows[:3], original(s, body.positions))
+    assert np.array_equal(frame.rows, work.reshape(-1, body.n)[3:8])
     assert len(charts) == 1
 
 

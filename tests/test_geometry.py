@@ -623,6 +623,12 @@ def test_curvature_tensor_is_two_dimensional(shape):
         CurvatureTensor(np.zeros(shape))
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_translation_approx_refuses_an_axis_outside_1_and_2(k):
+    with pytest.raises(ValueError, match=r"axis index must be in 1\.\.2"):
+        translation_killing_approx(CurvatureTensor.constant_curvature(1.0), k)
+
+
 def test_translation_approx_flat_is_constant():
     f = translation_killing_approx(CurvatureTensor.constant_curvature(0.0), 1)
     assert np.allclose(f((0.3, -0.8)), [1.0, 0.0])

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,7 @@ import curvswim
 import curvswim.integrator as integrator
 from curvswim.body import Body, balance, linear_momentum_map, momentum_map, pairing_scale, principal_axes, solve_gram
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
-from curvswim.errors import ChartDomainError, SingularGramError, StrokeError
+from curvswim.errors import ChartDomainError, CurvswimError, SingularGramError, StrokeError
 from curvswim.fields import VectorField, complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator, rigid_velocity
 from curvswim.holonomy import holonomy_general
@@ -451,6 +452,25 @@ def test_reversed_stroke_negates():
     fwd = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], stroke, mode="composed")
     rev = integrate_stroke(TRIANGLE, s, [HEIGHT, BASE], reversed_stroke(stroke), mode="composed")
     assert np.max(np.abs(fwd.delta_tau + rev.delta_tau)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["composed", "direct"])
+@pytest.mark.parametrize("R", [1e-13, -1e-13])
+def test_both_modes_refuse_a_curvature_lost_to_round_off(mode, R):
+    # README's triangle has max r^2 = 0.5: eps / (|R| max r^2) = 4.4e-3 > 1e-3
+    with pytest.raises(CurvswimError, match=r"\|R\| max r\^2 = 5e-14 is below 2\.2e-13"):
+        integrate_stroke(TRIANGLE, Surface(R), [HEIGHT, BASE], rectangle_stroke(1e-2, 1e-2, steps=8), mode=mode)
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's one Python block: the formula's dx and the oracle's agree to 3.9e-6
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    formula, oracle = namespace["formula"].delta_tau[0], namespace["oracle"].delta_tau[0]
+    assert abs(oracle - formula) <= 1e-4 * abs(formula)
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_time_reparametrization_invariance():

@@ -189,7 +189,7 @@ def test_baron_cat_report_propagates_untyped_errors(monkeypatch):
     def broken(body, j, k):
         raise ValueError("not a degenerate-moments failure")
 
-    monkeypatch.setattr(scenarios, "gauge_fixed_linear_deformation", broken)
+    monkeypatch.setattr(deformation, "gauge_fixed_linear_deformation", broken)
     with pytest.raises(ValueError):
         baron_cat_report(triangle_body(TriangleSpec(1.0, 0.25, 1.0, 1.0)))
 
@@ -229,7 +229,7 @@ def test_baron_cat_report_builds_each_field_once(particles, monkeypatch):
         builds.append((j, k))
         return gauge_fixed_linear_deformation(prepared, j, k)
 
-    monkeypatch.setattr(scenarios, "gauge_fixed_linear_deformation", counting)
+    monkeypatch.setattr(deformation, "gauge_fixed_linear_deformation", counting)
     report = baron_cat_report(body, 0.7)
     assert builds == [(1, 1), (2, 2), (1, 2)]
     assert (report.max_translation, report.rotations, report.turning_pairs) == expected
