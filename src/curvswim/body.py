@@ -110,7 +110,7 @@ class Body:
             rows = np.empty((POSITION_ROWS, self.n))
             gram, _ = _position_rows(self.masses, surface, self.positions, rows)
             two_forms = chart_two_forms(surface.R, *rows[:3])
-            return BodyFrame(*map(_read_only, (rows[3:8], gram, two_forms)), self.total_mass)
+            return BodyFrame(*map(_read_only, (rows[3:8], gram, two_forms)))
 
         R = surface.R
         return self.derived(("frame", R, math.copysign(1.0, R)), build)   # -0.0 and 0.0 give different signed zeros
@@ -149,23 +149,22 @@ class BodyFrame:
 
     rows: w, w x, w y, w d and w xy (w = m / (1 + R r^2)^2, d = x^2 - y^2)
     at the body's positions, shape (5, N), the factors of momentum_map's
-    velocity rows.  gram: the Gram matrix, not mass-normalized.  two_forms:
-    killing_two_forms at the positions, from the pass's chart rows.  Only
-    the solve is deferred: inverse and eigvals, of G/M, come from one
-    solve_gram(G/M, I) on first use of either, which raises the error of a
-    body it refuses.  For a right side b, b @ inverse solves (G/M) c = b.
-    Every array is read-only, and the frame holds no body, so a body and
-    its frames form no reference cycle.
+    velocity rows.  gram: the Gram matrix G, not mass-normalized, the one
+    the oracle solves.  two_forms: killing_two_forms at the positions, from
+    the pass's chart rows.  Only the solve is deferred: inverse and
+    eigvals, of G, come from one solve_gram(G, I) on first use of either,
+    which raises the error of a body it refuses.  For a right side b,
+    b @ inverse solves G c = b.  Every array is read-only, and the frame
+    holds no body, so a body and its frames form no reference cycle.
     """
 
     rows: np.ndarray
     gram: np.ndarray
     two_forms: np.ndarray
-    total_mass: float
 
     @cached_property
     def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
-        inverse, eigvals = solve_gram(self.gram / self.total_mass, np.eye(3))
+        inverse, eigvals = solve_gram(self.gram, np.eye(3))
         return _read_only(inverse), _read_only(eigvals)
 
     @property

@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,20 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
+def _checked(path: str, build: Callable[..., Any], *args, **kwargs) -> Any:
+    """build(*args, **kwargs), its ValueError reported as a ConfigError naming path."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _record(section: Any, path: str, build: Callable[..., Any], keys: Sequence[str]) -> Any:
+    """build(**numbers) of the all-number section at path, whose keys are exactly keys."""
+    sec = _require_keys(section, keys, keys, path)
+    return _checked(path, build, **{k: _number(sec[k], f"{path}.{k}") for k in keys})
+
+
 def _steps(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 4:
         raise ConfigError(f"{path} must be an integer >= 4")
@@ -116,10 +130,7 @@ def parse_config(raw: Any) -> RunConfig:
 
     if "surface" in top:
         sec = _require_keys(top["surface"], ("R",), ("R",), "surface")
-        try:
-            cfg.surface = Surface(_number(sec["R"], "surface.R"))
-        except ValueError as exc:
-            raise ConfigError(f"surface.R: {exc}") from exc
+        cfg.surface = _checked("surface.R", Surface, _number(sec["R"], "surface.R"))
 
     if "body" in top:
         sec = _require_keys(top["body"], ("particles", "scenario"), (), "body")
@@ -134,23 +145,12 @@ def parse_config(raw: Any) -> RunConfig:
                     raise ConfigError(f"body.particles[{i}] must be [mass, x, y]")
                 for v in row:
                     _number(v, f"body.particles[{i}]")
-            try:
-                cfg.body = Body.from_particles(parts)
-            except ValueError as exc:
-                raise ConfigError(f"body.particles: {exc}") from exc
+            cfg.body = _checked("body.particles", Body.from_particles, parts)
         else:
             sc = _require_keys(sec["scenario"], ("triangle",), ("triangle",), "body.scenario")
-            tri = _require_keys(sc["triangle"], ("M", "m", "h", "b"), ("M", "m", "h", "b"), "body.scenario.triangle")
-            try:
-                cfg.triangle = TriangleSpec(
-                    M=_number(tri["M"], "body.scenario.triangle.M"),
-                    m=_number(tri["m"], "body.scenario.triangle.m"),
-                    h=_number(tri["h"], "body.scenario.triangle.h"),
-                    b=_number(tri["b"], "body.scenario.triangle.b"),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"body.scenario.triangle: {exc}") from exc
-            cfg.body = triangle_body(cfg.triangle)
+            path = "body.scenario.triangle"
+            cfg.triangle = _record(sc["triangle"], path, TriangleSpec, ("M", "m", "h", "b"))
+            cfg.body = _checked(path, triangle_body, cfg.triangle)
 
     if "fields" in top:
         specs = top["fields"]
@@ -186,25 +186,14 @@ def parse_config(raw: Any) -> RunConfig:
         for v in vals:
             _number(v, "sweep.values")
         cfg.sweep = {"variable": sec["variable"], "values": [float(v) for v in vals]}
-        try:    # _sweep_rows builds each value's triangle or surface only at run time
-            for v in cfg.sweep["values"]:
-                if sec["variable"] == "R":
-                    Surface(v)
-                elif sec["variable"] == "m" and cfg.triangle is not None:
-                    replace(cfg.triangle, m=v)
-        except ValueError as exc:
-            raise ConfigError(f"sweep.values: {exc}") from exc
+        for v in cfg.sweep["values"]:     # what _sweep_rows builds per value, checked before anything runs
+            if sec["variable"] == "R":
+                _checked("sweep.values", Surface, v)
+            elif sec["variable"] == "m" and cfg.triangle is not None:
+                _checked("sweep.values", lambda: triangle_body(replace(cfg.triangle, m=v)))
 
     if "ring" in top:
-        sec = _require_keys(top["ring"], ("length", "m1", "m2"), ("length", "m1", "m2"), "ring")
-        try:
-            cfg.ring = RingSpec(
-                length=_number(sec["length"], "ring.length"),
-                m1=_number(sec["m1"], "ring.m1"),
-                m2=_number(sec["m2"], "ring.m2"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"ring: {exc}") from exc
+        cfg.ring = _record(top["ring"], "ring", RingSpec, ("length", "m1", "m2"))
 
     return cfg
 
@@ -223,10 +212,7 @@ def _build_stroke(cfg: RunConfig, steps_override: Optional[int]) -> Stroke:
 
 def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
     specs = _need(cfg, "field_specs", "fields")
-    try:
-        return [parse_field_spec(s, body=body) for s in specs]
-    except ValueError as exc:
-        raise ConfigError(f"fields: {exc}") from exc
+    return _checked("fields", lambda: [parse_field_spec(s, body=body) for s in specs])
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +294,18 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
     variable, values = sweep["variable"], sorted(sweep["values"])
     rows = []
     for value in values:
-        if variable == "area":
-            side = math.sqrt(abs(value))
-            steps = DEFAULT_STEPS if cfg.stroke is None else cfg.stroke.steps
-            local = replace(cfg, stroke=rectangle_stroke(side, math.copysign(side, value), steps=steps))
-        elif variable == "R":
-            local = replace(cfg, surface=Surface(float(value)))
-        else:  # variable == "m"
-            tri = _need(cfg, "triangle", "body.scenario.triangle")
-            spec = replace(tri, m=value)
-            local = replace(cfg, triangle=spec, body=triangle_body(spec))
         if variable == "m":  # the formula is the triangle's closed form: run only the oracle
-            _, _, stroke, rec = _run_oracle(local, steps_override)
+            spec = replace(_need(cfg, "triangle", "body.scenario.triangle"), m=value)
+            _, _, stroke, rec = _run_oracle(replace(cfg, triangle=spec, body=triangle_body(spec)), steps_override)
             dx_f = surface.R * triangle_swim_coefficient(spec) * stroke.signed_area
             dx_i = float(rec.delta_tau[0])
         else:
+            if variable == "area":
+                side = math.sqrt(abs(value))
+                steps = DEFAULT_STEPS if cfg.stroke is None else cfg.stroke.steps
+                local = replace(cfg, stroke=rectangle_stroke(side, math.copysign(side, value), steps=steps))
+            else:  # variable == "R"
+                local = replace(cfg, surface=Surface(float(value)))
             payload = cmd_integrate(local, steps_override)
             dx_f, dx_i = payload["dx_formula"], payload["dx_integrated"]
         rows.append({"variable": variable, "value": float(value), "dx_formula": dx_f,
@@ -343,14 +326,13 @@ def cmd_sweep(cfg: RunConfig, steps_override: Optional[int]) -> str:
 
 def cmd_triangle(cfg: RunConfig) -> Dict[str, Any]:
     tri = _need(cfg, "triangle", "body.scenario.triangle")
-    body = triangle_body(tri)
     return {
         "command": "triangle",
         "spec": {"M": tri.M, "m": tri.m, "h": tri.h, "b": tri.b},
         "coefficient": triangle_swim_coefficient(tri),
         "optimal_mass": triangle_optimal_mass(tri.M),
         "coefficient_bound": 0.5 * tri.h * tri.b**2,
-        "particles": [[float(m), float(x), float(y)] for m, (x, y) in zip(body.masses, body.positions)],
+        "particles": [[float(m), float(x), float(y)] for m, (x, y) in zip(cfg.body.masses, cfg.body.positions)],
     }
 
 

@@ -55,12 +55,12 @@ def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
 def gauge_coefficients(body: Body, surface: Surface, values) -> np.ndarray:
     """The rigid content c = G^-1 <xi|f>, shape (k, 3), of k fields sampled at the particles, shape (k, N, 2).
 
-    One kernel call on the body's frame, then c = (<xi|f> / M) . inverse (the frame's inverse of G/M)
-    as stacked (1, 3) rows, so c[k] is bitwise field k's alone.  A body that body.solve_gram refuses
-    raises its error, a c that is not finite NonFiniteResultError.
+    One kernel call on the body's frame, then c = <xi|f> . inverse (the frame's G^-1) as stacked
+    (1, 3) rows, so c[k] is bitwise field k's alone.  A body that body.solve_gram refuses raises its
+    error, a c that is not finite NonFiniteResultError.
     """
     _, mom, _ = momentum_map(body, surface, values)
-    c = np.matmul(mom[:, None] / body.total_mass, body.frame(surface).inverse)[:, 0]
+    c = np.matmul(mom[:, None], body.frame(surface).inverse)[:, 0]
     if not all(map(math.isfinite, c.ravel().tolist())):
         raise NonFiniteResultError(f"gauge projection coefficients are not finite: {c[~np.isfinite(c).all(-1)][0]}")
     return c

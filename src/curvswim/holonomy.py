@@ -120,13 +120,13 @@ def swim_increments(
             f"(max residual {worst:.3e} > {GAUGE_TOLERANCE:.1e}); "
             "apply project_gauge first"
         )
-    # (1/M) sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c and pair (u, v)
+    # sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c and pair (u, v)
     frame = body.frame(surface)
     wedge = np.empty((len(pairs), body.n))
     for p, (i, j) in enumerate(pairs):
         u, v = values[i], values[j]
         np.subtract(u[:, 0] * v[:, 1], u[:, 1] * v[:, 0], wedge[p])
-    rhs = -area * (np.sum(body.masses * frame.two_forms * wedge[:, None], axis=-1) / body.total_mass)
+    rhs = -area * np.sum(body.masses * frame.two_forms * wedge[:, None], axis=-1)
     delta = np.matmul(rhs[:, None], frame.inverse)[:, 0]
     if not np.all(np.isfinite(delta)):
         raise NonFiniteResultError(f"rigid increment is not finite: {delta}")

@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 1024
-ROUND_OFF_LIMIT = 1e-3      # integrate_stroke: largest estimated share of the translation lost at small |R|
+ROUND_OFF_LIMIT = 1e-3      # integrate_stroke: largest estimated share of the net motion lost to round-off
 Piece = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
@@ -231,7 +231,7 @@ def _propagate(A1, A2, A3, A4, dt):
     return G
 
 
-def _integrate_composed(body, surface, B, stroke):
+def _integrate_composed(body, surface, B, stroke, controls):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
     A depends on time alone, so each distinct stage time (node) is
@@ -245,7 +245,7 @@ def _integrate_composed(body, surface, B, stroke):
     """
     X0 = body.positions
     dt = 1.0 / stroke.steps
-    sig, sigd, stages = _stage_controls(stroke)
+    sig, sigd, stages = controls
     nodes = len(sig)
     E, Ed = _shape_flow(B, sig, sigd)
     closure = float(np.max(np.abs(E[-1] - E[0])))
@@ -272,7 +272,7 @@ def _integrate_composed(body, surface, B, stroke):
     return _propagate(*A[stages.T[[0, 1, 1, 2]]], dt), max_residual, max_scale, closure
 
 
-def _integrate_direct(body, surface, B, stroke):
+def _integrate_direct(body, surface, B, stroke, controls):
     """RK4 on the particles X, kept component-major (2, N), the deformation read at X; then on G.
 
     A stage's velocity X L^T + tau . xi(X) (L = sigma-dot . B, tau solved from
@@ -282,7 +282,7 @@ def _integrate_direct(body, surface, B, stroke):
     Returns what _integrate_composed does, the solves read at each step's first stage.
     """
     dt = 1.0 / stroke.steps
-    _, sigd, stages = _stage_controls(stroke)
+    _, sigd, stages = controls
     XI = killing_table(surface.R).reshape(3, 10)
     L = sigd[:, 0, None, None] * B[0] + sigd[:, 1, None, None] * B[1]
     rows = np.empty((4, 5, body.n))
@@ -338,6 +338,13 @@ def integrate_stroke(
     stroke.  On README's triangle config (max r^2 = 0.5) the dx ratio reads
     1.0000206 at R = 1e-2, 0.99982 at 1e-12 and 0.99990 at 5e-13, which
     run; 1.0036 at 2e-13, 0.9944 at 1e-13 and 0.50001 at 1e-16 are refused.
+
+    Round-off floor at small fields: the net motion is of order |area|
+    max|B|^2, and the group keeps a round-off of the first-order excursion,
+    so about eps max|sigma| / (|area| max|B|) of it is lost (max|sigma| the
+    largest control at the nodes, max|B| the largest field matrix entry);
+    measured errors reach 18.1 times that.  Where 20 times it exceeds
+    ROUND_OFF_LIMIT, a CurvswimError naming it refuses a stroke that moves.
     """
     if len(fields) != 2:
         raise ValueError("exactly two control fields are required")
@@ -353,8 +360,15 @@ def integrate_stroke(
         raise CurvswimError(f"|R| max r^2 = {scale:.3g} is below {floor:.2g}, where round-off of the kernel weight "
                             f"loses more than {ROUND_OFF_LIMIT:g} of the translation")
     B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
+    controls = _stage_controls(stroke)
+    swing, gross = float(np.max(np.abs(controls[0]))), max(float(np.max(np.abs(b))) for b in B)
+    motion = abs(stroke.signed_area) * gross
+    if gross and 20.0 * floor * swing > motion:     # false where the controls are all zero
+        share = np.finfo(float).eps * swing / motion if motion else math.inf
+        raise CurvswimError(f"eps max|sigma| / (|area| max|B|) = {share:.3g}, and 20 times that, over "
+                            f"{ROUND_OFF_LIMIT:g}, of the net motion can be round-off of the stroke's excursion")
     integrate = _integrate_composed if mode == "composed" else _integrate_direct
-    G, max_residual, max_scale, closure = integrate(body, surface, B, stroke)
+    G, max_residual, max_scale, closure = integrate(body, surface, B, stroke, controls)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
     delta_tau, _ = _extract_delta_tau(G, surface.R)

@@ -173,6 +173,16 @@ def test_tiny_R_is_refused_where_round_off_takes_the_translation(tmp_path, capsy
                                        "round-off of the kernel weight loses more than 0.001 of the translation\n")
 
 
+def test_fields_lost_to_round_off_exit_3(tmp_path, capsys):
+    # 1e-14 fields on the 0.1 x 0.1 square: eps max|sigma| / (|area| max|B|) = 0.111
+    cfg = dict(BASE_CONFIG, fields=[{"matrix": [[1e-14, 0.0], [0.0, 0.0]]}, {"matrix": [[0.0, 0.0], [0.0, 1e-14]]}])
+    out = tmp_path / "out.json"
+    assert main(["integrate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("numerical failure: eps max|sigma| / (|area| max|B|) = 0.111, and 20 times that, "
+                   "over 0.001, of the net motion can be round-off of the stroke's excursion\n")
+
+
 def test_integrate_steps_override(tmp_path):
     r1 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "256"))
     r2 = run_json(tmp_path, "integrate", BASE_CONFIG, extra=("--steps", "512"))
@@ -554,6 +564,18 @@ def test_bad_config_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, overr
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("triangle, sweep, where", [
+    ({"M": 1e308, "m": 1.0, "h": 1e308, "b": 1.0}, None, "body.scenario.triangle"),
+    ({"M": 1e308, "m": 4.9e307, "h": 10.0, "b": 1.0}, {"variable": "m", "values": [1.0]}, "sweep.values"),
+])
+def test_a_triangle_whose_body_overflows_exits_2(tmp_path, capsys, triangle, sweep, where):
+    # (M - 2m) h overflows the base particles' x, for the config's m or a swept one:
+    # Body's own check, named by the section, where it used to escape as a traceback
+    cfg = dict(BASE_CONFIG, body={"scenario": {"triangle": triangle}}, **({"sweep": sweep} if sweep else {}))
+    assert main(["sweep" if sweep else "triangle", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {where}: masses and positions must be finite\n"
 
 
 # ----------------------------------------------------------- triangle / ring

@@ -99,7 +99,7 @@ def test_projection_equals_combination_with_killing_fields(monkeypatch):
         f = linear_field(rng.uniform(-1, 1, (2, 2)), tag="f")
         pf = project_gauge(body, s, f)
         _, mom, _ = momentum_map(body, s, f(body.positions)[None])
-        coeffs = (mom[0] / body.total_mass) @ body.frame(s).inverse
+        coeffs = mom[0] @ body.frame(s).inverse
         rigid = rigid_field(s, coeffs)
         xi1, xi2, xi3 = killing_fields(s)
         for p in (rng.uniform(-0.4, 0.4, (2, 7, 2)), body.positions[0]):

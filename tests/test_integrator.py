@@ -15,6 +15,7 @@ from scipy.linalg import expm_frechet
 import curvswim
 import curvswim.integrator as integrator
 from curvswim.body import Body, balance, linear_momentum_map, momentum_map, pairing_scale, principal_axes, solve_gram
+from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, CurvswimError, SingularGramError, StrokeError
 from curvswim.fields import VectorField, complex_view, linear_field
@@ -460,6 +461,45 @@ def test_both_modes_refuse_a_curvature_lost_to_round_off(mode, R):
     # README's triangle has max r^2 = 0.5: eps / (|R| max r^2) = 4.4e-3 > 1e-3
     with pytest.raises(CurvswimError, match=r"\|R\| max r\^2 = 5e-14 is below 2\.2e-13"):
         integrate_stroke(TRIANGLE, Surface(R), [HEIGHT, BASE], rectangle_stroke(1e-2, 1e-2, steps=8), mode=mode)
+
+
+@pytest.mark.parametrize("stroke", [rectangle_stroke(0.02, 0.02, steps=16), sinusoid_stroke(0.02, 0.02, steps=16),
+                                    rectangle_stroke(0.2, 0.002, steps=16)], ids=["square", "sinusoid", "thin"])
+def test_fields_lost_to_round_off_are_refused(stroke):
+    # The net motion is of order area max|B|^2, and the group keeps a round-off
+    # of the first-order excursion, eps max|sigma| max|B|.  With fields of 1e-14
+    # delta_tau / s^2 used to be off by up to 14.6 times itself, with no error.
+    # A stroke that runs stays within 20 times the estimate of the same stroke
+    # at fields of 1e-6; one where 20 times the estimate exceeds 1e-3 is refused.
+    rng = np.random.default_rng(0)
+    body = random_balanced_body(rng, 7, 0.3)
+    N = rng.normal(size=(2, 2, 2))
+    swing = np.max(np.abs(integrator._stage_controls(stroke)[0]))
+    outcomes = set()
+    for R in (1.0, -1.0):
+        ref = integrate_stroke(body, Surface(R), [linear_field(1e-6 * n) for n in N], stroke).delta_tau / 1e-12
+        for s in (1e-8, 1e-10, 1e-12, 1e-14):
+            fields = [linear_field(s * n) for n in N]
+            estimate = np.finfo(float).eps * swing / (abs(stroke.signed_area) * (s * np.max(np.abs(N))))
+            outcomes.add(20.0 * estimate > 1e-3)
+            if 20.0 * estimate <= 1e-3:
+                got = integrate_stroke(body, Surface(R), fields, stroke).delta_tau / s**2
+                assert np.max(np.abs(got - ref)) <= 20.0 * estimate * np.max(np.abs(ref))
+                continue
+            for mode in ("composed", "direct"):
+                with pytest.raises(CurvswimError, match=rf"= {estimate:.3g}, and 20 times that, over 0\.001"):
+                    integrate_stroke(body, Surface(R), fields, stroke, mode=mode)
+    assert outcomes == {False, True}
+
+
+def test_only_a_stroke_that_moves_the_body_can_be_refused():
+    # a degenerate loop still moves the body and back: its net motion is round-off
+    with pytest.raises(CurvswimError, match=r"= inf, and 20 times that"):
+        integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT, BASE], rectangle_stroke(1e-2, 0.0, steps=8))
+    # no control or no field moves nothing, exactly
+    for stroke, fields in ((rectangle_stroke(0.0, 0.0, steps=8), [HEIGHT, BASE]),
+                           (rectangle_stroke(1e-2, 1e-2, steps=8), [linear_field(np.zeros((2, 2)))] * 2)):
+        assert not integrate_stroke(TRIANGLE, Surface(1.0), fields, stroke).delta_tau.any()
 
 
 def test_readme_quick_start_runs(capsys):

