@@ -77,10 +77,10 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _checked(path: str, build: Callable[..., Any], *args, **kwargs) -> Any:
-    """build(*args, **kwargs), its ValueError reported as a ConfigError naming path."""
+def _checked(path: str, build: Callable[[], Any]) -> Any:
+    """build(), its ValueError reported as a ConfigError naming path."""
     try:
-        return build(*args, **kwargs)
+        return build()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -88,7 +88,7 @@ def _checked(path: str, build: Callable[..., Any], *args, **kwargs) -> Any:
 def _record(section: Any, path: str, build: Callable[..., Any], keys: Sequence[str]) -> Any:
     """build(**numbers) of the all-number section at path, whose keys are exactly keys."""
     sec = _require_keys(section, keys, keys, path)
-    return _checked(path, build, **{k: _number(sec[k], f"{path}.{k}") for k in keys})
+    return _checked(path, lambda: build(**{k: _number(sec[k], f"{path}.{k}") for k in keys}))
 
 
 def _steps(value: Any, path: str) -> int:
@@ -130,7 +130,7 @@ def parse_config(raw: Any) -> RunConfig:
 
     if "surface" in top:
         sec = _require_keys(top["surface"], ("R",), ("R",), "surface")
-        cfg.surface = _checked("surface.R", Surface, _number(sec["R"], "surface.R"))
+        cfg.surface = _checked("surface.R", lambda: Surface(_number(sec["R"], "surface.R")))
 
     if "body" in top:
         sec = _require_keys(top["body"], ("particles", "scenario"), (), "body")
@@ -145,12 +145,12 @@ def parse_config(raw: Any) -> RunConfig:
                     raise ConfigError(f"body.particles[{i}] must be [mass, x, y]")
                 for v in row:
                     _number(v, f"body.particles[{i}]")
-            cfg.body = _checked("body.particles", Body.from_particles, parts)
+            cfg.body = _checked("body.particles", lambda: Body.from_particles(parts))
         else:
             sc = _require_keys(sec["scenario"], ("triangle",), ("triangle",), "body.scenario")
             path = "body.scenario.triangle"
             cfg.triangle = _record(sc["triangle"], path, TriangleSpec, ("M", "m", "h", "b"))
-            cfg.body = _checked(path, triangle_body, cfg.triangle)
+            cfg.body = _checked(path, lambda: triangle_body(cfg.triangle))
 
     if "fields" in top:
         specs = top["fields"]
@@ -188,7 +188,7 @@ def parse_config(raw: Any) -> RunConfig:
         cfg.sweep = {"variable": sec["variable"], "values": [float(v) for v in vals]}
         for v in cfg.sweep["values"]:     # what _sweep_rows builds per value, checked before anything runs
             if sec["variable"] == "R":
-                _checked("sweep.values", Surface, v)
+                _checked("sweep.values", lambda: Surface(v))
             elif sec["variable"] == "m" and cfg.triangle is not None:
                 _checked("sweep.values", lambda: triangle_body(replace(cfg.triangle, m=v)))
 

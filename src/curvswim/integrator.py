@@ -231,7 +231,7 @@ def _propagate(A1, A2, A3, A4, dt):
     return G
 
 
-def _integrate_composed(body, surface, B, stroke, controls):
+def _integrate_composed(body, surface, B, stroke):
     """RK4 on the reconstruction equation dG/dt = G . A(shape(t)) in the body frame.
 
     A depends on time alone, so each distinct stage time (node) is
@@ -240,12 +240,12 @@ def _integrate_composed(body, surface, B, stroke, controls):
     call and one stacked solve_gram, into buffers allocated once per
     stroke.  At a node the shape is Y = X0 E^T and its velocity
     X0 Ed^T = Y L^T with L = Ed E^-1, so the kernel pairs L at Y.  Returns
-    (G, max momentum residual, max pairing scale, shape closure defect),
-    the diagnostics read at every node.
+    (G, max momentum residual, max pairing scale, shape closure defect,
+    max |tau| of each component), the diagnostics read at every node.
     """
     X0 = body.positions
     dt = 1.0 / stroke.steps
-    sig, sigd, stages = controls
+    sig, sigd, stages = _stage_controls(stroke)
     nodes = len(sig)
     E, Ed = _shape_flow(B, sig, sigd)
     closure = float(np.max(np.abs(E[-1] - E[0])))
@@ -257,7 +257,7 @@ def _integrate_composed(body, surface, B, stroke, controls):
     work = momentum_work((per_block, body.n))
     # Y holds a block's shapes component-major: row (node, i) is component i at every particle.
     Y = np.empty((2 * per_block, body.n))
-    A = np.empty((nodes, 2, 2), dtype=complex)
+    A, taus = np.empty((nodes, 2, 2), dtype=complex), np.empty((nodes, 3))
     max_residual = max_scale = 0.0
     for lo in range(0, nodes, per_block):
         hi = min(lo + per_block, nodes)
@@ -265,24 +265,24 @@ def _integrate_composed(body, surface, B, stroke, controls):
         np.matmul(E[lo:hi].reshape(2 * k, 2), X0.T, out=Y[: 2 * k])
         y = Y[: 2 * k].reshape(k, 2, body.n).swapaxes(-1, -2)       # (k, N, 2) view
         gram, mom, vv = linear_momentum_map(body, surface, y, L[lo:hi], work=work)
-        tau, _ = solve_gram(gram, -mom[:, 0])             # (nodes of the block, 3)
+        tau = taus[lo:hi] = solve_gram(gram, -mom[:, 0])[0]       # (nodes of the block, 3)
         max_residual = max(max_residual, float(np.max(np.abs(np.add.reduce(gram * tau[:, None], -1) + mom[:, 0]))))
         max_scale = max(max_scale, float(np.max(pairing_scale(gram, vv))))
         A[lo:hi] = rigid_generator(surface, tau)
-    return _propagate(*A[stages.T[[0, 1, 1, 2]]], dt), max_residual, max_scale, closure
+    return _propagate(*A[stages.T[[0, 1, 1, 2]]], dt), max_residual, max_scale, closure, np.max(np.abs(taus), axis=0)
 
 
-def _integrate_direct(body, surface, B, stroke, controls):
+def _integrate_direct(body, surface, B, stroke):
     """RK4 on the particles X, kept component-major (2, N), the deformation read at X; then on G.
 
     A stage's velocity X L^T + tau . xi(X) (L = sigma-dot . B, tau solved from
     linear_momentum_map at its points) is C @ [1, x, y, x^2 - y^2, xy], its rows:
     C is tau . XI, XI geometry.killing_table's x and y rows of each xi_a, plus L in the x, y columns.
     X never reads G, so G' = A G is solved after the loop as (G^T)' = G^T A^T.
-    Returns what _integrate_composed does, the solves read at each step's first stage.
+    Returns what _integrate_composed does, the solves read at each step's first stage, max |tau| at every stage.
     """
     dt = 1.0 / stroke.steps
-    _, sigd, stages = controls
+    _, sigd, stages = _stage_controls(stroke)
     XI = killing_table(surface.R).reshape(3, 10)
     L = sigd[:, 0, None, None] * B[0] + sigd[:, 1, None, None] * B[1]
     rows = np.empty((4, 5, body.n))
@@ -311,7 +311,7 @@ def _integrate_direct(body, surface, B, stroke, controls):
     G = _propagate(*np.swapaxes(rigid_generator(surface, taus), -1, -2), dt).T
     closure = float(np.max(np.abs(_extract_delta_tau(G, surface.R)[1](body.positions).T - X)))
     max_residual = float(np.max(np.abs(np.add.reduce(grams * taus[0, :, None], -1) + moms)))
-    return G, max_residual, float(np.max(pairing_scale(grams, vvs))), closure
+    return G, max_residual, float(np.max(pairing_scale(grams, vvs))), closure, np.max(np.abs(taus), axis=(0, 1))
 
 
 def integrate_stroke(
@@ -339,12 +339,13 @@ def integrate_stroke(
     1.0000206 at R = 1e-2, 0.99982 at 1e-12 and 0.99990 at 5e-13, which
     run; 1.0036 at 2e-13, 0.9944 at 1e-13 and 0.50001 at 1e-16 are refused.
 
-    Round-off floor at small fields: the net motion is of order |area|
-    max|B|^2, and the group keeps a round-off of the first-order excursion,
-    so about eps max|sigma| / (|area| max|B|) of it is lost (max|sigma| the
-    largest control at the nodes, max|B| the largest field matrix entry);
-    measured errors reach 18.1 times that.  Where 20 times it exceeds
-    ROUND_OFF_LIMIT, a CurvswimError naming it refuses a stroke that moves.
+    Round-off floor of the net motion: each RK4 step rounds the group
+    against the stroke's excursion, so about eps sqrt(steps) max|tau| of
+    max|delta_tau| is lost (max|tau| the largest rigid velocity component
+    of the solves, translations over the body's extent); measured errors
+    reach 1.34 times that share.  Where 20 times it exceeds ROUND_OFF_LIMIT
+    (tiny fields, or a body brought back to its start) a CurvswimError
+    naming both refuses the stroke; no control or zero fields run.
     """
     if len(fields) != 2:
         raise ValueError("exactly two control fields are required")
@@ -360,20 +361,19 @@ def integrate_stroke(
         raise CurvswimError(f"|R| max r^2 = {scale:.3g} is below {floor:.2g}, where round-off of the kernel weight "
                             f"loses more than {ROUND_OFF_LIMIT:g} of the translation")
     B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
-    controls = _stage_controls(stroke)
-    swing, gross = float(np.max(np.abs(controls[0]))), max(float(np.max(np.abs(b))) for b in B)
-    motion = abs(stroke.signed_area) * gross
-    if gross and 20.0 * floor * swing > motion:     # false where the controls are all zero
-        share = np.finfo(float).eps * swing / motion if motion else math.inf
-        raise CurvswimError(f"eps max|sigma| / (|area| max|B|) = {share:.3g}, and 20 times that, over "
-                            f"{ROUND_OFF_LIMIT:g}, of the net motion can be round-off of the stroke's excursion")
     integrate = _integrate_composed if mode == "composed" else _integrate_direct
-    G, max_residual, max_scale, closure = integrate(body, surface, B, stroke, controls)
+    G, max_residual, max_scale, closure, speed = integrate(body, surface, B, stroke)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
     delta_tau, _ = _extract_delta_tau(G, surface.R)
     if not np.all(np.isfinite(delta_tau)):
         raise NonFiniteResultError(f"integrated rigid increment is not finite: {delta_tau}")
+    unit = (body.extent or 1.0,) * 2 + (1.0,)       # translations in units of the extent
+    net, swing = (max(abs(float(v)) / u for v, u in zip(a, unit)) for a in (delta_tau, speed))
+    noise = np.finfo(float).eps * math.sqrt(stroke.steps) * swing
+    if 20.0 * noise > ROUND_OFF_LIMIT * net:
+        raise CurvswimError(f"max|delta_tau| = {net:.3g} is within {20.0 / ROUND_OFF_LIMIT:g} times eps sqrt(steps) "
+                            f"max|tau| = {noise:.3g} (translations over the extent), the round-off of the excursion")
 
     bound = 1e-12 * max(max_scale, 1e-300)
     return TrajectoryRecord(

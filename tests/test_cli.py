@@ -174,13 +174,13 @@ def test_tiny_R_is_refused_where_round_off_takes_the_translation(tmp_path, capsy
 
 
 def test_fields_lost_to_round_off_exit_3(tmp_path, capsys):
-    # 1e-14 fields on the 0.1 x 0.1 square: eps max|sigma| / (|area| max|B|) = 0.111
+    # 1e-14 fields on the 0.1 x 0.1 square: a net motion of order 1e-31 is lost to round-off
     cfg = dict(BASE_CONFIG, fields=[{"matrix": [[1e-14, 0.0], [0.0, 0.0]]}, {"matrix": [[0.0, 0.0], [0.0, 1e-14]]}])
     out = tmp_path / "out.json"
     assert main(["integrate", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3 and not out.exists()
     err = capsys.readouterr().err
-    assert err == ("numerical failure: eps max|sigma| / (|area| max|B|) = 0.111, and 20 times that, "
-                   "over 0.001, of the net motion can be round-off of the stroke's excursion\n")
+    assert err == ("numerical failure: max|delta_tau| = 1.94e-31 is within 20000 times eps sqrt(steps) "
+                   "max|tau| = 2.3e-30 (translations over the extent), the round-off of the excursion\n")
 
 
 def test_integrate_steps_override(tmp_path):

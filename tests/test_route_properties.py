@@ -23,14 +23,12 @@ def _small_swimmers(draw):
     R is 0 or of either sign with |R| log-uniform in [1e-6, 1], and a field
     matrix is zero or has its largest entry in [0.5, 1]: both stay far
     from the round-off floors at which integrate_stroke refuses a stroke,
-    so the oracle runs on the draws, and its round-off stays within the
-    bounds below, which hold for fields of order 1.  TINY_R and TINY_FIELDS
-    are the explicit examples that it refuses.  Coordinates and entries
-    below 1e-30 are drawn as 0, so no product the routes form sinks to the
-    subnormal range, where scaling the masses by 2^k rounds.
+    so the oracle runs on the draws that move the body, and its round-off
+    stays within the bounds below, which hold for fields of order 1.
+    TINY_R and TINY_FIELDS are the explicit examples that it refuses.
     """
     n = draw(st.integers(3, 8))
-    unit = st.floats(-1.0, 1.0).map(lambda v: v if abs(v) >= 1e-30 else 0.0)
+    unit = st.floats(-1.0, 1.0)
     points = np.array(draw(st.lists(st.tuples(unit, unit), min_size=n, max_size=n)))
     masses = np.array(draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
     R = draw(st.just(0.0) | st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-6, 0)))
@@ -58,6 +56,10 @@ def _example(R, scale):
 
 TINY_R = _example(1e-14, 1.0)       # |R| max r^2 ~ 1e-16: integrate_stroke refuses the curvature
 TINY_FIELDS = _example(1.0, 1e-12)  # max|B| = 1e-12: integrate_stroke refuses the fields
+# R at the smallest normal float: the formula's translation, 9.2e-314, is subnormal and rounds under mass scaling
+SUBNORMAL_R = (Body(masses=np.ones(5), positions=[[0.0, -0.19999999999999998]] * 3
+                    + [[-0.5, 0.3], [0.4999999999999999, 0.3]]), Surface(2.2250738585072014e-308),
+               [linear_field(np.array(m)) for m in ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])])
 
 
 def _outcome(route):
@@ -79,10 +81,21 @@ def _outcome(route):
 @given(_small_swimmers())
 @example(TINY_R)
 @example(TINY_FIELDS)
+@example(SUBNORMAL_R).xfail(raises=AssertionError, reason="a subnormal sum rounds under mass scaling")
 def test_mass_scaling_leaves_both_routes_bitwise_unchanged(case):
     # every particle sum scales by exactly 2^k, and both routes solve a Gram
-    # system whose matrix and right side scale together
+    # system whose matrix and right side scale together.  That holds while
+    # no sum the routes form is subnormal, where 2^k rounds: so coordinates
+    # and field entries below 1e-30 are set to 0 here (a field entry of
+    # 4.6e-296 on a collinear body breaks it), and SUBNORMAL_R shows the
+    # limit that |R| near the smallest normal float meets.
     body, surface, fields = case
+
+    def domain(a):
+        return np.where(np.abs(a) < 1e-30, 0.0, a)
+
+    body = Body(masses=body.masses, positions=domain(body.positions))
+    fields = [linear_field(domain(f.linear_matrix)) for f in fields]
 
     def formula(b):
         u, v = (project_gauge(b, surface, f) for f in fields)
