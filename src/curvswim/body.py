@@ -12,12 +12,12 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramError
+from .fields import MONOMIAL_POWERS, _read_only
 from .geometry import (
     KILLING_TABLE,
     Isometry,
     Surface,
-    chart_two_forms,
-    killing_table,
+    killing_coefficients,
     rotation_about_origin,
     translation_to,
 )
@@ -109,8 +109,9 @@ class Body:
         def build() -> BodyFrame:
             rows = np.empty((POSITION_ROWS, self.n))
             gram, _ = _position_rows(self.masses, surface, self.positions, rows)
-            two_forms = chart_two_forms(surface.R, *rows[:3])
-            return BodyFrame(*map(_read_only, (rows[3:8], gram, two_forms)))
+            P, Q = _moment_tables(R, rows)
+            killing = np.einsum("aij,jk->aik", killing_coefficients(R), P)
+            return BodyFrame(*map(_read_only, (gram, P, Q, killing)))
 
         R = surface.R
         return self.derived(("frame", R, math.copysign(1.0, R)), build)   # -0.0 and 0.0 give different signed zeros
@@ -145,22 +146,22 @@ class Moments:
 
 @dataclass(frozen=True, eq=False)
 class BodyFrame:
-    """What the formula route reads of one body on one surface; Body.frame builds it whole in one pass.
+    """What the formula route reads of one body on one surface, as tables; Body.frame builds it in one pass.
 
-    rows: w, w x, w y, w d and w xy (w = m / (1 + R r^2)^2, d = x^2 - y^2)
-    at the body's positions, shape (5, N), the factors of momentum_map's
-    velocity rows.  gram: the Gram matrix G, not mass-normalized, the one
-    the oracle solves.  two_forms: killing_two_forms at the positions, from
-    the pass's chart rows.  Only the solve is deferred: inverse and
-    eigvals, of G, come from one solve_gram(G, I) on first use of either,
-    which raises the error of a body it refuses.  For a right side b,
-    b @ inverse solves G c = b.  Every array is read-only, and the frame
-    holds no body, so a body and its frames form no reference cycle.
+    With m a field's monomials (fields.VectorField), w = m_n / (1 + R r^2)^2,
+    c_beta the Killing two-forms and S the particle sum: gram is G, the one
+    _position_rows forms and the oracle solves; P[j, k] = S(w m_j m_k), so
+    <f|h> = F[i] P H[i]; Q[beta, j, k] = S(m c_beta m_j m_k); killing[a] =
+    XI[a] P, XI = geometry.killing_coefficients(R).  Every pairing is an
+    einsum (no BLAS) of coefficients with these read-only tables.  inverse
+    and eigvals, of G, come from one solve_gram(G, I) on first use of
+    either, which raises the error of a body it refuses.
     """
 
-    rows: np.ndarray
     gram: np.ndarray
-    two_forms: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    killing: np.ndarray
 
     @cached_property
     def _solved(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -175,10 +176,52 @@ class BodyFrame:
     def eigvals(self) -> np.ndarray:
         return self._solved[1]
 
+    def momentum(self, coefficients: np.ndarray) -> np.ndarray:
+        """<xi_a|f_k>, shape (k, 3), of k fields' coefficients, shape (k, 2, 6)."""
+        return np.einsum("kij,aij->ka", coefficients, self.killing)
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    def square_norm(self, coefficients: np.ndarray) -> np.ndarray:
+        """|f_k|^2, shape (k,), clipped at zero where rounding takes it below."""
+        ff = np.einsum("kij,jl,kil->k", coefficients, self.P, coefficients)
+        return np.maximum(ff, 0.0, out=ff)
+
+    def swim_right_side(self, pairs: np.ndarray) -> np.ndarray:
+        """S(m c_beta (u^1 v^2 - u^2 v^1)), shape (p, 3), for p pairs (u, v) of coefficients, shape (p, 2, 2, 6)."""
+        products = pairs[:, 0, :, :, None] * pairs[:, 1, ::-1, None, :]     # u^1 v^2 and u^2 v^1 by monomial
+        return np.einsum("pjl,bjl->pb", products[:, 0] - products[:, 1], self.Q)
+
+
+# _moment_tables' 36 sums: w x^a y^b of degree 4 or less, then h x^a y^b of degree 5 or less, x^d first in
+# each degree d.  _TABLES[t, j, k] is the sum that entry (j, k) of P (t = 0) or of Q[t - 1] before its
+# factor reads for the monomials m_j m_k (fields.MONOMIAL_POWERS).
+_POWERS = [(d - b, b) for d in range(6) for b in range(d + 1)]
+_TABLES = np.array([[[offset + _POWERS.index((a + c + s, b + e + t)) for c, e in MONOMIAL_POWERS]
+                     for a, b in MONOMIAL_POWERS] for offset, s, t in ((0, 0, 0), (15, 0, 1), (15, 1, 0), (15, 0, 0))])
+
+
+def _moment_tables(R: float, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """BodyFrame's P and Q from _position_rows' rows w x^a y^b (their cubic rows formed by its rule at R = 0,
+    where it leaves them 0), and x or y times them.  With h = w / u, u = 1 + R r^2, m c_beta is 8 R h y,
+    -8 R h x and 4 h - 2 w, so Q reads the rows h x^a y^b.  One np.add.reduce sums the rows, as the kernel
+    sums, so mirror images cancel exactly; at R = 0 Q is 0, 0 and 2 P."""
+    x, y, r2 = rows[:3]
+    A = np.empty((36 if R else 15,) + x.shape)
+    A[:10] = rows[3:13]
+    if not R:
+        np.multiply(A[3], rows[:2], A[6:8])
+        np.multiply(A[5], rows[:2], A[8:10])
+    np.multiply(A[6:10], x, A[10:14])
+    np.multiply(A[9], y, A[14])
+    if not R:
+        P = np.add.reduce(A, -1)[_TABLES[0]]
+        return P, np.stack([np.zeros_like(P), np.zeros_like(P), 2.0 * P])
+    np.divide(A[:15], R * r2 + 1.0, A[15:30])
+    np.multiply(A[25:30], x, A[30:35])
+    np.multiply(A[29], y, A[35])
+    T = np.add.reduce(A, -1)[_TABLES]
+    Q = T[1:] * np.array([[[8.0 * R]], [[-8.0 * R]], [[4.0]]])
+    Q[2] -= 2.0 * T[0]
+    return T[0], Q
 
 
 def moments(body: Body) -> Moments:
@@ -197,9 +240,8 @@ def particle_sums(masses, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, ..
     The i-th sum, shape (2,) * i, is S_i[a_1 .. a_i] = sum_n m_n f_1[n, a_1]
     ... f_i[n, a_i], so (x, x, x) gives q1, q2 and q3.  The products are
     contiguous rows, level i the rows of level i - 1 times the components of
-    f_i, summed by one np.add.reduce as momentum_map sums (no einsum, no
-    BLAS product): mirror images cancel exactly, and S_i is bitwise the same
-    whatever factors follow f_i.
+    f_i, summed by one np.add.reduce (no einsum, no BLAS product): mirror
+    images cancel exactly, and S_i is bitwise the same whatever follows f_i.
     """
     n = masses.shape[0]
     k = len(factors)
@@ -226,40 +268,6 @@ def momentum_work(points: Tuple[int, ...]) -> np.ndarray:
     of shape (..., N): the POSITION_ROWS rows per point of the position half.
     """
     return np.empty(math.prod(points) * POSITION_ROWS)
-
-
-def momentum_map(body: Body, surface: Surface, velocities) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The formula route's pairings on body.frame(surface): the Killing fields with themselves and with velocities.
-
-    velocities stacks k velocity arrays at the body's positions, shape
-    (k, N, 2).  Returns (gram, mom, vv) with
-
-        gram[a, b] = sum_n m_n g(xi_a, xi_b),   mom[k, a] = sum_n m_n g(xi_a, V_k),
-        vv[k] = sum_n m_n g(V_k, V_k),
-
-    not mass-normalized.  gram and mom are the ingredients of the local
-    connection: the Gram matrix and the momentum map of the velocities.
-
-    gram is the frame's read-only, exactly symmetric array, formed once per
-    body and curvature.  With w = m / (1 + R r^2)^2 and S the sum over the
-    particles, the frame's five rows w m_j give per velocity the ten sums
-    S(w m_j V^i), and mom[k, a] is their contraction with
-    geometry.killing_table(R), which expands xi_a^i in the monomials m_j:
-    the ten terms of each entry added in one order, whatever k.  vv sums
-    V^i w V^i.  The particle sums are np.add.reduce over contiguous float
-    rows (never a BLAS dot or a complex sum), so the particle products of
-    mirror images cancel exactly and mirror-symmetric bodies keep their
-    exact zeros.  The oracle pairs at points other than the body's
-    positions, with velocities linear in them, by linear_momentum_map.
-    """
-    V = np.moveaxis(np.asarray(velocities, dtype=float), -1, 0)       # (2, k, N)
-    frame = body.frame(surface)
-    P = np.empty((12,) + V.shape[1:])       # w m_j V^i in row 5 i + j, then V^i w V^i
-    np.multiply(frame.rows[:, None], V[:, None], P[:10].reshape((2, 5) + V.shape[1:]))
-    np.multiply(V, P[0:10:5], P[10:])
-    t = np.add.reduce(P, -1)
-    mom = np.add.reduce(t[:10, :, None] * killing_table(surface.R).reshape(3, 10).T[:, None], 0)
-    return frame.gram, mom, t[10] + t[11]
 
 
 # _COEFFICIENTS[p, m, c] weighs R^p times moment sum m in column c of _position_rows' T, derived from
@@ -298,7 +306,8 @@ def _coefficients(R: float) -> np.ndarray:
 def linear_momentum_map(
     body: Body, surface: Surface, x, L, *, work=None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """momentum_map's (gram, mom, vv) for the linear velocities v = L y, read from weighted moments.
+    """(gram, mom, vv) for the linear velocities v = L y: the Killing fields' pairings with each other and
+    with the velocities, and the velocities' with themselves, read from weighted moments.
 
     x holds the points, shape (..., N, 2), and L the velocity matrices,
     shape (..., k, 2, 2) with the leading axes of x: velocity array k of a
@@ -339,13 +348,11 @@ def _position_rows(masses, surface: Surface, x, rows) -> Tuple[np.ndarray, np.nd
     rows takes x, y and r2, then the weighted monomials w {1, x, y, x^2, xy,
     y^2, x^3, x^2 y, x y^2, y^3} and w r^4 (the cubic and quartic rows only
     enter times R, and are zero at R = 0, where they could overflow at large
-    |x|), which one np.add.reduce sums.  Then the w x^2 row takes w d =
-    w (x^2 - y^2), so rows[3:8] are w, w x, w y, w d and w xy, the factors
-    of momentum_map's velocity rows.  gram and K are the sums weighed by
+    |x|), which one np.add.reduce sums.  gram and K are the sums weighed by
     _coefficients(R), the pairings of geometry.KILLING_TABLE's fields with
     each other and with linear velocities (see linear_momentum_map) written
     in the moments, all formed by one einsum (no BLAS); gram is exactly
-    symmetric.
+    symmetric.  Body.frame reads the rows for its moment tables.
     """
     px, py, r2 = surface.chart(x, out=rows[:3])
     w = rows[3]
@@ -366,7 +373,6 @@ def _position_rows(masses, surface: Surface, x, rows) -> Tuple[np.ndarray, np.nd
     else:
         rows[9:].fill(0.0)
     s = np.add.reduce(rows[3:], -1)
-    np.subtract(rows[6], rows[8], rows[6])          # w d for the velocity rows
     T = np.einsum("m...,mj->...j", s, _coefficients(R))     # (..., 34)
     return T[..., _SYMMETRIC], T[..., 6:].reshape(T.shape[:-1] + (4, 7))
 
@@ -374,7 +380,7 @@ def _position_rows(masses, surface: Surface, x, rows) -> Tuple[np.ndarray, np.nd
 def pairing_scale(gram, vv) -> np.ndarray:
     """sqrt(gram[..., a, a] vv[..., k]), shape (..., k, 3): the scale of mom[..., k, a].
 
-    For momentum_map's outputs, Cauchy-Schwarz gives |mom[k, a]| <= this.
+    For the pairings mom and vv, Cauchy-Schwarz gives |mom[k, a]| <= this.
     At the solution tau of gram tau = -mom[k] it also bounds |(gram tau)_a|,
     since tau gram tau <= vv[k], so it is the scale of the solve's residual.
     """
@@ -387,9 +393,8 @@ def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
 
     The one solve of the Killing Gram system, so both routes refuse the
     same bodies: both oracle modes call it at every node or stage, and the
-    formula route (gauge projection and swim equations) multiplies by the
-    inverse that BodyFrame forms with it once per body and curvature.  A
-    gram or rhs that is not finite raises
+    formula route multiplies by the inverse that BodyFrame forms with it
+    once per body and curvature.  A gram or rhs that is not finite raises
     NonFiniteResultError (tested first: eigvalsh returns finite garbage on
     a NaN entry); a matrix of the stack whose smallest eigenvalue is at
     most GRAM_CUTOFF times its largest raises SingularGramError with its

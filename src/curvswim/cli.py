@@ -27,10 +27,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .body import Body
-from .deformation import gauge_coefficients, gauge_pairings, parse_field_spec
+from .deformation import gauge_coefficients, gauge_pairings, parse_field_spec, subtract_rigid
 from .errors import ConfigError, CurvswimError, NonFiniteResultError
-from .fields import VectorField, complex_view
-from .geometry import Surface, rigid_velocity
+from .fields import VectorField, coefficients_of
+from .geometry import Surface
 from .holonomy import HolonomyResult, swim_increments
 from .integrator import (
     DEFAULT_STEPS,
@@ -220,27 +220,26 @@ def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
 
 
 def _formula(body: Body, surface: Surface, raw: List[VectorField], area: float):
-    """(raw values (2, N, 2), projected tags, HolonomyResult): holonomy_general on project_gauge's
-    fields, bitwise, from one evaluation of each raw field, one gauge_coefficients call for both
-    and one rigid_velocity call for the stack; a field with c all zero keeps its raw values."""
-    x = body.positions
-    values = np.stack([f(x) for f in raw])
-    c = gauge_coefficients(body, surface, values)
+    """(raw coefficients (2, 2, 6), projected tags, HolonomyResult): holonomy_general on project_gauge's
+    fields, bitwise, from one gauge_coefficients call for both raw fields and one subtract_rigid call;
+    a field with c all zero keeps its raw coefficients."""
+    C = coefficients_of(raw)
+    c = gauge_coefficients(body, surface, C)
     moved = c.any(axis=-1)
-    used = np.where(moved[:, None, None], values - rigid_velocity(surface, c, complex_view(x)).view(float), values)
+    used = np.where(moved[:, None, None], subtract_rigid(body, surface, C, c), C)
     delta, res = swim_increments(body, surface, used, [(0, 1)], area)
     eigvals = body.frame(surface).eigvals
     tags = [f"gauge({f.tag})" if m else f.tag for f, m in zip(raw, moved.tolist())]
-    return values, tags, HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
+    return C, tags, HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
 
 
 def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
-    """_formula's result, with the raw fields' residuals from one gauge_pairings call on their values."""
+    """_formula's result, with the raw fields' residuals from one gauge_pairings call on their coefficients."""
     surface = _need(cfg, "surface", "surface")
     body = _need(cfg, "body", "body")
     raw = _build_fields(cfg, body)
     stroke = _build_stroke(cfg, steps_override)
-    values, tags, res = _formula(body, surface, raw, stroke.signed_area)
+    coefficients, tags, res = _formula(body, surface, raw, stroke.signed_area)
     return {
         "command": "holonomy",
         "surface": {"R": surface.R},
@@ -249,7 +248,7 @@ def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any
         "per_unit_area": list(res.per_unit_area),
         "gram_condition": res.gram_condition,
         "gauge_residuals": {
-            "raw": [list(r) for r in gauge_pairings(body, surface, values)],
+            "raw": [list(r) for r in gauge_pairings(body, surface, coefficients)],
             "used": [list(r) for r in res.gauge_residuals],
         },
         "fields": tags,

@@ -12,11 +12,14 @@ import math
 
 import numpy as np
 
-from .body import Body, moments, momentum_map, pairing_scale, require_balanced
+from .body import Body, moments, pairing_scale, require_balanced
 from .errors import DegenerateMomentsError, NonFiniteResultError
-from .fields import VectorField, linear_field
-from .geometry import Surface, rigid_field
+from .fields import VectorField, coefficients_of, linear_field
+from .geometry import Surface, killing_coefficients
 
+# subtract_rigid's largest |f - c . xi| / |f| read as rigid: the projection leaves <xi_a|f - c . xi> at up to
+# 4e-16 |xi_a| |f| (19,800 random and near-collinear draws), so a smaller rest can fail the 1e-8 gauge check.
+RIGID_FRACTION = 1e-7
 _LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
 
 
@@ -33,52 +36,50 @@ def linear_deformation(j: int, k: int) -> VectorField:
     return linear_field(B, tag=_LINEAR_TAGS[min(j, k), max(j, k)])
 
 
-def gauge_pairings(body: Body, surface: Surface, values) -> np.ndarray:
-    """Gauge residuals of fields sampled at the particles.
-
-    values stacks k fields evaluated at the body's positions, shape
-    (k, N, 2).  Returns, from one kernel call on the body's frame (so the
-    Gram matrix is the cached one), each pairing over its scale
-    (body.pairing_scale),
-
-        res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|).
-    """
-    G, mom, ff = momentum_map(body, surface, values)
-    return np.abs(mom) / np.maximum(pairing_scale(G, ff), 1e-300)
+def gauge_pairings(body: Body, surface: Surface, coefficients) -> np.ndarray:
+    """res[k, a] = |<xi_a|f_k>| / (|xi_a| |f_k|) (body.pairing_scale) for k fields of coefficients (k, 2, 6),
+    by the body's frame tables; the zero field's residuals read 0."""
+    frame = body.frame(surface)
+    scale = pairing_scale(frame.gram, frame.square_norm(coefficients))
+    return np.abs(frame.momentum(coefficients)) / np.maximum(scale, 1e-300, out=scale)
 
 
 def gauge_residuals(body: Body, surface: Surface, f: VectorField) -> np.ndarray:
     """Normalized pairings |<xi_a|f>| / (|xi_a| |f|) against the Killing set."""
-    return gauge_pairings(body, surface, f(body.positions)[None])[0]
+    return gauge_pairings(body, surface, coefficients_of([f]))[0]
 
 
-def gauge_coefficients(body: Body, surface: Surface, values) -> np.ndarray:
-    """The rigid content c = G^-1 <xi|f>, shape (k, 3), of k fields sampled at the particles, shape (k, N, 2).
-
-    One kernel call on the body's frame, then c = <xi|f> . inverse (the frame's G^-1) as stacked
-    (1, 3) rows, so c[k] is bitwise field k's alone.  A body that body.solve_gram refuses raises its
-    error, a c that is not finite NonFiniteResultError.
-    """
-    _, mom, _ = momentum_map(body, surface, values)
-    c = np.matmul(mom[:, None], body.frame(surface).inverse)[:, 0]
+def gauge_coefficients(body: Body, surface: Surface, coefficients) -> np.ndarray:
+    """The rigid content c = <xi|f> G^-1, shape (k, 3), of k fields of coefficients (k, 2, 6), as stacked (1, 3)
+    rows times the frame's inverse, so c[k] is bitwise field k's alone.  A body that body.solve_gram refuses
+    raises its error, a c that is not finite NonFiniteResultError."""
+    frame = body.frame(surface)
+    c = np.matmul(frame.momentum(coefficients)[:, None], frame.inverse)[:, 0]
     if not all(map(math.isfinite, c.ravel().tolist())):
         raise NonFiniteResultError(f"gauge projection coefficients are not finite: {c[~np.isfinite(c).all(-1)][0]}")
     return c
 
 
-def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
-    """Remove the rigid content of f: subtract the rigid field c . xi, c from gauge_coefficients.
+def subtract_rigid(body: Body, surface: Surface, coefficients: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The coefficients of f_k - c_k . xi, shape (k, 2, 6), c from gauge_coefficients; the exact zero field
+    where |f - c . xi| <= RIGID_FRACTION |f| (norms of the body's P), f rigid on the body to round-off."""
+    both = np.empty((2,) + coefficients.shape)
+    both[1] = coefficients
+    np.subtract(coefficients, np.einsum("ka,aij->kij", c, killing_coefficients(surface.R)), both[0])
+    uu, ff = body.frame(surface).square_norm(both.reshape(-1, 2, 6)).reshape(2, -1)
+    u = both[0]
+    u[uu <= RIGID_FRACTION**2 * ff] = 0.0
+    return u
 
-    The result pairs to zero with every Killing field and carries exactly
-    the strain of f.  Each evaluation of the result (value or gradient)
-    evaluates f and one rigid field; f with c all zero is returned itself.
-    """
-    coeffs = gauge_coefficients(body, surface, f(body.positions)[None])[0]
-    if not any(coeffs.tolist()):
+
+def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
+    """Remove the rigid content of f, subtract_rigid of c from gauge_coefficients: the result pairs to zero
+    with every Killing field and carries the strain of f.  f with c all zero is returned itself."""
+    C = coefficients_of([f])
+    c = gauge_coefficients(body, surface, C)
+    if not any(c[0].tolist()):
         return f
-    rigid = rigid_field(surface, coeffs)
-    return VectorField(func=lambda p: f(p) - rigid(p), grad=lambda p: f.gradient(p) - rigid.gradient(p),
-                       tag=f"gauge({f.tag})")
+    return VectorField(subtract_rigid(body, surface, C, c)[0], tag=f"gauge({f.tag})")
 
 
 def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:

@@ -1,17 +1,25 @@
-"""Vector fields on the 2D chart.
+"""Vector fields on the 2D chart, as polynomials of degree at most 2.
 
-A field is a callable taking chart points of shape (..., 2) and returning
-tangent components of the same shape, together with an optional closed-form
-gradient.  Killing fields and deformation fields share this one
-representation.
+A field is its (2, 6) coefficients over the monomials m = (1, x, y, x^2, xy, y^2).  Killing fields,
+linear deformations and their gauge projections are all of this form, so the formula route pairs
+fields by contracting coefficients with a body's moment tables (body.BodyFrame).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+
+MONOMIAL_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))     # (a, b) of each x^a y^b of m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def as_points(p) -> np.ndarray:
@@ -27,30 +35,71 @@ def complex_view(p) -> np.ndarray:
     return np.ascontiguousarray(as_points(p)).view(complex)
 
 
+def monomial_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m at points of coordinates x and y, stacked first: shape (6,) + x.shape."""
+    m = np.empty((6,) + np.shape(x))
+    m[0], m[1], m[2] = 1.0, x, y
+    np.multiply(x, m[1:3], m[3:5])
+    np.multiply(y, y, m[5, ...])
+    return m
+
+
+def polynomial_values(coefficients: np.ndarray, p) -> np.ndarray:
+    """The field of (2, 6) coefficients at chart points p, shape (..., 2): each component its six terms
+    added in one order (no BLAS product), so a point's value does not depend on its batch."""
+    a = as_points(p)
+    terms = coefficients.reshape((2, 6) + (1,) * (a.ndim - 1)) * monomial_rows(a[..., 0], a[..., 1])
+    return np.moveaxis(np.add.reduce(terms, 1), 0, -1)
+
+
 @dataclass(frozen=True)
 class VectorField:
-    """A tangent vector field with optional analytic gradient.
+    """A tangent field v^i = sum_j coefficients[i, j] m_j, polynomial of degree at most 2.
 
-    func        maps (..., 2) points to (..., 2) components.
-    grad        maps (..., 2) points to (..., 2, 2) partials, indexed
-                grad[..., j, k] = d v^k / d x^j.  When absent, gradient
-                raises ValueError.
-    linear_matrix   set when v(x) = B @ x exactly; enables the closed-form
-                shape flow used by the stroke integrator.
+    coefficients, (2, 6) and read-only, are what every route reads; a field
+    built from an evaluator alone has none, and the routes refuse it by its
+    tag.  func maps (..., 2) points to (..., 2) components, and is filled
+    from the coefficients when not given.
     """
 
-    func: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    coefficients: Optional[np.ndarray] = None
     tag: str = "custom"
-    linear_matrix: Optional[np.ndarray] = None
+    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.coefficients is not None:
+            C = _read_only(np.array(self.coefficients, dtype=float))
+            if C.shape != (2, 6):
+                raise ValueError(f"field {self.tag!r} needs (2, 6) coefficients, got shape {C.shape}")
+            object.__setattr__(self, "coefficients", C)
+            if self.func is None:
+                object.__setattr__(self, "func", functools.partial(polynomial_values, C))
+        elif self.func is None:
+            raise ValueError(f"field {self.tag!r} needs coefficients or an evaluator")
 
     def __call__(self, p) -> np.ndarray:
         return np.asarray(self.func(as_points(p)), dtype=float)
 
     def gradient(self, p) -> np.ndarray:
-        if self.grad is None:
-            raise ValueError(f"field {self.tag!r} has no gradient: build it with grad=")
-        return np.asarray(self.grad(as_points(p)), dtype=float)
+        """grad[..., j, k] = d v^k / d x^j at points p, shape (..., 2, 2): the exact polynomial derivative."""
+        C = coefficients_of([self])[0]
+        a = as_points(p)
+        x, y = a[..., 0, None], a[..., 1, None]
+        return np.stack([C[:, 1] + 2.0 * C[:, 3] * x + C[:, 4] * y, C[:, 2] + C[:, 4] * x + 2.0 * C[:, 5] * y], -2)
+
+    @cached_property
+    def linear_matrix(self) -> Optional[np.ndarray]:
+        """B, read-only, when v(x) = B x exactly (zero constant and quadratic columns), else None."""
+        C = self.coefficients
+        return None if C is None or C[:, [0, 3, 4, 5]].any() else _read_only(C[:, 1:3].copy())
+
+
+def coefficients_of(fields) -> np.ndarray:
+    """The coefficients of k fields stacked, shape (k, 2, 6); ValueError naming a field that has none."""
+    for f in fields:
+        if getattr(f, "coefficients", None) is None:
+            raise ValueError(f"field {getattr(f, 'tag', f)!r} has no polynomial coefficients")
+    return np.array([f.coefficients for f in fields])
 
 
 def linear_field(matrix, tag: str = "linear") -> VectorField:
@@ -58,13 +107,6 @@ def linear_field(matrix, tag: str = "linear") -> VectorField:
     B = np.asarray(matrix, dtype=float)
     if B.shape != (2, 2):
         raise ValueError("linear_field needs a 2x2 matrix")
-    Bt = B.T.copy()
-
-    def func(p):
-        return as_points(p) @ Bt
-
-    def grad(p):
-        pts = as_points(p)
-        return np.broadcast_to(Bt, pts.shape[:-1] + (2, 2)).copy()
-
-    return VectorField(func=func, grad=grad, tag=tag, linear_matrix=B)
+    C = np.zeros((2, 6))
+    C[:, 1:3] = B
+    return VectorField(C, tag=tag)

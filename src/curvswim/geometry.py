@@ -29,7 +29,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ChartDomainError
-from .fields import VectorField, as_points, complex_view
+from .fields import VectorField, _read_only, as_points, complex_view
 
 __all__ = [
     "Surface",
@@ -40,8 +40,8 @@ __all__ = [
     "KILLING_TABLE",
     "killing_table",
     "killing_fields",
+    "killing_coefficients",
     "rigid_field",
-    "rigid_velocity",
     "killing_one_form",
     "killing_two_forms",
     "numeric_exterior_derivative",
@@ -51,6 +51,7 @@ __all__ = [
     "translation_to",
     "rotation_about_origin",
     "translation_killing_approx",
+    "translation_killing_gradient",
 ]
 
 # Relative margin kept between points and the hyperbolic chart boundary.
@@ -279,53 +280,33 @@ def rotation_about_origin(surface: Surface, angle: float) -> Isometry:
 # Killing fields and their forms
 
 
-def rigid_velocity(surface: Surface, tau, z) -> np.ndarray:
-    """Complex tau . xi at complex points z of shape (..., N, 1), for tau of shape (..., 3).
-
-    The Killing fields in complex form: tau . xi is the Moebius field
-    q + i tau3 z + R conj(q) z^2 with q = tau1 + i tau2, so xi1, xi2 and xi3
-    are the translation-x, translation-y and rotation fields.  KILLING_TABLE
-    writes the same fields in chart monomials.
-    """
-    q = (tau[..., 0] + 1j * tau[..., 1])[..., None, None]
-    return q + z * (1j * tau[..., 2, None, None] + surface.R * np.conj(q) * z)
-
-
 # The Killing fields in chart monomials: component i of xi_a is
-# sum_{p, j} KILLING_TABLE[p, a, i, j] R^p m_j, m = (1, x, y, x^2 - y^2, xy).
-# With R z^2 = R (x^2 - y^2) + 2iR xy: xi1 = 1 + R z^2, xi2 = i (1 - R z^2), xi3 = i z.
+# sum_{p, j} KILLING_TABLE[p, a, i, j] R^p m_j, m = (1, x, y, x^2 - y^2, xy): tau . xi is the Moebius
+# field q + i tau3 z + R conj(q) z^2, q = tau1 + i tau2, so xi1 = 1 + R z^2, xi2 = i (1 - R z^2), xi3 = i z.
 KILLING_TABLE = np.zeros((2, 3, 2, 5))
 KILLING_TABLE[0, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 2, 1]] = 1.0, 1.0, -1.0, 1.0
 KILLING_TABLE[1, [0, 0, 1, 1], [0, 1, 0, 1], [3, 4, 4, 3]] = 1.0, 2.0, 2.0, -1.0
 KILLING_TABLE.setflags(write=False)
+_TO_FIELD = np.zeros((5, 6))      # m over a field's monomials 1, x, y, x^2, xy, y^2
+_TO_FIELD[[0, 1, 2, 3, 3, 4], [0, 1, 2, 3, 5, 4]] = 1.0, 1.0, 1.0, 1.0, -1.0, 1.0
 
 
 @functools.lru_cache(maxsize=64)
 def killing_table(R: float) -> np.ndarray:
     """KILLING_TABLE at curvature R, read-only: the (3, 2, 5) coefficients of xi_a's components in m_j."""
-    table = KILLING_TABLE[0] + R * KILLING_TABLE[1]
-    table.setflags(write=False)
-    return table
+    return _read_only(KILLING_TABLE[0] + R * KILLING_TABLE[1])
+
+
+@functools.lru_cache(maxsize=64)
+def killing_coefficients(R: float) -> np.ndarray:
+    """killing_table(R) as field coefficients, shape (3, 2, 6), read-only: VectorField(...[a]) is xi_a."""
+    return _read_only(np.einsum("aij,jk->aik", killing_table(R), _TO_FIELD))
 
 
 def rigid_field(surface: Surface, tau) -> VectorField:
-    """The Killing combination tau . xi, tau of shape (3,), as a VectorField.
-
-    Its values are rigid_velocity's at the points taken as one (M, 1) column,
-    so a single point takes the batch's arithmetic.  It is holomorphic: the
-    parts (a, b) of its complex derivative a + ib = i tau3 + 2R conj(q) z give
-    its gradient [[a, b], [-b, a]].  A pure rotation (q = 0) is linear.
-    """
-    t = np.array(tau, dtype=float)
-    q = complex(t[0], t[1])
-
-    def grad(p):
-        d = (1j * t[2] + 2.0 * surface.R * np.conj(q) * complex_view(p)).reshape(p.shape[:-1])
-        return np.stack([np.stack([d.real, d.imag], -1), np.stack([-d.imag, d.real], -1)], -2)
-
-    return VectorField(
-        func=lambda p: rigid_velocity(surface, t, complex_view(p.reshape(-1, 2))).view(float).reshape(p.shape),
-        grad=grad, tag="rigid", linear_matrix=np.array([[0.0, -t[2]], [t[2], 0.0]]) if q == 0 else None)
+    """tau . xi, tau of shape (3,), of coefficients tau . killing_coefficients(R); linear if q = 0."""
+    return VectorField(np.einsum("a,aij->ij", np.asarray(tau, dtype=float), killing_coefficients(surface.R)),
+                       tag="rigid")
 
 
 def killing_fields(surface: Surface) -> Tuple[VectorField, VectorField, VectorField]:
@@ -345,29 +326,12 @@ def killing_one_form(surface: Surface, index: int, p) -> np.ndarray:
 
 
 def killing_two_forms(surface: Surface, p) -> np.ndarray:
-    """Coefficients of dx ^ dy in the exterior derivatives of the lowered fields.
-
-    Shape (3,) + p.shape[:-1], one row per Killing field.  Closed forms
-    over u = 1 + R|z|^2, from one |z|^2 and one u^3:
-
-        index 1:  8 R y / u^3
-        index 2: -8 R x / u^3
-        index 3:  2 (1 - R|z|^2) / u^3
-
-    At R = 0 the translation forms vanish identically and the rotation form
-    is the constant 2.
-    """
-    return chart_two_forms(surface.R, *surface.chart(p))
-
-
-def chart_two_forms(R: float, x, y, r2) -> np.ndarray:
-    """killing_two_forms from chart rows already formed: x, y and r2 = |z|^2 as Surface.chart gives them."""
-    u3 = (1.0 + R * r2) ** 3
-    c = np.empty((3,) + r2.shape)
-    c[0] = 8.0 * R * y / u3
-    c[1] = -8.0 * R * x / u3
-    c[2] = 2.0 * (1.0 - R * r2) / u3
-    return c
+    """Coefficients of dx ^ dy in the exterior derivatives of the lowered fields, shape (3,) + p.shape[:-1]:
+    8 R y / u^3, -8 R x / u^3 and 2 (1 - R|z|^2) / u^3 over u = 1 + R|z|^2, from one |z|^2 and one u^3.
+    At R = 0 the translation forms vanish identically and the rotation form is the constant 2."""
+    R = surface.R
+    x, y, r2 = surface.chart(p)
+    return np.stack([8.0 * R * y, -8.0 * R * x, 2.0 * (1.0 - R * r2)]) / (1.0 + R * r2) ** 3
 
 
 def numeric_exterior_derivative(one_form: Callable[[np.ndarray], np.ndarray], p) -> float:
@@ -454,28 +418,28 @@ def translation_killing_approx(curv: CurvatureTensor, k: int) -> VectorField:
     """Approximate translation Killing field near the origin of a local frame.
 
     Returns covariant components: value e_k at the origin, vanishing
-    antisymmetric derivative there, and gradient evaluator equal to the
-    covariant derivative -x^i R[j, l, i, k] (exact to first order).  The
-    value evaluator carries the compatible quadratic profile; its plain
-    partial derivatives differ from the gradient evaluator by the O(x)
-    Christoffel terms of the local frame, which is intrinsic to normal
-    coordinates rather than an implementation gap.
+    antisymmetric derivative there, and the compatible quadratic profile
+    -x^j x^i sym[j, l, i] / 2 of the curvature.  Its covariant derivative,
+    which the curvature routes read, is translation_killing_gradient; the
+    plain partial derivatives of the profile (VectorField.gradient) differ
+    from it by the O(x) Christoffel terms of the local frame, which is
+    intrinsic to normal coordinates rather than an implementation gap.
     """
     if k not in (1, 2):
         raise ValueError("axis index must be in 1..2")
     Rt = curv.components
     kk = k - 1
-    # symmetrized quadratic coefficient: value path of the one-form
+    # symmetrized quadratic coefficient sym[j, l, i], symmetric in j and i: value path of the one-form
     sym = 0.5 * (Rt[:, :, :, kk] + np.einsum("jli->ilj", Rt[:, :, :, kk]))
+    C = np.zeros((2, 6))
+    C[kk, 0] = 1.0
+    C[:, 3:] = -0.5 * np.stack([sym[0, :, 0], 2.0 * sym[0, :, 1], sym[1, :, 1]], -1)
+    return VectorField(C, tag=f"translation-approx-{k}")
 
-    def func(p):
-        a = as_points(p)
-        out = -0.5 * np.einsum("...j,...i,jli->...l", a, a, sym)
-        out[..., kk] += 1.0
-        return out
 
-    def grad(p):
-        a = as_points(p)
-        return -np.einsum("...i,jli->...jl", a, Rt[:, :, :, kk])
-
-    return VectorField(func=func, grad=grad, tag=f"translation-approx-{k}")
+def translation_killing_gradient(curv: CurvatureTensor, k: int, p) -> np.ndarray:
+    """The covariant derivative -x^i R[j, l, i, k] of translation_killing_approx(curv, k) at points p,
+    shape (..., 2, 2), indexed [..., j, l] (exact to first order)."""
+    if k not in (1, 2):
+        raise ValueError("axis index must be in 1..2")
+    return -np.einsum("...i,jli->...jl", as_points(p), curv.components[:, :, :, k - 1])

@@ -7,11 +7,11 @@ control axis), the rigid increment dtau solves the linear system
     G . dtau = - <d xi_beta | u, v> A,      beta = 1, 2, 3
 
 where G is the mass-weighted Gram matrix of the Killing fields and the
-bracket pairs the exact Killing two-forms with the field pair at every
-particle.  dtau is the right side times the inverse of G that
-body.frame forms once per body and curvature by body.solve_gram, the
-oracle's solve, so both routes refuse the same bodies.  Three
-evaluation paths are provided:
+bracket pairs the exact Killing two-forms with the field pair, summed over
+the particles: the curvature times moments of the swimmer, read from the
+body frame's tables (body.BodyFrame).  dtau is the right side times the
+inverse of G that body.frame forms by body.solve_gram, the oracle's solve,
+so both routes refuse the same bodies.  Three evaluation paths:
 
   * holonomy_general        exact two-forms of the built-in surfaces
                             (swim_increments for one pair: the same solve
@@ -26,6 +26,7 @@ relative order |R| L^2, which is the observable small-body error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -34,7 +35,7 @@ import numpy as np
 from .body import Body, moments, particle_sums, require_balanced
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, NonFiniteResultError
-from .fields import VectorField
+from .fields import VectorField, coefficients_of, monomial_rows
 from .geometry import CurvatureTensor, Surface
 
 GAUGE_TOLERANCE = 1e-8
@@ -75,17 +76,13 @@ def holonomy_general(
     v: VectorField,
     area: float,
 ) -> HolonomyResult:
-    """Solve the swim equations with the exact two-forms of the surface.
+    """Solve the swim equations with the exact two-forms of the surface: swim_increments for the one pair.
 
-    u and v must already satisfy the gauge condition against the Killing
-    set (project first if unsure); a residual above GAUGE_TOLERANCE is an
-    error, not a warning, because the leading-order derivation relies on it.
-    This is swim_increments for the one pair (u, v): gauge residuals or a
-    delta_tau that overflowed raise NonFiniteResultError, and a Gram matrix
-    that body.solve_gram refuses raises its error, after the gauge check.
+    u and v must already satisfy the gauge condition (project first if
+    unsure); a residual above GAUGE_TOLERANCE is an error, not a warning,
+    because the leading-order derivation relies on it.
     """
-    x = body.positions
-    delta, res = swim_increments(body, surface, np.stack([u(x), v(x)]), [(0, 1)], area)
+    delta, res = swim_increments(body, surface, coefficients_of([u, v]), [(0, 1)], area)
     eigvals = body.frame(surface).eigvals
     return HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
 
@@ -93,42 +90,34 @@ def holonomy_general(
 def swim_increments(
     body: Body,
     surface: Surface,
-    values: np.ndarray,
+    coefficients: np.ndarray,
     pairs: Sequence[Tuple[int, int]],
     area: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The swim equations for every index pair of k fields sampled at the particles.
+    """The swim equations for every index pair (i, j) of k fields of coefficients (k, 2, 6), field i on the
+    first control axis of a stroke of the given area.
 
-    values stacks the k fields at the body's positions, shape (k, N, 2), and
-    each pair (i, j) of pairs drives a stroke of the given area with field i
-    on the first control axis.  Returns (delta, res): delta[p], shape
-    (len(pairs), 3), is pair p's rigid increment, and res, shape (k, 3),
-    the gauge residuals of every field, from one gauge_pairings call.  Any
-    residual above GAUGE_TOLERANCE raises GaugeConditionError (a NaN one
-    NonFiniteResultError).  Each pair takes the same products and particle
-    sums as a call for that pair alone, and the product with the frame's
-    inverse is one stacked matmul of (1, 3) rows, a vector-matrix product per
-    pair, so every delta[p] is bitwise the one-pair result.
+    Returns (delta, res): pair p's rigid increment delta[p], and res, shape
+    (k, 3), every field's gauge residuals from one gauge_pairings call.  A
+    residual above GAUGE_TOLERANCE raises GaugeConditionError, a NaN one or
+    a delta that overflowed NonFiniteResultError, and a Gram matrix that
+    body.solve_gram refuses its error.  The right sides are the frame's
+    swim_right_side, times its inverse as stacked (1, 3) rows, so delta[p]
+    is bitwise the one-pair result.
     """
-    res = gauge_pairings(body, surface, values)
-    worst = np.max(res)
+    C = np.asarray(coefficients, dtype=float)
+    res = gauge_pairings(body, surface, C)
+    worst = res.max()
     if not worst <= GAUGE_TOLERANCE:     # a NaN residual fails too
         if not np.isfinite(worst):
             raise NonFiniteResultError(f"gauge residuals are not finite: {worst}")
-        raise GaugeConditionError(
-            f"deformation fields violate the gauge condition "
-            f"(max residual {worst:.3e} > {GAUGE_TOLERANCE:.1e}); "
-            "apply project_gauge first"
-        )
-    # sum_n m_n c(x_n) (u^1 v^2 - u^2 v^1), one row per two-form c and pair (u, v)
+        raise GaugeConditionError(f"deformation fields violate the gauge condition (max residual {worst:.3e} > "
+                                  f"{GAUGE_TOLERANCE:.1e}); apply project_gauge first")
     frame = body.frame(surface)
-    wedge = np.empty((len(pairs), body.n))
-    for p, (i, j) in enumerate(pairs):
-        u, v = values[i], values[j]
-        np.subtract(u[:, 0] * v[:, 1], u[:, 1] * v[:, 0], wedge[p])
-    rhs = -area * np.sum(body.masses * frame.two_forms * wedge[:, None], axis=-1)
+    rhs = frame.swim_right_side(np.take(C, pairs, 0))
+    rhs *= -area
     delta = np.matmul(rhs[:, None], frame.inverse)[:, 0]
-    if not np.all(np.isfinite(delta)):
+    if not all(map(math.isfinite, delta.ravel().tolist())):
         raise NonFiniteResultError(f"rigid increment is not finite: {delta}")
     return delta, res
 
@@ -149,8 +138,10 @@ def holonomy_small_swimmer(
     """
     require_balanced(body)
     x = body.positions
-    # the particle sums first (by the kernel's rule), then the curvature
-    moment = particle_sums(body.masses, (x, u(x), v(x)))[2]
+    # u and v at the particles (each value a six-term dot, the same at mirror images), then the particle
+    # sums (by the kernel's rule), then the curvature
+    uv = np.matmul(coefficients_of([u, v]).reshape(4, 6), monomial_rows(*x.T)).reshape(2, 2, -1)
+    moment = particle_sums(body.masses, (x, uv[0].T, uv[1].T))[2]
     bracket = np.einsum("ijl,jlik->k", moment, curv.components)
     return 2.0 * float(area) * bracket / body.total_mass
 

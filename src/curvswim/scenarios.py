@@ -22,7 +22,7 @@ import numpy as np
 from .body import Body, balance, principal_axes
 from .deformation import admissible_linear_deformations
 from .errors import NonFiniteResultError
-from .fields import VectorField, linear_field
+from .fields import VectorField, coefficients_of, linear_field
 from .geometry import Surface
 from .holonomy import swim_increments
 
@@ -141,10 +141,8 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     The body is balanced and rotated to principal axes, every pair of
     gauge-fixed linear deformations is pushed through the swim equations at
     R = 0, and the translation components are collected along with the
-    pairs producing nonzero rotation.  The (at most three) fields are
-    evaluated once at the particles and all pairs go through one
-    swim_increments call, so one gauge_pairings call checks every field;
-    each pair's result is bitwise holonomy_general's for that pair.
+    pairs producing nonzero rotation, all pairs in one swim_increments call
+    (bitwise holonomy_general's for each pair).
     """
     surface = Surface(0.0)
     prepared = principal_axes(balance(body, surface))
@@ -155,8 +153,7 @@ def baron_cat_report(body: Body, area: float = 1.0) -> BaronCatReport:
     turning = []
     max_tr = 0.0
     if pairs:
-        x = prepared.positions
-        delta, _ = swim_increments(prepared, surface, np.stack([f(x) for f in fields.values()]), pairs, area)
+        delta, _ = swim_increments(prepared, surface, coefficients_of(fields.values()), pairs, area)
         for (i, j), (tx, ty, rotation) in zip(pairs, delta.tolist()):
             key = (keys[i], keys[j])
             max_tr = max(max_tr, abs(tx), abs(ty))

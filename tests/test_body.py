@@ -17,7 +17,6 @@ from curvswim.body import (
     Body,
     balance,
     linear_momentum_map,
-    momentum_map,
     momentum_work,
     moments,
     pairing_scale,
@@ -25,8 +24,9 @@ from curvswim.body import (
     principal_axes,
     solve_gram,
 )
+from curvswim.deformation import project_gauge
 from curvswim.errors import BalanceConvergenceError, ChartDomainError, NonFiniteResultError, SingularGramError
-from curvswim.fields import linear_field
+from curvswim.fields import VectorField, linear_field, polynomial_values
 from curvswim.geometry import (
     CurvatureTensor,
     Surface,
@@ -96,22 +96,35 @@ def _per_particle_reference(body, s, velocities):
     return G, mom, vv
 
 
+def frame_pairings(b, s, coefficients):
+    """(gram, mom, vv) of fields given by their coefficients, shape (k, 2, 6), from the body's frame tables."""
+    frame = b.frame(s)
+    return frame.gram, frame.momentum(coefficients), frame.square_norm(coefficients)
+
+
+def values_at(b, coefficients):
+    """The fields of coefficients (k, 2, 6) at the body's positions, shape (k, N, 2)."""
+    return np.stack([polynomial_values(C, b.positions) for C in coefficients])
+
+
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_momentum_map_matches_particle_loop(R, seed):
+    # the frame's contractions of quadratic fields' coefficients against the particle loop on their values
     rng = np.random.default_rng(seed)
     n = 17
     b = Body(masses=rng.uniform(0.5, 1.5, n), positions=rng.uniform(-0.5, 0.5, (n, 2)))
     s = Surface(R)
-    V = rng.normal(size=(2, n, 2))
-    G, mom, vv = momentum_map(b, s, V)
-    G_ref, mom_ref, vv_ref = _per_particle_reference(b, s, V)
+    C = rng.normal(size=(2, 2, 6))
+    G, mom, vv = frame_pairings(b, s, C)
+    G_ref, mom_ref, vv_ref = _per_particle_reference(b, s, values_at(b, C))
     assert np.array_equal(G, G.T)
     assert np.max(np.abs(G - G_ref)) <= 1e-14 * np.max(np.abs(G_ref))
     assert np.max(np.abs(mom - mom_ref)) <= 1e-14 * np.max(np.abs(mom_ref))
     assert np.max(np.abs(vv - vv_ref)) <= 1e-14 * np.max(np.abs(vv_ref))
     frame = killing_frame(s, b.positions)
-    assert np.array_equal(frame, np.stack([xi(b.positions) for xi in killing_fields(s)]))
+    fields = np.stack([xi(b.positions) for xi in killing_fields(s)])
+    assert np.max(np.abs(fields - frame)) <= 2 * np.spacing(np.max(np.abs(frame)))
 
 
 def _mirror_body():
@@ -132,8 +145,8 @@ def test_momentum_map_mirror_body_exact_zeros(R):
     b = _mirror_body()
     s = Surface(R)
     diagonal = ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])
-    even = np.stack([linear_field(B)(b.positions) for B in diagonal])
-    G, mom, _ = momentum_map(b, s, even)
+    even = np.stack([linear_field(B).coefficients for B in diagonal])
+    G, mom, _ = frame_pairings(b, s, even)
     # xi_1 is even under y -> -y, xi_2 and xi_3 are odd.
     assert G[0, 1] == G[1, 0] == G[0, 2] == G[2, 0] == 0.0
     assert np.all(mom[:, 1:] == 0.0)
@@ -147,12 +160,13 @@ def _stage_batch(rng, n, batch, k=1, extent=0.4):
     return b, x, rng.normal(size=batch + (k, n, 2))
 
 
-def _exact_pairings(b, R, velocities):
-    """gram, mom and vv of the particle loop, summed exactly in rationals."""
+def _exact_pairings(b, R, coefficients):
+    """gram, mom and vv of the particle loop for fields of coefficients (k, 2, 6), evaluated and summed
+    exactly in rationals."""
     R = Fraction(R)
     gram = [[Fraction(0)] * 3 for _ in range(3)]
-    mom = [[Fraction(0)] * 3 for _ in velocities]
-    vv = [Fraction(0)] * len(velocities)
+    mom = [[Fraction(0)] * 3 for _ in coefficients]
+    vv = [Fraction(0)] * len(coefficients)
     for n, (m, (x, y)) in enumerate(zip(b.masses.tolist(), b.positions.tolist())):
         m, x, y = Fraction(m), Fraction(x), Fraction(y)
         w = m / (1 + R * (x * x + y * y)) ** 2
@@ -161,8 +175,9 @@ def _exact_pairings(b, R, velocities):
         for a in range(3):
             for c in range(3):
                 gram[a][c] += w * (xi[a][0] * xi[c][0] + xi[a][1] * xi[c][1])
-        for k, V in enumerate(velocities):
-            vx, vy = (Fraction(v) for v in V[n].tolist())
+        monomials = (1, x, y, x * x, x * y, y * y)
+        for k, C in enumerate(coefficients.tolist()):
+            vx, vy = (sum(Fraction(c) * m for c, m in zip(row, monomials)) for row in C)
             for a in range(3):
                 mom[k][a] += w * (xi[a][0] * vx + xi[a][1] * vy)
             vv[k] += w * (vx * vx + vy * vy)
@@ -185,9 +200,9 @@ def test_momentum_map_against_exact_sums(R, r2_range):
     r = np.sqrt(rng.uniform(*r2_range, n))
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     b = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
-    V = rng.normal(size=(2, n, 2))
-    G, mom, vv = momentum_map(b, Surface(R), V)
-    G_exact, mom_exact, vv_exact = _exact_pairings(b, R, V)
+    C = rng.normal(size=(2, 2, 6))
+    G, mom, vv = frame_pairings(b, Surface(R), C)
+    G_exact, mom_exact, vv_exact = _exact_pairings(b, R, C)
     assert _rel_to_largest(G, G_exact) <= 1e-14
     assert _rel_to_largest(mom, mom_exact) <= 1e-14
     assert _rel_to_largest(vv, vv_exact) <= 1e-14
@@ -243,18 +258,19 @@ def test_momentum_map_workspace_is_the_same_kernel(R, batch, k):
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
 @pytest.mark.parametrize("R", [-1.0, 0.0, 0.5, 1.0])
 def test_linear_momentum_map_matches_the_velocity_rows(R, batch, k):
-    # v = L y paired from the weighted moments against the per-particle
-    # velocity rows of momentum_map on a body at the points.  Over 40 seeds
-    # of this draw (N = 1 to 39, points in [-0.6, 0.6]^2) the momenta
-    # differed by at most 7.8e-16 of their pairing scale and vv by 7.2e-15
-    # of itself; gram is the same position half, bitwise.
+    # v = L y paired from the weighted moments against the frame's table
+    # contractions of the linear fields' coefficients on a body at the
+    # points.  Against the per-particle velocity rows the tables replaced,
+    # over 40 seeds of this draw (N = 1 to 39, points in [-0.6, 0.6]^2), the
+    # momenta differed by at most 7.8e-16 of their pairing scale and vv by
+    # 7.2e-15 of itself; gram is the same position half, bitwise.
     rng = np.random.default_rng(21)
     s = Surface(R)
     for n in (1, 5, 39):
         b, x, _ = _stage_batch(rng, n, batch, k=k, extent=0.6)
         L = rng.normal(size=batch + (k, 2, 2))
-        V = x[..., None, :, :] @ np.swapaxes(L, -1, -2)
-        pairs = [momentum_map(Body(masses=b.masses, positions=x[i]), s, V[i]) for i in np.ndindex(batch)]
+        pairs = [frame_pairings(Body(masses=b.masses, positions=x[i]), s,
+                                np.stack([linear_field(B).coefficients for B in L[i]])) for i in np.ndindex(batch)]
         gram, mom, vv = (np.stack(a).reshape(batch + a[0].shape) for a in zip(*pairs))
         got = linear_momentum_map(b, s, x, L)
         assert [a.shape for a in got] == [gram.shape, mom.shape, vv.shape]
@@ -334,10 +350,16 @@ def test_linear_momentum_map_memory_stays_within_a_few_stage_arrays():
 def test_momentum_map_flat_gram_at_huge_coordinates():
     # At R = 0 no r^4 row is formed.  Once it overflowed (|x| above about
     # 1e77) and 0 * inf made g11 = g22 NaN, though no entry exceeds 1e157.
+    # The frame's quartic moments do overflow there; the formula route
+    # refuses such a body anyway, by its Gram eigenvalue ratio of order L^2.
     b = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1e78, b=1e78))
-    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0]
+    G = linear_momentum_map(b, Surface(0.0), b.positions, np.empty((0, 2, 2)))[0]
     assert np.all(np.isfinite(G))
     assert G[0, 0] == G[1, 1] == b.total_mass
+    with np.errstate(all="ignore"):
+        assert np.array_equal(b.frame(Surface(0.0)).gram, G)
+        with pytest.raises(SingularGramError):
+            project_gauge(b, Surface(0.0), linear_field([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # -------------------------------------------------------------- Gram solve
@@ -374,10 +396,10 @@ def test_solve_gram_refuses_non_finite_first(where):
 # each velocity with itself.
 
 
-def pairings(b, s, *velocities):
-    """(gram, mom, vv) of momentum_map at the body's positions, mass-normalized."""
-    V = np.stack(velocities) if velocities else np.empty((0, b.n, 2))
-    return tuple(a / b.total_mass for a in momentum_map(b, s, V))
+def pairings(b, s, *fields):
+    """(gram, mom, vv) of the frame's contractions with the fields' coefficients, mass-normalized."""
+    C = np.stack([f.coefficients for f in fields]) if fields else np.empty((0, 2, 6))
+    return tuple(a / b.total_mass for a in frame_pairings(b, s, C))
 
 
 def test_unit_field_has_unit_norm():
@@ -395,7 +417,8 @@ def test_pointwise_orthogonal_fields():
     # each Killing field turned by a right angle at every particle pairs to zero with it
     b = Body.from_particles([[1, 0.2, 0.4], [3, -0.1, 0.5]])
     s = Surface(1.0)
-    turned = [xi(b.positions)[:, ::-1] * [1.0, -1.0] for xi in killing_fields(s)]
+    turned = [VectorField(xi.coefficients[::-1] * [[1.0], [-1.0]]) for xi in killing_fields(s)]
+    assert np.array_equal(turned[0](b.positions), killing_fields(s)[0](b.positions)[:, ::-1] * [1.0, -1.0])
     mom = pairings(b, s, *turned)[1]
     assert np.max(np.abs(np.diag(mom))) <= 1e-16
 
@@ -406,9 +429,10 @@ def test_scalar_product_bilinear_symmetric(a, c):
     # mom is linear in the velocity and gram is exactly symmetric
     b = Body.from_particles([[1, 0.3, 0.1], [2, -0.2, 0.2], [1.5, 0.1, -0.3]])
     s = Surface(-0.5)
-    u = linear_field(np.array([[0.7, 0.1], [0.0, -0.4]]))(b.positions)
-    w = np.broadcast_to([0.4, -0.9], u.shape)
-    gram, mom, _ = pairings(b, s, a * u + c * w, u, w)
+    u = linear_field(np.array([[0.7, 0.1], [0.0, -0.4]])).coefficients
+    w = np.zeros((2, 6))
+    w[:, 0] = 0.4, -0.9
+    gram, mom, _ = pairings(b, s, *(VectorField(C) for C in (a * u + c * w, u, w)))
     assert np.max(np.abs(mom[0] - (a * mom[1] + c * mom[2]))) <= 1e-12
     assert np.array_equal(gram, gram.T)
 
@@ -418,7 +442,7 @@ def test_norm_positive_unless_vanishing_on_particles():
     u = linear_field(np.array([[0.3, 0.0], [0.2, 0.0]]))
     # y d/dy vanishes at every particle of this needle
     v = linear_field(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    vv = pairings(b, Surface(0.0), u(b.positions), v(b.positions))[2]
+    vv = pairings(b, Surface(0.0), u, v)[2]
     assert vv[0] > 0.0
     assert vv[1] == 0.0
 

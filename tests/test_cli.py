@@ -123,19 +123,20 @@ def test_integrate_record(tmp_path):
 
 @pytest.mark.parametrize("command, frame_calls", [("integrate", 2), ("holonomy", 3)])
 def test_formula_half_pairs_each_raw_field_once(tmp_path, monkeypatch, command, frame_calls):
-    # one kernel call on the body's frame gives both fields' gauge coefficients
-    # and one checks the projected fields (holonomy adds one for the raw
-    # residuals), and each raw field is evaluated once at the particles
-    import curvswim.deformation as deformation
+    # one momentum contraction on the body's frame gives both fields' gauge
+    # coefficients and one checks the projected fields (holonomy adds one for
+    # the raw residuals); the formula reads the raw fields' coefficients and
+    # never evaluates them at the particles
+    from curvswim.body import BodyFrame
 
-    kernel_calls = []
-    original_map = deformation.momentum_map
+    frames = []
+    original_momentum = BodyFrame.momentum
 
-    def counted_map(body, surface, velocities):
-        kernel_calls.append(body)
-        return original_map(body, surface, velocities)
+    def counted_momentum(frame, coefficients):
+        frames.append(frame)
+        return original_momentum(frame, coefficients)
 
-    monkeypatch.setattr(deformation, "momentum_map", counted_map)
+    monkeypatch.setattr(BodyFrame, "momentum", counted_momentum)
     evaluations = []
     original_parse = cli.parse_field_spec
 
@@ -152,8 +153,8 @@ def test_formula_half_pairs_each_raw_field_once(tmp_path, monkeypatch, command, 
 
     monkeypatch.setattr(cli, "parse_field_spec", counted_parse)
     run_json(tmp_path, command, BASE_CONFIG)
-    assert len(kernel_calls) == frame_calls and all(b is kernel_calls[0] for b in kernel_calls)
-    assert evaluations == [1, 1]
+    assert len(frames) == frame_calls and all(f is frames[0] for f in frames)
+    assert evaluations == [0, 0]
 
 
 @pytest.mark.parametrize("R, ratio", [(1e-12, 0.999824), (5e-13, 0.999900), (2e-13, None), (-1e-13, None),

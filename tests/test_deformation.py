@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import curvswim.deformation as deformation_mod
-import curvswim.geometry
-from curvswim.body import Body, balance, momentum_map, principal_axes
+from curvswim.body import Body, balance, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import (
     gauge_coefficients,
@@ -13,10 +12,11 @@ from curvswim.deformation import (
     linear_deformation,
     parse_field_spec,
     project_gauge,
+    subtract_rigid,
 )
 from curvswim.errors import DegenerateMomentsError, NonFiniteResultError, SingularGramError
-from curvswim.fields import VectorField, complex_view, linear_field
-from curvswim.geometry import Surface, killing_fields, rigid_field, rigid_velocity, strain_of
+from curvswim.fields import VectorField, linear_field
+from curvswim.geometry import Surface, killing_fields, rigid_field, strain_of
 
 
 # ------------------------------------------------------------ linear family
@@ -51,8 +51,12 @@ def test_field_gradient_consistency():
 
 def test_field_without_gradient_refuses_gradient():
     f = VectorField(func=lambda p: p * p, tag="square")
-    with pytest.raises(ValueError, match="'square' has no gradient"):
+    with pytest.raises(ValueError, match="'square' has no polynomial coefficients"):
         f.gradient((0.1, 0.2))
+    with pytest.raises(ValueError, match="'square' needs coefficients or an evaluator"):
+        VectorField(tag="square")
+    with pytest.raises(ValueError, match=r"'square' needs \(2, 6\) coefficients, got shape \(2, 2\)"):
+        VectorField(np.eye(2), tag="square")
 
 
 # ------------------------------------------------------------------- strain
@@ -89,39 +93,29 @@ def test_project_noop_when_already_orthogonal():
     assert np.allclose(pf(pts), f(pts), atol=1e-14)
 
 
-def test_projection_equals_combination_with_killing_fields(monkeypatch):
-    # f minus one rigid field: equal bit for bit to f(p) - rigid(p), and to
-    # round-off to the linear combination f - c1 xi1 - c2 xi2 - c3 xi3.
+def test_projection_equals_combination_with_killing_fields():
+    # f's coefficients less those of c . xi, bit for bit, with c the frame's
+    # momentum times its inverse; its values are, to round-off, the linear
+    # combination f - c1 xi1 - c2 xi2 - c3 xi3, and evaluating it never
+    # evaluates f
     rng = np.random.default_rng(6)
     for R in (-1.0, 0.0, 1.0):
         s = Surface(R)
         body = random_balanced_body(rng)
         f = linear_field(rng.uniform(-1, 1, (2, 2)), tag="f")
         pf = project_gauge(body, s, f)
-        _, mom, _ = momentum_map(body, s, f(body.positions)[None])
-        coeffs = mom[0] @ body.frame(s).inverse
-        rigid = rigid_field(s, coeffs)
+        coeffs = body.frame(s).momentum(f.coefficients[None])[0] @ body.frame(s).inverse
+        assert np.array_equal(pf.coefficients, f.coefficients - rigid_field(s, coeffs).coefficients)
         xi1, xi2, xi3 = killing_fields(s)
         for p in (rng.uniform(-0.4, 0.4, (2, 7, 2)), body.positions[0]):
-            assert np.array_equal(pf(p), f(p) - rigid(p))
-            assert np.array_equal(pf.gradient(p), f.gradient(p) - rigid.gradient(p))
             value = f(p) - coeffs[0] * xi1(p) - coeffs[1] * xi2(p) - coeffs[2] * xi3(p)
             gradient = (f.gradient(p) - coeffs[0] * xi1.gradient(p) - coeffs[1] * xi2.gradient(p)
                         - coeffs[2] * xi3.gradient(p))
             for got, want in ((pf(p), value), (pf.gradient(p), gradient)):
                 assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
         assert pf.tag == "gauge(f)" and pf.linear_matrix is None
-    # one rigid_velocity call per evaluation
-    calls = []
-    original = curvswim.geometry.rigid_velocity
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(curvswim.geometry, "rigid_velocity", counted)
-    pf(body.positions)
-    assert len(calls) == 1
+        unread = VectorField(f.coefficients, tag="f", func=lambda p: pytest.fail("f was evaluated"))
+        assert np.array_equal(project_gauge(body, s, unread).coefficients, pf.coefficients)
 
 
 def _bits(a):
@@ -131,24 +125,23 @@ def _bits(a):
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
 def test_stacked_coefficients_and_subtraction_are_project_gauge(R):
     # the CLI's projection of a stack: one gauge_coefficients call, one
-    # rigid_velocity subtraction, raw values kept where c is all zero, as
-    # project_gauge keeps such a field.  The zero field's -0.0 values must
-    # survive bit for bit.
+    # subtract_rigid call, raw coefficients kept where c is all zero, as
+    # project_gauge keeps such a field.  The zero field's -0.0 coefficients
+    # must survive bit for bit.
     rng = np.random.default_rng(11)
     s = Surface(R)
     body = random_balanced_body(rng, 6)
     fields = [linear_field(rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
-    fields.insert(1, VectorField(func=lambda p: -0.0 * p, tag="signed-zero"))
-    x = body.positions
-    values = np.stack([f(x) for f in fields])
-    assert np.any(np.signbit(values[1]))
-    c = gauge_coefficients(body, s, values)
+    fields.insert(1, VectorField(np.full((2, 6), -0.0), tag="signed-zero"))
+    C = np.stack([f.coefficients for f in fields])
+    assert np.all(np.signbit(C[1]))
+    c = gauge_coefficients(body, s, C)
     assert c.shape == (4, 3) and not np.any(c[1])
     moved = c.any(axis=-1)
-    used = np.where(moved[:, None, None], values - rigid_velocity(s, c, complex_view(x)).view(float), values)
+    used = np.where(moved[:, None, None], subtract_rigid(body, s, C, c), C)
     for k, f in enumerate(fields):
-        assert _bits(gauge_coefficients(body, s, values[k][None])[0]) == _bits(c[k])
-        assert _bits(used[k]) == _bits(project_gauge(body, s, f)(x))
+        assert _bits(gauge_coefficients(body, s, C[k][None])[0]) == _bits(c[k])
+        assert _bits(used[k]) == _bits(project_gauge(body, s, f).coefficients)
     assert project_gauge(body, s, fields[1]) is fields[1]
 
 
@@ -156,12 +149,12 @@ def test_non_finite_coefficients_raise_the_projection_error():
     body = random_balanced_body(np.random.default_rng(2))
     s = Surface(1.0)
     good = linear_field(np.array([[0.3, 0.1], [-0.2, 0.5]]))
-    bad = VectorField(func=lambda p: np.full(p.shape, np.inf))
+    bad = VectorField(np.full((2, 6), np.inf))
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteResultError, match="gauge projection coefficients are not finite") as alone:
             project_gauge(body, s, bad)
         with pytest.raises(NonFiniteResultError) as stacked:
-            gauge_coefficients(body, s, np.stack([good(body.positions), bad(body.positions)]))
+            gauge_coefficients(body, s, np.stack([good.coefficients, bad.coefficients]))
     assert str(stacked.value) == str(alone.value)
 
 
@@ -247,7 +240,7 @@ def test_gauge_fixed_matrix_is_formed_once_per_body_and_pair(monkeypatch):
     B12 = gauge_fixed_linear_matrix(body, 1, 2)
     assert built == [(1, 1), (1, 2)]
     f = gauge_fixed_linear_deformation(body, 1, 2)
-    assert f.linear_matrix is B12 and built == [(1, 1), (1, 2)]
+    assert np.array_equal(f.linear_matrix, B12) and built == [(1, 1), (1, 2)]
 
 
 def test_gauge_fixed_refusal_is_not_cached():

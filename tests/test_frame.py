@@ -11,7 +11,7 @@ from numpy.random import default_rng
 
 import curvswim.body as body_mod
 import curvswim.integrator as integrator
-from curvswim.body import Body, linear_momentum_map, momentum_map, momentum_work
+from curvswim.body import Body, linear_momentum_map
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_residuals, project_gauge
 from curvswim.errors import NonFiniteResultError, SingularGramError
@@ -44,19 +44,19 @@ def test_formula_route_forms_one_frame(monkeypatch):
     rng = default_rng(11)
     body = random_balanced_body(rng, 7, 0.2)
     s = Surface(-1.0)
-    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "chart_two_forms")
+    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "_moment_tables")
     u, v = (project_gauge(body, s, f) for f in _fields(rng))
     gauge_residuals(body, s, u)
     res = holonomy_general(body, s, u, v, 1e-3)
-    assert calls == {"solve_gram": 1, "_position_rows": 1, "chart_two_forms": 1}
+    assert calls == {"solve_gram": 1, "_position_rows": 1, "_moment_tables": 1}
     assert res.gram_condition == body.frame(s).eigvals[-1] / body.frame(s).eigvals[0]
 
 
 def test_baron_cat_report_forms_one_frame_for_its_pairs(monkeypatch):
-    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "chart_two_forms")
+    calls = _counting(monkeypatch, "solve_gram", "_position_rows", "_moment_tables")
     report = baron_cat_report(random_balanced_body(default_rng(12), 6))
     assert len(report.rotations) == 3
-    assert calls == {"solve_gram": 1, "_position_rows": 1, "chart_two_forms": 1}
+    assert calls == {"solve_gram": 1, "_position_rows": 1, "_moment_tables": 1}
 
 
 def test_a_second_curvature_forms_a_second_frame(monkeypatch):
@@ -111,31 +111,38 @@ def test_frame_arrays_are_read_only():
     body = random_balanced_body(default_rng(16))
     s = Surface(-1.0)
     frame = body.frame(s)
-    for a in (frame.rows, frame.gram, frame.inverse, frame.eigvals, frame.two_forms):
+    for a in (frame.gram, frame.P, frame.Q, frame.killing, frame.inverse, frame.eigvals):
         with pytest.raises(ValueError):
             a[0] = 0.0
-    assert momentum_map(body, s, np.zeros((1, body.n, 2)))[0] is frame.gram
+    # the frame keeps nothing per particle
+    assert [a.shape for a in (frame.gram, frame.P, frame.Q, frame.killing)] == [(3, 3), (6, 6), (3, 6, 6), (3, 2, 6)]
 
 
 @pytest.mark.parametrize("R", [-1.0, 0.0, 0.5])
 def test_frame_two_forms_reuse_the_frame_chart(R, monkeypatch):
+    # P and Q are the particle sums of w m_j m_k and m c_beta m_j m_k, c_beta
+    # the two-forms at the positions, from the one chart pass of the frame
     body = random_balanced_body(default_rng(18))
     s = Surface(R)
-    expected = killing_two_forms(s, body.positions)
-    work = momentum_work((body.n,))     # the kernel's rows at the positions: x, y, r2, then w, w x, w y, w d, w xy
-    linear_momentum_map(body, s, body.positions, np.empty((0, 2, 2)), work=work)
+    x, y = body.positions.T
+    m = np.stack([np.ones(body.n), x, y, x * x, x * y, y * y])
+    w = body.masses / (1.0 + R * (x * x + y * y)) ** 2
+    c = body.masses * killing_two_forms(s, body.positions)
+    P = np.einsum("n,jn,kn->jk", w, m, m)
+    Q = np.einsum("bn,jn,kn->bjk", c, m, m)
     charts, original = [], Surface.chart
     monkeypatch.setattr(Surface, "chart", lambda *args, **kwargs: charts.append(1) or original(*args, **kwargs))
     frame = body.frame(s)
-    assert np.array_equal(frame.two_forms, expected)
-    assert np.array_equal(frame.rows, work.reshape(-1, body.n)[3:8])
+    assert np.max(np.abs(frame.P - P)) <= 1e-15 * np.max(np.abs(P))
+    assert np.max(np.abs(frame.Q - Q)) <= 1e-15 * np.max(np.abs(Q))
+    assert np.array_equal(frame.P, frame.P.T) and np.array_equal(frame.Q, np.swapaxes(frame.Q, 1, 2))
     assert len(charts) == 1
 
 
 def test_projection_refuses_non_finite_coefficients():
     # the Gram matrix is finite and regular; the momenta of the field are not
     body = random_balanced_body(default_rng(17))
-    infinite = VectorField(func=lambda p: np.full(p.shape, np.inf))
+    infinite = VectorField(np.full((2, 6), np.inf))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError, match="coefficients"):
         project_gauge(body, Surface(1.0), infinite)
 
@@ -150,7 +157,7 @@ def test_cached_inverse_keeps_the_gauge_to_round_off(seed):
     fields = _fields(rng)
     for L in (1e-1, 1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 5e-6, 3e-6):
         body = body0.scaled(L)
-        G = momentum_map(body, s, np.empty((0, body.n, 2)))[0]
+        G = body.frame(s).gram
         eigvals = np.linalg.eigvalsh(G)
         cond = eigvals[-1] / eigvals[0]
         if cond >= 1e12:
@@ -160,7 +167,7 @@ def test_cached_inverse_keeps_the_gauge_to_round_off(seed):
         for f in fields:
             pf = project_gauge(body, s, f)
             assert np.max(gauge_residuals(body, s, pf)) <= 1e-15
-            mom = momentum_map(body, s, f(body.positions)[None])[1][0]
+            mom = body.frame(s).momentum(f.coefficients[None])[0]
             coeffs = mom @ body.frame(s).inverse
             want = np.linalg.solve(G, mom)
             assert np.max(np.abs(coeffs - want)) <= cond * 1e-15 * np.max(np.abs(want))

@@ -4,7 +4,7 @@ import pytest
 import curvswim.body as body_mod
 import curvswim.deformation as deformation
 import curvswim.holonomy as holonomy_mod
-from curvswim.body import Body, balance, momentum_map, particle_sums, principal_axes
+from curvswim.body import Body, balance, particle_sums, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import GaugeConditionError, NonFiniteResultError, SingularGramError
@@ -18,6 +18,7 @@ from curvswim.holonomy import (
 )
 from curvswim.integrator import integrate_stroke, sinusoid_stroke
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
+from references import swim_longdouble
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 
@@ -27,20 +28,20 @@ TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 
 def test_gram_single_mass_at_origin():
     b = Body.from_particles([[1, 0, 0]])
-    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0] / b.total_mass
+    G = b.frame(Surface(0.0)).gram / b.total_mass
     assert np.allclose(G, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_gram_block_diagonal_for_balanced_flat():
     rng = np.random.default_rng(3)
     b = random_balanced_body(rng, extent=0.3)
-    G = momentum_map(b, Surface(0.0), np.empty((0, b.n, 2)))[0] / b.total_mass
+    G = b.frame(Surface(0.0)).gram / b.total_mass
     assert np.allclose(G[:2, 2], 0.0, atol=1e-13)
     assert np.allclose(G[2, :2], 0.0, atol=1e-13)
 
 
 def test_gram_symmetric_on_sphere():
-    G = momentum_map(TRIANGLE, Surface(1.0), np.empty((0, TRIANGLE.n, 2)))[0] / TRIANGLE.total_mass
+    G = TRIANGLE.frame(Surface(1.0)).gram / TRIANGLE.total_mass
     assert np.allclose(G, G.T, atol=1e-15)
     assert np.all(np.linalg.eigvalsh(G) > 0)
 
@@ -128,6 +129,52 @@ def test_small_generic_swimmer_formula_matches_oracle(L, component, rtol):
     assert abs(formula - oracle) <= rtol * abs(oracle)
 
 
+def _longdouble_cases(rng):
+    """(body, R, matrices): 200 random_balanced_body draws, N = 3-300, R in {+-1, +-0.25, 0} and N(0, 1)
+    matrices; then 60 bodies of the formula benchmark's recipe, N in the disk of radius 0.25, balanced on
+    the surface and in principal axes, with matrices uniform in [-1, 1]."""
+    for _ in range(200):
+        R = float(rng.choice([1.0, -1.0, 0.25, -0.25, 0.0]))
+        yield random_balanced_body(rng, int(rng.integers(3, 301))), R, rng.normal(size=(2, 2, 2))
+    for _ in range(60):
+        R, n = float(rng.choice([1.0, -1.0, 0.0])), int(rng.choice([3, 30, 300]))
+        r, phi = 0.25 * np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * np.pi, n)
+        body = Body(masses=rng.uniform(0.5, 1.5, n), positions=np.stack([r * np.cos(phi), r * np.sin(phi)], 1))
+        yield principal_axes(balance(body, Surface(R))), R, rng.uniform(-1.0, 1.0, (2, 2, 2))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is no wider than a double here")
+def test_formula_route_against_an_80_bit_transcription():
+    # the moment-table contractions against per-particle sums in extended
+    # precision: these draws read at most 1.2e-13 of max|delta_tau|, and
+    # 5.7e-14 on the per-particle route the tables replaced
+    for body, R, matrices in _longdouble_cases(np.random.default_rng(2024)):
+        s = Surface(R)
+        u, v = (project_gauge(body, s, linear_field(B)) for B in matrices)
+        got = holonomy_general(body, s, u, v, 1e-3).delta_tau
+        want = swim_longdouble(body, R, matrices, 1e-3)
+        assert np.max(np.abs(got - want)) <= 5e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0, -1.0])
+def test_a_rigid_control_projects_to_the_zero_field_and_moves_nothing(R):
+    # A field rigid on the body projects to round-off of itself, which the
+    # gauge check used to refuse ("apply project_gauge first") in most draws:
+    # a pure rotation on any body, and (0, x) on a body along the x axis.
+    s = Surface(R)
+    rng = np.random.default_rng(5)
+    collinear = Body(masses=[1.263, 1.198, 0.629], positions=[(-0.00948, 4.3e-21), (0.0298, 6.3e-21),
+                                                              (-0.0378, -2.1e-20)])
+    cases = [(random_balanced_body(rng, n), rng.uniform(0.5, 1.0) * np.array([[0.0, -1.0], [1.0, 0.0]]),
+              rng.normal(size=(2, 2))) for n in range(3, 30)]
+    cases.append((collinear, [[0.0, 0.0], [0.832, 0.0]], [[0.0, -0.728], [0.728, 0.0]]))
+    for body, rigid, other in cases:
+        u, v = (project_gauge(body, s, linear_field(B)) for B in (rigid, other))
+        assert not np.any(u.coefficients)
+        assert not np.any(holonomy_general(body, s, u, v, 1e-3).delta_tau)
+        assert not np.any(holonomy_general(body, s, v, u, 1e-3).delta_tau)
+
+
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("n", [3, 300])
 def test_swim_increments_is_bitwise_the_one_pair_solve(R, n):
@@ -135,9 +182,8 @@ def test_swim_increments_is_bitwise_the_one_pair_solve(R, n):
     body = random_balanced_body(rng, n, 0.2)
     s = Surface(R)
     fields = [project_gauge(body, s, linear_field(rng.normal(size=(2, 2)))) for _ in range(3)]
-    values = np.stack([f(body.positions) for f in fields])
     pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
-    delta, res = swim_increments(body, s, values, pairs, 1e-3)
+    delta, res = swim_increments(body, s, np.stack([f.coefficients for f in fields]), pairs, 1e-3)
     assert delta.shape == (4, 3) and res.shape == (3, 3)
     for p, (i, j) in enumerate(pairs):
         one = holonomy_general(body, s, fields[i], fields[j], 1e-3)
@@ -294,18 +340,9 @@ def test_needle_cannot_swim_along_its_axis_under_any_deformation():
     rng = np.random.default_rng(77)
 
     def random_field():
+        # (c0 x + c1 y^2 + c2 xy, c3 y + c4 x^2 + c5 xy) over 1, x, y, x^2, xy, y^2
         c = rng.uniform(-1, 1, size=6)
-
-        def func(p):
-            p = np.asarray(p, dtype=float)
-            x, y = p[..., 0], p[..., 1]
-            return np.stack(
-                [c[0] * x + c[1] * y * y + c[2] * x * y,
-                 c[3] * y + c[4] * x * x + c[5] * x * y],
-                axis=-1,
-            )
-
-        return VectorField(func=func)
+        return VectorField([[0.0, c[0], 0.0, 0.0, c[2], c[1]], [0.0, 0.0, c[3], c[4], c[5], 0.0]])
 
     for _ in range(5):
         u = project_gauge(needle, s, random_field())

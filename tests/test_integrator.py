@@ -14,12 +14,12 @@ from scipy.linalg import expm_frechet
 
 import curvswim
 import curvswim.integrator as integrator
-from curvswim.body import Body, balance, linear_momentum_map, momentum_map, pairing_scale, principal_axes, solve_gram
+from curvswim.body import Body, balance, linear_momentum_map, pairing_scale, principal_axes, solve_gram
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import ChartDomainError, CurvswimError, SingularGramError, StrokeError
 from curvswim.fields import VectorField, complex_view, linear_field
-from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator, rigid_velocity
+from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator
 from curvswim.holonomy import holonomy_general
 from curvswim.geometry import _SERIES_Q, cosh_sinc
 from curvswim.integrator import (
@@ -31,7 +31,7 @@ from curvswim.integrator import (
     sinusoid_stroke,
 )
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
-from references import killing_frame
+from references import killing_frame, particle_pairings, rigid_velocity
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 HEIGHT, BASE = triangle_control_fields()
@@ -75,15 +75,16 @@ def projected_pair(body, surface):
 
 
 def test_momentum_zero_velocities():
-    mom = momentum_map(TRIANGLE, Surface(1.0), np.zeros((1,) + TRIANGLE.positions.shape))[1]
+    mom = TRIANGLE.frame(Surface(1.0)).momentum(np.zeros((1, 2, 6)))
     assert np.all(mom == 0.0)
 
 
 def test_momentum_of_killing_velocity_is_norm():
     # the momenta of the velocities xi_a are the rows of the Gram matrix
     s = Surface(1.0)
-    gram, mom, _ = momentum_map(TRIANGLE, s, np.stack([xi(TRIANGLE.positions) for xi in killing_fields(s)]))
-    assert np.max(np.abs(mom - gram)) <= 1e-14 * np.max(np.abs(gram))
+    frame = TRIANGLE.frame(s)
+    mom = frame.momentum(np.stack([xi.coefficients for xi in killing_fields(s)]))
+    assert np.max(np.abs(mom - frame.gram)) <= 1e-14 * np.max(np.abs(frame.gram))
 
 
 def test_solver_residual_below_bound():
@@ -669,13 +670,13 @@ def reference_composed(body, surface, fields, stroke):
         E, Ed = expm_frechet(C, Cd)
         Y = X0 @ E.T
         Vy = X0 @ Ed.T
-        gram, _, vv = momentum_map(Body(masses=body.masses, positions=Y), surface, Vy[None])
+        gram, _, vv = particle_pairings(body.masses, surface, Y, Vy[None])
         max_scale = max(max_scale, float(np.max(np.sqrt(np.diag(gram) * vv[0]))))
         g = Isometry(complex(Gm[0, 0]), complex(Gm[0, 1]), surface.R)
         yz = complex_view(Y)
         X = g(Y)
         v_def = (mobius_derivative(g, yz) * complex_view(Vy)).view(float)
-        A, mom, _ = momentum_map(Body(masses=body.masses, positions=X), surface, v_def[None])
+        A, mom, _ = particle_pairings(body.masses, surface, X, v_def[None])
         tau_dot = np.linalg.solve(A, -mom[0])
         return rigid_generator(surface, tau_dot) @ Gm
 

@@ -18,6 +18,7 @@ import pytest
 from curvswim.body import linear_momentum_map, solve_gram
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_coefficients
+from curvswim.fields import linear_field
 from curvswim.geometry import Surface
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvswim"
@@ -102,6 +103,6 @@ def test_both_routes_solve_one_gram_system(R):
         x = body.positions
         gram, mom, _ = linear_momentum_map(body, s, x, B[None])
         tau, _ = solve_gram(gram, -mom[0])
-        c = gauge_coefficients(body, s, (x @ B.T)[None])[0]
+        c = gauge_coefficients(body, s, linear_field(B).coefficients[None])[0]
         assert np.array_equal(gram, body.frame(s).gram)
         assert np.max(np.abs(c + tau)) <= 1e-12 * np.max(np.abs(tau))

@@ -201,19 +201,13 @@ def test_rotation_equivariance_of_both_routes(case, theta):
     # field B x conjugated to Q B Q^T is the rotated field.  Both routes turn
     # the translation by theta and keep the rotation, up to round-off of the
     # rotated body.  Draws whose net motion is itself round-off are left
-    # out: fields nearly rigid on the body (a zero field, or one that moves
-    # a collinear body only along its line), whose projection is round-off
-    # for the gauge check (FOUND in CHANGES.md), and a formula increment
-    # below 1e-6 of area max|B|^2 (two dependent fields, or |R| near the
-    # subnormal range).  300 draws read at most 2.2e-10 of max|delta_tau| on
-    # the 16-step oracle and 1.1e-13 on the formula.
+    # out: a formula increment below 1e-4 of area max|B|^2, the
+    # stroke-reversal property's floor (a zero or rigid field, which the
+    # projection makes the zero field, two dependent fields, or |R| near the
+    # subnormal range); below it the oracle's round-off on a nearly collinear
+    # body can pass the 1e-8 bound.  300 draws read at most 2.2e-10 of
+    # max|delta_tau| on the 16-step oracle and 1.1e-13 on the formula.
     body, surface, fields = case
-    try:
-        for f in fields:
-            raw, projected = f(body.positions), project_gauge(body, surface, f)(body.positions)
-            assume(body.masses @ np.sum(projected**2, -1) > 1e-6 * (body.masses @ np.sum(raw**2, -1)))
-    except SingularGramError:
-        pass    # both routes refuse the body, rotated or not
 
     def formula(b, s, fs):
         u, v = (project_gauge(b, s, f) for f in fs)
@@ -225,7 +219,7 @@ def test_rotation_equivariance_of_both_routes(case, theta):
     expected = [_rotated_outcome(route, body, surface, fields, 0.0) for route in (formula, oracle)]
     if not isinstance(expected[0], type):
         gross = max(float(np.max(np.abs(f.linear_matrix))) for f in fields)
-        assume(np.max(np.abs(expected[0])) >= 1e-6 * STROKE.signed_area * gross**2)
+        assume(np.max(np.abs(expected[0])) >= 1e-4 * STROKE.signed_area * gross**2)
     for route, before in zip((formula, oracle), expected):
         got = _rotated_outcome(route, body, surface, fields, theta)
         if isinstance(before, type) or isinstance(got, type):

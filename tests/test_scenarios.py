@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import curvswim.deformation as deformation
 import curvswim.holonomy as holonomy
 import curvswim.scenarios as scenarios
-from curvswim.body import Body, balance, moments, principal_axes
+from curvswim.body import Body, BodyFrame, balance, moments, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation
 from curvswim.errors import DegenerateMomentsError, NonFiniteResultError
 from curvswim.holonomy import holonomy_general
@@ -236,10 +236,10 @@ def test_baron_cat_report_builds_each_field_once(particles, monkeypatch):
 
 
 def test_baron_cat_report_runs_one_swim_solve_for_its_pairs(monkeypatch):
-    # its three fields go through one gauge_pairings call (one kernel call);
-    # holonomy_general is the same solve for one pair
-    calls = {"momentum_map": 0, "gauge_pairings": 0}
-    for module, name in ((deformation, "momentum_map"), (holonomy, "gauge_pairings")):
+    # its three fields go through one gauge_pairings call (one momentum
+    # contraction on the frame); holonomy_general is the same solve for one pair
+    calls = {"momentum": 0, "gauge_pairings": 0}
+    for module, name in ((BodyFrame, "momentum"), (holonomy, "gauge_pairings")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -250,11 +250,11 @@ def test_baron_cat_report_runs_one_swim_solve_for_its_pairs(monkeypatch):
     body = Body.from_particles([[1, 1, 0], [1, -0.2, 0.8], [2, -0.4, -0.4]])
     report = baron_cat_report(body)
     assert len(report.rotations) == 3
-    assert calls == {"momentum_map": 1, "gauge_pairings": 1}
+    assert calls == {"momentum": 1, "gauge_pairings": 1}
     prepared = principal_axes(balance(body, Surface(0.0)))
     fb, fc = (gauge_fixed_linear_deformation(prepared, *p) for p in [(1, 1), (1, 2)])
     holonomy_general(prepared, Surface(0.0), fb, fc, 1.0)
-    assert calls == {"momentum_map": 2, "gauge_pairings": 2}
+    assert calls == {"momentum": 2, "gauge_pairings": 2}
 
 
 def test_baron_cat_report_skips_degenerate_pairs():
