@@ -7,12 +7,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import BalanceConvergenceError, NonFiniteResultError, SingularGramError
-from .fields import MONOMIAL_POWERS, _read_only
+from .errors import BalanceConvergenceError, CurvswimError, NonFiniteResultError, SingularGramError
+from .fields import MONOMIAL_POWERS, _read_only, monomial_rows
 from .geometry import (
     KILLING_TABLE,
     Isometry,
@@ -29,6 +29,7 @@ BALANCE_TOLERANCE = 1e-12   # balance: largest first moment / max(1, extent)
 GRAM_CUTOFF = 1e-12         # solve_gram: smallest Gram eigenvalue / largest
 BALANCE_MAX_ITER = 50
 AXES_TOLERANCE = 1e-14      # principal_axes: |Q_xy| / max(Q_xx, Q_yy)
+ROUND_OFF_LIMIT = 1e-3      # largest estimated share of a result lost to round-off
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +48,6 @@ class Body:
     def __post_init__(self):
         m = np.atleast_1d(np.asarray(self.masses, dtype=float)).copy()
         x = np.asarray(self.positions, dtype=float).copy()
-        if x.ndim == 1:
-            x = x[None, :]
         if m.ndim != 1 or x.shape != (m.shape[0], 2):
             raise ValueError(f"inconsistent body arrays: masses {m.shape}, positions {x.shape}")
         if m.shape[0] < 1:
@@ -84,9 +83,9 @@ class Body:
 
     @cached_property
     def _moments(self) -> "Moments":
-        x = self.positions
-        q = particle_sums(self.masses, (x, x, x))
-        return Moments(*map(_read_only, q), total_mass=self.total_mass)
+        T = self.mass_moments(3)     # x^a y^b at d (d + 1) / 2 + b, d = a + b: q2 and q3 by their count of y
+        q2, q3 = T[[3, 4, 4, 5]].reshape(2, 2), T[[6, 7, 7, 8, 7, 8, 8, 9]].reshape(2, 2, 2)
+        return Moments(T[1:3], _read_only(q2), _read_only(q3), total_mass=self.total_mass)
 
     @cached_property
     def _derived(self) -> dict:
@@ -104,9 +103,15 @@ class Body:
             piece = self._derived[key] = build()
         return piece
 
+    def mass_moments(self, degree: int) -> np.ndarray:
+        """S(m x^a y^b) for a + b <= degree, in fields.monomial_rows' order, read-only: kept per degree."""
+        return self.derived(("mass_moments", degree),
+                            lambda: _read_only(_mass_sums(self.masses, self.positions, degree)))
+
     def frame(self, surface: Surface) -> "BodyFrame":
         """The body's frame on surface: one per R, built whole on first use and kept with the body."""
         def build() -> BodyFrame:
+            require_resolved_curvature(self, surface)
             rows = np.empty((POSITION_ROWS, self.n))
             gram, _ = _position_rows(self.masses, surface, self.positions, rows)
             P, Q = _moment_tables(R, rows)
@@ -224,38 +229,29 @@ def _moment_tables(R: float, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return T[0], Q
 
 
-def moments(body: Body) -> Moments:
-    """The body's moments, formed on first use and cached: one read-only object per body.
+def _mass_sums(masses, x, degree: int) -> np.ndarray:
+    """S(m x^a y^b), a + b <= degree, of masses at points x (N, 2): fields.monomial_rows weighed by the masses,
+    summed by one np.add.reduce (no einsum, no BLAS), so mirror images cancel exactly."""
+    return np.add.reduce(monomial_rows(x[:, 0], x[:, 1], degree, masses), -1)
 
-    q1, q2 and q3 are one particle_sums call on the positions, so a body
-    symmetric under a mirror keeps the exact zeros its symmetry gives.
+
+def moments(body: Body) -> Moments:
+    """The body's moments, gathered from its degree-3 mass_moments on first use and kept: one read-only object.
+
+    q2 and q3 are exactly symmetric, and a body symmetric under a mirror
+    keeps the exact zeros its symmetry gives.
     """
     return body._moments
 
 
-def particle_sums(masses, factors: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
-    """Mass-weighted particle sums of the component products of k = 1 to 3 point arrays.
-
-    factors are k arrays of shape (N, 2), the positions or fields at them.
-    The i-th sum, shape (2,) * i, is S_i[a_1 .. a_i] = sum_n m_n f_1[n, a_1]
-    ... f_i[n, a_i], so (x, x, x) gives q1, q2 and q3.  The products are
-    contiguous rows, level i the rows of level i - 1 times the components of
-    f_i, summed by one np.add.reduce (no einsum, no BLAS product): mirror
-    images cancel exactly, and S_i is bitwise the same whatever follows f_i.
-    """
-    n = masses.shape[0]
-    k = len(factors)
-    rows = np.empty(((2 << k) - 2, n))
-    np.multiply(masses, factors[0].T, rows[:2])
-    if k > 1:
-        np.multiply(rows[:2, None], factors[1].T, rows[2:6].reshape(2, 2, n))
-    if k > 2:
-        np.multiply(rows[2:6, None], factors[2].T, rows[6:].reshape(4, 2, n))
-    s = np.add.reduce(rows, -1)
-    if k == 1:
-        return (s,)
-    sums = (s[:2], s[2:6].reshape(2, 2))
-    return sums if k == 2 else sums + (s[6:].reshape(2, 2, 2),)
+def require_resolved_curvature(body: Body, surface: Surface) -> None:
+    """Raise CurvswimError, naming |R| max r^2, where eps / (|R| max r^2) exceeds ROUND_OFF_LIMIT, R and the
+    extent nonzero: round-off of the kernel weight m / (1 + R r^2)^2 then takes more than that share of the
+    translation, which is proportional to R.  Body.frame and integrate_stroke refuse such a curvature."""
+    scale, floor = abs(surface.R) * body.extent**2, np.finfo(float).eps / ROUND_OFF_LIMIT
+    if surface.R and body.extent > 0.0 and scale < floor:
+        raise CurvswimError(f"|R| max r^2 = {scale:.3g} is below {floor:.2g}, where round-off of the kernel weight "
+                            f"loses more than {ROUND_OFF_LIMIT:g} of the translation")
 
 
 # Rows per point of the position half: x, y and r2, then the eleven weighted
@@ -435,8 +431,8 @@ def balance(body: Body, surface: Surface) -> Body:
     w = -q1 instead, which is every step at R = 0.  The iteration runs on
     the positions array and builds one Body at the end, which shares the
     body's masses; a body that is already balanced is returned itself.  The
-    means q1 and q2 come from one particle_sums call per iteration, so they
-    are bitwise those of moments() at the same positions.
+    means q1 and q2 come from one mass_moments(2) table per iteration, which
+    the result keeps for principal_axes, bitwise those of moments().
     """
     x = body.positions
     extent2 = float(np.max(np.sum(x**2, axis=1)))
@@ -450,10 +446,12 @@ def balance(body: Body, surface: Surface) -> Body:
     scale = max(1.0, math.sqrt(extent2))
     m, mass = body.masses, body.total_mass
     for _ in range(BALANCE_MAX_ITER):
-        sums = particle_sums(m, (x, x) if R else (x,))
-        qx, qy = (sums[0] / mass).tolist()
+        sums = _mass_sums(m, x, 2)
+        qx, qy = (sums[1:3] / mass).tolist()
         if max(abs(qx), abs(qy)) <= BALANCE_TOLERANCE * scale:
-            return body if x is body.positions else body._image(x)
+            image = body if x is body.positions else body._image(x)
+            image.derived(("mass_moments", 2), lambda: _read_only(sums))
+            return image
         x = translation_to(surface, _balance_step(R, qx, qy, sums, mass))(x)
     raise BalanceConvergenceError(
         f"first-moment balancing did not converge in {BALANCE_MAX_ITER} iterations "
@@ -462,10 +460,10 @@ def balance(body: Body, surface: Surface) -> Body:
 
 
 def _balance_step(R: float, qx: float, qy: float, sums, mass: float) -> Tuple[float, float]:
-    """balance's step w from the means (qx, qy) of z and the particle_sums of the
-    positions (with their second-order sums where R != 0): Newton, or flat -q1."""
+    """balance's step w from the means (qx, qy) of z and the positions' degree-2
+    mass moments (read where R != 0): Newton, or flat -q1."""
     if R:
-        (sxx, sxy), (_, syy) = (sums[1] / mass).tolist()
+        sxx, sxy, syy = (sums[3:6] / mass).tolist()
         c, s = sxx - syy, 2.0 * sxy                     # q2 = c + i s
         det = 1.0 - R * R * (c * c + s * s)
         if det >= 0.5:
@@ -483,7 +481,7 @@ def principal_axes(body: Body) -> Body:
     unchanged, axes are ordered so Q_xx >= Q_yy, and the rotation angle is
     taken in (-pi/2, pi/2].
     """
-    (qxx, qxy), (_, qyy) = moments(body).q2.tolist()
+    _, _, _, qxx, qxy, qyy = body.mass_moments(2).tolist()     # q2, from the table balance leaves
     scale = max(qxx, qyy, 1e-300)
     if abs(qxy) <= AXES_TOLERANCE * scale:
         if qxx >= qyy:

@@ -239,13 +239,13 @@ def _triangle(rng, fault):
 @invariant(("formula-paths-agree", "<", 1e-10), ("cubic-scaling-exact", "==", 0.0),
            ("r-flip-linear-exact", "==", 0.0), ("r-flip-small-swimmer-exact", "==", 0.0))
 def _formula_paths(rng, fault):
-    """Small-swimmer contraction vs cubic moments on 50 random bodies; on one more body,
-    exact lambda^3 scaling (lambda = 1/2, 2) and exact negation under R -> -R of both paths."""
+    """The moment contraction vs the curvature summed over the particles' field values on 50 random bodies;
+    on one more body, exact lambda^3 scaling (lambda = 1/2, 2) and exact negation under R -> -R of both paths."""
     agree = 0.0
     for body, pb, pc in _random_bodies(rng, 50):
-        u, v = (gauge_fixed_linear_deformation(body, *pair) for pair in (pb, pc))
-        agree = max(agree, _max_abs(holonomy_small_swimmer(body, K4, u, v, 1.0)
-                                    - holonomy_linear(body, K4, pb, pc, 1.0)))
+        x, (u, v) = body.positions, (gauge_fixed_linear_deformation(body, *pair) for pair in (pb, pc))
+        direct = 2.0 * np.einsum("n,ni,nj,nl,jlik->k", body.masses, x, u(x), v(x), K4.components) / body.total_mass
+        agree = max(agree, _max_abs(holonomy_linear(body, K4, pb, pc, 1.0) - direct))
     body = next(_random_bodies(rng, 1))[0]
     base = holonomy_linear(body, K4, (2, 2), (1, 1), 1.0)
     cubic = max(_max_abs(holonomy_linear(body.scaled(lam), K4, (2, 2), (1, 1), 1.0) - lam**3 * base)

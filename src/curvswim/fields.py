@@ -35,13 +35,18 @@ def complex_view(p) -> np.ndarray:
     return np.ascontiguousarray(as_points(p)).view(complex)
 
 
-def monomial_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m at points of coordinates x and y, stacked first: shape (6,) + x.shape."""
-    m = np.empty((6,) + np.shape(x))
-    m[0], m[1], m[2] = 1.0, x, y
-    np.multiply(x, m[1:3], m[3:5])
-    np.multiply(y, y, m[5, ...])
-    return m
+def monomial_rows(x: np.ndarray, y: np.ndarray, degree: int = 2, weight=1.0) -> np.ndarray:
+    """weight x^a y^b at points of coordinates x and y for a + b <= degree, stacked first, degree by degree
+    and x^d first in each (m at degree 2).  Each row is an earlier row times x (b = 0) or y: a lower degree's
+    rows are bitwise a prefix, and a mirror image y -> -y negates exactly the rows of odd b."""
+    rows = np.empty(((degree + 1) * (degree + 2) // 2,) + np.shape(x))
+    rows[0] = weight
+    first = 0
+    for d in range(1, degree + 1):
+        previous, first = first, first + d
+        np.multiply(rows[previous], x, rows[first, ...])
+        np.multiply(rows[previous:first], y, rows[first + 1:first + d + 1])
+    return rows
 
 
 def polynomial_values(coefficients: np.ndarray, p) -> np.ndarray:
@@ -56,33 +61,29 @@ def polynomial_values(coefficients: np.ndarray, p) -> np.ndarray:
 class VectorField:
     """A tangent field v^i = sum_j coefficients[i, j] m_j, polynomial of degree at most 2.
 
-    coefficients, (2, 6) and read-only, are what every route reads; a field
-    built from an evaluator alone has none, and the routes refuse it by its
-    tag.  func maps (..., 2) points to (..., 2) components, and is filled
-    from the coefficients when not given.
+    coefficients, (2, 6) and read-only, are what every route reads.  func
+    maps (..., 2) points to (..., 2) components, and is filled from the
+    coefficients when not given.
     """
 
-    coefficients: Optional[np.ndarray] = None
+    coefficients: np.ndarray
     tag: str = "custom"
     func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.coefficients is not None:
-            C = _read_only(np.array(self.coefficients, dtype=float))
-            if C.shape != (2, 6):
-                raise ValueError(f"field {self.tag!r} needs (2, 6) coefficients, got shape {C.shape}")
-            object.__setattr__(self, "coefficients", C)
-            if self.func is None:
-                object.__setattr__(self, "func", functools.partial(polynomial_values, C))
-        elif self.func is None:
-            raise ValueError(f"field {self.tag!r} needs coefficients or an evaluator")
+        C = _read_only(np.array(self.coefficients, dtype=float))
+        if C.shape != (2, 6):
+            raise ValueError(f"field {self.tag!r} needs (2, 6) coefficients, got shape {C.shape}")
+        object.__setattr__(self, "coefficients", C)
+        if self.func is None:
+            object.__setattr__(self, "func", functools.partial(polynomial_values, C))
 
     def __call__(self, p) -> np.ndarray:
         return np.asarray(self.func(as_points(p)), dtype=float)
 
     def gradient(self, p) -> np.ndarray:
         """grad[..., j, k] = d v^k / d x^j at points p, shape (..., 2, 2): the exact polynomial derivative."""
-        C = coefficients_of([self])[0]
+        C = self.coefficients
         a = as_points(p)
         x, y = a[..., 0, None], a[..., 1, None]
         return np.stack([C[:, 1] + 2.0 * C[:, 3] * x + C[:, 4] * y, C[:, 2] + C[:, 4] * x + 2.0 * C[:, 5] * y], -2)
@@ -91,14 +92,11 @@ class VectorField:
     def linear_matrix(self) -> Optional[np.ndarray]:
         """B, read-only, when v(x) = B x exactly (zero constant and quadratic columns), else None."""
         C = self.coefficients
-        return None if C is None or C[:, [0, 3, 4, 5]].any() else _read_only(C[:, 1:3].copy())
+        return None if C[:, [0, 3, 4, 5]].any() else _read_only(C[:, 1:3].copy())
 
 
 def coefficients_of(fields) -> np.ndarray:
-    """The coefficients of k fields stacked, shape (k, 2, 6); ValueError naming a field that has none."""
-    for f in fields:
-        if getattr(f, "coefficients", None) is None:
-            raise ValueError(f"field {getattr(f, 'tag', f)!r} has no polynomial coefficients")
+    """The coefficients of k fields stacked, shape (k, 2, 6)."""
     return np.array([f.coefficients for f in fields])
 
 

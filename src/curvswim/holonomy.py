@@ -16,11 +16,12 @@ so both routes refuse the same bodies.  Three evaluation paths:
   * holonomy_general        exact two-forms of the built-in surfaces
                             (swim_increments for one pair: the same solve
                             takes every pair of a set of fields at once)
-  * holonomy_small_swimmer  curvature-tensor contraction (leading order)
-  * holonomy_linear         same contraction, collapsed onto cubic moments
-                            for the closed-form linear deformation family
+  * holonomy_small_swimmer  curvature-tensor contraction with the body's
+                            mass moments (leading order)
+  * holonomy_linear         the same contraction on the gauge-fixed linear
+                            matrices, building no field
 
-The latter two agree identically; the first differs from them by terms of
+The latter two agree bitwise; the first differs from them by terms of
 relative order |R| L^2, which is the observable small-body error.
 """
 
@@ -32,13 +33,18 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, moments, particle_sums, require_balanced
+from .body import Body, require_balanced
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, NonFiniteResultError
-from .fields import VectorField, coefficients_of, monomial_rows
+from .fields import MONOMIAL_POWERS, VectorField, coefficients_of
 from .geometry import CurvatureTensor, Surface
 
 GAUGE_TOLERANCE = 1e-8
+# _PRODUCTS[i, p, q] is the Body.mass_moments index of x^i m_p m_q (x^0 = x, x^1 = y, m fields.MONOMIAL_POWERS):
+# x^a y^b, d = a + b, sits at d (d + 1) / 2 + b.
+_DEGREE, _Y = np.array([(a + b, b) for a, b in MONOMIAL_POWERS]).T     # of each m_p
+_D = 1 + _DEGREE[:, None] + _DEGREE
+_PRODUCTS = _D * (_D + 1) // 2 + np.arange(2)[:, None, None] + _Y[:, None] + _Y
 
 
 @dataclass(frozen=True)
@@ -122,13 +128,8 @@ def swim_increments(
     return delta, res
 
 
-def holonomy_small_swimmer(
-    body: Body,
-    curv: CurvatureTensor,
-    u: VectorField,
-    v: VectorField,
-    area: float,
-) -> np.ndarray:
+def holonomy_small_swimmer(body: Body, curv: CurvatureTensor, u: VectorField, v: VectorField,
+                           area: float) -> np.ndarray:
     """Translation increment of a small balanced swimmer from the curvature.
 
     Evaluates M dx^k = 2 R[j, l, i, k] (sum_n m_n x_n^i u^j v^l) A, the
@@ -137,22 +138,13 @@ def holonomy_small_swimmer(
     The body must pass body.require_balanced.
     """
     require_balanced(body)
-    x = body.positions
-    # u and v at the particles (each value a six-term dot, the same at mirror images), then the particle
-    # sums (by the kernel's rule), then the curvature
-    uv = np.matmul(coefficients_of([u, v]).reshape(4, 6), monomial_rows(*x.T)).reshape(2, 2, -1)
-    moment = particle_sums(body.masses, (x, uv[0].T, uv[1].T))[2]
-    bracket = np.einsum("ijl,jlik->k", moment, curv.components)
-    return 2.0 * float(area) * bracket / body.total_mass
+    C = coefficients_of([u, v])
+    degrees = [2 if any(used[3:]) else int(any(used[1:3])) for used in C.any(1).tolist()]
+    return _curvature_contraction(body, curv, C, degrees, area)
 
 
-def holonomy_linear(
-    body: Body,
-    curv: CurvatureTensor,
-    pair_b: Tuple[int, int],
-    pair_c: Tuple[int, int],
-    area: float,
-) -> np.ndarray:
+def holonomy_linear(body: Body, curv: CurvatureTensor, pair_b: Tuple[int, int], pair_c: Tuple[int, int],
+                    area: float) -> np.ndarray:
     """Translation increment for a pair of gauge-fixed linear deformations.
 
     The linear family makes the particle sums collapse onto the cubic
@@ -161,11 +153,21 @@ def holonomy_linear(
         M dx^k = 2 R[j, l, i, k] Q^{i m h} E_b[j, m] E_c[l, h] A.
 
     This disentangles the ambient space (curvature) from the swimmer
-    (moments) and agrees with holonomy_small_swimmer applied to the same
-    closed-form fields.
+    (moments).  It is holonomy_small_swimmer's contraction on the matrices'
+    coefficients, no field built, so the two agree bitwise on
+    gauge_fixed_linear_deformation's fields.
     """
-    Eb = gauge_fixed_linear_matrix(body, *pair_b)
-    Ec = gauge_fixed_linear_matrix(body, *pair_c)
-    q3 = moments(body).q3
-    contraction = np.einsum("imh,jm,lh,jlik->k", q3, Eb, Ec, curv.components)
-    return 2.0 * float(area) * contraction / body.total_mass
+    C = np.zeros((2, 2, 6))
+    C[:, :, 1:3] = gauge_fixed_linear_matrix(body, *pair_b), gauge_fixed_linear_matrix(body, *pair_c)
+    return _curvature_contraction(body, curv, C, (1, 1), area)
+
+
+def _curvature_contraction(body: Body, curv: CurvatureTensor, C: np.ndarray, degrees, area: float) -> np.ndarray:
+    """2 R[j, l, i, k] S(m x^i u^j v^l) A / M for the coefficients C = (u, v), shape (2, 2, 6), of the given
+    degrees: their monomials up to each degree, contracted with the body's mass moments of degree
+    1 + deg u + deg v (the cubic ones that moments() reads for linear fields) in one einsum (no BLAS)."""
+    du, dv = degrees
+    nu, nv = (du + 1) * (du + 2) // 2, (dv + 1) * (dv + 2) // 2
+    sums = body.mass_moments(1 + du + dv)[_PRODUCTS[:, :nu, :nv]]
+    bracket = np.einsum("jp,lq,ipq,jlik->k", C[0, :, :nu], C[1, :, :nv], sums, curv.components)
+    return 2.0 * float(area) * bracket / body.total_mass

@@ -70,7 +70,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, linear_momentum_map, momentum_work, pairing_scale, solve_gram
+from .body import (ROUND_OFF_LIMIT, Body, linear_momentum_map, momentum_work, pairing_scale,
+                   require_resolved_curvature, solve_gram)
 from .errors import CurvswimError, NonFiniteResultError, StrokeError
 from .fields import VectorField
 from .geometry import Isometry, Surface, expm2, killing_table, rigid_generator
@@ -84,7 +85,6 @@ __all__ = [
 ]
 
 DEFAULT_STEPS = 1024
-ROUND_OFF_LIMIT = 1e-3      # integrate_stroke: largest estimated share of the net motion lost to round-off
 Piece = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
@@ -334,10 +334,10 @@ def integrate_stroke(
     and half of it comes from the R r^2 term of the kernel weight
     m / (1 + R r^2)^2, which loses about eps / (|R| max r^2) of itself,
     max r^2 = body.extent^2.  Where that exceeds ROUND_OFF_LIMIT (R and
-    the extent nonzero), a CurvswimError naming |R| max r^2 refuses the
-    stroke.  On README's triangle config (max r^2 = 0.5) the dx ratio reads
-    1.0000206 at R = 1e-2, 0.99982 at 1e-12 and 0.99990 at 5e-13, which
-    run; 1.0036 at 2e-13, 0.9944 at 1e-13 and 0.50001 at 1e-16 are refused.
+    the extent nonzero), body.require_resolved_curvature refuses the stroke,
+    as Body.frame does.  On README's triangle config (max r^2 = 0.5) the dx
+    ratio reads 1.0000206 at R = 1e-2, 0.99982 at 1e-12 and 0.99990 at 5e-13,
+    which run; 1.0036 at 2e-13, 0.9944 at 1e-13 and 0.50001 at 1e-16 do not.
 
     Round-off floor of the net motion: each RK4 step rounds the group
     against the stroke's excursion, so about eps sqrt(steps) max|tau| of
@@ -356,10 +356,7 @@ def integrate_stroke(
     for f in fields:
         if f.linear_matrix is None:
             raise ValueError(f"integrate_stroke needs linear deformation fields: field {f.tag!r} has no linear_matrix")
-    scale, floor = abs(surface.R) * body.extent**2, np.finfo(float).eps / ROUND_OFF_LIMIT
-    if surface.R and body.extent > 0.0 and scale < floor:
-        raise CurvswimError(f"|R| max r^2 = {scale:.3g} is below {floor:.2g}, where round-off of the kernel weight "
-                            f"loses more than {ROUND_OFF_LIMIT:g} of the translation")
+    require_resolved_curvature(body, surface)
     B = [np.asarray(f.linear_matrix, dtype=float) for f in fields]
     integrate = _integrate_composed if mode == "composed" else _integrate_direct
     G, max_residual, max_scale, closure, speed = integrate(body, surface, B, stroke)

@@ -20,7 +20,6 @@ from curvswim.body import (
     momentum_work,
     moments,
     pairing_scale,
-    particle_sums,
     principal_axes,
     solve_gram,
 )
@@ -49,6 +48,8 @@ def test_body_validation():
 def test_body_names_mismatched_arrays():
     with pytest.raises(ValueError, match=r"inconsistent body arrays: masses \(2,\), positions \(3, 2\)"):
         Body(masses=np.ones(2), positions=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"inconsistent body arrays: masses \(1,\), positions \(2,\)"):
+        Body(masses=1.0, positions=[0.1, 0.2])
     with pytest.raises(ValueError, match=r"particles must be \(mass, x, y\) triples"):
         Body.from_particles([[1.0, 0.0], [1.0, 0.5]])
 
@@ -483,7 +484,10 @@ def test_moments_are_formed_once_per_body():
     for a in (q.q1, q.q2, q.q3):
         assert not a.flags.writeable
     m, x = body.masses, body.positions
-    assert np.array_equal(q.q3, np.einsum("n,ni,nj,nk->ijk", m, x, x, x))
+    # each entry is the product of its sorted indices, so q3 is exactly symmetric
+    ref = np.einsum("n,ni,nj,nk->ijk", m, x, x, x)
+    for i in np.ndindex(2, 2, 2):
+        assert q.q3[i] == ref[tuple(sorted(i))], i
     assert body.total_mass == float(np.sum(m)) == q.total_mass
     assert body.extent == float(np.max(np.linalg.norm(x, axis=1)))
 
@@ -504,31 +508,36 @@ def test_moments_keep_the_mirror_zeros_exactly():
 
 
 @pytest.mark.parametrize("R", [-1.0, 1.0])
-def test_small_swimmer_moment_keeps_the_mirror_zeros_exactly(R, monkeypatch):
+def test_small_swimmer_moment_keeps_the_mirror_zeros_exactly(R):
     b = _mirror_body()
     centred = Body(masses=b.masses, positions=b.positions - [moments(b).q1[0] / b.total_mass, 0.0])
     assert moments(centred).q1[1] == 0.0
-    sums = []
-    monkeypatch.setattr(holonomy_mod, "particle_sums", lambda m, f: sums.append(particle_sums(m, f)) or sums[-1])
     even = [linear_field(B) for B in ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])]
     dx = holonomy_mod.holonomy_small_swimmer(centred, CurvatureTensor.from_surface(Surface(R)), *even, 0.5)
-    moment = sums[0][2]
-    for i in _odd_in_y((2, 2, 2)):
-        assert moment[i] == 0.0, i
+    # linear fields contract the cubic mass moments; those odd in y are exactly 0
+    table = centred.mass_moments(3)
+    for d in range(4):
+        for k in range(1, d + 1, 2):
+            assert table[d * (d + 1) // 2 + k] == 0.0, (d - k, k)
     assert dx[1] == 0.0 and dx[0] != 0.0
 
 
-def test_particle_sums_are_the_moments_and_each_level_stands_alone():
+def test_mass_moments_are_the_moments_and_each_degree_stands_alone():
     rng = np.random.default_rng(12)
+    powers = [(d - b, b) for d in range(6) for b in range(d + 1)]
     for n in (1, 3, 17, 300):
         m, x = rng.uniform(0.5, 1.5, n), rng.uniform(-0.4, 0.4, (n, 2))
-        u = rng.normal(size=(n, 2))
-        q1, q2, q3 = particle_sums(m, (x, x, x))
-        assert np.array_equal(particle_sums(m, (x,))[0], q1)
-        assert np.array_equal(particle_sums(m, (x, x))[1], q2)
-        assert np.array_equal(particle_sums(m, (x.copy(order="F"), x, x))[2], q3)
-        ref = np.einsum("n,ni,nj,nk->ijk", m, x, x, u)
-        assert np.max(np.abs(particle_sums(m, (x, x, u))[2] - ref)) <= 1e-15 * np.max(np.abs(ref)) * n
+        body = Body(masses=m, positions=x)
+        table = body.mass_moments(5)
+        for degree in range(5):
+            assert np.array_equal(body_mod._mass_sums(m, x, degree), table[:(degree + 1) * (degree + 2) // 2])
+        assert np.array_equal(body_mod._mass_sums(m, x.copy(order="F"), 5), table)
+        ref = np.array([np.sum(m * x[:, 0] ** a * x[:, 1] ** b) for a, b in powers])
+        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref)) * n
+        q = moments(body)
+        assert np.array_equal(q.q1, table[1:3])
+        for i in np.ndindex(2, 2, 2):
+            assert q.q3[i] == table[6 + sum(i)] and q.q2[i[:2]] == table[3 + sum(i[:2])]
 
 
 def test_isometry_images_share_the_checked_masses():

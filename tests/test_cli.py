@@ -162,16 +162,21 @@ def test_formula_half_pairs_each_raw_field_once(tmp_path, monkeypatch, command, 
 def test_tiny_R_is_refused_where_round_off_takes_the_translation(tmp_path, capsys, R, ratio):
     # README's example config with only surface.R changed (max r^2 = 0.5):
     # ratio used to read 1.0036 at R = 2e-13, 0.9944 at 1e-13 and 0.50001 at
-    # 1e-16 with exit 0.  It now runs while eps / (|R| max r^2) <= 1e-3.
+    # 1e-16 with exit 0.  It now runs while eps / (|R| max r^2) <= 1e-3, and
+    # holonomy, whose formula route reads the same weight, runs where it does.
     cfg = dict(BASE_CONFIG, surface={"R": R}, stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 1024})
-    out = tmp_path / "out.json"
-    code = main(["integrate", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    config = write_config(tmp_path, cfg)
+    out, formula = tmp_path / "out.json", tmp_path / "formula.json"
+    code = main(["integrate", "--config", config, "--out", str(out)])
+    formula_code = main(["holonomy", "--config", config, "--out", str(formula)])
     if ratio is not None:
         assert code == 0 and json.loads(out.read_text())["ratio"] == pytest.approx(ratio, abs=1e-6)
+        assert formula_code == 0 and formula.exists()
         return
-    assert code == 3 and not out.exists()
-    assert capsys.readouterr().err == (f"numerical failure: |R| max r^2 = {0.5 * abs(R):.3g} is below 2.2e-13, where "
-                                       "round-off of the kernel weight loses more than 0.001 of the translation\n")
+    assert code == formula_code == 3 and not out.exists() and not formula.exists()
+    refusal = (f"numerical failure: |R| max r^2 = {0.5 * abs(R):.3g} is below 2.2e-13, where "
+               "round-off of the kernel weight loses more than 0.001 of the translation\n")
+    assert capsys.readouterr().err == 2 * refusal
 
 
 def test_fields_lost_to_round_off_exit_3(tmp_path, capsys):

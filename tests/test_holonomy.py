@@ -4,11 +4,11 @@ import pytest
 import curvswim.body as body_mod
 import curvswim.deformation as deformation
 import curvswim.holonomy as holonomy_mod
-from curvswim.body import Body, balance, particle_sums, principal_axes
+from curvswim.body import Body, balance, principal_axes
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import GaugeConditionError, NonFiniteResultError, SingularGramError
-from curvswim.fields import linear_field
+from curvswim.fields import VectorField, linear_field
 from curvswim.geometry import CurvatureTensor, Surface, killing_two_forms
 from curvswim.holonomy import (
     holonomy_general,
@@ -261,15 +261,13 @@ def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
     s = Surface(1.0)
     curv = CurvatureTensor.from_surface(s)
     fields = [linear_field(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(2)]
-    cubic = []
+    degrees, mass_sums = [], body_mod._mass_sums
 
-    def counting_sums(masses, factors):
-        if len(factors) == 3:
-            cubic.append("moments" if factors[0] is factors[1] is factors[2] else "x u v")
-        return particle_sums(masses, factors)
+    def counting_sums(masses, x, degree):
+        degrees.append(degree)
+        return mass_sums(masses, x, degree)
 
-    for module in (body_mod, holonomy_mod):
-        monkeypatch.setattr(module, "particle_sums", counting_sums)
+    monkeypatch.setattr(body_mod, "_mass_sums", counting_sums)
     # one op of the benchmark's formula workload
     prepared = principal_axes(balance(body, s))
     u, v = (project_gauge(prepared, s, f) for f in fields)
@@ -278,9 +276,38 @@ def test_formula_path_forms_cubic_moments_once_per_body(monkeypatch):
     fc = gauge_fixed_linear_deformation(prepared, 2, 2)
     holonomy_linear(prepared, curv, (1, 1), (2, 2), 1e-4)
     holonomy_small_swimmer(prepared, curv, fb, fc, 1e-4)
-    # the balanced body (read by principal_axes) and the prepared one; the
-    # small swimmer's sum of m x u v is the one other three-factor sum
-    assert sorted(cubic) == ["moments", "moments", "x u v"]
+    # balance's iterates sum to degree 2, and principal_axes reads the last
+    # one; the prepared body forms its cubic table once, which both
+    # curvature formulas read for linear fields
+    assert degrees[:-1] == [2] * (len(degrees) - 1) and degrees[-1] == 3
+
+
+@pytest.mark.parametrize("R", [1.0, -1.0, 0.25])
+def test_holonomy_linear_is_bitwise_the_small_swimmer(R):
+    rng = np.random.default_rng(32)
+    curv = CurvatureTensor.from_surface(Surface(R))
+    pairs = [((1, 1), (2, 2)), ((1, 1), (1, 2)), ((1, 2), (2, 2))]
+    for _ in range(200):
+        b = random_balanced_body(rng)
+        for pb, pc in pairs:
+            fields = (gauge_fixed_linear_deformation(b, *pb), gauge_fixed_linear_deformation(b, *pc))
+            assert np.array_equal(holonomy_linear(b, curv, pb, pc, 0.3), holonomy_small_swimmer(b, curv, *fields, 0.3))
+
+
+@pytest.mark.parametrize("R", [1.0, -0.5])
+def test_small_swimmer_on_quadratic_fields_matches_the_five_operand_einsum(R):
+    # a constant or quadratic column raises the degree of the mass moments read, up to 5
+    rng = np.random.default_rng(9)
+    b = random_balanced_body(rng, 30, extent=0.3)
+    c = CurvatureTensor.from_surface(Surface(R))
+    x = b.positions
+    for columns in ([0, 1, 2], [1, 2, 4], [3, 4, 5], range(6)):
+        C = np.zeros((2, 2, 6))
+        C[:, :, list(columns)] = rng.uniform(-1.0, 1.0, (2, 2, len(columns)))
+        u, v = VectorField(C[0]), VectorField(C[1])
+        got = holonomy_small_swimmer(b, c, u, v, 0.3)
+        ref = 2.0 * 0.3 * np.einsum("n,ni,nj,nl,jlik->k", b.masses, x, u(x), v(x), c.components) / b.total_mass
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_holonomy_linear_builds_no_field(monkeypatch):

@@ -17,7 +17,7 @@ import curvswim.integrator as integrator
 from curvswim.body import Body, balance, linear_momentum_map, pairing_scale, principal_axes, solve_gram
 from curvswim.checks import random_balanced_body
 from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
-from curvswim.errors import ChartDomainError, CurvswimError, SingularGramError, StrokeError
+from curvswim.errors import ChartDomainError, CurvswimError, NonFiniteResultError, SingularGramError, StrokeError
 from curvswim.fields import VectorField, complex_view, linear_field
 from curvswim.geometry import Isometry, Surface, expm2, killing_fields, rigid_generator
 from curvswim.holonomy import holonomy_general
@@ -980,17 +980,27 @@ def test_unknown_mode_and_short_stroke_are_refused():
 def test_both_modes_name_a_field_without_a_linear_matrix(mode):
     # both modes pair the shape velocity L y from the moments, so every
     # field needs its matrix; neither mode is the other's fallback
-    square = VectorField(func=lambda p: np.asarray(p) ** 2, tag="square")
+    square = VectorField([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]], tag="square")
     with pytest.raises(ValueError, match="field 'square' has no linear_matrix") as err:
         integrate_stroke(TRIANGLE, Surface(1.0), [HEIGHT, square], rectangle_stroke(0.1, 0.1, steps=16), mode=mode)
     assert "direct" not in str(err.value)
 
 
+@pytest.mark.parametrize("R", [1.0, -1.0, 0.0])
+def test_an_overflowing_increment_is_refused(R):
+    # a deformation rotating at 1e100 per unit control: the rigid velocity
+    # that cancels it overflows the group product, whose delta_tau reads NaN
+    body = random_balanced_body(np.random.default_rng(4))
+    fields = [linear_field([[0.0, 1e100], [-1e100, 0.0]]), linear_field([[1.0, 0.0], [0.0, -1.0]])]
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError, match="integrated rigid increment is not finite"):
+        integrate_stroke(body, Surface(R), fields, sinusoid_stroke(0.01, 0.01, steps=8))
+
+
 def test_composed_needs_linear_fields():
     from curvswim.fields import VectorField
 
-    nonlinear = VectorField(func=lambda p: np.asarray(p) ** 2)
-    with pytest.raises(ValueError):
+    nonlinear = VectorField([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="field 'custom' has no linear_matrix"):
         integrate_stroke(
             TRIANGLE, Surface(1.0), [nonlinear, HEIGHT], rectangle_stroke(0.1, 0.1, steps=16)
         )

@@ -25,7 +25,8 @@ def _small_swimmers(draw):
     from the round-off floors at which integrate_stroke refuses a stroke,
     so the oracle runs on the draws that move the body, and its round-off
     stays within the bounds below, which hold for fields of order 1.
-    TINY_R and TINY_FIELDS are the explicit examples that it refuses.
+    TINY_R and TINY_FIELDS are the explicit examples that it refuses; both
+    routes refuse TINY_R.
     """
     n = draw(st.integers(3, 8))
     unit = st.floats(-1.0, 1.0)
@@ -54,9 +55,9 @@ def _example(R, scale):
     return body, surface, [linear_field(scale * np.array(m)) for m in matrices]
 
 
-TINY_R = _example(1e-14, 1.0)       # |R| max r^2 ~ 1e-16: integrate_stroke refuses the curvature
+TINY_R = _example(1e-14, 1.0)       # |R| max r^2 ~ 1e-16: both routes refuse the curvature
 TINY_FIELDS = _example(1.0, 1e-12)  # max|B| = 1e-12: integrate_stroke refuses the fields
-# R at the smallest normal float: the formula's translation, 9.2e-314, is subnormal and rounds under mass scaling
+# R at the smallest normal float, where the formula's translation would be subnormal: both routes refuse it
 SUBNORMAL_R = (Body(masses=np.ones(5), positions=[[0.0, -0.19999999999999998]] * 3
                     + [[-0.5, 0.3], [0.4999999999999999, 0.3]]), Surface(2.2250738585072014e-308),
                [linear_field(np.array(m)) for m in ([[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])])
@@ -81,14 +82,15 @@ def _outcome(route):
 @given(_small_swimmers())
 @example(TINY_R)
 @example(TINY_FIELDS)
-@example(SUBNORMAL_R).xfail(raises=AssertionError, reason="a subnormal sum rounds under mass scaling")
+@example(SUBNORMAL_R)
 def test_mass_scaling_leaves_both_routes_bitwise_unchanged(case):
     # every particle sum scales by exactly 2^k, and both routes solve a Gram
     # system whose matrix and right side scale together.  That holds while
     # no sum the routes form is subnormal, where 2^k rounds: so coordinates
     # and field entries below 1e-30 are set to 0 here (a field entry of
-    # 4.6e-296 on a collinear body breaks it), and SUBNORMAL_R shows the
-    # limit that |R| near the smallest normal float meets.
+    # 4.6e-296 on a collinear body breaks it).  |R| near the smallest normal
+    # float (SUBNORMAL_R) is below the round-off floor, which both routes
+    # refuse at every mass scale.
     body, surface, fields = case
 
     def domain(a):
@@ -145,14 +147,19 @@ def test_scaling_covariance_of_both_routes(case):
     # max|B|^2, can sink toward the subnormal range.
     body, surface, fields = case
     assume(surface.R == 0.0 or abs(surface.R) >= 1e-290)
+    refused = False
     try:
         eigvals = body.frame(surface).eigvals
     except SingularGramError:
         eigvals = None
-    assume(eigvals is not None and eigvals[0] > 1e-5 * eigvals[-1])
-    for f in fields:
-        raw, projected = f(body.positions), project_gauge(body, surface, f)(body.positions)
-        assume(body.masses @ np.sum(projected**2, -1) > 1e-6 * (body.masses @ np.sum(raw**2, -1)))
+    except CurvswimError:
+        # |R| max r^2 below the round-off floor, which lam leaves unchanged: both routes refuse every scale
+        refused = True
+    if not refused:
+        assume(eigvals is not None and eigvals[0] > 1e-5 * eigvals[-1])
+        for f in fields:
+            raw, projected = f(body.positions), project_gauge(body, surface, f)(body.positions)
+            assume(body.masses @ np.sum(projected**2, -1) > 1e-6 * (body.masses @ np.sum(raw**2, -1)))
     gross = max(float(np.max(np.abs(f.linear_matrix))) for f in fields)
     assume(gross >= 1e-3)
     unit = STROKE.signed_area * gross**2
