@@ -1,4 +1,4 @@
-"""Point-mass bodies: the momentum-map kernel, per-curvature frames, moments, balancing, principal axes."""
+"""Point-mass bodies: the momentum-map kernel (its weights the frame's pairing rule), frames, moments, balance, axes."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import BalanceConvergenceError, CurvswimError, NonFiniteResultError, SingularGramError
-from .fields import MONOMIAL_POWERS, _read_only, monomial_rows
+from .fields import _read_only, monomial_rows, product_index
 from .geometry import (
     KILLING_TABLE,
     Isometry,
@@ -196,12 +196,10 @@ class BodyFrame:
         return np.einsum("pjl,bjl->pb", products[:, 0] - products[:, 1], self.Q)
 
 
-# _moment_tables' 36 sums: w x^a y^b of degree 4 or less, then h x^a y^b of degree 5 or less, x^d first in
-# each degree d.  _TABLES[t, j, k] is the sum that entry (j, k) of P (t = 0) or of Q[t - 1] before its
-# factor reads for the monomials m_j m_k (fields.MONOMIAL_POWERS).
-_POWERS = [(d - b, b) for d in range(6) for b in range(d + 1)]
-_TABLES = np.array([[[offset + _POWERS.index((a + c + s, b + e + t)) for c, e in MONOMIAL_POWERS]
-                     for a, b in MONOMIAL_POWERS] for offset, s, t in ((0, 0, 0), (15, 0, 1), (15, 1, 0), (15, 0, 0))])
+# _moment_tables' 36 sums: w x^a y^b of degree 4 or less, then h x^a y^b of degree 5 or less, each in
+# fields.monomial_rows' order.  _TABLES[t, j, k] is the sum that entry (j, k) of P (t = 0) or of Q[t - 1] before
+# its factor reads for the monomials m_j m_k: m_j m_k itself, or y, x or 1 times it among the h sums.
+_TABLES = np.array([offset + product_index(a, b) for offset, a, b in ((0, 0, 0), (15, 0, 1), (15, 1, 0), (15, 0, 0))])
 
 
 def _moment_tables(R: float, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -266,29 +264,21 @@ def momentum_work(points: Tuple[int, ...]) -> np.ndarray:
     return np.empty(math.prod(points) * POSITION_ROWS)
 
 
-# _COEFFICIENTS[p, m, c] weighs R^p times moment sum m in column c of _position_rows' T, derived from
-# KILLING_TABLE by polynomial products in the chart.  The moments are x^a y^b for (a, b) in
-# _MOMENT_POWERS, in the order of _position_rows' rows, the last read as r^4 = x^4 + 2 x^2 y^2 + y^4.
-# Columns 0-5 are the Gram entries g11, g12, g13, g22, g23, g33, sum_i xi_a^i xi_b^i.  Column
-# 6 + 7 (2r + s) + j pairs the entry L[r, s] of a velocity matrix: for v = L y it gives mom_a,
-# sum_r xi_a^r v^r, for j = a < 3 and the entry (L Q)[r', t] of L Q, Q = S(w y y^T), for j = 3 + 2r' + t.
-_MOMENT_POWERS = [0, 1, 0, 2, 1, 0, 3, 2, 1, 0, 4], [0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0]
-_MONOMIALS = np.zeros((5, 3, 3))      # KILLING_TABLE's 1, x, y, x^2 - y^2 and xy, over x^a y^b
-_MONOMIALS[[0, 1, 2, 3, 3, 4], [0, 1, 0, 2, 0, 1], [0, 0, 1, 0, 2, 1]] = 1.0, 1.0, 1.0, 1.0, -1.0, 1.0
-_PRODUCTS = np.zeros((5, 5, 5, 5))    # m_j m_k over x^a y^b
-for _a in range(3):
-    for _b in range(3):
-        _PRODUCTS[:, :, _a:_a + 3, _b:_b + 3] += _MONOMIALS[:, None, _a, _b, None, None] * _MONOMIALS
-_GRAMS = np.einsum("pqabjk,jkxy->pqabxy", np.einsum("paij,qbik->pqabjk", KILLING_TABLE, KILLING_TABLE),
-                   _PRODUCTS).reshape(4, 9, 5, 5)                 # [(power of xi_a, of xi_b), (a, b)]
-_K = np.zeros((3, 2, 2, 7, 5, 5))     # [power of R, r, s, j]
-_K[:2, :, :, :3] = np.einsum("parj,jsxy->prsaxy", KILLING_TABLE, _PRODUCTS[:, 1:3])
-_K[0, 0, :, 3:5] = _K[0, 1, :, 5:7] = _PRODUCTS[1:3, 1:3]
-_COLUMNS = np.concatenate([np.stack([_GRAMS[0], _GRAMS[1] + _GRAMS[2], _GRAMS[3]])[:, [0, 1, 2, 4, 5, 8]],
-                           _K.reshape(3, 28, 5, 5)], 1)
-_QUARTIC = _COLUMNS[..., [4, 3, 2, 1, 0], [0, 1, 2, 3, 4]]
+# _COEFFICIENTS[p, m, c] weighs R^p times moment sum m in column c of _position_rows' T.  Column c pairs two
+# fields by BodyFrame's rule F[i] P H[i] with P one-hot, P[j, k] the position of m_j m_k among the 15 monomials of
+# degree 4 or less, so it lists the sums S(w x^a y^b) it weighs.  The fields are polynomials in R: xi_a, and y_s e_r,
+# which an entry L[r, s] of a velocity matrix weighs (v = L y).  Columns 0-5 are the Gram entries g11, g12, g13,
+# g22, g23, g33; column 6 + 7 (2r + s) + j pairs y_s e_r with xi_j for mom_j, j < 3, and with y_t e_r' for the entry
+# (L Q)[r', t] of L Q, Q = S(w y y^T), for j = 3 + 2r' + t.  The moments are monomial_rows' first ten, then r^4 =
+# x^4 + 2 x^2 y^2 + y^4, weighed as x^4.
+_FIELDS = np.zeros((2, 7, 2, 6))          # [power of R, field]: xi_a, then y_s e_r at 3 + 2r + s
+_FIELDS[:, :3], _FIELDS[0, 3:] = KILLING_TABLE, np.eye(12)[[1, 2, 7, 8]].reshape(4, 2, 6)
+_PAIRS = np.einsum("paij,jkm,qbik->pqabm", _FIELDS, np.eye(15)[product_index()], _FIELDS)
+_PAIRS = np.stack([_PAIRS[0, 0], _PAIRS[0, 1] + _PAIRS[1, 0], _PAIRS[1, 1]])
+_COLUMNS = np.concatenate([_PAIRS[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]], _PAIRS[:, 3:].reshape(3, 28, 15)], 1)
+_QUARTIC = _COLUMNS[..., 10:]
 assert np.array_equal(_QUARTIC, _QUARTIC[..., :1] * [1, 0, 2, 0, 1]), "a quartic pairing is not a multiple of r^4"
-_COEFFICIENTS = np.ascontiguousarray(_COLUMNS[..., _MOMENT_POWERS[0], _MOMENT_POWERS[1]].transpose(0, 2, 1))
+_COEFFICIENTS = np.ascontiguousarray(_COLUMNS[..., :11].transpose(0, 2, 1))
 _SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 

@@ -49,6 +49,14 @@ def monomial_rows(x: np.ndarray, y: np.ndarray, degree: int = 2, weight=1.0) -> 
     return rows
 
 
+def product_index(a: int = 0, b: int = 0) -> np.ndarray:
+    """The monomial_rows index of x^a y^b m_j m_k, shape (6, 6): x^c y^e, d = c + e, sits at d (d + 1) / 2 + e."""
+    x, y = np.array(MONOMIAL_POWERS).T
+    e = b + y[:, None] + y
+    d = a + x[:, None] + x + e
+    return d * (d + 1) // 2 + e
+
+
 def polynomial_values(coefficients: np.ndarray, p) -> np.ndarray:
     """The field of (2, 6) coefficients at chart points p, shape (..., 2): each component its six terms
     added in one order (no BLAS product), so a point's value does not depend on its batch."""

@@ -38,7 +38,6 @@ __all__ = [
     "gaussian_curvature",
     "geodesic_distance",
     "KILLING_TABLE",
-    "killing_table",
     "killing_fields",
     "killing_coefficients",
     "rigid_field",
@@ -280,27 +279,19 @@ def rotation_about_origin(surface: Surface, angle: float) -> Isometry:
 # Killing fields and their forms
 
 
-# The Killing fields in chart monomials: component i of xi_a is
-# sum_{p, j} KILLING_TABLE[p, a, i, j] R^p m_j, m = (1, x, y, x^2 - y^2, xy): tau . xi is the Moebius
-# field q + i tau3 z + R conj(q) z^2, q = tau1 + i tau2, so xi1 = 1 + R z^2, xi2 = i (1 - R z^2), xi3 = i z.
-KILLING_TABLE = np.zeros((2, 3, 2, 5))
+# The Killing fields as field coefficients: component i of xi_a is sum_{p, j} KILLING_TABLE[p, a, i, j] R^p m_j
+# over fields.VectorField's monomials m = (1, x, y, x^2, xy, y^2): tau . xi is the Moebius field
+# q + i tau3 z + R conj(q) z^2, q = tau1 + i tau2, so xi1 = 1 + R z^2, xi2 = i (1 - R z^2), xi3 = i z.
+KILLING_TABLE = np.zeros((2, 3, 2, 6))
 KILLING_TABLE[0, [0, 1, 2, 2], [0, 1, 0, 1], [0, 0, 2, 1]] = 1.0, 1.0, -1.0, 1.0
-KILLING_TABLE[1, [0, 0, 1, 1], [0, 1, 0, 1], [3, 4, 4, 3]] = 1.0, 2.0, 2.0, -1.0
+KILLING_TABLE[1, [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1], [3, 5, 4, 4, 3, 5]] = 1.0, -1.0, 2.0, 2.0, -1.0, 1.0
 KILLING_TABLE.setflags(write=False)
-_TO_FIELD = np.zeros((5, 6))      # m over a field's monomials 1, x, y, x^2, xy, y^2
-_TO_FIELD[[0, 1, 2, 3, 3, 4], [0, 1, 2, 3, 5, 4]] = 1.0, 1.0, 1.0, 1.0, -1.0, 1.0
-
-
-@functools.lru_cache(maxsize=64)
-def killing_table(R: float) -> np.ndarray:
-    """KILLING_TABLE at curvature R, read-only: the (3, 2, 5) coefficients of xi_a's components in m_j."""
-    return _read_only(KILLING_TABLE[0] + R * KILLING_TABLE[1])
 
 
 @functools.lru_cache(maxsize=64)
 def killing_coefficients(R: float) -> np.ndarray:
-    """killing_table(R) as field coefficients, shape (3, 2, 6), read-only: VectorField(...[a]) is xi_a."""
-    return _read_only(np.einsum("aij,jk->aik", killing_table(R), _TO_FIELD))
+    """KILLING_TABLE at curvature R, shape (3, 2, 6), read-only: VectorField(...[a]) is xi_a."""
+    return _read_only(KILLING_TABLE[0] + R * KILLING_TABLE[1])
 
 
 def rigid_field(surface: Surface, tau) -> VectorField:

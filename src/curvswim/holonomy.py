@@ -36,15 +36,12 @@ import numpy as np
 from .body import Body, require_balanced
 from .deformation import gauge_fixed_linear_matrix, gauge_pairings
 from .errors import GaugeConditionError, NonFiniteResultError
-from .fields import MONOMIAL_POWERS, VectorField, coefficients_of
+from .fields import VectorField, coefficients_of, product_index
 from .geometry import CurvatureTensor, Surface
 
 GAUGE_TOLERANCE = 1e-8
-# _PRODUCTS[i, p, q] is the Body.mass_moments index of x^i m_p m_q (x^0 = x, x^1 = y, m fields.MONOMIAL_POWERS):
-# x^a y^b, d = a + b, sits at d (d + 1) / 2 + b.
-_DEGREE, _Y = np.array([(a + b, b) for a, b in MONOMIAL_POWERS]).T     # of each m_p
-_D = 1 + _DEGREE[:, None] + _DEGREE
-_PRODUCTS = _D * (_D + 1) // 2 + np.arange(2)[:, None, None] + _Y[:, None] + _Y
+# _PRODUCTS[i, p, q] is the Body.mass_moments index of x^i m_p m_q (x^0 = x, x^1 = y, m the field monomials).
+_PRODUCTS = np.stack([product_index(1, 0), product_index(0, 1)])
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,8 @@ def holonomy_small_swimmer(body: Body, curv: CurvatureTensor, u: VectorField, v:
 
     Evaluates M dx^k = 2 R[j, l, i, k] (sum_n m_n x_n^i u^j v^l) A, the
     curvature-moment contraction of the stroke.  The factor 2 collapses the
-    two orderings of the field pair; exchanging u and v negates the result.
+    two orderings of the field pair; exchanging u and v negates the result
+    up to round-off, as the einsum then sums the terms in another order.
     The body must pass body.require_balanced.
     """
     require_balanced(body)

@@ -16,10 +16,10 @@ from curvswim.geometry import (
     exp_rigid,
     gaussian_curvature,
     geodesic_distance,
+    killing_coefficients,
     killing_fields,
     killing_one_form,
     killing_residual,
-    killing_table,
     killing_two_forms,
     numeric_exterior_derivative,
     rigid_field,
@@ -340,14 +340,14 @@ def test_batched_rigid_velocity_equals_single_tau_calls(R):
 
 @pytest.mark.parametrize("R", [-1.0, -0.25, 0.0, 0.3, 1.0])
 def test_killing_table_is_rigid_velocity(R):
-    # the table, contracted with the monomials 1, x, y, x^2 - y^2 and xy,
+    # the table at R, contracted with the field monomials 1, x, y, x^2, xy and y^2,
     # gives the Killing fields of the Moebius form at unit tau
     x, y = np.random.default_rng(11).uniform(-0.6, 0.6, (2, 50))
-    table = killing_table(R)
-    got = np.einsum("aij,jn->ani", table, np.stack([np.ones(50), x, y, x * x - y * y, x * y]))
+    table = killing_coefficients(R)
+    got = np.einsum("aij,jn->ani", table, np.stack([np.ones(50), x, y, x * x, x * y, y * y]))
     want = rigid_velocity(Surface(R), np.eye(3), complex_view(np.stack([x, y], -1))).view(float)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert table.shape == (3, 2, 5) and not table.flags.writeable and killing_table(R) is table
+    assert table.shape == (3, 2, 6) and not table.flags.writeable and killing_coefficients(R) is table
 
 
 def test_rotation_field_residual_exact_flat():

@@ -31,7 +31,7 @@ from curvswim.integrator import (
     sinusoid_stroke,
 )
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
-from references import killing_frame, particle_pairings, rigid_velocity
+from references import killing_frame, oracle_longdouble, particle_pairings, rigid_velocity
 
 TRIANGLE = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
 HEIGHT, BASE = triangle_control_fields()
@@ -548,6 +548,43 @@ def test_a_stroke_that_returns_the_body_is_refused_unless_nothing_moves():
     for stroke, fields in ((rectangle_stroke(0.0, 0.0, steps=8), [HEIGHT, BASE]),
                            (rectangle_stroke(1e-2, 1e-2, steps=8), [zero, zero])):
         assert not integrate_stroke(TRIANGLE, Surface(1.0), fields, stroke).delta_tau.any()
+
+
+def _round_off_draw(seed):
+    """A body, R, two control matrices and a stroke from one seed: N 3-24, extent 0.05-0.6, |R| log-uniform in
+    [1e-3, 2] or R = 0, each matrix N(0, 1) times 10^U(-7, 0.5), a rectangle or sinusoid of sides log-uniform
+    in [1e-3, 0.3], 16 to 1,024 steps."""
+    rng = np.random.default_rng(seed)
+    n, extent = int(rng.integers(3, 25)), rng.uniform(0.05, 0.6)
+    R = 0.0 if rng.random() < 0.2 else float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, math.log10(2.0)))
+    body = random_balanced_body(rng, n, extent)
+    B = [10 ** rng.uniform(-7.0, 0.5) * rng.normal(size=(2, 2)) for _ in range(2)]
+    make = rectangle_stroke if rng.random() < 0.5 else sinusoid_stroke
+    return body, R, B, make(*10 ** rng.uniform(-3.0, math.log10(0.3), 2), int(2 ** rng.uniform(4.0, 10.0)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the twin needs a long double wider than a double (80-bit on x86-64 Linux)")
+def test_the_round_off_refusal_keeps_its_promise_against_the_longdouble_twin():
+    # On 200 draws that the refusal's factor 20 was not fitted to, every
+    # stroke that runs is within ROUND_OFF_LIMIT of its net motion, by the
+    # 80-bit twin of composed mode, and the error stays below 20 times the
+    # estimate eps sqrt(steps) max|tau| (translations over the extent) that
+    # the refusal reads.  The worst ratio, 0.42, is the one integrate_stroke's
+    # docstring states.
+    ratios = []
+    for seed in range(2000, 2200):
+        body, R, B, stroke = _round_off_draw(seed)
+        try:
+            got = integrate_stroke(body, Surface(R), [linear_field(b) for b in B], stroke).delta_tau
+        except CurvswimError:
+            continue
+        want, speed = oracle_longdouble(body, R, B, stroke)
+        unit = np.array([body.extent, body.extent, 1.0])
+        error, net = float(np.max(np.abs(got - want) / unit)), float(np.max(np.abs(want) / unit))
+        assert error <= integrator.ROUND_OFF_LIMIT * net, seed
+        ratios.append(error / (np.finfo(float).eps * math.sqrt(stroke.steps) * float(np.max(speed / unit))))
+    assert len(ratios) >= 180 and max(ratios) < 20.0
 
 
 def test_readme_quick_start_runs(capsys):
