@@ -17,6 +17,7 @@ from .geometry import (
     KILLING_TABLE,
     Isometry,
     Surface,
+    _abs2,
     killing_coefficients,
     rotation_about_origin,
     translation_to,
@@ -79,7 +80,7 @@ class Body:
 
     @cached_property
     def extent(self) -> float:
-        return float(np.max(np.linalg.norm(self.positions, axis=1)))
+        return math.sqrt(float(np.max(_abs2(self.positions))))
 
     @cached_property
     def _moments(self) -> "Moments":
@@ -425,7 +426,7 @@ def balance(body: Body, surface: Surface) -> Body:
     the result keeps for principal_axes, bitwise those of moments().
     """
     x = body.positions
-    extent2 = float(np.max(np.sum(x**2, axis=1)))
+    extent2 = float(np.max(_abs2(x)))
     R = surface.R
     if abs(R) * extent2 > CURVATURE_EXTENT_WARN:
         warnings.warn(

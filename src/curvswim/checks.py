@@ -21,7 +21,8 @@ import numpy as np
 
 from .body import Body, balance, moments, principal_axes
 from .deformation import (
-    admissible_linear_deformations, gauge_fixed_linear_deformation, gauge_residuals, linear_deformation, project_gauge
+    LINEAR_PAIRS, admissible_linear_deformations, gauge_fixed_linear_deformation, gauge_residuals, linear_deformation,
+    project_gauge,
 )
 from .fields import VectorField, linear_field
 from .geometry import (
@@ -52,7 +53,6 @@ from .scenarios import (
 )
 
 R_VALUES = (-1.0, -0.25, 0.0, 0.25, 1.0)
-PAIRS = ((1, 1), (2, 2), (1, 2))
 K4 = CurvatureTensor.constant_curvature(4.0)
 _RELATIONS = {"<": operator.lt, "==": operator.eq, ">": operator.gt}
 
@@ -119,7 +119,7 @@ def _random_bodies(rng: np.random.Generator, count: int):
     for _ in range(count):
         body = random_balanced_body(rng, int(rng.integers(3, 7)), 0.3)
         i = int(rng.integers(0, 3))
-        yield body, PAIRS[i], PAIRS[(i + 1 + int(rng.integers(0, 2))) % 3]
+        yield body, LINEAR_PAIRS[i], LINEAR_PAIRS[(i + 1 + int(rng.integers(0, 2))) % 3]
 
 
 def _max_abs(a) -> float:
@@ -187,7 +187,7 @@ def _isometries(rng, fault):
     def defect(t):
         w = rigid_field(s, t)
         second = 0.5 * np.einsum("j,jk->k", w(p), w.gradient(p))
-        return float(np.linalg.norm(exp_rigid(s, t)(p) - (p + w(p) + second)))
+        return math.hypot(*(exp_rigid(s, t)(p) - (p + w(p) + second)).tolist())
 
     tau = np.array([0.08, -0.05, 0.11])
     return drift, defect(0.5 * tau) / defect(tau)
@@ -279,7 +279,7 @@ def _null_bodies(rng, fault):
 
     return (max(_max_abs(moments(b).q3) for b in symmetric),
             max(_max_abs(holonomy_linear(b, K4, pb, pc, 1.0)) for b in symmetric
-                for i, pb in enumerate(PAIRS) for pc in PAIRS[i + 1:]),
+                for i, pb in enumerate(LINEAR_PAIRS) for pc in LINEAR_PAIRS[i + 1:]),
             max(worst_small_swimmer(n) for n in needles),
             sum((2, 2) in admissible_linear_deformations(n) for n in needles),
             max(worst_small_swimmer(b) for b in two))

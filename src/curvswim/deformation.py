@@ -20,20 +20,20 @@ from .geometry import Surface, killing_coefficients
 # subtract_rigid's largest |f - c . xi| / |f| read as rigid: the projection leaves <xi_a|f - c . xi> at up to
 # 4e-16 |xi_a| |f| (19,800 random and near-collinear draws), so a smaller rest can fail the 1e-8 gauge check.
 RIGID_FRACTION = 1e-7
-_LINEAR_TAGS = {(1, 1): "linear-11", (1, 2): "linear-12", (2, 2): "linear-22"}
+LINEAR_PAIRS = ((1, 1), (2, 2), (1, 2))   # (j, k) of the linear family's members; the registry's draws index it
 
 
 def linear_deformation(j: int, k: int) -> VectorField:
     """Symmetric linear field with 2 eta_(jk) = x^j d_k + x^k d_j.
 
-    The three independent members for d = 2 are (1,1), (2,2) and (1,2).
+    The three independent members for d = 2 are LINEAR_PAIRS.
     """
     if j not in (1, 2) or k not in (1, 2):
         raise ValueError("linear deformation indices must be 1 or 2")
     B = np.zeros((2, 2))
     B[k - 1, j - 1] += 0.5
     B[j - 1, k - 1] += 0.5
-    return linear_field(B, tag=_LINEAR_TAGS[min(j, k), max(j, k)])
+    return linear_field(B, tag=f"linear-{min(j, k)}{max(j, k)}")
 
 
 def gauge_pairings(body: Body, surface: Surface, coefficients) -> np.ndarray:
@@ -130,9 +130,9 @@ def gauge_fixed_linear_deformation(body: Body, j: int, k: int) -> VectorField:
 
 
 def admissible_linear_deformations(body: Body) -> dict:
-    """The gauge-fixed members (1,1), (2,2) and (1,2) by pair, less any that raises DegenerateMomentsError."""
+    """The gauge-fixed members of LINEAR_PAIRS by pair, less any that raises DegenerateMomentsError."""
     fields = {}
-    for pair in ((1, 1), (2, 2), (1, 2)):
+    for pair in LINEAR_PAIRS:
         try:
             fields[pair] = gauge_fixed_linear_deformation(body, *pair)
         except DegenerateMomentsError:

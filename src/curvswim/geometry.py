@@ -31,28 +31,6 @@ import numpy as np
 from .errors import ChartDomainError
 from .fields import VectorField, _read_only, as_points, complex_view
 
-__all__ = [
-    "Surface",
-    "Isometry",
-    "CurvatureTensor",
-    "gaussian_curvature",
-    "geodesic_distance",
-    "KILLING_TABLE",
-    "killing_fields",
-    "killing_coefficients",
-    "rigid_field",
-    "killing_one_form",
-    "killing_two_forms",
-    "numeric_exterior_derivative",
-    "strain_of",
-    "killing_residual",
-    "exp_rigid",
-    "translation_to",
-    "rotation_about_origin",
-    "translation_killing_approx",
-    "translation_killing_gradient",
-]
-
 # Relative margin kept between points and the hyperbolic chart boundary.
 _DOMAIN_MARGIN = 1e-9
 FD_STEP = 1e-4              # step h of numeric_exterior_derivative

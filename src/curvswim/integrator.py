@@ -77,14 +77,6 @@ from .errors import CurvswimError, NonFiniteResultError, StrokeError
 from .fields import VectorField
 from .geometry import Isometry, Surface, expm2, killing_coefficients, rigid_generator
 
-__all__ = [
-    "Stroke",
-    "rectangle_stroke",
-    "sinusoid_stroke",
-    "TrajectoryRecord",
-    "integrate_stroke",
-]
-
 DEFAULT_STEPS = 1024
 Piece = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 

@@ -5,9 +5,9 @@ A top-level definition passes when it is referenced by name in src/ or
 perfbench/ outside its own definition (a string holding exactly
 the name counts, as getattr and the benchmark's tracer look names up that
 way), registered with the checks.invariant decorator, or a [project.scripts]
-entry.  An export (exported by curvswim or listed in its module's __all__)
-passes too when README.md names it: the README is its caller.  Membership of
-__all__ alone is no use, and __all__ lists and imports reference nothing.  A
+entry.  An export of curvswim passes too when README.md names it: the README
+is its caller.  curvswim's imports are the one export list, so no module
+assigns __all__; an __all__ list and imports reference nothing.  A
 public method or property passes when it is referenced by name there outside
 its own class.  Every defaulted parameter of a function is passed by some
 call there: by keyword, by position, or through * or **.  Tests do not count
@@ -46,12 +46,9 @@ def _is_all(stmt: ast.AST) -> bool:
     return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _listed(source: str) -> set:
-    """The names of the source's __all__ list."""
-    for stmt in ast.parse(source).body:
-        if isinstance(stmt, ast.Assign) and _is_all(stmt):
-            return set(ast.literal_eval(stmt.value))
-    return set()
+def _assigns_all(source: str) -> bool:
+    """Whether a top-level statement of the source assigns __all__."""
+    return any(_is_all(stmt) for stmt in ast.parse(source).body)
 
 
 def _own_uses(stmt: ast.AST) -> set:
@@ -114,14 +111,13 @@ def _dead_definitions(sources: dict, uses: Counter, exported: set, readme: str, 
     registration or script entry, and no README mention of an export."""
     dead = []
     for module, source in sources.items():
-        listed = _listed(source)
         for stmt in ast.parse(source).body:
             if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = stmt.name
             if name in uses or name in entries or _is_registered_invariant(stmt):
                 continue
-            if (name in exported or name in listed) and _named_in(readme, name):
+            if name in exported and _named_in(readme, name):
                 continue
             dead.append(f"{module}.{name}")
     return dead
@@ -136,7 +132,9 @@ def test_every_top_level_definition_has_a_caller():
 
 def test_the_check_sees_an_exported_but_unused_function():
     source = (
-        '__all__ = ["documented", "orphan"]\n'
+        '__all__ = ["listed_only"]\n'
+        "def listed_only():\n"
+        "    return 0\n"
         "def documented():\n"
         "    return 1\n"
         "def orphan():\n"
@@ -149,9 +147,22 @@ def test_the_check_sees_an_exported_but_unused_function():
         "    def run(self):\n"
         "        return helper()\n"
     )
-    readme = "Call `documented()` or `Caller().run()`; `planted.orphan` is not a mention."
-    dead = _dead_definitions({"planted": source}, _uses([source]), {"exported_only", "Caller"}, readme)
-    assert dead == ["planted.orphan", "planted.exported_only"]
+    readme = "Call `documented()`, `listed_only()` or `Caller().run()`; `planted.orphan` is not a mention."
+    exported = {"documented", "orphan", "exported_only", "Caller"}
+    dead = _dead_definitions({"planted": source}, _uses([source]), exported, readme)
+    assert dead == ["planted.listed_only", "planted.orphan", "planted.exported_only"]
+
+
+def test_no_module_assigns_an_export_list():
+    # a module's __all__ is a second export list, free to drift from curvswim's imports
+    listing = [path.stem for path in sorted(PACKAGE.glob("*.py")) if _assigns_all(path.read_text(encoding="utf-8"))]
+    assert listing == [], f"modules that assign __all__: {listing}"
+
+
+def test_the_check_sees_an_export_list():
+    sources = ('__all__ = ["f"]\n', "__all__: list = []\n", '__all__ += ["g"]\n',
+               "def f():\n    __all__ = 1\n", 'ALL = ["f"]\n')
+    assert [_assigns_all(source) for source in sources] == [True, True, True, False, False]
 
 
 def test_every_public_method_has_a_caller_outside_its_class():
