@@ -6,7 +6,7 @@ from an independent finite-stroke integrator that enforces zero momentum
 at every instant.
 """
 
-from .body import Body, Moments, balance, moments, principal_axes
+from .body import Body, balance, principal_axes
 from .deformation import (
     gauge_fixed_linear_deformation,
     gauge_residuals,

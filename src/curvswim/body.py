@@ -83,12 +83,6 @@ class Body:
         return math.sqrt(float(np.max(_abs2(self.positions))))
 
     @cached_property
-    def _moments(self) -> "Moments":
-        T = self.mass_moments(3)     # x^a y^b at d (d + 1) / 2 + b, d = a + b: q2 and q3 by their count of y
-        q2, q3 = T[[3, 4, 4, 5]].reshape(2, 2), T[[6, 7, 7, 8, 7, 8, 8, 9]].reshape(2, 2, 2)
-        return Moments(T[1:3], _read_only(q2), _read_only(q3), total_mass=self.total_mass)
-
-    @cached_property
     def _derived(self) -> dict:
         return {}
 
@@ -138,16 +132,6 @@ class Body:
         object.__setattr__(image, "positions", _read_only(positions))
         object.__setattr__(image, "total_mass", self.total_mass)    # fills the cached property
         return image
-
-
-@dataclass(frozen=True)
-class Moments:
-    """Mass-weighted coordinate sums up to third order."""
-
-    q1: np.ndarray  # (2,)
-    q2: np.ndarray  # (2, 2)
-    q3: np.ndarray  # (2, 2, 2)
-    total_mass: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,15 +216,6 @@ def _mass_sums(masses, x, degree: int) -> np.ndarray:
     """S(m x^a y^b), a + b <= degree, of masses at points x (N, 2): fields.monomial_rows weighed by the masses,
     summed by one np.add.reduce (no einsum, no BLAS), so mirror images cancel exactly."""
     return np.add.reduce(monomial_rows(x[:, 0], x[:, 1], degree, masses), -1)
-
-
-def moments(body: Body) -> Moments:
-    """The body's moments, gathered from its degree-3 mass_moments on first use and kept: one read-only object.
-
-    q2 and q3 are exactly symmetric, and a body symmetric under a mirror
-    keeps the exact zeros its symmetry gives.
-    """
-    return body._moments
 
 
 def require_resolved_curvature(body: Body, surface: Surface) -> None:
@@ -400,7 +375,7 @@ def solve_gram(gram, rhs) -> Tuple[np.ndarray, np.ndarray]:
 
 def require_balanced(body: Body) -> None:
     """Raise ValueError unless the body's first moments are within 1e-8 M max(1, extent) of zero."""
-    qx, qy = moments(body).q1.tolist()
+    qx, qy = body.mass_moments(3)[1:3].tolist()
     if max(abs(qx), abs(qy)) > 1e-8 * max(1.0, body.extent) * body.total_mass:
         raise ValueError("body must be balanced (vanishing first moments) first")
 
@@ -423,7 +398,7 @@ def balance(body: Body, surface: Surface) -> Body:
     the positions array and builds one Body at the end, which shares the
     body's masses; a body that is already balanced is returned itself.  The
     means q1 and q2 come from one mass_moments(2) table per iteration, which
-    the result keeps for principal_axes, bitwise those of moments().
+    the result keeps for principal_axes, bitwise the first six entries of mass_moments(3).
     """
     x = body.positions
     extent2 = float(np.max(_abs2(x)))

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .body import Body, balance, moments, principal_axes
+from .body import Body, balance, principal_axes
 from .deformation import (
     LINEAR_PAIRS, admissible_linear_deformations, gauge_fixed_linear_deformation, gauge_residuals, linear_deformation,
     project_gauge,
@@ -277,7 +277,7 @@ def _null_bodies(rng, fault):
         return max((_max_abs(holonomy_small_swimmer(body, K4, fields[pb], fields[pc], 1.0))
                     for i, pb in enumerate(keys) for pc in keys[i + 1:]), default=0.0)
 
-    return (max(_max_abs(moments(b).q3) for b in symmetric),
+    return (max(_max_abs(b.mass_moments(3)[6:]) for b in symmetric),
             max(_max_abs(holonomy_linear(b, K4, pb, pc, 1.0)) for b in symmetric
                 for i, pb in enumerate(LINEAR_PAIRS) for pc in LINEAR_PAIRS[i + 1:]),
             max(worst_small_swimmer(n) for n in needles),

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .body import Body, moments, pairing_scale, require_balanced
+from .body import Body, pairing_scale, require_balanced
 from .errors import DegenerateMomentsError, NonFiniteResultError
 from .fields import VectorField, coefficients_of, linear_field
 from .geometry import Surface, killing_coefficients
@@ -96,12 +96,11 @@ def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
 
 def _gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:
     require_balanced(body)
-    q2 = moments(body).q2.tolist()
-    scale = max(*map(abs, q2[0] + q2[1]), 1e-300)
-    if abs(q2[0][1]) > 1e-8 * scale:
+    qxx, qxy, qyy = body.mass_moments(3)[3:6].tolist()
+    scale = max(abs(qxx), abs(qxy), abs(qyy), 1e-300)
+    if abs(qxy) > 1e-8 * scale:
         raise ValueError("body must be in principal axes (diagonal second moments) first")
-    qjj = q2[j - 1][j - 1]
-    qkk = q2[k - 1][k - 1]
+    qjj, qkk = (qxx, qyy)[j - 1], (qxx, qyy)[k - 1]
     denom = qjj + qkk
     if denom <= 1e-14 * scale:
         raise DegenerateMomentsError(

@@ -163,7 +163,7 @@ def holonomy_linear(body: Body, curv: CurvatureTensor, pair_b: Tuple[int, int], 
 def _curvature_contraction(body: Body, curv: CurvatureTensor, C: np.ndarray, degrees, area: float) -> np.ndarray:
     """2 R[j, l, i, k] S(m x^i u^j v^l) A / M for the coefficients C = (u, v), shape (2, 2, 6), of the given
     degrees: their monomials up to each degree, contracted with the body's mass moments of degree
-    1 + deg u + deg v (the cubic ones that moments() reads for linear fields) in one einsum (no BLAS)."""
+    1 + deg u + deg v (for linear fields the cubic ones, mass_moments(3)[6:]) in one einsum (no BLAS)."""
     du, dv = degrees
     nu, nv = (du + 1) * (du + 2) // 2, (dv + 1) * (dv + 2) // 2
     sums = body.mass_moments(1 + du + dv)[_PRODUCTS[:, :nu, :nv]]

@@ -160,10 +160,15 @@ class TrajectoryRecord:
     group_drift: float               # |det G - 1| of the final G, before it is normalized
 
 
-def _extract_delta_tau(G: np.ndarray, R: float) -> Tuple[np.ndarray, Isometry]:
+def _extract_delta_tau(G: np.ndarray, R: float, steps: int) -> Tuple[np.ndarray, Isometry]:
+    """delta_tau and the isometry read from G; CurvswimError where G has left the group (too few RK4 steps)."""
     alpha, beta = complex(G[0, 0] + np.conj(G[1, 1])) / 2.0, complex(G[0, 1])
     if R != 0.0:
         beta = 0.5 * (beta - np.conj(complex(G[1, 0])) / R)
+    det = abs(alpha) ** 2 + R * abs(beta) ** 2
+    if det <= 0.0:
+        raise CurvswimError(f"the integrated group element left the group: |alpha|^2 + R |beta|^2 = {det:.3g} "
+                            f"after {steps} steps; more steps keep RK4 closer to it")
     g = Isometry(alpha, beta, R).normalized()
     w = g.beta / np.conj(g.alpha)
     rot = 2.0 * math.atan2(g.alpha.imag, g.alpha.real)
@@ -302,7 +307,7 @@ def _integrate_direct(body, surface, B, stroke):
                 grams[n], moms[n], vvs[n] = gram, mom[0], vv
         X += (weights * C).swapaxes(0, 1).reshape(2, 24) @ rows.reshape(24, -1)
     G = _propagate(*np.swapaxes(rigid_generator(surface, taus), -1, -2), dt).T
-    closure = float(np.max(np.abs(_extract_delta_tau(G, surface.R)[1](body.positions).T - X)))
+    closure = float(np.max(np.abs(_extract_delta_tau(G, surface.R, stroke.steps)[1](body.positions).T - X)))
     max_residual = float(np.max(np.abs(np.add.reduce(grams * taus[0, :, None], -1) + moms)))
     return G, max_residual, float(np.max(pairing_scale(grams, vvs))), closure, np.max(np.abs(taus), axis=(0, 1))
 
@@ -356,7 +361,7 @@ def integrate_stroke(
     G, max_residual, max_scale, closure, speed = integrate(body, surface, B, stroke)
 
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
-    delta_tau, _ = _extract_delta_tau(G, surface.R)
+    delta_tau, _ = _extract_delta_tau(G, surface.R, stroke.steps)
     if not np.all(np.isfinite(delta_tau)):
         raise NonFiniteResultError(f"integrated rigid increment is not finite: {delta_tau}")
     unit = (body.extent or 1.0,) * 2 + (1.0,)       # translations in units of the extent

@@ -18,12 +18,11 @@ from curvswim.body import (
     balance,
     linear_momentum_map,
     momentum_work,
-    moments,
     pairing_scale,
     principal_axes,
     solve_gram,
 )
-from curvswim.deformation import project_gauge
+from curvswim.deformation import gauge_fixed_linear_deformation, project_gauge
 from curvswim.errors import BalanceConvergenceError, ChartDomainError, NonFiniteResultError, SingularGramError
 from curvswim.fields import VectorField, linear_field, polynomial_values
 from curvswim.geometry import (
@@ -452,9 +451,10 @@ def test_norm_positive_unless_vanishing_on_particles():
 
 
 def test_single_mass_moments():
-    q = moments(Body.from_particles([[2.5, 0, 0]]))
-    assert np.all(q.q1 == 0) and np.all(q.q2 == 0) and np.all(q.q3 == 0)
-    assert q.total_mass == 2.5
+    body = Body.from_particles([[2.5, 0, 0]])
+    table = body.mass_moments(3)
+    assert table[0] == 2.5 and np.all(table[1:] == 0)
+    assert body.total_mass == 2.5
 
 
 def test_triangle_cubic_moment():
@@ -463,55 +463,63 @@ def test_triangle_cubic_moment():
     body = Body.from_particles(
         [[m, x_b, b / 2], [m, x_b, -b / 2], [M - 2 * m, x_b + h, 0.0]]
     )
-    q = moments(body)
-    assert q.q1[0] == pytest.approx(0.0, abs=1e-16)
+    table = body.mass_moments(3)
+    assert table[1] == pytest.approx(0.0, abs=1e-16)
     expected = -m * (M - 2 * m) * h * b**2 / (2 * M)
-    assert q.q3[0, 1, 1] == pytest.approx(expected, rel=1e-14)
+    assert table[8] == pytest.approx(expected, rel=1e-14)       # S(m x y^2)
     # consistency with the closed-form swim coefficient: |8/M sum x y^2|
-    assert 8 * abs(q.q3[0, 1, 1]) / M == pytest.approx(4 * m * (M - 2 * m) * h * b**2 / M**2, rel=1e-14)
+    assert 8 * abs(table[8]) / M == pytest.approx(4 * m * (M - 2 * m) * h * b**2 / M**2, rel=1e-14)
 
 
 def test_inversion_symmetric_body_has_zero_cubics():
     body = Body.from_particles([[1, 0.3, 0], [1, -0.3, 0], [1, 0, 0.3], [1, 0, -0.3]])
-    assert np.all(moments(body).q3 == 0.0)
+    assert np.all(body.mass_moments(3)[6:] == 0.0)
 
 
 def test_moments_are_formed_once_per_body():
     rng = np.random.default_rng(11)
     body = Body(masses=rng.uniform(0.5, 1.5, 7), positions=rng.uniform(-0.3, 0.3, (7, 2)))
-    q = moments(body)
-    assert moments(body) is q
-    for a in (q.q1, q.q2, q.q3):
-        assert not a.flags.writeable
+    table = body.mass_moments(3)
+    assert body.mass_moments(3) is table
+    assert not table.flags.writeable
     m, x = body.masses, body.positions
-    # each entry is the product of its sorted indices, so q3 is exactly symmetric
+    # S(m x^a y^b) is the einsum entry of a zeros and b ones, in that order
     ref = np.einsum("n,ni,nj,nk->ijk", m, x, x, x)
-    for i in np.ndindex(2, 2, 2):
-        assert q.q3[i] == ref[tuple(sorted(i))], i
-    assert body.total_mass == float(np.sum(m)) == q.total_mass
+    for b in range(4):
+        assert table[6 + b] == ref[(0,) * (3 - b) + (1,) * b], b
+    assert body.total_mass == float(np.sum(m))
     assert body.extent == float(np.max(np.linalg.norm(x, axis=1)))
 
 
-def _odd_in_y(shape):
-    """Index tuples of a moment tensor with an odd number of y (index 1) entries."""
-    return [i for i in np.ndindex(*shape) if sum(i) % 2 == 1]
+def test_a_prepared_body_holds_one_moment_table():
+    # balance leaves a degree-2 table with its result, and principal_axes turns that into a fresh image; the
+    # image's balance check, gauge-fixed fields and both curvature contractions read its one degree-3 table
+    rng = np.random.default_rng(13)
+    surface = Surface(-1.0)
+    balanced = balance(Body(masses=rng.uniform(0.5, 1.5, 6), positions=rng.uniform(-0.2, 0.2, (6, 2))), surface)
+    body = principal_axes(balanced)
+    assert body is not balanced
+    curv = CurvatureTensor.from_surface(surface)
+    u, v = (gauge_fixed_linear_deformation(body, *pair) for pair in ((1, 1), (1, 2)))
+    holonomy_mod.holonomy_linear(body, curv, (1, 1), (1, 2), 0.5)
+    holonomy_mod.holonomy_small_swimmer(body, curv, u, v, 0.5)
+    assert [key for key in body._derived if key[0] == "mass_moments"] == [("mass_moments", 3)]
 
 
 def test_moments_keep_the_mirror_zeros_exactly():
     # einsum read q1_y = -1.1e-16 and Q_xy = -6.9e-18 on this body
-    q = moments(_mirror_body())
-    assert q.q1[1] == 0.0 and q.q1[0] > 0.0
-    assert q.q2[0, 1] == q.q2[1, 0] == 0.0
-    odd = _odd_in_y((2, 2, 2))
-    for i in np.ndindex(2, 2, 2):
-        assert (q.q3[i] == 0.0) == (i in odd), i
+    table = _mirror_body().mass_moments(3)
+    assert table[2] == 0.0 and table[1] > 0.0
+    assert table[4] == 0.0
+    for b in range(4):          # S(m x^(3 - b) y^b) vanishes where b is odd
+        assert (table[6 + b] == 0.0) == (b % 2 == 1), b
 
 
 @pytest.mark.parametrize("R", [-1.0, 1.0])
 def test_small_swimmer_moment_keeps_the_mirror_zeros_exactly(R):
     b = _mirror_body()
-    centred = Body(masses=b.masses, positions=b.positions - [moments(b).q1[0] / b.total_mass, 0.0])
-    assert moments(centred).q1[1] == 0.0
+    centred = Body(masses=b.masses, positions=b.positions - [b.mass_moments(3)[1] / b.total_mass, 0.0])
+    assert centred.mass_moments(3)[2] == 0.0
     even = [linear_field(B) for B in ([[1.0, 0.0], [0.0, 0.0]], [[0.3, 0.0], [0.0, -2.0]])]
     dx = holonomy_mod.holonomy_small_swimmer(centred, CurvatureTensor.from_surface(Surface(R)), *even, 0.5)
     # linear fields contract the cubic mass moments; those odd in y are exactly 0
@@ -534,10 +542,6 @@ def test_mass_moments_are_the_moments_and_each_degree_stands_alone():
         assert np.array_equal(body_mod._mass_sums(m, x.copy(order="F"), 5), table)
         ref = np.array([np.sum(m * x[:, 0] ** a * x[:, 1] ** b) for a, b in powers])
         assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref)) * n
-        q = moments(body)
-        assert np.array_equal(q.q1, table[1:3])
-        for i in np.ndindex(2, 2, 2):
-            assert q.q3[i] == table[6 + sum(i)] and q.q2[i[:2]] == table[3 + sum(i[:2])]
 
 
 def test_isometry_images_share_the_checked_masses():
@@ -548,7 +552,8 @@ def test_isometry_images_share_the_checked_masses():
         assert image.masses is body.masses
         assert not image.positions.flags.writeable
         assert image.total_mass == body.total_mass
-        assert np.array_equal(moments(image).q2, moments(Body(masses=body.masses, positions=image.positions)).q2)
+        assert np.array_equal(image.mass_moments(3)[3:6],
+                              Body(masses=body.masses, positions=image.positions).mass_moments(3)[3:6])
     assert np.array_equal(images[0].positions, 2.0 * body.positions)
     with np.errstate(invalid="ignore"):
         for factor in (math.inf, -math.inf, math.nan):
@@ -559,10 +564,8 @@ def test_isometry_images_share_the_checked_masses():
 def test_moments_additive_under_merge():
     b1 = Body.from_particles([[1, 0.2, 0.3], [2, -0.1, 0.4]])
     b2 = Body.from_particles([[3, 0.5, -0.2]])
-    q = moments(Body(masses=np.concatenate([b1.masses, b2.masses]),
-                     positions=np.concatenate([b1.positions, b2.positions])))
-    assert np.allclose(q.q2, moments(b1).q2 + moments(b2).q2)
-    assert np.allclose(q.q3, moments(b1).q3 + moments(b2).q3)
+    merged = Body(masses=np.concatenate([b1.masses, b2.masses]), positions=np.concatenate([b1.positions, b2.positions]))
+    assert np.allclose(merged.mass_moments(3)[3:], b1.mass_moments(3)[3:] + b2.mass_moments(3)[3:])
 
 
 # ----------------------------------------------------------------- balance
@@ -584,8 +587,7 @@ def test_balance_curved_reaches_tolerance():
     body = Body.from_particles([[1, 0.0, 0.05], [1, 0.2, -0.1], [2, 0.1, 0.15]])
     for R in (1.0, -1.0):
         out = balance(body, Surface(R))
-        q1 = moments(out).q1
-        assert np.max(np.abs(q1)) < 1e-12
+        assert np.max(np.abs(out.mass_moments(3)[1:3])) < 1e-12
 
 
 def _balance_one_body_per_iteration(body, surface):
@@ -598,12 +600,12 @@ def _balance_one_body_per_iteration(body, surface):
     current, R = body, surface.R
     scale = max(1.0, np.sqrt(float(np.max(np.sum(body.positions**2, axis=1)))))
     for it in range(BALANCE_MAX_ITER):
-        q = moments(current)
-        qx, qy = (q.q1 / current.total_mass).tolist()
+        table = current.mass_moments(3)
+        qx, qy = (table[1:3] / current.total_mass).tolist()
         if max(abs(qx), abs(qy)) <= BALANCE_TOLERANCE * scale:
             return current, it
         w = (-qx, -qy)
-        (sxx, sxy), (_, syy) = (q.q2 / current.total_mass).tolist()
+        sxx, sxy, syy = (table[3:6] / current.total_mass).tolist()
         c, s = sxx - syy, 2.0 * sxy
         det = 1.0 - R * R * (c * c + s * s)
         if R and det >= 0.5:
@@ -672,7 +674,7 @@ def test_balance_converges_outside_the_small_body_regime(R, L):
     for seed in range(30):
         body = _out_of_regime_body(seed, L, R)
         out = balance(body, Surface(R))
-        q1 = moments(out).q1 / out.total_mass
+        q1 = out.mass_moments(3)[1:3] / out.total_mass
         assert np.max(np.abs(q1)) <= BALANCE_TOLERANCE * max(1.0, body.extent), seed
 
 
@@ -706,7 +708,7 @@ def test_balance_is_an_exact_isometry(case):
         for j in range(i):
             d = geodesic_distance(surface, x[i], x[j])
             assert abs(geodesic_distance(surface, out.positions[i], out.positions[j]) - d) <= 1e-12 * d
-    q1 = moments(out).q1 / out.total_mass
+    q1 = out.mass_moments(3)[1:3] / out.total_mass
     assert np.max(np.abs(q1)) <= BALANCE_TOLERANCE * max(1.0, body.extent)
     assert balance(out, surface) is out
 
@@ -739,17 +741,17 @@ def test_principal_axes_diagonal_rotation():
     body = Body.from_particles([[1, r, r], [1, -r, -r]])
     out = principal_axes(body)
     assert np.allclose(np.abs(out.positions), [[1, 0], [1, 0]], atol=1e-14)
-    q2 = moments(out).q2
-    assert abs(q2[0, 1]) < 1e-14
-    assert q2[0, 0] >= q2[1, 1]
+    qxx, qxy, qyy = out.mass_moments(3)[3:6]
+    assert abs(qxy) < 1e-14
+    assert qxx >= qyy
 
 
 def test_principal_axes_turns_a_diagonal_body_with_the_larger_moment_on_y():
     body = Body.from_particles([[1, 0.2, 0.0], [1, -0.2, 0.0], [1, 0.0, 0.5], [1, 0.0, -0.5]])
     out = principal_axes(body)
     assert np.allclose(out.positions, body.positions @ np.array([[0.0, 1.0], [-1.0, 0.0]]), rtol=0, atol=1e-15)
-    q2 = moments(out).q2
-    assert q2[0, 0] >= q2[1, 1]
+    qxx, _, qyy = out.mass_moments(3)[3:6]
+    assert qxx >= qyy
     assert principal_axes(out) is out
 
 
@@ -760,8 +762,8 @@ def test_principal_axes_turns_a_diagonal_body_with_the_larger_moment_on_y():
 def test_principal_axes_orders_the_axes_and_is_idempotent(case):
     masses, points = case
     out = principal_axes(Body(masses=np.array(masses), positions=np.array(points)))
-    q2 = moments(out).q2
-    assert q2[0, 0] >= q2[1, 1]
+    qxx, _, qyy = out.mass_moments(3)[3:6]
+    assert qxx >= qyy
     assert principal_axes(out) is out
 
 
@@ -770,9 +772,9 @@ def test_principal_axes_random_bodies():
     for _ in range(10):
         body = Body(masses=rng.uniform(0.5, 2, 6), positions=rng.uniform(-1, 1, (6, 2)))
         out = principal_axes(body)
-        q2 = moments(out).q2
-        assert abs(q2[0, 1]) <= 1e-12 * max(q2[0, 0], q2[1, 1])
-        assert q2[0, 0] >= q2[1, 1]
+        qxx, qxy, qyy = out.mass_moments(3)[3:6]
+        assert abs(qxy) <= 1e-12 * max(qxx, qyy)
+        assert qxx >= qyy
 
 
 def test_principal_axes_isotropic_identity():

@@ -341,6 +341,11 @@ def test_overflow_prints_one_line_and_no_numpy_warnings(tmp_path):
         "M": 1.0, "m": 0.25, "h": 1e200, "b": 1e200}}}}, 3, id="holonomy-nonfinite-gram"),
     # m1 + m2 overflows; the ring simulation used to divide by zero
     pytest.param("ring", {"ring": {"length": 1.0, "m1": 1e308, "m2": 1e308}}, 3, id="ring-mass-sum-overflow"),
+    # RK4's group element leaves the group at 4 steps; Isometry.normalized's ValueError was a traceback (exit 1)
+    pytest.param("integrate", {
+        "surface": {"R": -1.0}, "body": {"particles": [[0.9, 0.17, 0.06], [2.0, -0.14, 0.09]]},
+        "fields": [{"matrix": [[-1.7, -0.3], [-2.8, -3.2]]}, {"matrix": [[-3.0, 3.3], [4.8, -4.9]]}],
+        "stroke": {"type": "rectangle", "amplitudes": [0.43, 0.4], "steps": 4}}, 3, id="group-element-off-the-group"),
 ])
 def test_failure_is_one_stderr_line_and_no_output(tmp_path, command, override, code):
     # The console command: a typed failure is one line on stderr, never a traceback.

@@ -729,7 +729,7 @@ def reference_composed(body, surface, fields, stroke):
     E0 = expm_frechet(s0[0] * B[0] + s0[1] * B[1], B[0])[0]
     E1 = expm_frechet(s1[0] * B[0] + s1[1] * B[1], B[0])[0]
     closure = float(np.max(np.abs(E1 - E0)))
-    delta_tau, _ = _extract_delta_tau(G, surface.R)
+    delta_tau, _ = _extract_delta_tau(G, surface.R, steps)
     bound = 1e-12 * max(max_scale, 1e-300)
     return delta_tau, bound, closure
 
@@ -812,7 +812,7 @@ def reference_direct(body, surface, fields, stroke):
         X = X + (dt / 6.0) * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
         G = G + (dt / 6.0) * (kg1 + 2.0 * kg2 + 2.0 * kg3 + kg4)
     drift = abs(complex(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]) - 1.0)
-    delta_tau, g = _extract_delta_tau(G, surface.R)
+    delta_tau, g = _extract_delta_tau(G, surface.R, stroke.steps)
     return delta_tau, 1e-12 * max_scale, drift, float(np.max(np.abs(X - g(body.positions))))
 
 
@@ -1031,6 +1031,18 @@ def test_an_overflowing_increment_is_refused(R):
     fields = [linear_field([[0.0, 1e100], [-1e100, 0.0]]), linear_field([[1.0, 0.0], [0.0, -1.0]])]
     with np.errstate(all="ignore"), pytest.raises(NonFiniteResultError, match="integrated rigid increment is not finite"):
         integrate_stroke(body, Surface(R), fields, sinusoid_stroke(0.01, 0.01, steps=8))
+
+
+@pytest.mark.parametrize("steps, det", [(4, "-14.2"), (8, "-2.63")])
+def test_a_group_element_off_the_group_is_refused(steps, det):
+    # RK4's G on this two-particle stroke has |alpha|^2 + R |beta|^2 <= 0 at 4
+    # and 8 steps, which no isometry has; Isometry.normalized used to raise a
+    # bare ValueError from inside integrate_stroke.  16 steps run.
+    body = Body.from_particles([[0.9, 0.17, 0.06], [2.0, -0.14, 0.09]])
+    fields = [linear_field([[-1.7, -0.3], [-2.8, -3.2]]), linear_field([[-3.0, 3.3], [4.8, -4.9]])]
+    with pytest.raises(CurvswimError, match=rf"\|alpha\|\^2 \+ R \|beta\|\^2 = {det} after {steps} steps"):
+        integrate_stroke(body, Surface(-1.0), fields, rectangle_stroke(0.43, 0.4, steps=steps))
+    assert integrate_stroke(body, Surface(-1.0), fields, rectangle_stroke(0.43, 0.4, steps=16)).group_drift > 0.8
 
 
 def test_composed_needs_linear_fields():

@@ -294,5 +294,6 @@ def test_stroke_reversal_inverts_the_oracle(case):
             continue
         fwd, bwd = np.frombuffer(forward), np.frombuffer(backward)
         assume(np.max(np.abs(fwd)) >= 1e-4 * stroke.signed_area * gross**2)
-        composed, _ = _extract_delta_tau(_moebius_matrix(surface, bwd) @ _moebius_matrix(surface, fwd), surface.R)
+        composed, _ = _extract_delta_tau(_moebius_matrix(surface, bwd) @ _moebius_matrix(surface, fwd), surface.R,
+                                          2 * stroke.steps)
         assert np.max(np.abs(composed)) <= 1e-8 * max(np.max(np.abs(fwd)), np.max(np.abs(bwd)))

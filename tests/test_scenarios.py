@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import curvswim.deformation as deformation
 import curvswim.holonomy as holonomy
 import curvswim.scenarios as scenarios
-from curvswim.body import Body, BodyFrame, balance, moments, principal_axes
+from curvswim.body import Body, BodyFrame, balance, principal_axes
 from curvswim.deformation import gauge_fixed_linear_deformation
 from curvswim.errors import DegenerateMomentsError, NonFiniteResultError
 from curvswim.holonomy import holonomy_general
@@ -47,14 +47,14 @@ def test_triangle_body_layout():
     body = triangle_body(TriangleSpec(M=1.0, m=0.25, h=1.0, b=1.0))
     assert np.allclose(body.masses, [0.25, 0.25, 0.5])
     assert np.allclose(body.positions, [[-0.5, 0.5], [-0.5, -0.5], [0.5, 0.0]])
-    q = moments(body)
-    assert abs(q.q1[0]) < 1e-16
-    assert abs(q.q2[0, 1]) < 1e-16  # reflection symmetric
+    table = body.mass_moments(3)
+    assert abs(table[1]) < 1e-16
+    assert abs(table[4]) < 1e-16  # reflection symmetric
 
 
 def test_triangle_body_balanced_for_any_spec():
     for spec in [TriangleSpec(2.0, 0.3, 0.7, 1.2), TriangleSpec(5.0, 2.4, 0.1, 3.0)]:
-        q1 = moments(triangle_body(spec)).q1
+        q1 = triangle_body(spec).mass_moments(3)[1:3]
         assert np.max(np.abs(q1)) < 1e-14
 
 
