@@ -52,6 +52,7 @@ from .integrator import (
     integrate_stroke,
     rectangle_stroke,
     sinusoid_stroke,
+    swim,
 )
 from .scenarios import (
     BaronCatReport,

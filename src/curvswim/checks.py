@@ -41,7 +41,7 @@ from .geometry import (
     translation_killing_gradient,
 )
 from .holonomy import holonomy_general, holonomy_linear, holonomy_small_swimmer
-from .integrator import integrate_stroke, rectangle_stroke
+from .integrator import integrate_stroke, rectangle_stroke, swim
 from .scenarios import (
     RingSpec,
     TriangleSpec,
@@ -307,10 +307,8 @@ def _oracle_runs() -> Tuple[float, float, float, float]:
         gap = 0.0
         for size in (1.0, 0.2):
             tri = triangle_body(TriangleSpec(M=1.0, m=0.25, h=size, b=size))
-            rec = integrate_stroke(tri, s, [height, base], stroke, mode="composed")
-            u, v = project_gauge(tri, s, height), project_gauge(tri, s, base)
-            formula = holonomy_general(tri, s, u, v, stroke.signed_area).delta_tau[0]
-            gap = max(gap, abs(rec.delta_tau[0] / formula - 1.0))
+            rec, formula = swim(tri, s, [height, base], stroke)
+            gap = max(gap, abs(rec.delta_tau[0] / formula.delta_tau[0] - 1.0))
             residual = max(residual, rec.max_momentum_residual / rec.residual_bound)
         gaps.append(gap)
     tiny = triangle_body(TriangleSpec(M=1.0, m=0.25, h=3e-4, b=3e-4))

@@ -22,16 +22,16 @@ import os
 import stat
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .body import Body
-from .deformation import gauge_coefficients, gauge_pairings, parse_field_spec, subtract_rigid
+from .deformation import gauge_pairings, parse_field_spec, project_fields
 from .errors import ConfigError, CurvswimError, NonFiniteResultError
 from .fields import VectorField, coefficients_of
 from .geometry import Surface
-from .holonomy import HolonomyResult, swim_increments
+from .holonomy import holonomy_general
 from .integrator import (
     DEFAULT_STEPS,
     Stroke,
@@ -39,6 +39,7 @@ from .integrator import (
     oracle_ratio,
     rectangle_stroke,
     sinusoid_stroke,
+    swim,
 )
 from .scenarios import (
     RingSpec,
@@ -205,41 +206,27 @@ def _need(cfg: RunConfig, attr: str, what: str) -> Any:
     return value
 
 
-def _build_stroke(cfg: RunConfig, steps_override: Optional[int]) -> Stroke:
-    stroke = _need(cfg, "stroke", "stroke")
-    return stroke if steps_override is None else stroke.with_steps(_steps(steps_override, "--steps"))
-
-
-def _build_fields(cfg: RunConfig, body: Body) -> List[VectorField]:
+def _inputs(cfg: RunConfig, steps_override: Optional[int]) -> Tuple[Body, Surface, List[VectorField], Stroke]:
+    """(body, surface, raw fields, stroke) of a run, checked in the order surface, body, fields, stroke, --steps."""
+    surface = _need(cfg, "surface", "surface")
+    body = _need(cfg, "body", "body")
     specs = _need(cfg, "field_specs", "fields")
-    return _checked("fields", lambda: [parse_field_spec(s, body=body) for s in specs])
+    raw = _checked("fields", lambda: [parse_field_spec(s, body=body) for s in specs])
+    stroke = _need(cfg, "stroke", "stroke")
+    if steps_override is not None:
+        stroke = stroke.with_steps(_steps(steps_override, "--steps"))
+    return body, surface, raw, stroke
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _formula(body: Body, surface: Surface, raw: List[VectorField], area: float):
-    """(raw coefficients (2, 2, 6), projected tags, HolonomyResult): holonomy_general on project_gauge's
-    fields, bitwise, from one gauge_coefficients call for both raw fields and one subtract_rigid call;
-    a field with c all zero keeps its raw coefficients."""
-    C = coefficients_of(raw)
-    c = gauge_coefficients(body, surface, C)
-    moved = c.any(axis=-1)
-    used = np.where(moved[:, None, None], subtract_rigid(body, surface, C, c), C)
-    delta, res = swim_increments(body, surface, used, [(0, 1)], area)
-    eigvals = body.frame(surface).eigvals
-    tags = [f"gauge({f.tag})" if m else f.tag for f, m in zip(raw, moved.tolist())]
-    return C, tags, HolonomyResult(delta[0], float(area), float(eigvals[-1] / eigvals[0]), res)
-
-
 def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
-    """_formula's result, with the raw fields' residuals from one gauge_pairings call on their coefficients."""
-    surface = _need(cfg, "surface", "surface")
-    body = _need(cfg, "body", "body")
-    raw = _build_fields(cfg, body)
-    stroke = _build_stroke(cfg, steps_override)
-    coefficients, tags, res = _formula(body, surface, raw, stroke.signed_area)
+    """holonomy_general on the raw fields' project_fields images, and the raw fields' gauge_pairings residuals."""
+    body, surface, raw, stroke = _inputs(cfg, steps_override)
+    u, v = project_fields(body, surface, raw)
+    res = holonomy_general(body, surface, u, v, stroke.signed_area)
     return {
         "command": "holonomy",
         "surface": {"R": surface.R},
@@ -248,27 +235,17 @@ def cmd_holonomy(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any
         "per_unit_area": list(res.per_unit_area),
         "gram_condition": res.gram_condition,
         "gauge_residuals": {
-            "raw": [list(r) for r in gauge_pairings(body, surface, coefficients)],
+            "raw": [list(r) for r in gauge_pairings(body, surface, coefficients_of(raw))],
             "used": [list(r) for r in res.gauge_residuals],
         },
-        "fields": tags,
+        "fields": [u.tag, v.tag],
     }
 
 
-def _run_oracle(cfg: RunConfig, steps_override: Optional[int]):
-    """The integrator half of integrate: (body, raw fields, stroke, trajectory record)."""
-    surface = _need(cfg, "surface", "surface")
-    body = _need(cfg, "body", "body")
-    raw = _build_fields(cfg, body)
-    stroke = _build_stroke(cfg, steps_override)
-    return body, raw, stroke, integrate_stroke(body, surface, raw, stroke)
-
-
 def cmd_integrate(cfg: RunConfig, steps_override: Optional[int]) -> Dict[str, Any]:
-    """The oracle's increment of the stroke against the formula's: _run_oracle, then _formula."""
-    surface = _need(cfg, "surface", "surface")
-    body, raw, stroke, rec = _run_oracle(cfg, steps_override)
-    _, _, hol = _formula(body, surface, raw, stroke.signed_area)
+    """The oracle's increment of the stroke against the formula's, from one swim call."""
+    body, surface, raw, stroke = _inputs(cfg, steps_override)
+    rec, hol = swim(body, surface, raw, stroke)
     dx_f, dx_i = float(hol.delta_tau[0]), float(rec.delta_tau[0])
     ratio = oracle_ratio(dx_i, dx_f)
     return {
@@ -295,9 +272,8 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
     for value in values:
         if variable == "m":  # the formula is the triangle's closed form: run only the oracle
             spec = replace(_need(cfg, "triangle", "body.scenario.triangle"), m=value)
-            _, _, stroke, rec = _run_oracle(replace(cfg, triangle=spec, body=triangle_body(spec)), steps_override)
-            dx_f = surface.R * triangle_swim_coefficient(spec) * stroke.signed_area
-            dx_i = float(rec.delta_tau[0])
+            rec = integrate_stroke(*_inputs(replace(cfg, triangle=spec, body=triangle_body(spec)), steps_override))
+            dx_f = surface.R * triangle_swim_coefficient(spec) * cfg.stroke.signed_area
         else:
             if variable == "area":
                 side = math.sqrt(abs(value))
@@ -305,8 +281,9 @@ def _sweep_rows(cfg: RunConfig, steps_override: Optional[int]) -> List[Dict[str,
                 local = replace(cfg, stroke=rectangle_stroke(side, math.copysign(side, value), steps=steps))
             else:  # variable == "R"
                 local = replace(cfg, surface=Surface(float(value)))
-            payload = cmd_integrate(local, steps_override)
-            dx_f, dx_i = payload["dx_formula"], payload["dx_integrated"]
+            rec, hol = swim(*_inputs(local, steps_override))
+            dx_f = float(hol.delta_tau[0])
+        dx_i = float(rec.delta_tau[0])
         rows.append({"variable": variable, "value": float(value), "dx_formula": dx_f,
                      "dx_integrated": dx_i, "ratio": oracle_ratio(dx_i, dx_f)})
     return rows

@@ -72,14 +72,21 @@ def subtract_rigid(body: Body, surface: Surface, coefficients: np.ndarray, c: np
     return u
 
 
-def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
-    """Remove the rigid content of f, subtract_rigid of c from gauge_coefficients: the result pairs to zero
-    with every Killing field and carries the strain of f.  f with c all zero is returned itself."""
-    C = coefficients_of([f])
+def project_fields(body: Body, surface: Surface, fields) -> list:
+    """Remove the rigid content of k fields, one gauge_coefficients and one subtract_rigid call for all: each
+    result pairs to zero with every Killing field and carries its field's strain; a field with c all zero is itself."""
+    C = coefficients_of(fields)
     c = gauge_coefficients(body, surface, C)
-    if not any(c[0].tolist()):
-        return f
-    return VectorField(subtract_rigid(body, surface, C, c)[0], tag=f"gauge({f.tag})")
+    moved = [any(row) for row in c.tolist()]
+    if not any(moved):
+        return list(fields)
+    U = subtract_rigid(body, surface, C, c)
+    return [VectorField(u, tag=f"gauge({f.tag})") if m else f for f, u, m in zip(fields, U, moved)]
+
+
+def project_gauge(body: Body, surface: Surface, f: VectorField) -> VectorField:
+    """project_fields of the one field f."""
+    return project_fields(body, surface, [f])[0]
 
 
 def gauge_fixed_linear_matrix(body: Body, j: int, k: int) -> np.ndarray:

@@ -55,6 +55,7 @@ matrix: no per-particle velocity is formed for the momentum solve.
 
 body.solve_gram is also the holonomy formulas' solve, so a Gram matrix
 that the formulas refuse stops the stroke with the same typed error.
+swim runs both routes on one body, surface, field pair and stroke.
 
 Each solve the oracle reads is checked against the kernel's own sums:
 max_momentum_residual is the largest |gram tau + mom| and residual_bound
@@ -73,9 +74,11 @@ import numpy as np
 
 from .body import (ROUND_OFF_LIMIT, Body, linear_momentum_map, momentum_work, pairing_scale,
                    require_resolved_curvature, solve_gram)
+from .deformation import project_fields
 from .errors import CurvswimError, NonFiniteResultError, StrokeError
 from .fields import VectorField
 from .geometry import Isometry, Surface, expm2, killing_coefficients, rigid_generator
+from .holonomy import HolonomyResult, holonomy_general
 
 DEFAULT_STEPS = 1024
 Piece = Tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -381,6 +384,16 @@ def integrate_stroke(
         shape_closure_defect=closure,
         group_drift=drift,
     )
+
+
+def swim(body: Body, surface: Surface, fields: Sequence[VectorField],
+         stroke: Stroke) -> Tuple[TrajectoryRecord, HolonomyResult]:
+    """How far the body moves for the stroke, by both routes: (integrate_stroke on the fields, holonomy_general
+    on their project_fields images over stroke.signed_area).  The oracle runs first, so where both refuse, its
+    error is raised."""
+    record = integrate_stroke(body, surface, fields, stroke)
+    u, v = project_fields(body, surface, fields)
+    return record, holonomy_general(body, surface, u, v, stroke.signed_area)
 
 
 def oracle_ratio(dx_integrated: float, dx_formula: float) -> float:

@@ -15,6 +15,9 @@ import pytest
 import curvswim
 import curvswim.checks as checks
 import curvswim.cli as cli
+import curvswim.deformation as deformation_mod
+import curvswim.holonomy as holonomy_mod
+import curvswim.integrator as integrator_mod
 from curvswim import (
     Surface,
     TriangleSpec,
@@ -262,14 +265,14 @@ def test_sweep_over_m_runs_no_formula(tmp_path, monkeypatch):
     # m rows take dx_formula from the triangle's closed form, so the general
     # formula (the swim solve and the gauge projection feeding it) must not run
     calls = {"swim_increments": 0, "gauge_coefficients": 0}
-    for name in calls:
-        original = getattr(cli, name)
+    for module, name in ((holonomy_mod, "swim_increments"), (deformation_mod, "gauge_coefficients")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = dict(
         BASE_CONFIG,
         stroke={"type": "rectangle", "amplitudes": [0.01, 0.01], "steps": 16},
@@ -500,6 +503,13 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
     assert f"config error: {where} must be a finite number" in capsys.readouterr().err
 
 
+def _fail_if_a_route_runs(monkeypatch):
+    # the oracle where the CLI and swim resolve it, and the formula's swim solve and gauge projection
+    for module, name in ((cli, "integrate_stroke"), (integrator_mod, "integrate_stroke"),
+                         (holonomy_mod, "swim_increments"), (deformation_mod, "gauge_coefficients")):
+        monkeypatch.setattr(module, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+
+
 @pytest.mark.parametrize("command, override, where", [
     ("holonomy", {"surface": {"R": 1e-310}}, "surface.R"),
     ("integrate", {"surface": {"R": -1e-310}}, "surface.R"),
@@ -508,8 +518,7 @@ def test_non_finite_inputs_are_config_errors(tmp_path, capsys, command, bad, whe
 def test_subnormal_R_is_a_config_error(tmp_path, capsys, monkeypatch, command, override, where):
     # README's triangle at R = 1e-310: holonomy used to print a subnormal
     # delta_tau with exit 0, and integrate and sweep exited 3 on a NaN increment
-    for name in ("integrate_stroke", "swim_increments", "gauge_coefficients"):
-        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+    _fail_if_a_route_runs(monkeypatch)
     out = tmp_path / "never.out"
     assert main([command, "--config", write_config(tmp_path, dict(BASE_CONFIG, **override)), "--out", str(out)]) == 2
     assert not out.exists()
@@ -567,8 +576,7 @@ UNKNOWN_OPTIONS = "unknown key(s) in config: ['options']"
     pytest.param({"options": {"principal_axes": True}}, UNKNOWN_OPTIONS, id="removed-options.principal_axes"),
 ])
 def test_bad_config_exits_2_naming_the_path(tmp_path, capsys, monkeypatch, override, message):
-    for name in ("integrate_stroke", "swim_increments", "gauge_coefficients"):
-        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: pytest.fail(f"{_name} ran"))
+    _fail_if_a_route_runs(monkeypatch)
     out = tmp_path / "never.out"
     code = main(["integrate", "--config", write_config(tmp_path, dict(BASE_CONFIG, **override)), "--out", str(out)])
     assert code == 2

@@ -11,8 +11,8 @@ from curvswim.deformation import (
     gauge_residuals,
     linear_deformation,
     parse_field_spec,
+    project_fields,
     project_gauge,
-    subtract_rigid,
 )
 from curvswim.errors import DegenerateMomentsError, NonFiniteResultError, SingularGramError
 from curvswim.fields import VectorField, linear_field
@@ -119,8 +119,8 @@ def _bits(a):
 
 @pytest.mark.parametrize("R", [-1.0, 0.0, 1.0])
 def test_stacked_coefficients_and_subtraction_are_project_gauge(R):
-    # the CLI's projection of a stack: one gauge_coefficients call, one
-    # subtract_rigid call, raw coefficients kept where c is all zero, as
+    # project_fields of a stack: one gauge_coefficients call, one
+    # subtract_rigid call, a field kept itself where c is all zero, as
     # project_gauge keeps such a field.  The zero field's -0.0 coefficients
     # must survive bit for bit.
     rng = np.random.default_rng(11)
@@ -132,12 +132,12 @@ def test_stacked_coefficients_and_subtraction_are_project_gauge(R):
     assert np.all(np.signbit(C[1]))
     c = gauge_coefficients(body, s, C)
     assert c.shape == (4, 3) and not np.any(c[1])
-    moved = c.any(axis=-1)
-    used = np.where(moved[:, None, None], subtract_rigid(body, s, C, c), C)
+    used = project_fields(body, s, fields)
     for k, f in enumerate(fields):
         assert _bits(gauge_coefficients(body, s, C[k][None])[0]) == _bits(c[k])
-        assert _bits(used[k]) == _bits(project_gauge(body, s, f).coefficients)
-    assert project_gauge(body, s, fields[1]) is fields[1]
+        assert _bits(used[k].coefficients) == _bits(project_gauge(body, s, f).coefficients)
+        assert used[k].tag == project_gauge(body, s, f).tag
+    assert used[1] is fields[1] and project_gauge(body, s, fields[1]) is fields[1]
 
 
 def test_non_finite_coefficients_raise_the_projection_error():

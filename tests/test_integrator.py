@@ -29,6 +29,7 @@ from curvswim.integrator import (
     oracle_ratio,
     rectangle_stroke,
     sinusoid_stroke,
+    swim,
 )
 from curvswim.scenarios import TriangleSpec, triangle_body, triangle_control_fields
 from references import killing_frame, oracle_longdouble, particle_pairings, rigid_velocity
@@ -596,6 +597,54 @@ def test_readme_quick_start_runs(capsys):
     formula, oracle = namespace["formula"].delta_tau[0], namespace["oracle"].delta_tau[0]
     assert abs(oracle - formula) <= 1e-4 * abs(formula)
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def _hex(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _swim_cases():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        body = random_balanced_body(rng)
+        fields = [linear_field(rng.uniform(-1.0, 1.0, (2, 2))) for _ in range(2)]
+        for R in (-1.0, 0.0, 1.0):
+            yield pytest.param(body, Surface(R), fields, rectangle_stroke(0.03, 0.02, steps=16), id=f"seed{seed}-R{R}")
+    yield pytest.param(TRIANGLE, Surface(1.0), [HEIGHT, BASE], rectangle_stroke(1e-2, 1e-2), id="readme-triangle")
+
+
+@pytest.mark.parametrize("body, surface, fields, stroke", _swim_cases())
+def test_swim_is_the_oracle_and_the_formula_on_the_projected_fields(body, surface, fields, stroke):
+    oracle, formula = swim(body, surface, fields, stroke)
+    rec = integrate_stroke(body, surface, fields, stroke)
+    u, v = (project_gauge(body, surface, f) for f in fields)
+    hol = holonomy_general(body, surface, u, v, stroke.signed_area)
+    assert _hex(oracle.delta_tau) == _hex(rec.delta_tau)
+    for name in ("max_momentum_residual", "residual_bound", "shape_closure_defect", "group_drift"):
+        assert float(getattr(oracle, name)).hex() == float(getattr(rec, name)).hex(), name
+    assert (oracle.steps, oracle.mode) == (rec.steps, rec.mode)
+    for name in ("delta_tau", "area", "gram_condition", "gauge_residuals"):
+        assert _hex(getattr(formula, name)) == _hex(getattr(hol, name)), name
+
+
+def test_swim_pairs_each_raw_field_once(monkeypatch):
+    # one momentum contraction on the body's frame gives both fields' gauge
+    # coefficients and one checks the projected fields; neither route
+    # evaluates a raw field at the particles
+    from curvswim.body import BodyFrame
+
+    frames = []
+    original_momentum = BodyFrame.momentum
+
+    def counted_momentum(frame, coefficients):
+        frames.append(frame)
+        return original_momentum(frame, coefficients)
+
+    monkeypatch.setattr(BodyFrame, "momentum", counted_momentum)
+    unread = [VectorField(f.coefficients, tag=f.tag, func=lambda p: pytest.fail("a raw field was evaluated"))
+              for f in (HEIGHT, BASE)]
+    swim(TRIANGLE, Surface(1.0), unread, rectangle_stroke(0.1, 0.1, steps=16))
+    assert len(frames) == 2 and frames[0] is frames[1]
 
 
 def test_time_reparametrization_invariance():
